@@ -208,20 +208,6 @@ std::vector<core::psa_config> mode_mix() {
     };
 }
 
-/// The scheduler A/B cohort: the standard mix plus the recursive binary
-/// trees, whose multi-level lane walk only the new drain path batches --
-/// ten engine kinds, so engine-pure unit cutting and fleet-wide lane
-/// aggregation are both load-bearing.
-std::vector<core::psa_config> scheduler_mix() {
-    auto mix = mode_mix();
-    mix.push_back(core::psa_config::proposed(wfft::plan::exact(
-        512, wavelet::basis::haar, wfft::tree_mode::recursive)));
-    mix.push_back(core::psa_config::proposed(wfft::plan::static_pruned(
-        512, wavelet::basis::haar, wfft::twiddle_set::set2,
-        wfft::tree_mode::recursive)));
-    return mix;
-}
-
 std::vector<core::window_report> serial_reports(const physio::rr_record& rec,
                                                 core::psa_config cfg) {
     core::streaming_monitor mon(std::move(cfg), paper_monitor());
@@ -386,8 +372,10 @@ fleet_result run_fleet(unsigned n_patients, real record_seconds) {
 /// Hop-cache scenario: the hop-aligned engine mix run twice over the
 /// identical cohort -- once with the per-session hop cache reusing the
 /// 50 %-overlap sub-results, once with it disabled at runtime -- and the
-/// two report streams compared bit for bit.  CI gates on `identical` and
-/// on the cache buying >= +10 % windows/s at the 512-patient scale.
+/// two report streams compared bit for bit.  CI gates on `identical`,
+/// on observed hits and on the allocation budget; the speedup is reported
+/// for the perf record only (it sits inside run-to-run noise on multi-core
+/// hosts).
 struct hopcache_result {
     unsigned patients = 0;
     std::uint64_t windows = 0;
@@ -1077,204 +1065,6 @@ journal_bench_result run_journaled_fleet(const shard_cohort& cohort) {
         replay.all_identical && replay.windows == live.windows;
 
     fs::remove_all(dir);
-    return r;
-}
-
-// ---------------------------------------------------- scheduler A/B
-
-/// In-process A/B of the drain scheduler: the pre-PR path (fixed
-/// 16-session slices, no stealing, multi-level lane walk off) against the
-/// shipped defaults (adaptive engine-pure units, work-stealing deques,
-/// recursive-tree lane batching).  Same cohort, same beat schedule; the
-/// ratio is taken on process CPU time with the journal bench's ABBA
-/// quietest-group discipline, and the two report streams are compared
-/// bit for bit -- the scheduler may only change *when* windows run, never
-/// what they compute.
-struct scheduler_result {
-    unsigned patients = 0;
-    std::uint64_t windows = 0;
-    double cpu_ms_old = 0.0;
-    double cpu_ms_new = 0.0;
-    /// old / new CPU time (CI gates >= 1.10 at the 512-patient scale).
-    double speedup = 1.0;
-    std::uint64_t lane_slots_filled = 0;
-    std::uint64_t lane_slots_offered = 0;
-    /// filled / offered on the new path (CI gates against the committed
-    /// baseline; deterministic for a given cohort and beat schedule).
-    double lane_fill = 0.0;
-    /// Schedule-dependent steal tally from the new path (0 on a
-    /// single-worker pool; reported, never gated).
-    std::uint64_t windows_stolen = 0;
-    double allocs_per_window = 0.0;
-    std::uint64_t measured_windows = 0;
-    /// Report streams of the two arms bit-identical (bands + op tallies).
-    bool identical = true;
-};
-
-struct scheduler_pass_out {
-    double cpu_ms = 0.0;
-    service::fleet_snapshot snap;
-    double allocs_per_window = 0.0;
-    std::uint64_t measured_windows = 0;
-};
-
-/// One streaming pass of the cohort through a session_manager configured
-/// for either arm.  Collects per-session report streams into `reports`
-/// when non-null (after the timed region; both arms pay equally anyway).
-scheduler_pass_out scheduler_pass(
-    const std::vector<physio::rr_record>& records,
-    const std::vector<core::psa_config>& configs, bool new_path,
-    std::vector<std::vector<core::window_report>>* reports) {
-    const auto n_patients = static_cast<unsigned>(records.size());
-    wfft::set_recursive_lane_batching(new_path);
-    service::service_options opt;
-    opt.vfs_deadline_s = paper_monitor().hop_seconds;
-    if (!new_path) {
-        opt.scheduler.batch_size = 16;  // pre-PR fixed slice width
-        opt.scheduler.steal = false;
-    }
-    service::plan_cache cache;
-    service::session_manager mgr(opt, &cache);
-
-    const double cpu0 = process_cpu_ms();
-    for (unsigned i = 0; i < n_patients; ++i) {
-        service::session_config cfg;
-        cfg.patient_id = "sched-patient-" + std::to_string(i);
-        cfg.analysis = configs[i % configs.size()];
-        cfg.monitor = paper_monitor();
-        cfg.ingest_capacity = 512;
-        mgr.add_session(std::move(cfg));
-    }
-    constexpr std::size_t chunk = 256;
-    const auto stream_range = [&](double lo_frac, double hi_frac) {
-        std::size_t step = 0;
-        bool remaining = true;
-        while (remaining) {
-            remaining = false;
-            for (unsigned i = 0; i < n_patients; ++i) {
-                const auto& rec = records[i];
-                const auto lo = static_cast<std::size_t>(
-                    lo_frac * static_cast<double>(rec.beats()));
-                const auto hi = static_cast<std::size_t>(
-                    hi_frac * static_cast<double>(rec.beats()));
-                const std::size_t begin = std::min(lo + step * chunk, hi);
-                const std::size_t end = std::min(begin + chunk, hi);
-                for (std::size_t b = begin; b < end; ++b)
-                    while (!mgr.ingest(i, rec.beat_time_s[b], rec.rr_s[b]))
-                        mgr.pump();
-                if (end < hi) remaining = true;
-            }
-            ++step;
-            mgr.pump();
-        }
-    };
-    const auto fleet_windows = [&] {
-        std::uint64_t w = 0;
-        for (unsigned i = 0; i < n_patients; ++i)
-            w += mgr.at(i).windows_completed();
-        return w;
-    };
-
-    constexpr double warmup_fraction = 0.6;
-    stream_range(0.0, warmup_fraction);
-    mgr.drain_all();
-    const std::uint64_t allocs0 = heap_allocs();
-    const std::uint64_t windows0 = fleet_windows();
-    stream_range(warmup_fraction, 1.0);
-    mgr.drain_all();
-    const std::uint64_t allocs1 = heap_allocs();
-    const std::uint64_t windows1 = fleet_windows();
-    const double cpu1 = process_cpu_ms();
-
-    scheduler_pass_out out;
-    out.cpu_ms = cpu1 - cpu0;
-    out.snap = mgr.fleet();
-    out.measured_windows = windows1 - windows0;
-    out.allocs_per_window =
-        out.measured_windows > 0
-            ? static_cast<double>(allocs1 - allocs0) /
-                  static_cast<double>(out.measured_windows)
-            : 0.0;
-    if (reports != nullptr) {
-        reports->clear();
-        for (unsigned i = 0; i < n_patients; ++i) {
-            const auto got = mgr.at(i).reports();
-            reports->emplace_back(got.begin(), got.end());
-        }
-    }
-    wfft::set_recursive_lane_batching(true);
-    return out;
-}
-
-scheduler_result run_scheduler_ab(unsigned n_patients, real record_seconds) {
-    scheduler_result r;
-    r.patients = n_patients;
-
-    const auto configs = scheduler_mix();
-    std::vector<physio::rr_record> records;
-    records.reserve(n_patients);
-    for (unsigned i = 0; i < n_patients; ++i) {
-        const auto group = i % 2 == 0 ? physio::cohort::sinus_arrhythmia
-                                      : physio::cohort::healthy;
-        records.push_back(physio::record_for(
-            physio::make_patient(group, i % 64), record_seconds));
-    }
-
-    // Identity bar first (untimed): one pass per arm, report streams
-    // compared bit for bit.  Bands and op tallies together pin both the
-    // float arithmetic and the pruning decisions.
-    std::vector<std::vector<core::window_report>> got_old, got_new;
-    scheduler_pass(records, configs, false, &got_old);
-    const auto probe = scheduler_pass(records, configs, true, &got_new);
-    r.windows = probe.snap.windows;
-    r.lane_slots_filled = probe.snap.lane_slots_filled;
-    r.lane_slots_offered = probe.snap.lane_slots_offered;
-    r.lane_fill = probe.snap.lane_slots_offered > 0
-                      ? static_cast<double>(probe.snap.lane_slots_filled) /
-                            static_cast<double>(probe.snap.lane_slots_offered)
-                      : 0.0;
-    r.windows_stolen = probe.snap.windows_stolen;
-    r.allocs_per_window = probe.allocs_per_window;
-    r.measured_windows = probe.measured_windows;
-    r.identical = got_old.size() == got_new.size();
-    for (std::size_t i = 0; r.identical && i < got_old.size(); ++i) {
-        const auto& a = got_old[i];
-        const auto& b = got_new[i];
-        if (a.size() != b.size()) {
-            r.identical = false;
-            break;
-        }
-        for (std::size_t w = 0; w < a.size(); ++w)
-            if (a[w].bands.lf != b[w].bands.lf ||
-                a[w].bands.hf != b[w].bands.hf ||
-                a[w].bands.total != b[w].bands.total ||
-                a[w].ops != b[w].ops)
-                r.identical = false;
-    }
-
-    // CPU-time ratio with the journal bench's ABBA quietest-group
-    // discipline (see run_journaled_fleet) -- except the two arms differ
-    // by design here, so "quiet" is judged on each arm's *internal*
-    // repeatability, not across arms.
-    double best_spread = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 12 && !(rep >= 3 && best_spread <= 1.01);
-         ++rep) {
-        const auto a1 = scheduler_pass(records, configs, false, nullptr);
-        const auto b1 = scheduler_pass(records, configs, true, nullptr);
-        const auto b2 = scheduler_pass(records, configs, true, nullptr);
-        const auto a2 = scheduler_pass(records, configs, false, nullptr);
-        const double spread_a = std::max(a1.cpu_ms, a2.cpu_ms) /
-                                std::min(a1.cpu_ms, a2.cpu_ms);
-        const double spread_b = std::max(b1.cpu_ms, b2.cpu_ms) /
-                                std::min(b1.cpu_ms, b2.cpu_ms);
-        const double spread = std::max(spread_a, spread_b);
-        if (spread < best_spread) {
-            best_spread = spread;
-            r.cpu_ms_old = (a1.cpu_ms + a2.cpu_ms) / 2.0;
-            r.cpu_ms_new = (b1.cpu_ms + b2.cpu_ms) / 2.0;
-            r.speedup = r.cpu_ms_new > 0.0 ? r.cpu_ms_old / r.cpu_ms_new : 1.0;
-        }
-    }
     return r;
 }
 
@@ -1976,28 +1766,6 @@ int main() {
     all_identical =
         all_identical && jr.rebuild_identical && jr.replay_identical;
 
-    // Drain-scheduler A/B: pre-PR fixed slices vs fleet-wide lane
-    // aggregation + work stealing, on the mix extended with the
-    // recursive binary trees the new path lane-batches.
-    util::print_section(std::cout,
-                        "Drain scheduler -- fleet-wide lane aggregation + "
-                        "work stealing vs fixed slices (512 patients)");
-    const auto sched = run_scheduler_ab(512, record_seconds);
-    std::cout << "cpu time: " << util::table::fmt(sched.cpu_ms_old, 1)
-              << " ms fixed-slice -> " << util::table::fmt(sched.cpu_ms_new, 1)
-              << " ms aggregated+stealing ("
-              << util::table::fmt(sched.speedup, 2) << "x)\n"
-              << "lane fill: " << sched.lane_slots_filled << " / "
-              << sched.lane_slots_offered << " slots ("
-              << util::table::fmt_pct(sched.lane_fill)
-              << "), windows stolen: " << sched.windows_stolen
-              << ", allocs/window "
-              << util::table::fmt(sched.allocs_per_window, 3) << "\n"
-              << "verification: report streams "
-              << (sched.identical ? "bit-identical" : "MISMATCH")
-              << " between the two scheduler arms\n";
-    all_identical = all_identical && sched.identical;
-
     // Vendor-FFT A/B (opt-in CI job; a row records absence otherwise).
     const auto fftw = run_fftw_ab(64, record_seconds);
     if (fftw.available) {
@@ -2137,19 +1905,6 @@ int main() {
          << (jr.rebuild_identical ? "true" : "false")
          << ", \"replay_identical\": "
          << (jr.replay_identical ? "true" : "false") << "},\n";
-    json << "  \"scheduler\": {\"patients\": " << sched.patients
-         << ", \"windows\": " << sched.windows
-         << ", \"cpu_ms_old\": " << sched.cpu_ms_old
-         << ", \"cpu_ms_new\": " << sched.cpu_ms_new
-         << ", \"speedup\": " << sched.speedup
-         << ", \"lane_slots_filled\": " << sched.lane_slots_filled
-         << ", \"lane_slots_offered\": " << sched.lane_slots_offered
-         << ", \"lane_fill\": " << sched.lane_fill
-         << ", \"windows_stolen\": " << sched.windows_stolen
-         << ", \"allocs_per_window\": " << sched.allocs_per_window
-         << ", \"measured_windows\": " << sched.measured_windows
-         << ", \"identical\": " << (sched.identical ? "true" : "false")
-         << "},\n";
     json << "  \"fftw\": {\"available\": "
          << (fftw.available ? "true" : "false");
     if (fftw.available)

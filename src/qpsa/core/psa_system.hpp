@@ -69,7 +69,7 @@ public:
 
     /// Workspace-reusing variant (bit-identical): scratch is drawn from
     /// `ws` and the result lands in `out`, whose vectors keep their
-    /// capacity -- the steady-state-zero-allocation path of the service.
+    /// capacity, so steady-state calls are allocation-free.
     /// `ctx` (optional) carries the hop-alignment context + cache of the
     /// owning monitor when cfg.lomb.hop_aligned is set.
     void analyze_window(std::span<const real> t, std::span<const real> x,
@@ -80,8 +80,9 @@ public:
     /// Analyze several windows of THIS system in one pass, interleaving
     /// their mesh FFTs one per SIMD lane when the engine supports it.
     /// Each job's result is bit-identical to analyze_window on the same
-    /// window; jobs failing their data contracts get ok = false (the
-    /// sequential path would have thrown).
+    /// window; jobs failing their data contracts get ok = false (where
+    /// analyze_window throws).  The streaming monitor and the service
+    /// analyze every window through this call.
     void analyze_window_batched(std::span<lomb::window_job> jobs,
                                 lomb::workspace& ws) const;
 

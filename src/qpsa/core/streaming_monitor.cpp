@@ -65,14 +65,28 @@ void streaming_monitor::update_hop_ctx(real w0) {
 }
 
 void streaming_monitor::try_close_windows() {
+    // Every window runs stage -> analyze -> finish.  In staging mode the
+    // caller takes over the analyze step (possibly batched with other
+    // monitors) and resumes here through finish_staged; otherwise the one
+    // job is analyzed inline.
+    while (stage_next_window()) {
+        if (staging_) return;
+        lomb::window_job job = staged_job();
+        system_->analyze_window_batched({&job, 1}, window_workspace());
+        complete_staged(job.ok);
+    }
+}
+
+bool streaming_monitor::stage_next_window() {
     // A window [w0, w0 + W) closes once a beat arrives at or beyond its
-    // end; hop defines the next start.
+    // end; hop defines the next start.  Windows with too few beats are
+    // skipped.  next_window_start_ stays at w0 while the window is staged
+    // so the report can be built from it.
     while (started_ && buffer_head_ < buffer_.size() &&
            buffer_.back().first >= next_window_start_ + opt_.window_seconds) {
         const real w0 = next_window_start_;
         const real w1 = w0 + opt_.window_seconds;
-        const bool aligned = system_->config().lomb.hop_aligned;
-        if (aligned) update_hop_ctx(w0);
+        if (system_->config().lomb.hop_aligned) update_hop_ctx(w0);
 
         win_t_.clear();
         win_x_.clear();
@@ -85,41 +99,41 @@ void streaming_monitor::try_close_windows() {
         }
 
         if (win_t_.size() >= opt_.min_beats) {
-            if (staging_) {
-                // Hand the cut window to the caller for (possibly
-                // SIMD-batched) analysis; finish_staged resumes here.
-                // next_window_start_ stays at w0 so the report can be
-                // rebuilt from it.
-                staged_ = true;
-                staged_bd_ = {};
-                return;
-            }
-            window_report rep;
-            rep.t_start = w0;
-            rep.t_end = w1;
-            rep.beats = win_t_.size();
-            rep.engine = system_->config().kind();
-            lomb::lomb_breakdown bd;
-            try {
-                system_->analyze_window(win_t_, win_x_, window_workspace(),
-                                        win_result_, &bd,
-                                        aligned ? &hop_ctx_ : nullptr);
-                rep.bands = hrv::compute_band_powers(win_result_.spectrum,
-                                                     system_->config().bands);
-                rep.diagnosis = hrv::classify(rep.bands);
-                rep.ops = bd.total();
-                pending_.push_back(rep);
-                ++completed_;
-                history_.push_back(rep);
-                if (history_.size() > opt_.history_limit)
-                    history_.erase(history_.begin());
-            } catch (const contract_error&) {
-                // Degenerate window (e.g. zero variance): skip silently,
-                // as a node would.
-            }
+            staged_ = true;
+            staged_bd_ = {};
+            return true;
         }
         advance_window();
     }
+    return false;
+}
+
+void streaming_monitor::complete_staged(bool ok) {
+    staged_ = false;
+    if (ok) {
+        window_report rep;
+        rep.t_start = next_window_start_;
+        rep.t_end = next_window_start_ + opt_.window_seconds;
+        rep.beats = win_t_.size();
+        rep.engine = system_->config().kind();
+        try {
+            rep.bands = hrv::compute_band_powers(win_result_.spectrum,
+                                                 system_->config().bands);
+            rep.diagnosis = hrv::classify(rep.bands);
+            rep.ops = staged_bd_.total();
+            pending_.push_back(rep);
+            ++completed_;
+            history_.push_back(rep);
+            if (history_.size() > opt_.history_limit)
+                history_.erase(history_.begin());
+        } catch (const contract_error&) {
+            // Degenerate window (e.g. zero variance): skip silently, as a
+            // node would.
+        }
+    }
+    // A window that failed its analysis contracts (!ok) is skipped the
+    // same way.
+    advance_window();
 }
 
 void streaming_monitor::advance_window() {
@@ -155,31 +169,7 @@ lomb::window_job streaming_monitor::staged_job() noexcept {
 
 void streaming_monitor::finish_staged(bool ok) {
     QPSA_EXPECTS(staged_);
-    staged_ = false;
-    if (ok) {
-        // Mirror the inline path's report construction exactly (same
-        // fields from the same values; compute_band_powers/classify run
-        // on the batched spectrum, which is bit-identical to sequential).
-        window_report rep;
-        rep.t_start = next_window_start_;
-        rep.t_end = next_window_start_ + opt_.window_seconds;
-        rep.beats = win_t_.size();
-        rep.engine = system_->config().kind();
-        try {
-            rep.bands = hrv::compute_band_powers(win_result_.spectrum,
-                                                 system_->config().bands);
-            rep.diagnosis = hrv::classify(rep.bands);
-            rep.ops = staged_bd_.total();
-            pending_.push_back(rep);
-            ++completed_;
-            history_.push_back(rep);
-            if (history_.size() > opt_.history_limit)
-                history_.erase(history_.begin());
-        } catch (const contract_error&) {
-            // Same skip the inline path applies to a degenerate window.
-        }
-    }
-    advance_window();
+    complete_staged(ok);
     // The same last beat may close further (overlapping) windows; they
     // stage again one at a time, preserving window order.
     try_close_windows();

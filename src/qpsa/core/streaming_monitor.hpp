@@ -83,15 +83,17 @@ public:
 
     // ---- staged window analysis (cross-monitor SIMD batching) --------
     //
-    // The batch scheduler interleaves the mesh FFTs of several same-plan
-    // monitors one per SIMD lane.  To do that it needs to *take over* the
-    // analyze step: with staging on, try_close_windows stops at the first
-    // closable window and exposes it as a lomb::window_job instead of
-    // analyzing it.  The caller runs the job (alone or batched -- results
-    // are bit-identical either way) and hands control back through
-    // finish_staged, which builds the report exactly as the inline path
-    // would and resumes window closing (possibly staging the next window
-    // of the same beat immediately).
+    // Every closable window is cut, *staged* as a lomb::window_job,
+    // analyzed and finished by one code path.  With staging off the
+    // monitor analyzes the job itself (psa_system::analyze_window_batched
+    // of one job) inside push_beat.  The batch scheduler turns staging on
+    // to take over the analyze step, so it can interleave the mesh FFTs
+    // of several same-plan monitors one per SIMD lane: push_beat then
+    // stops at the first closable window, the caller runs the job (alone
+    // or batched -- results are bit-identical either way) and hands
+    // control back through finish_staged, which builds the report and
+    // resumes window closing (possibly staging the next window of the
+    // same beat immediately).
 
     /// Toggle staging.  Must not be called while a window is staged.
     void set_staging(bool on) {
@@ -104,8 +106,8 @@ public:
     /// valid until finish_staged).
     lomb::window_job staged_job() noexcept;
     /// Complete the staged window: `ok` is the job's post-analysis flag
-    /// (false = the window failed its data contracts and is skipped, as
-    /// the inline path's catch would).  Resumes window closing.
+    /// (false = the window failed its data contracts and is skipped).
+    /// Resumes window closing.
     void finish_staged(bool ok);
 
     /// Next completed window report, if any.
@@ -154,9 +156,18 @@ public:
     void restore_state(const monitor_state& st);
 
 private:
+    /// Stage and, unless staging is on, analyze and finish every window
+    /// the buffered beats close.
     void try_close_windows();
+    /// Cut the next closable window into the window scratch and stage it,
+    /// skipping windows with fewer than min_beats beats.  False when no
+    /// further window closes yet.
+    bool stage_next_window();
+    /// Build the staged window's report (when `ok` and the bands are
+    /// well-defined) and advance to the next hop.
+    void complete_staged(bool ok);
     /// Advance to the next hop and prune/compact beats no future window
-    /// can use (the tail of one try_close_windows iteration).
+    /// can use.
     void advance_window();
     lomb::workspace& window_workspace();
     /// Refresh hop_ctx_ for the window starting at w0 (hop-aligned only).
@@ -187,7 +198,8 @@ private:
     lomb::workspace own_workspace_;
     workspace_cache* scratch_cache_ = nullptr;
 
-    // Staging mode (cross-monitor SIMD batching; see set_staging).
+    // Staging (see set_staging): the cut window's op breakdown, and
+    // whether the caller or the monitor runs its analysis.
     bool staging_ = false;
     bool staged_ = false;
     lomb::lomb_breakdown staged_bd_;

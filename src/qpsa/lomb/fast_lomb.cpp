@@ -1,6 +1,7 @@
 #include "qpsa/lomb/fast_lomb.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -33,10 +34,12 @@ std::size_t fast_lomb_nout(std::size_t n_samples, const fast_lomb_options& opt) 
 
 namespace {
 
-// The pipeline below is split into phase helpers shared by the sequential
-// and the batched entry points, so both execute the identical arithmetic
-// (the batched path reorders only the engine forwards, which are
-// lane-exact by the kernel contract).
+// Both entry points run one pipeline per window: phase A (prepare_window:
+// moments, mesh fill, engine inputs), phase B (engine.forward_batched over
+// the queued transforms) and phases C/D (finish_window: fft op
+// attribution, Lomb combine).  The batched entry point only widens phase
+// B to every window of the batch, which is lane-exact by the kernel
+// contract, so both execute the identical arithmetic.
 
 /// Window-level facts established by the contract checks + moment pass.
 struct window_prep {
@@ -375,29 +378,102 @@ std::size_t fill_meshes(std::span<const real> t, std::span<const real> x,
     return n_eff;
 }
 
+/// Per-window state carried from phase A (prepare_window) across the
+/// engine forwards of phase B to phases C/D (finish_window).
+struct window_state {
+    window_prep prep;
+    std::size_t n_eff = 0;
+    /// The window's mesh transforms: the packed pair (packed_single) or
+    /// the two meshes (two_transforms).  None for whole-window engines,
+    /// whose estimate already ran in phase A.
+    std::array<fft_engine::batch_item, 2> items{};
+    std::size_t n_items = 0;
+    /// bd.fft_stats.ops before phase B.  The engine is the sole counter
+    /// into that sink, so the delta after phase B is the window's bd.fft
+    /// share however the forwards were grouped.
+    counting::op_counts fft_pre;
+
+    std::span<const fft_engine::batch_item> transforms() const noexcept {
+        return {items.data(), n_items};
+    }
+};
+
+/// Phase A of one window: contract checks and moments, then either the
+/// whole-window estimate (the window is complete) or the mesh fill and
+/// the engine inputs, queued in the returned state for phase B.
+window_state prepare_window(const window_job& job, const fft_engine& engine,
+                            const fast_lomb_options& opt, util::arena& mem) {
+    lomb_breakdown& bd = *job.bd;
+    window_state st;
+    st.prep = window_moments(job.t, job.x, engine, opt, bd);
+    const std::size_t mesh = st.prep.mesh;
+
+    // Whole-window estimators (AR, direct Lomb, resampled) consume the raw
+    // window and produce the normalized periodogram on the same grid
+    // directly; the mesh pipeline below is exclusive to forward()-style
+    // FFT engines.
+    if (engine.whole_window()) {
+        job.out->n_samples = job.t.size();
+        job.out->mesh_span = st.prep.span;
+        counting::count_scope scope(bd.fft);
+        engine.estimate(job.t, job.x,
+                        {1.0 / (st.prep.span * opt.ofac), st.prep.nout},
+                        &bd.fft_stats, mem, job.out->spectrum, job.ctx);
+        QPSA_ENSURES(job.out->spectrum.power.size() == st.prep.nout);
+        return st;
+    }
+
+    std::span<real> wk1 = mem.alloc<real>(mesh);
+    std::span<real> wk2 = mem.alloc<real>(mesh);
+    st.n_eff = fill_meshes(job.t, job.x, st.prep, opt, job.ctx, mem, bd,
+                           wk1, wk2);
+
+    counting::count_scope scope(bd.fft);
+    if (opt.packing == fft_packing::packed_single) {
+        std::span<cplx> zfft = mem.alloc<cplx>(mesh);
+        std::span<cplx> z = mem.alloc<cplx>(mesh);
+        dsp::pack_real_pair(wk1, wk2, z);
+        st.items[0] = {z, zfft, &bd.fft_stats};
+        st.n_items = 1;
+    } else {
+        std::span<cplx> z1fft = mem.alloc<cplx>(mesh);
+        std::span<cplx> z2fft = mem.alloc<cplx>(mesh);
+        std::span<cplx> za = mem.alloc<cplx>(mesh);
+        std::span<cplx> zb = mem.alloc<cplx>(mesh);
+        simd::kernels().widen_real(wk1.data(), za.data(), mesh);
+        simd::kernels().widen_real(wk2.data(), zb.data(), mesh);
+        st.items[0] = {za, z1fft, &bd.fft_stats};
+        st.items[1] = {zb, z2fft, &bd.fft_stats};
+        st.n_items = 2;
+    }
+    st.fft_pre = bd.fft_stats.ops;
+    return st;
+}
+
 /// The Lomb calculator: combine the transform bins into the normalized
-/// periodogram.  zfft is the packed_single spectrum (packed == true), or
-/// z1fft/z2fft the two_transforms pair.
-void lomb_combine(bool packed, std::span<const cplx> zfft,
-                  std::span<const cplx> z1fft, std::span<const cplx> z2fft,
-                  const window_prep& prep, std::size_t n_eff,
-                  const fast_lomb_options& opt, lomb_result& res,
-                  lomb_breakdown& bd) {
+/// periodogram.  A packed_single window unpacks both sums from its one
+/// spectrum; a two_transforms window reads them from its pair.
+void lomb_combine(const window_state& st, const fast_lomb_options& opt,
+                  lomb_result& res, lomb_breakdown& bd) {
+    const window_prep& prep = st.prep;
+    const bool packed = st.n_items == 1;
+    const std::span<const cplx> z1 = st.items[0].out;
+    const std::span<const cplx> z2 = st.items[1].out;
     res.spectrum.freq_hz.resize(prep.nout);
     res.spectrum.power.resize(prep.nout);
     const real df = 1.0 / (prep.span * opt.ofac);
-    const auto nf = static_cast<real>(n_eff);
+    const auto nf = static_cast<real>(st.n_eff);
     counting::count_scope scope(bd.combine);
     for (std::size_t k = 1; k <= prep.nout; ++k) {
         cplx s1;
         cplx s2;
         if (packed) {
-            const dsp::real_pair_bin bin = dsp::unpack_bin(zfft, k);
+            const dsp::real_pair_bin bin = dsp::unpack_bin(z1, k);
             s1 = bin.a;
             s2 = bin.b;
         } else {
-            s1 = z1fft[k];
-            s2 = z2fft[k];
+            s1 = z1[k];
+            s2 = z2[k];
         }
         // Our FFT kernel uses exp(-i...): sum cos = Re, sum sin = -Im.
         const real re1 = s1.real();
@@ -427,6 +503,19 @@ void lomb_combine(bool packed, std::span<const cplx> zfft,
     }
 }
 
+/// Phases C/D of one window: attribute the phase-B engine ops to the
+/// window's fft phase, then run the Lomb calculator.  No-op for a
+/// whole-window estimate (complete after phase A).
+void finish_window(const window_job& job, const window_state& st,
+                   const fast_lomb_options& opt) {
+    if (st.n_items == 0) return;
+    lomb_breakdown& bd = *job.bd;
+    bd.fft += bd.fft_stats.ops - st.fft_pre;
+    job.out->n_samples = job.t.size();
+    job.out->mesh_span = st.prep.span;
+    lomb_combine(st, opt, *job.out, bd);
+}
+
 }  // namespace
 
 lomb_result fast_lomb(std::span<const real> t, std::span<const real> x,
@@ -442,167 +531,56 @@ void fast_lomb(std::span<const real> t, std::span<const real> x,
                const fft_engine& engine, const fast_lomb_options& opt,
                workspace& ws, lomb_result& res, lomb_breakdown* breakdown,
                const hop_ctx* ctx) {
-    const std::size_t n = t.size();
-
     lomb_breakdown local;
-    lomb_breakdown& bd = breakdown ? *breakdown : local;
-
+    const window_job job{t, x, &res, breakdown != nullptr ? breakdown : &local,
+                         ctx};
     util::arena& mem = ws.scratch();
     util::arena::frame frame(mem);
-
-    const window_prep prep = window_moments(t, x, engine, opt, bd);
-    const std::size_t mesh = prep.mesh;
-
-    // --- whole-window estimators (AR, direct Lomb, resampled) -------------
-    // These engines consume the raw window and produce the normalized
-    // periodogram on the same grid directly; the mesh pipeline below is
-    // exclusive to forward()-style FFT engines.
-    if (engine.whole_window()) {
-        res.n_samples = n;
-        res.mesh_span = prep.span;
-        counting::count_scope scope(bd.fft);
-        engine.estimate(t, x, {1.0 / (prep.span * opt.ofac), prep.nout},
-                        &bd.fft_stats, mem, res.spectrum, ctx);
-        QPSA_ENSURES(res.spectrum.power.size() == prep.nout);
-        return;
-    }
-
-    std::span<real> wk1 = mem.alloc<real>(mesh);
-    std::span<real> wk2 = mem.alloc<real>(mesh);
-    const std::size_t n_eff =
-        fill_meshes(t, x, prep, opt, ctx, mem, bd, wk1, wk2);
-
-    // --- transform the two meshes -----------------------------------------
-    // The engine counts into its stats sink, and nested count scopes
-    // propagate outward, so bd.fft receives the same operations.
-    std::span<cplx> zfft;   // packed_single result
-    std::span<cplx> z1fft;  // two_transforms results
-    std::span<cplx> z2fft;
-    const bool packed = opt.packing == fft_packing::packed_single;
-    {
-        counting::count_scope scope(bd.fft);
-        if (packed) {
-            zfft = mem.alloc<cplx>(mesh);
-            std::span<cplx> z = mem.alloc<cplx>(mesh);
-            dsp::pack_real_pair(wk1, wk2, z);
-            engine.forward(z, zfft, &bd.fft_stats, mem);
-        } else if (engine.batch_width() >= 2) {
-            // Same-plan pair: both mesh transforms ride one lane-batched
-            // walk (bit-identical per lane, attributed per transform).
-            z1fft = mem.alloc<cplx>(mesh);
-            z2fft = mem.alloc<cplx>(mesh);
-            std::span<cplx> za = mem.alloc<cplx>(mesh);
-            std::span<cplx> zb = mem.alloc<cplx>(mesh);
-            simd::kernels().widen_real(wk1.data(), za.data(), mesh);
-            simd::kernels().widen_real(wk2.data(), zb.data(), mesh);
-            const fft_engine::batch_item items[2] = {
-                {za, z1fft, &bd.fft_stats}, {zb, z2fft, &bd.fft_stats}};
-            engine.forward_batched(items, mem);
-        } else {
-            z1fft = mem.alloc<cplx>(mesh);
-            z2fft = mem.alloc<cplx>(mesh);
-            std::span<cplx> z = mem.alloc<cplx>(mesh);
-            simd::kernels().widen_real(wk1.data(), z.data(), mesh);
-            engine.forward(z, z1fft, &bd.fft_stats, mem);
-            simd::kernels().widen_real(wk2.data(), z.data(), mesh);
-            engine.forward(z, z2fft, &bd.fft_stats, mem);
-        }
-    }
-
-    // --- Lomb calculator ---------------------------------------------------
-    res.n_samples = n;
-    res.mesh_span = prep.span;
-    lomb_combine(packed, zfft, z1fft, z2fft, prep, n_eff, opt, res, bd);
+    const window_state st = prepare_window(job, engine, opt, mem);
+    if (st.n_items != 0) engine.forward_batched(st.transforms(), mem);
+    finish_window(job, st, opt);
 }
 
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                        const fast_lomb_options& opt, workspace& ws) {
-    // No batching win (or nothing to batch): run the exact sequential
-    // path, converting per-window contract violations into ok = false.
-    if (jobs.size() < 2 || engine.whole_window() || engine.batch_width() < 2) {
-        for (window_job& job : jobs) {
+    // An engine without lanes gains nothing from holding every window's
+    // meshes at once, so it takes one window per round and its scratch
+    // stays one window deep.
+    const bool lanes = !engine.whole_window() && engine.batch_width() >= 2;
+    const std::size_t round = lanes ? jobs.size() : 1;
+
+    // thread_local so steady-state batched drains stay allocation-free.
+    thread_local std::vector<window_state> states;
+    thread_local std::vector<fft_engine::batch_item> items;
+    util::arena& mem = ws.scratch();
+    for (std::size_t begin = 0; begin < jobs.size(); begin += round) {
+        const std::span<window_job> part =
+            jobs.subspan(begin, std::min(round, jobs.size() - begin));
+        util::arena::frame frame(mem);
+        states.resize(part.size());
+        items.clear();
+
+        // Phase A.  A window failing its data contracts is skipped
+        // (ok = false) where the single-window call would throw.
+        for (std::size_t i = 0; i < part.size(); ++i) {
+            window_job& job = part[i];
             QPSA_EXPECTS(job.out != nullptr && job.bd != nullptr);
             try {
-                fast_lomb(job.t, job.x, engine, opt, ws, *job.out, job.bd,
-                          job.ctx);
+                states[i] = prepare_window(job, engine, opt, mem);
+                const auto tr = states[i].transforms();
+                items.insert(items.end(), tr.begin(), tr.end());
                 job.ok = true;
             } catch (const contract_error&) {
                 job.ok = false;
             }
         }
-        return;
-    }
 
-    util::arena& mem = ws.scratch();
-    util::arena::frame frame(mem);
+        // Phase B: one lane-batched walk over every surviving transform.
+        if (!items.empty()) engine.forward_batched(items, mem);
 
-    struct job_state {
-        window_prep prep;
-        std::size_t n_eff = 0;
-        std::span<cplx> zfft;
-        std::span<cplx> z1fft;
-        std::span<cplx> z2fft;
-        counting::op_counts fft_pre;
-    };
-    // thread_local so steady-state batched drains stay allocation-free.
-    thread_local std::vector<job_state> states;
-    thread_local std::vector<fft_engine::batch_item> items;
-    states.clear();
-    states.resize(jobs.size());
-    items.clear();
-
-    const bool packed = opt.packing == fft_packing::packed_single;
-
-    // Phase A: per-window moments + mesh redistribution + input packing.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        window_job& job = jobs[i];
-        QPSA_EXPECTS(job.out != nullptr && job.bd != nullptr);
-        job_state& st = states[i];
-        try {
-            st.prep = window_moments(job.t, job.x, engine, opt, *job.bd);
-            const std::size_t mesh = st.prep.mesh;
-            std::span<real> wk1 = mem.alloc<real>(mesh);
-            std::span<real> wk2 = mem.alloc<real>(mesh);
-            st.n_eff = fill_meshes(job.t, job.x, st.prep, opt, job.ctx, mem,
-                                   *job.bd, wk1, wk2);
-            counting::count_scope scope(job.bd->fft);
-            if (packed) {
-                st.zfft = mem.alloc<cplx>(mesh);
-                std::span<cplx> z = mem.alloc<cplx>(mesh);
-                dsp::pack_real_pair(wk1, wk2, z);
-                items.push_back({z, st.zfft, &job.bd->fft_stats});
-            } else {
-                st.z1fft = mem.alloc<cplx>(mesh);
-                st.z2fft = mem.alloc<cplx>(mesh);
-                std::span<cplx> za = mem.alloc<cplx>(mesh);
-                std::span<cplx> zb = mem.alloc<cplx>(mesh);
-                simd::kernels().widen_real(wk1.data(), za.data(), mesh);
-                simd::kernels().widen_real(wk2.data(), zb.data(), mesh);
-                items.push_back({za, st.z1fft, &job.bd->fft_stats});
-                items.push_back({zb, st.z2fft, &job.bd->fft_stats});
-            }
-            st.fft_pre = job.bd->fft_stats.ops;
-            job.ok = true;
-        } catch (const contract_error&) {
-            job.ok = false;
-        }
-    }
-
-    // Phase B: one lane-batched walk over every surviving transform.
-    engine.forward_batched(items, mem);
-
-    // Phase C+D: attribute the engine ops to each window's fft phase (the
-    // engine is the sole counter inside that scope, so the fft_stats delta
-    // IS the scalar bd.fft contribution), then combine.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        window_job& job = jobs[i];
-        if (!job.ok) continue;
-        const job_state& st = states[i];
-        job.bd->fft += job.bd->fft_stats.ops - st.fft_pre;
-        job.out->n_samples = job.t.size();
-        job.out->mesh_span = st.prep.span;
-        lomb_combine(packed, st.zfft, st.z1fft, st.z2fft, st.prep, st.n_eff,
-                     opt, *job.out, *job.bd);
+        // Phases C/D.
+        for (std::size_t i = 0; i < part.size(); ++i)
+            if (part[i].ok) finish_window(part[i], states[i], opt);
     }
 }
 

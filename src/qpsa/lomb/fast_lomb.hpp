@@ -110,8 +110,8 @@ lomb_result fast_lomb(std::span<const real> t, std::span<const real> x,
 /// Workspace-reusing variant: all mesh/FFT scratch is drawn from `ws` and
 /// the result is written into `out` (whose vectors keep their capacity
 /// across calls).  Bit-identical to the allocating overload -- it is the
-/// same arithmetic; only buffer provenance differs.  This is the
-/// steady-state-zero-allocation path the streaming service runs.
+/// same arithmetic; only buffer provenance differs.  Throws
+/// contract_error when the window fails its data contracts.
 void fast_lomb(std::span<const real> t, std::span<const real> x,
                const fft_engine& engine, const fast_lomb_options& opt,
                workspace& ws, lomb_result& out,
@@ -134,10 +134,12 @@ struct window_job {
 };
 
 /// Analyze several same-plan windows, interleaving their mesh FFTs one per
-/// SIMD lane through engine.forward_batched().  Every job's spectrum and
-/// per-phase op breakdown is bit-identical to a sequential fast_lomb call;
-/// engines without batching (batch_width() == 1, whole-window estimators)
-/// fall back to exactly that sequence.
+/// SIMD lane through one engine.forward_batched() call.  Runs the same
+/// per-window phases as fast_lomb, so every job's spectrum and per-phase
+/// op breakdown is bit-identical to a fast_lomb call; a window failing its
+/// data contracts sets ok = false instead of throwing.  Engines without
+/// lanes (batch_width() == 1, whole-window estimators) take the windows
+/// one at a time.  This is the path the streaming service runs.
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                        const fast_lomb_options& opt, workspace& ws);
 

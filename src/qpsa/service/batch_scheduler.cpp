@@ -1,7 +1,6 @@
 #include "qpsa/service/batch_scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "qpsa/core/engine_spec.hpp"
 #include "qpsa/core/workspace_cache.hpp"
@@ -31,26 +30,19 @@ std::size_t batch_scheduler::run_once(
     std::span<const std::unique_ptr<session>> sessions, fleet_stats& fleet) {
     ready_.clear();
     for (const auto& s : sessions)
-        if (s->has_pending()) {
-            const std::size_t order =
-                opt_.sort_by_engine
-                    ? core::engine_key_hash{}(s->config().engine_key())
-                    : 0;
-            ready_.push_back({order, s.get()});
-        }
+        if (s->has_pending())
+            ready_.push_back(
+                {core::engine_key_hash{}(s->config().engine_key()), s.get()});
     if (ready_.empty()) return 0;
 
     // Plan locality: cluster same-engine sessions so each unit (and each
     // worker's run of units) hammers one engine shape.  stable_sort
     // keeps admission order within a group, so unit composition is
     // deterministic run to run.
-    if (opt_.sort_by_engine)
-        std::stable_sort(ready_.begin(), ready_.end(),
-                         [](const ready_entry& a, const ready_entry& b) {
-                             return a.engine_order < b.engine_order;
-                         });
-
-    if (!opt_.steal) return run_once_fixed(fleet);
+    std::stable_sort(ready_.begin(), ready_.end(),
+                     [](const ready_entry& a, const ready_entry& b) {
+                         return a.engine_order < b.engine_order;
+                     });
 
     const std::size_t unit_cap = opt_.batch_size != 0
                                      ? opt_.batch_size
@@ -70,10 +62,9 @@ std::size_t batch_scheduler::run_once(
             units_.push_back({static_cast<std::uint32_t>(u),
                               static_cast<std::uint32_t>(
                                   std::min(u + unit_cap, gend)),
-                              false, 0, fleet.make_partial()});
+                              0, fleet.make_partial()});
         group = gend;
     }
-    batches_ += units_.size();
 
     // Deal contiguous unit runs to the worker deques: contiguous so an
     // owner's execution order is unit index order (cache-hot engine
@@ -93,62 +84,11 @@ std::size_t batch_scheduler::run_once(
     // inherit the same order, which is what keeps crash-recovery rebuilds
     // and replay bit-identical under stealing.
     std::size_t windows = 0;
-    std::uint64_t stolen = 0;
-    std::uint64_t filled = 0;
-    std::uint64_t offered = 0;
     for (drain_unit& u : units_) {
-        const fleet_snapshot& d = u.partial.data();
-        stolen += d.windows_stolen;
-        filled += d.lane_slots_filled;
-        offered += d.lane_slots_offered;
         fleet.merge(u.partial);
         windows += u.windows;
     }
-    windows_stolen_.fetch_add(stolen, std::memory_order_relaxed);
-    lane_slots_filled_.fetch_add(filled, std::memory_order_relaxed);
-    lane_slots_offered_.fetch_add(offered, std::memory_order_relaxed);
     return windows;
-}
-
-std::size_t batch_scheduler::run_once_fixed(fleet_stats& fleet) {
-    // Pre-stealing execution (scheduler_options::steal == false): one
-    // pool task per fixed slice, per-task partials merged at completion.
-    // Kept as the A/B baseline; fleet float columns then depend on task
-    // completion order when the pool has more than one worker.
-    const std::size_t unit = opt_.batch_size != 0
-                                 ? opt_.batch_size
-                                 : adaptive_unit_size(ready_.size());
-    std::atomic<std::size_t> windows{0};
-    std::atomic<std::uint64_t> filled{0};
-    std::atomic<std::uint64_t> offered{0};
-    for (std::size_t begin = 0; begin < ready_.size(); begin += unit) {
-        const std::size_t end = std::min(begin + unit, ready_.size());
-        ++batches_;
-        pool_.submit([this, &fleet, &windows, &filled, &offered, begin, end] {
-            fleet_partial partial = fleet.make_partial();
-            std::size_t local = 0;
-            if (opt_.batch_transforms) {
-                local = drain_batch_staged(
-                    std::span<const ready_entry>(ready_.data() + begin,
-                                                 end - begin),
-                    partial);
-            } else {
-                for (std::size_t i = begin; i < end; ++i)
-                    local += ready_[i].s->drain(partial);
-            }
-            const fleet_snapshot& d = partial.data();
-            filled.fetch_add(d.lane_slots_filled, std::memory_order_relaxed);
-            offered.fetch_add(d.lane_slots_offered, std::memory_order_relaxed);
-            fleet.merge(partial);
-            windows.fetch_add(local, std::memory_order_relaxed);
-        });
-    }
-    pool_.wait_idle();
-    lane_slots_filled_.fetch_add(filled.load(std::memory_order_relaxed),
-                                 std::memory_order_relaxed);
-    lane_slots_offered_.fetch_add(offered.load(std::memory_order_relaxed),
-                                  std::memory_order_relaxed);
-    return windows.load(std::memory_order_relaxed);
 }
 
 void batch_scheduler::run_worker(std::size_t self) {
@@ -174,16 +114,10 @@ void batch_scheduler::run_worker(std::size_t self) {
 }
 
 void batch_scheduler::run_unit(drain_unit& unit, bool stolen) {
-    unit.stolen = stolen;
-    if (opt_.batch_transforms) {
-        unit.windows = drain_batch_staged(
-            std::span<const ready_entry>(ready_.data() + unit.begin,
-                                         unit.end - unit.begin),
-            unit.partial);
-    } else {
-        for (std::size_t i = unit.begin; i < unit.end; ++i)
-            unit.windows += ready_[i].s->drain(unit.partial);
-    }
+    unit.windows = drain_lockstep(
+        std::span<const ready_entry>(ready_.data() + unit.begin,
+                                     unit.end - unit.begin),
+        unit.partial);
     // Folded into the partial so windows_stolen travels in the journaled
     // stats_delta record: the log holds what actually happened, and the
     // rebuild reproduces it even though the steal pattern itself is not
@@ -191,7 +125,7 @@ void batch_scheduler::run_unit(drain_unit& unit, bool stolen) {
     if (stolen) unit.partial.add_stolen_windows(unit.windows);
 }
 
-std::size_t batch_scheduler::drain_batch_staged(
+std::size_t batch_scheduler::drain_lockstep(
     std::span<const ready_entry> batch, fleet_partial& partial) {
     // Round scratch, reused across units on the same worker so the
     // steady-state allocs-per-window budget is untouched.
@@ -224,10 +158,8 @@ std::size_t batch_scheduler::drain_batch_staged(
 
         // Group staged windows by batch compatibility (same plan-cached
         // engine object + equal lomb options: the systems then perform
-        // identical arithmetic) and run each group in one batched call.
-        // Groups of one, and engines that cannot batch, execute the
-        // sequential arithmetic inside fast_lomb_batched -- bit-identical
-        // either way.
+        // identical arithmetic) and run each group in one batched call --
+        // a group of one is the same call, bit-identical either way.
         claimed.assign(active.size(), 0);
         for (std::size_t a = 0; a < active.size(); ++a) {
             if (claimed[a]) continue;

@@ -1,35 +1,38 @@
 // Batch scheduler: drains ready sessions across the fleet.
 //
-// Each pass scans for sessions with buffered ingest, orders the ENTIRE
-// ready set by engine identity, cuts it into engine-pure drain units and
-// executes the units via per-worker work-stealing deques.  A session is
-// always drained whole by a single worker, so its windows complete in
-// ingest order and its monitor state is never touched by two threads --
+// A pass runs one pipeline:
+//   1. scan the fleet for sessions with buffered ingest;
+//   2. order the ready set by engine identity and cut it into engine-pure
+//      drain units (a unit never spans two engine keys);
+//   3. deal the units contiguously to per-worker deques (work_deque.hpp);
+//      a worker drains its own range in index order and steals from the
+//      back of a neighbour's range when it runs dry, so one slow
+//      whole-window estimator does not idle the rest of the pool;
+//   4. drain each unit in lockstep: pump every session to its next cut
+//      window, group the staged windows by analysis system, run each
+//      group through psa_system::analyze_window_batched (same-plan mesh
+//      FFTs interleaved one per SIMD lane), finish the windows, repeat
+//      until every session of the unit is dry;
+//   5. merge the per-unit fleet_partial accumulators at the pass barrier.
+//
+// A session is always drained whole by a single worker, so its windows
+// complete in beat order and its monitor is never touched by two threads;
 // parallelism comes from running different patients on different workers,
 // which is safe because all heavy analysis state (FFT engines, twiddle
-// tables) is shared immutably via the plan cache.
+// tables) is shared immutably via the plan cache.  Because units are cut
+// inside engine groups, lane groups fill from anywhere in the fleet that
+// runs the same plan; fleet_snapshot's lane_slots_filled /
+// lane_slots_offered columns measure exactly this.
 //
-// Fleet-wide lane aggregation: because units are cut inside engine groups
-// (never across them), the staged lockstep drain fills SIMD lane groups
-// from anywhere in the fleet that runs the same plan -- not just from
-// whichever sessions landed in one fixed slice.  The lane_fill telemetry
-// (lane_slots_filled / lane_slots_offered) measures exactly this.
-//
-// Work stealing: units are dealt contiguously to per-worker deques
-// (work_deque.hpp); a worker drains its own range in index order and
-// steals from the back of a neighbour's when it runs dry, so one slow
-// whole-window estimator no longer idles the rest of the pool at a batch
-// barrier.  Determinism: per-unit fleet_partial accumulators are merged
-// at the pass barrier in UNIT INDEX order -- session-id order within each
-// engine group -- never in completion order, so fleet snapshots, journal
-// stats_delta ordering and replay are bit-identical for any worker count
-// and any steal interleaving.  (windows_stolen is the one exception by
-// design: it counts scheduling events, not analysis results.  It still
-// travels in the journaled partials -- a rebuild reproduces the recorded
-// value -- but cross-run comparisons must normalize it.)
+// Determinism: partials are merged in UNIT INDEX order -- session-id order
+// within each engine group -- never in completion order, so fleet
+// snapshots, journal stats_delta ordering and replay are bit-identical for
+// any worker count and any steal interleaving.  (windows_stolen is the one
+// exception by design: it counts scheduling events, not analysis results.
+// It still travels in the journaled partials -- a rebuild reproduces the
+// recorded value -- but cross-run comparisons must normalize it.)
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -52,30 +55,8 @@ struct scheduler_options {
     /// arriving late.  Deliberately independent of the worker count, so
     /// the unit partition -- and with it every float merge order -- is
     /// identical for any pool size.  An explicit value pins the unit size
-    /// (e.g. the pre-PR fixed batches of 16).
+    /// (tests use small units to force multi-unit passes on small fleets).
     std::size_t batch_size = 0;
-
-    /// Order ready sessions by engine key before cutting units (see
-    /// header comment).  Off preserves admission order within each pass.
-    bool sort_by_engine = true;
-
-    /// SIMD transform batching: instead of draining each session of a
-    /// unit to completion one after another, pump them in lockstep to
-    /// their next analysis window, group the staged windows by analysis
-    /// system, and run each group through psa_system::
-    /// analyze_window_batched -- the mesh FFTs of up to simd-lane-count
-    /// same-plan windows execute interleaved one per vector lane.
-    /// Per-session outputs (reports, governor schedule, journal order)
-    /// are bit-identical to the sequential drain; sort_by_engine makes
-    /// the groups large.  Engines that cannot batch fall back to the
-    /// sequential arithmetic inside the same code path.
-    bool batch_transforms = true;
-
-    /// Execute units via per-worker work-stealing deques with the
-    /// deterministic pass-end merge (see header comment).  Off restores
-    /// the pre-stealing behaviour -- one pool task per unit, partials
-    /// merged at task completion -- kept for in-process A/B baselines.
-    bool steal = true;
 };
 
 class batch_scheduler {
@@ -89,29 +70,6 @@ public:
     std::size_t run_once(std::span<const std::unique_ptr<session>> sessions,
                          fleet_stats& fleet);
 
-    /// Drain units dispatched over the scheduler's lifetime.
-    std::size_t batches_dispatched() const noexcept { return batches_; }
-
-    /// Windows completed by a worker that stole the unit from another
-    /// worker's deque (scheduling telemetry; schedule-dependent).  The
-    /// same tallies ride the per-unit partials into fleet_stats, so the
-    /// fleet_snapshot columns carry them too; these accessors are the
-    /// lock-free convenience view for benches and tests.
-    std::uint64_t windows_stolen() const noexcept {
-        return windows_stolen_.load(std::memory_order_relaxed);
-    }
-    /// Staged windows that went through a batched (lane-interleaved)
-    /// analyze call, and the lane slots those calls offered; their ratio
-    /// is the fleet's lane_fill.  Deterministic for a given beat stream
-    /// (unit composition and lockstep grouping do not depend on the
-    /// schedule).
-    std::uint64_t lane_slots_filled() const noexcept {
-        return lane_slots_filled_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t lane_slots_offered() const noexcept {
-        return lane_slots_offered_.load(std::memory_order_relaxed);
-    }
-
 private:
     struct ready_entry {
         std::size_t engine_order;  ///< engine-key hash (grouping key)
@@ -124,27 +82,21 @@ private:
     struct drain_unit {
         std::uint32_t begin;  ///< range in ready_
         std::uint32_t end;
-        bool stolen;
         std::size_t windows;
         fleet_partial partial;  ///< results + scheduler telemetry columns
     };
 
-    std::size_t run_once_fixed(fleet_stats& fleet);
     void run_worker(std::size_t self);
     void run_unit(drain_unit& unit, bool stolen);
 
-    /// Staged lockstep drain of one unit (batch_transforms mode); runs
-    /// on a pool worker.  Returns windows completed; the lane-fill
-    /// tallies of every batched analyze call fold into `partial`.
-    static std::size_t drain_batch_staged(std::span<const ready_entry> batch,
-                                          fleet_partial& partial);
+    /// Lockstep drain of one unit (step 4 above); runs on a pool worker.
+    /// Returns windows completed; the lane-fill tallies of every batched
+    /// analyze call fold into `partial`.
+    static std::size_t drain_lockstep(std::span<const ready_entry> batch,
+                                      fleet_partial& partial);
 
     thread_pool& pool_;
     scheduler_options opt_;
-    std::size_t batches_ = 0;
-    std::atomic<std::uint64_t> windows_stolen_{0};
-    std::atomic<std::uint64_t> lane_slots_filled_{0};
-    std::atomic<std::uint64_t> lane_slots_offered_{0};
     std::vector<ready_entry> ready_;  ///< pass scratch, capacity reused
     std::vector<drain_unit> units_;   ///< pass scratch, capacity reused
     std::vector<work_deque> deques_;  ///< one per pool worker

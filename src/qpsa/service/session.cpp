@@ -51,6 +51,9 @@ session::session(std::uint64_t id, session_config cfg,
     if (cfg_.journal != nullptr) journal_stage_.reserve(journal_stage_cap);
     if (governor_.runtime_enabled())
         switch_log_.reserve(cfg_.quality.controller->profiles().size() * 2);
+    // The scheduler runs every window's analysis itself (batched across
+    // sessions), so the monitor always stages its cut windows.
+    monitor_.set_staging(true);
 }
 
 session::session(std::uint64_t id, session_config cfg,
@@ -155,39 +158,28 @@ std::size_t session::collect_windows(fleet_partial& acc) {
     return completed;
 }
 
-std::size_t session::drain(fleet_partial& acc) {
+session::pump_status session::pump_to_stage(fleet_partial& acc,
+                                            std::size_t& completed) {
+    QPSA_EXPECTS(!monitor_.has_staged());
     // Analysis scratch comes from the worker currently draining us (the
     // session may land on a different worker next pass; the monitor
     // re-resolves per window, so migration is safe).  Off-pool callers
-    // (tests draining inline) pass nullptr and use the monitor's private
+    // (tests draining inline) get nullptr and use the monitor's private
     // workspace -- results are bit-identical either way.
     monitor_.set_scratch(thread_pool::current_workspace_cache());
-    beat_sample s;
-    std::size_t completed = 0;
+    // Windows the previous batched round finished are collected here:
+    // right after the beat that closed them, before the next beat of this
+    // session lands.
+    completed += collect_windows(acc);
     // One beat at a time, windows collected after every push: the
     // governor then reacts at exact window boundaries in *beat* order, so
     // a governed session's mode schedule is a pure function of its beat
     // stream -- independent of pump cadence, batch shape or worker count
     // (and replayable serially from the switch log, bit for bit).
+    beat_sample s;
     while (ring_.pop(s)) {
-        // Journal the beat before the monitor sees it: rejected beats
-        // are recorded too, so a replay reproduces the reject counts and
-        // every downstream window identically.  Beats are staged locally
-        // and appended in batches -- taking the shard writer's mutex per
-        // beat is measurably slower than the analysis itself.
-        if (cfg_.journal != nullptr) {
-            journal_stage_.push_back({journal_id_, s.t, s.rr});
-            if (journal_stage_.size() >= journal_stage_cap)
-                flush_journal_stage();
-        }
-        try {
-            monitor_.push_beat(s.t, s.rr);
-            ++beats_ingested_;
-        } catch (const contract_error&) {
-            // Malformed beat (non-positive RR, non-monotonic time): a
-            // fleet node drops it rather than poisoning the worker.
-            beats_rejected_.fetch_add(1, std::memory_order_relaxed);
-        }
+        push_beat(s);
+        if (monitor_.has_staged()) return pump_status::staged;
         completed += collect_windows(acc);
     }
     if (cfg_.journal != nullptr) flush_journal_stage();
@@ -196,53 +188,33 @@ std::size_t session::drain(fleet_partial& acc) {
     // condition, so any configured mark is satisfied).
     if (high_water_mark_ != 0 && ring_.size() < high_water_mark_)
         high_water_armed_.store(true, std::memory_order_release);
-    return completed;
+    return pump_status::idle;
 }
 
-session::pump_status session::pump_to_stage(fleet_partial& acc,
-                                            std::size_t& completed) {
-    QPSA_EXPECTS(!monitor_.has_staged());
-    monitor_.set_scratch(thread_pool::current_workspace_cache());
-    monitor_.set_staging(true);
-    // Windows the previous batched round finished are collected here --
-    // the exact point drain() would have polled them (right after the
-    // push_beat that closed them, before the next beat of this session).
-    completed += collect_windows(acc);
-    beat_sample s;
-    while (ring_.pop(s)) {
-        // Same journaling/push/reject sequence as drain(); see there.
-        if (cfg_.journal != nullptr) {
-            journal_stage_.push_back({journal_id_, s.t, s.rr});
-            if (journal_stage_.size() >= journal_stage_cap)
-                flush_journal_stage();
-        }
-        try {
-            monitor_.push_beat(s.t, s.rr);
-            ++beats_ingested_;
-        } catch (const contract_error&) {
-            beats_rejected_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (monitor_.has_staged()) return pump_status::staged;
-        completed += collect_windows(acc);
+void session::push_beat(const beat_sample& s) {
+    // Journal the beat before the monitor sees it: rejected beats are
+    // recorded too, so a replay reproduces the reject counts and every
+    // downstream window identically.  Beats are staged locally and
+    // appended in batches -- taking the shard writer's mutex per beat is
+    // measurably slower than the analysis itself.
+    if (cfg_.journal != nullptr) {
+        journal_stage_.push_back({journal_id_, s.t, s.rr});
+        if (journal_stage_.size() >= journal_stage_cap) flush_journal_stage();
     }
-    monitor_.set_staging(false);
-    if (cfg_.journal != nullptr) flush_journal_stage();
-    if (high_water_mark_ != 0 && ring_.size() < high_water_mark_)
-        high_water_armed_.store(true, std::memory_order_release);
-    return pump_status::idle;
+    try {
+        monitor_.push_beat(s.t, s.rr);
+        ++beats_ingested_;
+    } catch (const contract_error&) {
+        // Malformed beat (non-positive RR, non-monotonic time): a fleet
+        // node drops it rather than poisoning the worker.
+        beats_rejected_.fetch_add(1, std::memory_order_relaxed);
+    }
 }
 
 void session::flush_journal_stage() {
     if (journal_stage_.empty()) return;
     cfg_.journal->append_beats(journal_stage_);
     journal_stage_.clear();
-}
-
-std::size_t session::drain(fleet_stats& fleet) {
-    fleet_partial acc = fleet.make_partial();
-    const std::size_t completed = drain(acc);
-    fleet.merge(acc);
-    return completed;
 }
 
 void session::set_quality_budget(real qdes_error_pct) {

@@ -4,11 +4,12 @@
 // over shared cached engines), their simulated node battery and their QDES
 // governor (the paper's Fig. 2 loop, closed at run time).  Threading
 // contract: the ingest edge (one producer thread) calls ingest();
-// everything else -- drain(), mode changes, accessors below -- runs on at
-// most one scheduler worker at a time (the batch scheduler never assigns a
-// session to two tasks concurrently).  The quality/battery columns read by
-// fleet snapshots are atomics, so session_manager::fleet() may run
-// concurrently with a draining worker.
+// everything else -- the pump_to_stage / finish_staged drain, mode
+// changes, accessors below -- runs on at most one scheduler worker at a
+// time (the batch scheduler never assigns a session to two workers
+// concurrently).  The quality/battery columns read by fleet snapshots are
+// atomics, so session_manager::fleet() may run concurrently with a
+// draining worker.
 #pragma once
 
 #include <atomic>
@@ -31,7 +32,6 @@ class report_writer;
 
 namespace qpsa::service {
 
-class fleet_stats;
 class fleet_partial;
 
 /// Sentinel for session_config::journal_id: use the locally assigned
@@ -170,23 +170,19 @@ public:
     /// adopting manager together with the extracted state).
     const session_config& session_cfg() const noexcept { return cfg_; }
 
-    /// Consumer side: pop buffered beats into the monitor one at a time,
-    /// folding every completed window into `acc` (and the local report
-    /// log when keep_reports), draining the battery and running the
-    /// governor at each window boundary.  Returns windows completed.
-    std::size_t drain(fleet_partial& acc);
-
-    // ---- staged drain (cross-session SIMD transform batching) --------
+    // ---- drain (the scheduler's side) -------------------------------
     //
-    // Incremental alternative to drain(): the scheduler pumps each
-    // session of a batch until it *stages* a cut window, groups staged
-    // windows by analysis system, runs each group through
-    // psa_system::analyze_window_batched (mesh FFTs interleaved one per
-    // SIMD lane), then finishes every staged window and pumps again.
-    // Per-session results -- reports, governor schedule, journal order,
-    // battery trace -- are bit-identical to drain(): beats are pushed in
-    // the same order, every window is analyzed before the next beat of
-    // its session lands, and windows are polled in completion order.
+    // The scheduler pumps each session of a drain unit until it *stages*
+    // a cut window, groups staged windows by analysis system, runs each
+    // group through psa_system::analyze_window_batched (mesh FFTs
+    // interleaved one per SIMD lane), then finishes every staged window
+    // and pumps again.  Beats reach the monitor one at a time and every
+    // window is analyzed before the next beat of its session lands, so
+    // per-session results -- reports, governor schedule, journal order,
+    // battery trace -- are a pure function of the beat stream, whatever
+    // the grouping.  Completed windows are folded into the caller's
+    // fleet_partial (and the local report log when keep_reports), with
+    // the battery drained and the governor run at every window boundary.
 
     enum class pump_status {
         staged,  ///< a window is cut and awaiting analysis
@@ -195,7 +191,7 @@ public:
 
     /// Pop beats until a window stages or the ring empties.  Resumes
     /// report collection after previously finished windows.  Scheduler-
-    /// thread only, like drain().
+    /// thread only.
     pump_status pump_to_stage(fleet_partial& acc, std::size_t& completed);
 
     bool has_staged_window() const noexcept { return monitor_.has_staged(); }
@@ -215,10 +211,6 @@ public:
     }
     /// Complete the staged window with the job's post-analysis ok flag.
     void finish_staged(bool ok) { monitor_.finish_staged(ok); }
-
-    /// Convenience for off-pool callers: accumulates into a private
-    /// partial and merges it into `fleet` before returning.
-    std::size_t drain(fleet_stats& fleet);
 
     /// Re-select the analysis mode for a new static distortion budget via
     /// the session's controller (no-op without one; governed sessions
@@ -257,7 +249,7 @@ public:
     }
     std::uint64_t windows_completed() const noexcept { return windows_; }
 
-    // Quality columns for fleet snapshots (safe concurrently with drain).
+    // Quality columns for fleet snapshots (safe concurrently with a drain).
     std::uint64_t mode_switches() const noexcept {
         return switches_.load(std::memory_order_relaxed);
     }
@@ -279,8 +271,12 @@ private:
     /// and the stage is empty whenever the session is idle.
     void flush_journal_stage();
 
+    /// Journal-stage one popped beat and push it into the monitor;
+    /// malformed beats are counted and dropped.
+    void push_beat(const beat_sample& s);
+
     /// Producer-side slow path of ingest(): fire the callback once per
-    /// crossing of the high-water mark (drain() re-arms below it).
+    /// crossing of the high-water mark (pump_to_stage re-arms below it).
     void notify_high_water() noexcept;
 
     std::uint64_t id_;
@@ -298,7 +294,7 @@ private:
     /// Ring occupancy (in beats) at which the backpressure alarm fires;
     /// 0 when no callback is configured.
     std::size_t high_water_mark_ = 0;
-    /// Armed until the mark is crossed; drain() re-arms below the mark.
+    /// Armed until the mark is crossed; pump_to_stage re-arms below it.
     std::atomic<bool> high_water_armed_{true};
     std::atomic<std::uint64_t> high_water_alarms_{0};
     std::uint64_t beats_ingested_ = 0;

@@ -1,9 +1,6 @@
 #include "qpsa/wfft/wavelet_fft.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/simd/kernels.hpp"
@@ -46,18 +43,6 @@ cplx apply_factor_uncounted(cplx f, cplx v, bool free) {
     return f * v;
 }
 
-bool recursive_lanes_env_enabled() {
-    const char* v = std::getenv("QPSA_WFFT_LANES");
-    if (v == nullptr) return true;
-    return std::strcmp(v, "off") != 0 && std::strcmp(v, "OFF") != 0 &&
-           std::strcmp(v, "0") != 0 && std::strcmp(v, "false") != 0;
-}
-
-std::atomic<bool>& recursive_lanes_flag() {
-    static std::atomic<bool> on{true};
-    return on;
-}
-
 /// leaf_dft, elementwise over nl lane-interleaved slots (layout
 /// [element * nl + lane]): the same expression tree per lane, so each
 /// lane's values match a scalar leaf_dft bit for bit.  static_schedule_
@@ -87,15 +72,6 @@ void leaf_dft_planes(const cplx* in, cplx* out, std::size_t n, std::size_t nl) {
 }
 
 }  // namespace
-
-bool recursive_lane_batching_enabled() noexcept {
-    static const bool env = recursive_lanes_env_enabled();
-    return env && recursive_lanes_flag().load(std::memory_order_relaxed);
-}
-
-void set_recursive_lane_batching(bool on) noexcept {
-    recursive_lanes_flag().store(on, std::memory_order_relaxed);
-}
 
 void leaf_dft(std::span<const cplx> in, std::span<cplx> out) {
     const std::size_t n = in.size();

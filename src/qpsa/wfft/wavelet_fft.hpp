@@ -30,16 +30,6 @@
 
 namespace qpsa::wfft {
 
-/// Process-wide switch for the multi-level (recursive-tree) lane walk:
-/// the QPSA_WFFT_LANES environment variable ("off"/"0"/"false" disables;
-/// read once) AND the runtime toggle below.  Controls only whether
-/// static-schedule recursive trees report themselves lane-batchable --
-/// never the arithmetic -- so flipping it keeps outputs bit-identical.
-bool recursive_lane_batching_enabled() noexcept;
-
-/// Runtime override for in-process A/B runs (benches, tests).
-void set_recursive_lane_batching(bool on) noexcept;
-
 class wavelet_fft {
 public:
     explicit wavelet_fft(plan p);
@@ -86,11 +76,9 @@ public:
     /// True when forward_batched can interleave transforms one per SIMD
     /// lane: either the half-size sub-transforms run through the
     /// split-radix FFT (single_level tree), or the whole multi-level
-    /// recursion has a static schedule (see static_schedule()) and the
-    /// recursive lane walk is enabled.
+    /// recursion has a static schedule (see static_schedule()).
     bool lane_batchable() const noexcept {
-        return sub_split_radix_ != nullptr ||
-               (static_schedule_ && recursive_lane_batching_enabled());
+        return sub_split_radix_ != nullptr || static_schedule_;
     }
 
     /// True when every decision in the tree -- band drops, factor skips,

@@ -1,17 +1,23 @@
 // Core PSA-system tests: configuration, end-to-end record analysis,
-// conventional-vs-proposed agreement, quality controller.
+// conventional-vs-proposed agreement, quality controller, and the
+// streaming monitor's one window-report path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "qpsa/core/psa_system.hpp"
 #include "qpsa/core/quality_controller.hpp"
+#include "qpsa/core/streaming_monitor.hpp"
 #include "qpsa/physio/patients.hpp"
 
 using qpsa::real;
 namespace qcore = qpsa::core;
+namespace ql = qpsa::lomb;
 namespace qp = qpsa::physio;
 namespace qf = qpsa::wfft;
 namespace qw = qpsa::wavelet;
@@ -268,5 +274,102 @@ TEST(QualityControllerTest, BuildCalibratesRegistryKindsToo) {
         EXPECT_TRUE(std::isfinite(p->expected_savings_vfs)) << p->name;
         const auto cfg = p->apply_to(qcore::psa_config::conventional());
         EXPECT_EQ(cfg.kind(), p->kind()) << p->name;
+    }
+}
+
+// ------------------------------------------------------ streaming monitor
+
+namespace {
+
+struct beat {
+    real t;
+    real rr;
+};
+
+/// Modulated sinus rhythm, then a 130 s dropout (the first beat after it
+/// closes several windows at once), then a constant-RR stretch whose
+/// windows have exactly zero variance (RR = 1 s is exact in binary, so
+/// the window mean is too), then modulated rhythm again.
+std::vector<beat> dropout_and_flat_stream() {
+    std::vector<beat> out;
+    real t = 0.0;
+    const auto modulated = [&](real until) {
+        while (t < until) {
+            const real rr =
+                0.8 + 0.05 * std::sin(2.0 * std::numbers::pi * 0.25 * t) +
+                0.03 * std::sin(2.0 * std::numbers::pi * 0.1 * t);
+            t += rr;
+            out.push_back({t, rr});
+        }
+    };
+    modulated(400.0);
+    t += 130.0;
+    modulated(t + 200.0);
+    for (int i = 0; i < 300; ++i) {
+        t += 1.0;
+        out.push_back({t, 1.0});
+    }
+    modulated(t + 300.0);
+    return out;
+}
+
+struct staged_run {
+    std::vector<qcore::window_report> reports;
+    std::size_t skipped = 0;        ///< staged windows whose job failed
+    std::size_t max_per_beat = 0;   ///< most reports one beat produced
+};
+
+/// Drive the monitor the way the batch scheduler does: staging on, each
+/// staged window analyzed as a one-job batch and finished by hand.
+staged_run run_staged(const qcore::psa_config& cfg,
+                      const std::vector<beat>& beats) {
+    qcore::streaming_monitor mon(cfg);
+    mon.set_staging(true);
+    ql::workspace ws;
+    staged_run out;
+    for (const beat& b : beats) {
+        const std::size_t before = mon.windows_completed();
+        mon.push_beat(b.t, b.rr);
+        while (mon.has_staged()) {
+            ql::window_job job = mon.staged_job();
+            mon.system().analyze_window_batched({&job, 1}, ws);
+            if (!job.ok) ++out.skipped;
+            mon.finish_staged(job.ok);
+        }
+        out.max_per_beat =
+            std::max(out.max_per_beat, mon.windows_completed() - before);
+    }
+    while (auto rep = mon.poll()) out.reports.push_back(*rep);
+    return out;
+}
+
+}  // namespace
+
+TEST(StreamingMonitorTest, InlineReportsEqualStagedReports) {
+    qcore::psa_config welch = qcore::psa_config::welch(4.0, 30.0);
+    welch.lomb.span_override = 120.0;
+    welch.lomb.hop_aligned = true;
+    const std::vector<std::pair<const char*, qcore::psa_config>> configs = {
+        {"conventional", qcore::psa_config::conventional()},
+        {"burg-ar", qcore::psa_config::burg_ar()},
+        {"welch-hop-aligned", welch},
+    };
+    const std::vector<beat> beats = dropout_and_flat_stream();
+    for (const auto& [name, cfg] : configs) {
+        SCOPED_TRACE(name);
+        qcore::streaming_monitor inline_mon(cfg);
+        for (const beat& b : beats) inline_mon.push_beat(b.t, b.rr);
+        std::vector<qcore::window_report> want;
+        while (auto rep = inline_mon.poll()) want.push_back(*rep);
+
+        const staged_run got = run_staged(cfg, beats);
+        ASSERT_GT(want.size(), 10u);
+        // Window for window, every field (bands, diagnosis, op tally).
+        EXPECT_EQ(got.reports, want);
+        // The stream exercises both edge cases: a beat that closes two
+        // reported windows, and a zero-variance window that is skipped.
+        EXPECT_GE(got.max_per_beat, 2u);
+        EXPECT_GE(got.skipped, 1u);
+        EXPECT_EQ(inline_mon.windows_completed(), want.size());
     }
 }

@@ -203,10 +203,15 @@ TEST(ThreadPoolTest, RunsAllTasksAndWaitsIdle) {
     qs::thread_pool pool(4);
     EXPECT_EQ(pool.size(), 4u);
     std::atomic<int> done{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
+    std::atomic<unsigned> slots{0};  // bit i set by task(i)
+    for (int pass = 0; pass < 25; ++pass)
+        pool.submit_per_worker([&](std::size_t i) {
+            done.fetch_add(1);
+            slots.fetch_or(1u << i);
+        });
     pool.wait_idle();
     EXPECT_EQ(done.load(), 100);
+    EXPECT_EQ(slots.load(), 0xFu);  // every per-worker slot ran
 }
 
 // ---------------------------------------------------------- plan cache
@@ -982,7 +987,7 @@ TEST(SchedulerDeterminismTest, StealingFleetsBitIdenticalAtAnyWorkerCount) {
     const auto run_fleet = [&](std::size_t workers) {
         qs::service_options opt;
         opt.threads = workers;
-        opt.scheduler.batch_size = 2;  // steal = true is the default
+        opt.scheduler.batch_size = 2;  // many small units: steals happen
         auto cache = std::make_unique<qs::plan_cache>();
         auto mgr = std::make_unique<qs::session_manager>(opt, cache.get());
         for (unsigned i = 0; i < n_sessions; ++i) {
