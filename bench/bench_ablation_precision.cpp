@@ -11,6 +11,7 @@
 
 #include "common.hpp"
 #include "qpsa/fixedpoint/fixed_point.hpp"
+#include "qpsa/util/arena.hpp"
 #include "qpsa/util/stats.hpp"
 #include "qpsa/wfft/fixed_wavelet_fft.hpp"
 #include "qpsa/wfft/wavelet_fft.hpp"
@@ -35,11 +36,13 @@ real fixed_engine_rel_error(const wfft::wavelet_fft& exact,
     for (const auto& in : inputs) {
         const std::size_t n = in.size();
         fwf fft({.n = n});
-        std::vector<double> xs(n);
-        for (std::size_t i = 0; i < n; ++i) xs[i] = in[i].real();
-        const auto fin = fwf::from_real(xs);
+        std::vector<typename fwf::fcplx> fin(n);
+        for (std::size_t i = 0; i < n; ++i)
+            fin[i] = {typename fwf::scalar(in[i].real()),
+                      typename fwf::scalar(0.0)};
         std::vector<typename fwf::fcplx> fout(n);
-        fft.forward(fin, fout);
+        util::arena scratch;
+        fft.forward(fin, fout, scratch);
         const auto ref = exact.forward_copy(in);
         const auto scale = static_cast<real>(n);
         for (std::size_t i = 1; i <= k_band_bins; ++i) {

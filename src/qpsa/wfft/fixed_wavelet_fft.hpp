@@ -5,24 +5,70 @@
 // second quality axis of an embedded deployment: datapath wordlength.
 // The structure mirrors the single-level factorization -- Haar DWT stage,
 // two radix-2 sub-FFTs, diagonal combine with optional band drop and
-// static factor pruning -- entirely over fixed_point<F> arithmetic with
-// saturating rounds, so quantization error accumulates exactly as it
-// would on a sensor node's integer datapath.
+// static factor pruning -- with exactly the arithmetic of fixed_point<F>
+// (round-to-nearest products, saturating adds), so quantization error
+// accumulates as it would on a sensor node's integer datapath.
 //
 // Scope: Haar basis, power-of-two sizes, forward transform.  Inputs must
 // be scaled into the fixed-point range by the caller (|x| < ~0.25 keeps
 // the unnormalized Haar stage and FFT growth inside Q1.F for N = 512 when
 // the interstage shifts below are enabled).
+//
+// Raw-integer lane walk
+// ---------------------
+// The transform runs on raw integers (value = raw / 2^F) over
+// lane-interleaved SoA planes: element e of lane l lives at [e * L + l],
+// so L independent transforms advance through one schedule and the inner
+// lane loops vectorize.  Integer arithmetic is exact, so every lane is
+// bit-identical to a one-lane walk on any ISA.  One templated body runs in
+// two modes, chosen once per lane group:
+//
+//   * guarded mode -- native-width arithmetic, no clamps: Q15-and-below
+//     products in int32, up to Q31 in int64 (no __int128);
+//   * saturating mode -- wide intermediates plus a clamp after every op,
+//     i.e. exactly the fixed_point<F> operators.
+//
+// Guard and proof.  Write U = 2^F.  The guarded mode runs when F <= 31,
+// interstage_shift is on, every twiddle/factor component is <= U with
+// magnitude <= U + 1 (checked on the quantized tables at construction),
+// the bound M below satisfies (1 + 1/U) M + 1.5 < U for this n, and every
+// input component has |raw| < U/2 (checked per lane group).  Then no op
+// saturates and no native product overflows, so both modes agree:
+//
+//   1. Haar: |x0 +- x1| < sqrt(2) U exactly; the halving (s + 1) >> 1
+//      adds at most 1/2 per component, so outputs have magnitude
+//      M0 = sqrt(2) U/2 + 1.
+//   2. Butterfly on magnitudes <= M: t = w v rounds each of its two
+//      product pairs by < 1 per component, so |t| < (1 + 1/U) M + sqrt(2);
+//      (u +- t) / 2 plus the halving's rounding stays below
+//      M (1 + 1/U) + 1.5 =: next M.  Iterating over the log2(n/2) stages
+//      gives the final M, which bounds every sub-FFT value.
+//   3. Every product is (component <= U) x (component <= M < U), so
+//      |p| + U/2 < 2^(2F) + 2^(F-1): inside int32 for F <= 15 and int64
+//      for F <= 31.  Rounded products stay below U.
+//   4. Every sum (butterfly before halving, combine terms) is below
+//      2 ((1 + 1/U) M + 1.5) < 2U <= 2^31 (F <= 30) or 2^32 (F = 31):
+//      inside the raw type, so the saturating adds never clamp.
+//
+// The adapter in lomb::fixed_wavelet_engine normalizes every block to peak
+// 0.2, so service inputs always take the guarded mode; inputs beyond the
+// guard and interstage_shift = false take the saturating mode.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "qpsa/fixedpoint/fixed_point.hpp"
+#include "qpsa/simd/kernels.hpp"
 #include "qpsa/util/arena.hpp"
 #include "qpsa/util/common.hpp"
 #include "qpsa/wfft/prune.hpp"
+#include "qpsa/wfft/fixed_walk.hpp"
 #include "qpsa/wfft/twiddle_tables.hpp"
 
 namespace qpsa::wfft {
@@ -32,6 +78,7 @@ class fixed_wavelet_fft {
 public:
     using scalar = fp::fixed_point<FracBits>;
     using fcplx = fp::basic_complex<scalar>;
+    using raw_type = typename scalar::raw_type;
 
     struct config {
         std::size_t n = 512;
@@ -52,139 +99,105 @@ public:
 
     /// Combine terms evaluated per forward(): 2 (band drop) or 4 diagonal
     /// factors per output pair, n/2 pairs.
-    std::size_t combine_terms() const noexcept {
-        return (cfg_.band_drop ? 2 : 4) * (cfg_.n / 2);
-    }
+    std::size_t combine_terms() const noexcept { return combine_terms_; }
 
     /// Of those, how many are skipped by the static factor pruning (the
     /// quantile threshold folded into the tables at construction).
-    std::size_t pruned_terms() const noexcept {
-        auto count = [](const std::vector<bool>& v) {
-            std::size_t c = 0;
-            for (const bool p : v)
-                if (p) ++c;
-            return c;
-        };
-        std::size_t total = count(pruned_a_) + count(pruned_c_);
-        if (!cfg_.band_drop) total += count(pruned_b_) + count(pruned_d_);
-        return total;
+    std::size_t pruned_terms() const noexcept { return pruned_terms_; }
+
+    /// fixed_point<F>(v).raw() without the libm call: saturate in the
+    /// double domain, truncate, then round half away from zero on the
+    /// exact remainder (s - trunc(s) is exact for every double).  NaN
+    /// maps to the raw minimum, as llround's x86 result does.
+    static raw_type to_raw(double v) noexcept {
+        constexpr raw_type lo = std::numeric_limits<raw_type>::min();
+        constexpr raw_type hi = std::numeric_limits<raw_type>::max();
+        const double s = v * static_cast<double>(scalar::one_raw);
+        if (s >= static_cast<double>(hi)) return hi;
+        if (!(s > static_cast<double>(lo))) return lo;
+        auto t = static_cast<std::int64_t>(s);
+        const double frac = s - static_cast<double>(t);
+        t += static_cast<std::int64_t>(frac >= 0.5) -
+             static_cast<std::int64_t>(frac <= -0.5);
+        return static_cast<raw_type>(t);
     }
 
-    /// Forward transform; in/out sized n.  Output scale is 1/N relative
-    /// to the mathematical DFT when interstage_shift is on.
-    void forward(std::span<const fcplx> in, std::span<fcplx> out) const {
-        util::arena scratch;
-        forward(in, out, scratch);
+    /// Forward transform of L lane-interleaved inputs: element e of lane l
+    /// at [e * L + l] in each n * L plane.  The outputs may alias the
+    /// inputs.  Output scale is 1/N relative to the mathematical DFT when
+    /// interstage_shift is on.  Lane l is bit-identical to a one-lane walk
+    /// of lane l's input.
+    template <std::size_t L>
+    void forward_lanes(const raw_type* xre, const raw_type* xim,
+                       raw_type* yre, raw_type* yim,
+                       util::arena& scratch) const {
+        util::arena::frame frame(scratch);
+        raw_type* planes =
+            scratch
+                .template alloc_aligned<raw_type>(fixed_walk::scratch_size(
+                    cfg_.n, cfg_.band_drop, L))
+                .data();
+        const fixed_walk::plan<raw_type> p = walk_plan();
+        if (!guarded<L>(xre, xim))
+            fixed_walk::walk<FracBits, L, true>(p, xre, xim, yre, yim, planes);
+        else if (const auto kernel = isa_walk<L>())
+            kernel(p, xre, xim, yre, yim, planes);
+        else
+            fixed_walk::walk<FracBits, L, false>(p, xre, xim, yre, yim, planes);
     }
 
-    /// Forward transform with subband scratch drawn from `scratch`
-    /// (allocation-free in steady state; bit-identical to the above).
+    /// Forward transform of one input (the lane walk with L = 1); in/out
+    /// sized n, subband scratch drawn from `scratch`.
     void forward(std::span<const fcplx> in, std::span<fcplx> out,
                  util::arena& scratch) const {
-        QPSA_EXPECTS(in.size() == cfg_.n);
-        QPSA_EXPECTS(out.size() == cfg_.n);
-        const std::size_t half = cfg_.n / 2;
-
+        const std::size_t n = cfg_.n;
+        QPSA_EXPECTS(in.size() == n);
+        QPSA_EXPECTS(out.size() == n);
         util::arena::frame frame(scratch);
-        // Haar stage, folded (the 1/sqrt(2) lives in the factor tables);
-        // with interstage shifting the butterfly halves instead.
-        std::span<fcplx> a = scratch.alloc<fcplx>(half);
-        std::span<fcplx> d = scratch.alloc<fcplx>(half);
-        const scalar h(0.5);
-        for (std::size_t k = 0; k < half; ++k) {
-            fcplx s{in[2 * k].re + in[2 * k + 1].re,
-                    in[2 * k].im + in[2 * k + 1].im};
-            fcplx t{in[2 * k].re - in[2 * k + 1].re,
-                    in[2 * k].im - in[2 * k + 1].im};
-            if (cfg_.interstage_shift) {
-                s = scale(s, h);
-                t = scale(t, h);
-            }
-            a[k] = s;
-            d[k] = t;
+        const std::span<raw_type> re = scratch.template alloc<raw_type>(n);
+        const std::span<raw_type> im = scratch.template alloc<raw_type>(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            re[i] = in[i].re.raw();
+            im[i] = in[i].im.raw();
         }
-
-        std::span<fcplx> a_fft = scratch.alloc<fcplx>(half);
-        sub_fft(a, a_fft);
-        std::span<fcplx> d_fft;
-        if (!cfg_.band_drop) {
-            d_fft = scratch.alloc<fcplx>(half);
-            sub_fft(d, d_fft);
-        }
-
-        for (std::size_t m = 0; m < half; ++m) {
-            fcplx top = mul_pruned(fa_[m], a_fft[m], pruned_a_[m]);
-            fcplx bot = mul_pruned(fc_[m], a_fft[m], pruned_c_[m]);
-            if (!cfg_.band_drop) {
-                const fcplx tb = mul_pruned(fb_[m], d_fft[m], pruned_b_[m]);
-                const fcplx td = mul_pruned(fd_[m], d_fft[m], pruned_d_[m]);
-                top = {top.re + tb.re, top.im + tb.im};
-                bot = {bot.re + td.re, bot.im + td.im};
-            }
-            out[m] = top;
-            out[m + half] = bot;
-        }
-    }
-
-    /// Power spectrum |X|^2 in doubles (for quality evaluation).
-    std::vector<double> power(std::span<const fcplx> in) const {
-        std::vector<fcplx> y(cfg_.n);
-        forward(in, y);
-        std::vector<double> p(cfg_.n);
-        for (std::size_t i = 0; i < cfg_.n; ++i) {
-            const double re = y[i].re.to_double();
-            const double im = y[i].im.to_double();
-            p[i] = re * re + im * im;
-        }
-        return p;
-    }
-
-    /// Convert a real double vector into the fixed-point complex domain.
-    static std::vector<fcplx> from_real(std::span<const double> xs) {
-        std::vector<fcplx> out(xs.size());
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            out[i] = fcplx{scalar(xs[i]), scalar(0.0)};
-        return out;
+        forward_lanes<1>(re.data(), im.data(), re.data(), im.data(), scratch);
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = {scalar::from_raw(re[i]), scalar::from_raw(im[i])};
     }
 
 private:
-    static fcplx scale(fcplx v, scalar s) { return {v.re * s, v.im * s}; }
+    static constexpr raw_type k_half = raw_type{1} << (FracBits - 1);
 
-    static fcplx mul_pruned(fcplx f, fcplx v, bool pruned) {
-        if (pruned) return {scalar(0.0), scalar(0.0)};
-        return f * v;
+    /// The per-group guard of the proof: the tables and n admit the
+    /// guarded mode and every input component satisfies |raw| < U/2.
+    template <std::size_t L>
+    bool guarded(const raw_type* xre, const raw_type* xim) const {
+        if (!fast_ok_) return false;
+        bool ok = true;
+        for (std::size_t i = 0; i < cfg_.n * L; ++i)
+            ok &= (xre[i] > -k_half) & (xre[i] < k_half) &
+                  (xim[i] > -k_half) & (xim[i] < k_half);
+        return ok;
     }
 
-    /// Radix-2 DIT over fixed point with optional interstage halving.
-    void sub_fft(std::span<const fcplx> in, std::span<fcplx> out) const {
-        const std::size_t m = in.size();
-        for (std::size_t i = 0; i < m; ++i) out[bitrev_[i]] = in[i];
-        const scalar h(0.5);
-        for (std::size_t len = 2; len <= m; len <<= 1) {
-            const std::size_t half_len = len / 2;
-            const std::size_t step = m / len;
-            for (std::size_t base = 0; base < m; base += len) {
-                for (std::size_t k = 0; k < half_len; ++k) {
-                    const fcplx w = subtw_[k * step];
-                    const fcplx t = w * out[base + k + half_len];
-                    fcplx u = out[base + k];
-                    fcplx x0{u.re + t.re, u.im + t.im};
-                    fcplx x1{u.re - t.re, u.im - t.im};
-                    if (cfg_.interstage_shift) {
-                        x0 = scale(x0, h);
-                        x1 = scale(x1, h);
-                    }
-                    out[base + k] = x0;
-                    out[base + k + half_len] = x1;
-                }
-            }
-        }
+    /// The guarded walk compiled for the active ISA, where the kernel
+    /// table carries one for this format and lane count.
+    template <std::size_t L>
+    static auto isa_walk() noexcept {
+        using fn = void (*)(const fixed_walk::plan<raw_type>&,
+                            const raw_type*, const raw_type*, raw_type*,
+                            raw_type*, raw_type*);
+        if constexpr (FracBits == 15 && L == 8)
+            return fn{simd::kernels().fixed_walk_q15x8};
+        else if constexpr (FracBits == 31 && L == 4)
+            return fn{simd::kernels().fixed_walk_q31x4};
+        else
+            return fn{nullptr};
     }
 
     void build_tables() {
         const std::size_t half = cfg_.n / 2;
-        // Double-precision reference tables, folded Haar scaling; divide
-        // by 2 once more when the Haar butterfly itself was halved.  The
+        // Double-precision reference tables, folded Haar scaling.  The
         // reference derivation costs two direct length-n DFTs, so it comes
         // from the process-wide memo (shared with every wavelet_fft of the
         // same shape) instead of being rebuilt per engine.
@@ -195,26 +208,46 @@ private:
             factor_magnitudes(ref, !cfg_.band_drop);
         const real thr = magnitude_threshold(mags, cfg_.twiddle_fraction);
 
-        auto convert = [&](const std::vector<cplx>& src, std::vector<fcplx>& dst,
-                           std::vector<bool>& pruned) {
-            dst.resize(half);
-            pruned.resize(half);
+        // Quantized tables, and the table half of the guard: every
+        // component <= U and every magnitude <= U + 1.
+        const double u = static_cast<double>(scalar::one_raw);
+        bool tables_ok = true;
+        const auto quantize = [&](cplx v, raw_type& re, raw_type& im) {
+            re = to_raw(v.real());
+            im = to_raw(v.imag());
+            const auto r = static_cast<double>(re);
+            const auto i = static_cast<double>(im);
+            tables_ok = tables_ok && std::abs(r) <= u && std::abs(i) <= u &&
+                        r * r + i * i <= (u + 1.0) * (u + 1.0);
+        };
+        std::size_t pruned = 0;
+        const auto convert = [&](const std::vector<cplx>& src,
+                                 std::vector<raw_type>& re,
+                                 std::vector<raw_type>& im, bool live) {
+            re.assign(half, 0);
+            im.assign(half, 0);
             for (std::size_t i = 0; i < half; ++i) {
-                pruned[i] = std::abs(src[i]) <= std::max(thr, real{1e-14});
-                dst[i] = fcplx{scalar(src[i].real()), scalar(src[i].imag())};
+                if (std::abs(src[i]) <= std::max(thr, real{1e-14})) {
+                    if (live) ++pruned;
+                    continue;
+                }
+                quantize(src[i], re[i], im[i]);
             }
         };
-        convert(ref.a, fa_, pruned_a_);
-        convert(ref.b, fb_, pruned_b_);
-        convert(ref.c, fc_, pruned_c_);
-        convert(ref.d, fd_, pruned_d_);
+        convert(ref.a, fa_re_, fa_im_, true);
+        convert(ref.b, fb_re_, fb_im_, !cfg_.band_drop);
+        convert(ref.c, fc_re_, fc_im_, true);
+        convert(ref.d, fd_re_, fd_im_, !cfg_.band_drop);
+        combine_terms_ = (cfg_.band_drop ? 2 : 4) * half;
+        pruned_terms_ = pruned;
 
         // Sub-FFT twiddles and bit-reversal for size n/2.
         const std::size_t m = half;
-        subtw_.resize(m / 2);
+        tw_re_.resize(m / 2);
+        tw_im_.resize(m / 2);
         for (std::size_t k = 0; k < m / 2; ++k) {
             const real ang = -two_pi * static_cast<real>(k) / static_cast<real>(m);
-            subtw_[k] = fcplx{scalar(std::cos(ang)), scalar(std::sin(ang))};
+            quantize(cplx{std::cos(ang), std::sin(ang)}, tw_re_[k], tw_im_[k]);
         }
         bitrev_.resize(m);
         const unsigned bits = log2_exact(m);
@@ -227,13 +260,33 @@ private:
             }
             bitrev_[i] = r;
         }
+
+        // The n half of the guard: iterate the proof's magnitude bound.
+        double bound = std::sqrt(2.0) * u / 2.0 + 1.0;
+        for (std::size_t s = 1; s < m; s <<= 1)
+            bound = bound * (1.0 + 1.0 / u) + 1.5;
+        fast_ok_ = FracBits <= 31 && cfg_.interstage_shift && tables_ok &&
+                   (1.0 + 1.0 / u) * bound + 1.5 < u;
+    }
+
+    /// The walk's view of the tables (rebuilt per call: copies of this
+    /// object must not share pointers into each other's tables).
+    fixed_walk::plan<raw_type> walk_plan() const noexcept {
+        return {cfg_.n,        cfg_.band_drop, cfg_.interstage_shift,
+                fa_re_.data(), fa_im_.data(),  fb_re_.data(),
+                fb_im_.data(), fc_re_.data(),  fc_im_.data(),
+                fd_re_.data(), fd_im_.data(),  tw_re_.data(),
+                tw_im_.data(), bitrev_.data()};
     }
 
     config cfg_;
-    std::vector<fcplx> fa_, fb_, fc_, fd_;
-    std::vector<bool> pruned_a_, pruned_b_, pruned_c_, pruned_d_;
-    std::vector<fcplx> subtw_;
+    std::vector<raw_type> fa_re_, fa_im_, fb_re_, fb_im_;
+    std::vector<raw_type> fc_re_, fc_im_, fd_re_, fd_im_;
+    std::vector<raw_type> tw_re_, tw_im_;
     std::vector<std::size_t> bitrev_;
+    std::size_t combine_terms_ = 0;
+    std::size_t pruned_terms_ = 0;
+    bool fast_ok_ = false;
 };
 
 }  // namespace qpsa::wfft

@@ -1,20 +1,230 @@
 // Tests for the fixed-point wavelet FFT (precision-scalable datapath).
+//
+// The transform runs as a raw-integer lane walk; the reference below is
+// the fixed_point<F>-operator walk it replaced, kept here as the oracle.
+// Every output of the walk (any F, size, pruning, shift mode, lane count
+// and input range) must equal the oracle's bytewise.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/dft.hpp"
+#include "qpsa/lomb/fixed_engine.hpp"
+#include "qpsa/util/arena.hpp"
 #include "qpsa/util/random.hpp"
 #include "qpsa/wfft/fixed_wavelet_fft.hpp"
 
 using qpsa::cplx;
 using qpsa::real;
 namespace qf = qpsa::wfft;
+namespace ql = qpsa::lomb;
+namespace qu = qpsa::util;
+namespace qcnt = qpsa::counting;
 
 namespace {
 
+// ------------------------------------------------------------------ oracle
+
+/// The fixed_point<F>-operator walk: Haar stage, radix-2 sub-FFTs and the
+/// pruned diagonal combine, every op a saturating fixed_point<F> operator.
+template <unsigned F>
+class oracle_fixed_wfft {
+public:
+    using scalar = qpsa::fp::fixed_point<F>;
+    using fcplx = qpsa::fp::basic_complex<scalar>;
+    using config = typename qf::fixed_wavelet_fft<F>::config;
+
+    explicit oracle_fixed_wfft(config cfg) : cfg_(cfg) { build_tables(); }
+
+    void forward(std::span<const fcplx> in, std::span<fcplx> out) const {
+        const std::size_t half = cfg_.n / 2;
+        std::vector<fcplx> a(half), d(half);
+        const scalar h(0.5);
+        for (std::size_t k = 0; k < half; ++k) {
+            fcplx s{in[2 * k].re + in[2 * k + 1].re,
+                    in[2 * k].im + in[2 * k + 1].im};
+            fcplx t{in[2 * k].re - in[2 * k + 1].re,
+                    in[2 * k].im - in[2 * k + 1].im};
+            if (cfg_.interstage_shift) {
+                s = scale(s, h);
+                t = scale(t, h);
+            }
+            a[k] = s;
+            d[k] = t;
+        }
+        std::vector<fcplx> a_fft(half), d_fft;
+        sub_fft(a, a_fft);
+        if (!cfg_.band_drop) {
+            d_fft.resize(half);
+            sub_fft(d, d_fft);
+        }
+        for (std::size_t m = 0; m < half; ++m) {
+            fcplx top = mul_pruned(fa_[m], a_fft[m], pruned_a_[m]);
+            fcplx bot = mul_pruned(fc_[m], a_fft[m], pruned_c_[m]);
+            if (!cfg_.band_drop) {
+                const fcplx tb = mul_pruned(fb_[m], d_fft[m], pruned_b_[m]);
+                const fcplx td = mul_pruned(fd_[m], d_fft[m], pruned_d_[m]);
+                top = {top.re + tb.re, top.im + tb.im};
+                bot = {bot.re + td.re, bot.im + td.im};
+            }
+            out[m] = top;
+            out[m + half] = bot;
+        }
+    }
+
+    std::size_t pruned_terms() const {
+        const auto count = [](const std::vector<bool>& v) {
+            std::size_t c = 0;
+            for (const bool p : v) c += p ? 1 : 0;
+            return c;
+        };
+        std::size_t total = count(pruned_a_) + count(pruned_c_);
+        if (!cfg_.band_drop) total += count(pruned_b_) + count(pruned_d_);
+        return total;
+    }
+
+private:
+    static fcplx scale(fcplx v, scalar s) { return {v.re * s, v.im * s}; }
+    static fcplx mul_pruned(fcplx f, fcplx v, bool pruned) {
+        if (pruned) return {scalar(0.0), scalar(0.0)};
+        return f * v;
+    }
+
+    void sub_fft(std::span<const fcplx> in, std::span<fcplx> out) const {
+        const std::size_t m = in.size();
+        for (std::size_t i = 0; i < m; ++i) out[bitrev_[i]] = in[i];
+        const scalar h(0.5);
+        for (std::size_t len = 2; len <= m; len <<= 1) {
+            const std::size_t half_len = len / 2;
+            const std::size_t step = m / len;
+            for (std::size_t base = 0; base < m; base += len) {
+                for (std::size_t k = 0; k < half_len; ++k) {
+                    const fcplx w = subtw_[k * step];
+                    const fcplx t = w * out[base + k + half_len];
+                    const fcplx u = out[base + k];
+                    fcplx x0{u.re + t.re, u.im + t.im};
+                    fcplx x1{u.re - t.re, u.im - t.im};
+                    if (cfg_.interstage_shift) {
+                        x0 = scale(x0, h);
+                        x1 = scale(x1, h);
+                    }
+                    out[base + k] = x0;
+                    out[base + k + half_len] = x1;
+                }
+            }
+        }
+    }
+
+    void build_tables() {
+        const std::size_t half = cfg_.n / 2;
+        const auto shared =
+            qf::shared_twiddle_tables(qpsa::wavelet::basis::haar, cfg_.n, true);
+        const auto mags = qf::factor_magnitudes(*shared, !cfg_.band_drop);
+        const real thr = qf::magnitude_threshold(mags, cfg_.twiddle_fraction);
+        const auto convert = [&](const std::vector<cplx>& src,
+                                 std::vector<fcplx>& dst,
+                                 std::vector<bool>& pruned) {
+            dst.resize(half);
+            pruned.resize(half);
+            for (std::size_t i = 0; i < half; ++i) {
+                pruned[i] = std::abs(src[i]) <= std::max(thr, real{1e-14});
+                dst[i] = fcplx{scalar(src[i].real()), scalar(src[i].imag())};
+            }
+        };
+        convert(shared->a, fa_, pruned_a_);
+        convert(shared->b, fb_, pruned_b_);
+        convert(shared->c, fc_, pruned_c_);
+        convert(shared->d, fd_, pruned_d_);
+        const std::size_t m = half;
+        subtw_.resize(m / 2);
+        for (std::size_t k = 0; k < m / 2; ++k) {
+            const real ang =
+                -qpsa::two_pi * static_cast<real>(k) / static_cast<real>(m);
+            subtw_[k] = fcplx{scalar(std::cos(ang)), scalar(std::sin(ang))};
+        }
+        bitrev_.resize(m);
+        const unsigned bits = qpsa::log2_exact(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            std::size_t r = 0;
+            for (unsigned b = 0; b < bits; ++b) r = (r << 1) | ((i >> b) & 1);
+            bitrev_[i] = r;
+        }
+    }
+
+    config cfg_;
+    std::vector<fcplx> fa_, fb_, fc_, fd_;
+    std::vector<bool> pruned_a_, pruned_b_, pruned_c_, pruned_d_;
+    std::vector<fcplx> subtw_;
+    std::vector<std::size_t> bitrev_;
+};
+
+/// The engine adapter around the oracle: peak-normalize to 0.2, convert
+/// through fixed_point<F>(double), transform, restore the DFT scale.
+template <unsigned F>
+std::vector<cplx> oracle_engine_forward(
+    const typename oracle_fixed_wfft<F>::config& cfg,
+    std::span<const cplx> in) {
+    using oracle = oracle_fixed_wfft<F>;
+    using scalar = typename oracle::scalar;
+    const std::size_t n = in.size();
+    real peak = 0.0;
+    for (const cplx& v : in)
+        peak = std::max({peak, std::abs(v.real()), std::abs(v.imag())});
+    const real scale = peak > 0.0 ? 0.2 / peak : 1.0;
+    std::vector<typename oracle::fcplx> fin(n), fout(n);
+    for (std::size_t i = 0; i < n; ++i)
+        fin[i] = {scalar(in[i].real() * scale), scalar(in[i].imag() * scale)};
+    oracle(cfg).forward(fin, fout);
+    const real restore = static_cast<real>(n) / scale;
+    std::vector<cplx> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = cplx{fout[i].re.to_double() * restore,
+                      fout[i].im.to_double() * restore};
+    return out;
+}
+
+// ----------------------------------------------------------------- helpers
+
+template <unsigned F>
+using fcplx_t = typename qf::fixed_wavelet_fft<F>::fcplx;
+
+template <unsigned F>
+std::vector<fcplx_t<F>> from_real(std::span<const double> xs) {
+    using scalar = typename qf::fixed_wavelet_fft<F>::scalar;
+    std::vector<fcplx_t<F>> out(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        out[i] = {scalar(xs[i]), scalar(0.0)};
+    return out;
+}
+
+template <unsigned F>
+std::vector<fcplx_t<F>> forward_copy(const qf::fixed_wavelet_fft<F>& fft,
+                                     std::span<const fcplx_t<F>> in) {
+    std::vector<fcplx_t<F>> out(in.size());
+    qu::arena scratch;
+    fft.forward(in, out, scratch);
+    return out;
+}
+
+/// Power spectrum |X|^2 in doubles (for quality evaluation).
+template <unsigned F>
+std::vector<double> power(const qf::fixed_wavelet_fft<F>& fft,
+                          std::span<const double> xs) {
+    const auto y = forward_copy<F>(fft, from_real<F>(xs));
+    std::vector<double> p(y.size());
+    for (std::size_t i = 0; i < y.size(); ++i) {
+        const double re = y[i].re.to_double();
+        const double im = y[i].im.to_double();
+        p[i] = re * re + im * im;
+    }
+    return p;
+}
+
 std::vector<double> random_real(std::size_t n, std::uint64_t seed, double amp) {
-    qpsa::util::rng r(seed);
+    qu::rng r(seed);
     std::vector<double> x(n);
     for (auto& v : x) v = r.uniform(-amp, amp);
     return x;
@@ -26,9 +236,7 @@ template <unsigned F>
 double transform_error(const qf::fixed_wavelet_fft<F>& fft,
                        std::span<const double> xs) {
     const std::size_t n = xs.size();
-    const auto fin = qf::fixed_wavelet_fft<F>::from_real(xs);
-    std::vector<typename qf::fixed_wavelet_fft<F>::fcplx> fout(n);
-    fft.forward(fin, fout);
+    const auto fout = forward_copy<F>(fft, from_real<F>(xs));
 
     std::vector<cplx> dx(n);
     for (std::size_t i = 0; i < n; ++i) dx[i] = cplx{xs[i], 0.0};
@@ -89,8 +297,8 @@ TEST(FixedWfftTest, TwiddlePruningReducesSpectrumTail) {
     qf::fixed_wavelet_fft<15> full({.n = n, .band_drop = true});
     qf::fixed_wavelet_fft<15> pruned(
         {.n = n, .band_drop = true, .twiddle_fraction = 0.6});
-    const auto p_full = full.power(qf::fixed_wavelet_fft<15>::from_real(xs));
-    const auto p_pruned = pruned.power(qf::fixed_wavelet_fft<15>::from_real(xs));
+    const auto p_full = power(full, xs);
+    const auto p_pruned = power(pruned, xs);
     // Pruned factors zero entire bins; total power must not increase.
     double s_full = 0.0;
     double s_pruned = 0.0;
@@ -121,7 +329,7 @@ TEST(FixedWfftTest, ToneBinLocatesCorrectly) {
     for (std::size_t i = 0; i < n; ++i)
         xs[i] = 0.4 * std::sin(qpsa::two_pi * 10.0 * i / n);
     qf::fixed_wavelet_fft<15> fft({.n = n});
-    const auto p = fft.power(qf::fixed_wavelet_fft<15>::from_real(xs));
+    const auto p = power(fft, xs);
     std::size_t best = 1;
     for (std::size_t i = 1; i < n / 2; ++i)
         if (p[i] > p[best]) best = i;
@@ -166,3 +374,275 @@ TEST_P(FixedWfftPrecisionSweep, BandDropPlusQuantizationStaysBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Precisions, FixedWfftPrecisionSweep,
                          ::testing::Values(11u, 15u, 19u, 23u));
+
+// ------------------------------------------- oracle matrix (transform level)
+
+namespace {
+
+/// How many of matrix_inputs() lead with guarded-mode inputs.
+constexpr std::size_t k_guarded = 5;
+
+/// Raw-domain test inputs of one transform size.  The first k_guarded
+/// stay strictly inside |raw| < U/2 (guarded mode); the rest reach the
+/// guard edge or the raw type's limits, where the clamps fire.
+template <unsigned F>
+std::vector<std::vector<fcplx_t<F>>> matrix_inputs(std::size_t n,
+                                                   std::uint64_t seed) {
+    using scalar = typename qf::fixed_wavelet_fft<F>::scalar;
+    using raw = typename scalar::raw_type;
+    const auto lim = static_cast<std::int64_t>(raw{1} << (F - 1)) - 1;
+    const std::int64_t rmax = std::numeric_limits<raw>::max();
+    const std::int64_t rmin = std::numeric_limits<raw>::min();
+    const auto mk = [](std::int64_t re, std::int64_t im) {
+        return fcplx_t<F>{scalar::from_raw(static_cast<raw>(re)),
+                          scalar::from_raw(static_cast<raw>(im))};
+    };
+    qu::rng r(seed);
+    std::vector<std::vector<fcplx_t<F>>> ins;
+    const auto add = [&](auto gen) {
+        auto& v = ins.emplace_back(n);
+        for (std::size_t i = 0; i < n; ++i) v[i] = gen(i);
+    };
+    add([&](std::size_t) { return mk(0, 0); });                     // zeros
+    add([&](std::size_t i) { return mk(i == 3 ? lim : 0, 0); });    // one-hot
+    add([&](std::size_t) {                                          // random
+        return mk(r.uniform_int(-lim / 3, lim / 3),
+                  r.uniform_int(-lim / 3, lim / 3));
+    });
+    add([&](std::size_t i) {  // guard-edge square wave: worst-case growth
+        const bool pos = std::cos(qpsa::two_pi * 3.0 * static_cast<real>(i) /
+                                  static_cast<real>(n)) >= 0.0;
+        return mk(pos ? lim : -lim, pos ? lim : -lim);
+    });
+    add([&](std::size_t) {  // guard-edge random signs
+        return mk(r.uniform_int(0, 1) != 0 ? lim : -lim,
+                  r.uniform_int(0, 1) != 0 ? lim : -lim);
+    });
+    add([&](std::size_t i) {  // just past the guard: saturating mode
+        return mk(i % 2 == 0 ? lim + 1 : -lim, lim);
+    });
+    add([&](std::size_t) {  // full raw range: clamps fire
+        return mk(r.uniform_int(rmin, rmax), r.uniform_int(rmin, rmax));
+    });
+    add([&](std::size_t i) {  // near-saturation DC
+        return mk(i % 5 == 0 ? rmin : rmax, rmax - 1);
+    });
+    return ins;
+}
+
+template <unsigned F>
+bool same_raw(std::span<const fcplx_t<F>> a, std::span<const fcplx_t<F>> b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].re.raw() != b[i].re.raw() || a[i].im.raw() != b[i].im.raw())
+            return false;
+    return true;
+}
+
+/// Lane walk of L inputs (lane l = ins[(first + l) % size]) against the
+/// oracle of each lane.
+template <unsigned F, std::size_t L>
+void expect_lanes_match(const qf::fixed_wavelet_fft<F>& fft,
+                        const oracle_fixed_wfft<F>& oracle,
+                        const std::vector<std::vector<fcplx_t<F>>>& ins,
+                        std::size_t first, const std::string& what) {
+    using raw = typename qf::fixed_wavelet_fft<F>::raw_type;
+    const std::size_t n = fft.get_config().n;
+    std::vector<raw> re(n * L), im(n * L);
+    for (std::size_t l = 0; l < L; ++l)
+        for (std::size_t i = 0; i < n; ++i) {
+            re[i * L + l] = ins[(first + l) % ins.size()][i].re.raw();
+            im[i * L + l] = ins[(first + l) % ins.size()][i].im.raw();
+        }
+    qu::arena scratch;
+    fft.template forward_lanes<L>(re.data(), im.data(), re.data(), im.data(),
+                                  scratch);
+    std::vector<fcplx_t<F>> want(n);
+    for (std::size_t l = 0; l < L; ++l) {
+        oracle.forward(ins[(first + l) % ins.size()], want);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(re[i * L + l], want[i].re.raw())
+                << what << " L=" << L << " lane " << l << " bin " << i;
+            ASSERT_EQ(im[i * L + l], want[i].im.raw())
+                << what << " L=" << L << " lane " << l << " bin " << i;
+        }
+    }
+}
+
+template <unsigned F>
+void run_oracle_matrix() {
+    for (std::size_t n = 8; n <= 1024; n *= 2) {
+        for (const bool band_drop : {false, true}) {
+            for (const double frac : {0.0, 0.25}) {
+                for (const bool shift : {true, false}) {
+                    const typename qf::fixed_wavelet_fft<F>::config cfg{
+                        n, band_drop, frac, shift};
+                    const qf::fixed_wavelet_fft<F> fft(cfg);
+                    const oracle_fixed_wfft<F> oracle(cfg);
+                    const std::string what =
+                        "F=" + std::to_string(F) + " n=" + std::to_string(n) +
+                        " drop=" + std::to_string(band_drop) +
+                        " frac=" + std::to_string(frac) +
+                        " shift=" + std::to_string(shift);
+                    ASSERT_EQ(fft.pruned_terms(), oracle.pruned_terms())
+                        << what;
+                    const auto ins = matrix_inputs<F>(n, n * 7 + F);
+                    std::vector<fcplx_t<F>> want(n);
+                    for (std::size_t k = 0; k < ins.size(); ++k) {
+                        oracle.forward(ins[k], want);
+                        ASSERT_TRUE(
+                            same_raw<F>(forward_copy<F>(fft, ins[k]), want))
+                            << what << " input " << k;
+                    }
+                    // Guarded lanes only (the widths the kernel table
+                    // vectorizes included), then groups mixing saturating
+                    // lanes into guarded ones (the whole group falls back).
+                    const std::vector<std::vector<fcplx_t<F>>> guarded(
+                        ins.begin(), ins.begin() + k_guarded);
+                    expect_lanes_match<F, 3>(fft, oracle, guarded, 0, what);
+                    expect_lanes_match<F, 4>(fft, oracle, guarded, 1, what);
+                    expect_lanes_match<F, 8>(fft, oracle, guarded, 0, what);
+                    expect_lanes_match<F, 4>(fft, oracle, ins, 3, what);
+                    expect_lanes_match<F, 8>(fft, oracle, ins, 0, what);
+                }
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(FixedWfftOracleTest, Q8MatchesOperatorWalk) { run_oracle_matrix<8>(); }
+TEST(FixedWfftOracleTest, Q12MatchesOperatorWalk) { run_oracle_matrix<12>(); }
+TEST(FixedWfftOracleTest, Q15MatchesOperatorWalk) { run_oracle_matrix<15>(); }
+TEST(FixedWfftOracleTest, Q23MatchesOperatorWalk) { run_oracle_matrix<23>(); }
+TEST(FixedWfftOracleTest, Q31MatchesOperatorWalk) { run_oracle_matrix<31>(); }
+
+TEST(FixedWfftOracleTest, ToRawMatchesFixedPointConversion) {
+    qu::rng r(17);
+    std::vector<double> vs = {0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-300,
+                              2.5 / 32768.0, -2.5 / 32768.0, 3.5e9, -3.5e9,
+                              1e30, -1e30};
+    for (int i = 0; i < 2000; ++i) vs.push_back(r.uniform(-2.0, 2.0));
+    for (int i = 0; i < 200; ++i)
+        vs.push_back(
+            std::ldexp(r.uniform(-1.0, 1.0), static_cast<int>(i % 40)));
+    for (const double v : vs) {
+        EXPECT_EQ(qf::fixed_wavelet_fft<15>::to_raw(v),
+                  qpsa::fp::fixed_point<15>(v).raw()) << v;
+        EXPECT_EQ(qf::fixed_wavelet_fft<31>::to_raw(v),
+                  qpsa::fp::fixed_point<31>(v).raw()) << v;
+    }
+}
+
+// ---------------------------------------------- oracle matrix (engine level)
+
+namespace {
+
+/// Engine inputs: the mesh shapes the Fast-Lomb pipeline feeds (real
+/// meshes with exact-zero imaginaries), complex data, and the ranges that
+/// stress the adapter's normalization.
+std::vector<std::vector<cplx>> engine_inputs(std::size_t n,
+                                             std::uint64_t seed) {
+    qu::rng r(seed);
+    std::vector<std::vector<cplx>> ins;
+    const auto add = [&](auto gen) {
+        auto& v = ins.emplace_back(n);
+        for (std::size_t i = 0; i < n; ++i) v[i] = gen(i);
+    };
+    add([&](std::size_t) { return cplx{r.gaussian(1.0), 0.0}; });
+    add([&](std::size_t) { return cplx{r.uniform(-1, 1), r.uniform(-1, 1)}; });
+    add([&](std::size_t i) {  // staircase (sample-and-hold mesh)
+        return cplx{0.8 + 0.05 * static_cast<real>((i / 16) % 7), 0.0};
+    });
+    add([&](std::size_t i) {  // +-50 sigma outliers
+        const real spike = i % 97 == 5 ? 50.0 : (i % 131 == 7 ? -50.0 : 0.0);
+        return cplx{r.gaussian(1.0) + spike, 0.0};
+    });
+    add([&](std::size_t) { return cplx{1e-3 * r.gaussian(1.0), 0.0}; });
+    add([&](std::size_t) { return cplx{0.0, 0.0}; });
+    add([&](std::size_t i) { return cplx{i == 11 ? 3.0 : 0.0, 0.0}; });
+    return ins;
+}
+
+bool same_bits(std::span<const cplx> a, std::span<const cplx> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+}
+
+void expect_same_stats(const qf::exec_stats& a, const qf::exec_stats& b) {
+    EXPECT_EQ(a.ops, b.ops);
+    EXPECT_EQ(a.terms_total, b.terms_total);
+    EXPECT_EQ(a.terms_pruned_factor, b.terms_pruned_factor);
+    EXPECT_EQ(a.band_dropped, b.band_dropped);
+}
+
+template <unsigned F>
+void run_engine_matrix() {
+    using engine = ql::fixed_wavelet_engine<F>;
+    for (const std::size_t n : {64u, 512u}) {
+        for (const bool band_drop : {false, true}) {
+            for (const double frac : {0.0, 0.25}) {
+                const typename engine::transform::config cfg{n, band_drop, frac,
+                                                             true};
+                const engine eng(cfg);
+                const auto ins = engine_inputs(n, n + F);
+
+                // Per-item forward == the fixed_point<F> adapter + walk.
+                std::vector<cplx> got(n);
+                for (std::size_t k = 0; k < ins.size(); ++k) {
+                    eng.forward(ins[k], got, nullptr);
+                    EXPECT_TRUE(
+                        same_bits(got, oracle_engine_forward<F>(cfg, ins[k])))
+                        << "F=" << F << " n=" << n << " input " << k;
+                }
+
+                // forward_batched == per-item forward for 1..9 items:
+                // outputs, exec_stats and the active scope's tally.
+                for (std::size_t count = 1; count <= 9; ++count) {
+                    std::vector<std::vector<cplx>> a(count,
+                                                     std::vector<cplx>(n));
+                    std::vector<std::vector<cplx>> b(count,
+                                                     std::vector<cplx>(n));
+                    std::vector<qf::exec_stats> sa(count), sb(count);
+                    std::vector<ql::fft_engine::batch_item> items;
+                    for (std::size_t i = 0; i < count; ++i)
+                        items.push_back({ins[i % ins.size()], a[i], &sa[i]});
+                    qcnt::op_counts scope_a, scope_b;
+                    qu::arena scratch;
+                    {
+                        qcnt::count_scope scope(scope_a);
+                        eng.forward_batched(items, scratch);
+                    }
+                    {
+                        qcnt::count_scope scope(scope_b);
+                        for (std::size_t i = 0; i < count; ++i)
+                            eng.forward(ins[i % ins.size()], b[i], &sb[i],
+                                        scratch);
+                    }
+                    EXPECT_EQ(scope_a, scope_b) << count;
+                    for (std::size_t i = 0; i < count; ++i) {
+                        EXPECT_TRUE(same_bits(a[i], b[i]))
+                            << "F=" << F << " n=" << n << " items " << count
+                            << " item " << i;
+                        expect_same_stats(sa[i], sb[i]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(FixedWfftOracleTest, Q15EngineBatchedMatchesOracle) {
+    EXPECT_EQ(ql::fixed_wavelet_engine<15>({}).batch_width(), 8u);
+    run_engine_matrix<15>();
+}
+
+TEST(FixedWfftOracleTest, Q31EngineBatchedMatchesOracle) {
+    // Four int64 lanes only where the kernel table vectorizes them.
+    EXPECT_EQ(ql::fixed_wavelet_engine<31>({}).batch_width(),
+              qpsa::simd::kernels().fixed_walk_q31x4 != nullptr ? 4u : 1u);
+    run_engine_matrix<31>();
+}
