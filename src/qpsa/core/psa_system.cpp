@@ -1,8 +1,6 @@
 #include "qpsa/core/psa_system.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <variant>
 
 #include "qpsa/core/engine_registry.hpp"
 
@@ -258,18 +256,7 @@ void psa_system::analyze_window(std::span<const real> t,
 
 void psa_system::analyze_window_batched(std::span<lomb::window_job> jobs,
                                         lomb::workspace& ws) const {
-    // A fast_lomb_batched round holds every window's meshes at once.  The
-    // fixed-point walk interleaves only batch_width() transforms, so its
-    // rounds stop at that many windows and its per-kind arena stays a few
-    // windows deep; the double engines keep whole-group rounds.
-    const std::size_t round =
-        std::holds_alternative<fixed_wavelet_spec>(cfg_.spec)
-            ? engine_->batch_width()
-            : jobs.size();
-    for (std::size_t b = 0; b < jobs.size(); b += round)
-        lomb::fast_lomb_batched(
-            jobs.subspan(b, std::min(round, jobs.size() - b)), *engine_,
-            cfg_.lomb, ws);
+    lomb::fast_lomb_batched(jobs, *engine_, cfg_.lomb, ws);
 }
 
 }  // namespace qpsa::core

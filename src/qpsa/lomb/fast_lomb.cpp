@@ -543,11 +543,12 @@ void fast_lomb(std::span<const real> t, std::span<const real> x,
 
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                        const fast_lomb_options& opt, workspace& ws) {
-    // An engine without lanes gains nothing from holding every window's
-    // meshes at once, so it takes one window per round and its scratch
-    // stays one window deep.
-    const bool lanes = !engine.whole_window() && engine.batch_width() >= 2;
-    const std::size_t round = lanes ? jobs.size() : 1;
+    // A round holds the windows of one lane group: batch_width() windows
+    // (one for engines without lanes and whole-window estimators).  The
+    // engine walks a round's transforms in groups of batch_width() anyway,
+    // so holding more windows gains nothing and only deepens the scratch
+    // arena, about 40 KB per mesh-512 window.
+    const std::size_t round = engine.whole_window() ? 1 : engine.batch_width();
 
     // thread_local so steady-state batched drains stay allocation-free.
     thread_local std::vector<window_state> states;

@@ -24,7 +24,6 @@
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/lomb/fft_engine.hpp"
-#include "qpsa/simd/kernels.hpp"
 #include "qpsa/wfft/fixed_wavelet_fft.hpp"
 
 namespace qpsa::lomb {
@@ -78,17 +77,10 @@ public:
         run_group<1>({&item, 1}, scratch);
     }
 
-    /// Transforms one integer walk interleaves: eight int32 Q15 lanes (one
-    /// 256-bit vector; faster per lane than a one-lane walk even in the
-    /// baseline build) or four int64 Q31 lanes -- the latter only where
-    /// the kernel table carries a vector build of the walk, since the
-    /// baseline build's emulated 64-bit lane multiplies lose to one lane.
-    /// Integer lanes are exact, so the width never changes an output.
-    std::size_t batch_width() const noexcept override {
-        return FracBits <= 15 || simd::kernels().fixed_walk_q31x4 != nullptr
-                   ? max_lanes
-                   : 1;
-    }
+    /// Transforms one integer walk interleaves: eight int32 Q15 lanes or
+    /// four int64 Q31 lanes (one 256-bit vector each).  Integer lanes are
+    /// exact, so the width never changes an output.
+    std::size_t batch_width() const noexcept override { return max_lanes; }
 
     void forward_batched(std::span<const batch_item> items,
                          util::arena& scratch) const override {

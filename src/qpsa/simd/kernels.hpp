@@ -15,15 +15,9 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "qpsa/simd/isa.hpp"
 #include "qpsa/util/common.hpp"
-
-namespace qpsa::wfft::fixed_walk {
-template <class Raw>
-struct plan;  // fixed_walk.hpp
-}  // namespace qpsa::wfft::fixed_walk
 
 namespace qpsa::simd {
 
@@ -109,20 +103,6 @@ struct kernel_table {
     void (*transpose_from_planes)(const real* re, const real* im,
                                   cplx* const* dsts, std::size_t n,
                                   std::size_t w) = nullptr;
-
-    // -- fixed-point wavelet FFT ------------------------------------------
-    /// The guarded-mode lane walk of wfft::fixed_wavelet_fft
-    /// (fixed_walk.hpp) compiled for this ISA: Q15 over 8 int32 lanes, Q31
-    /// over 4 int64 lanes.  nullptr runs the baseline build of the same
-    /// body; integer lanes are exact, so both agree bit for bit.
-    void (*fixed_walk_q15x8)(const wfft::fixed_walk::plan<std::int32_t>& p,
-                             const std::int32_t* xre, const std::int32_t* xim,
-                             std::int32_t* yre, std::int32_t* yim,
-                             std::int32_t* scratch) = nullptr;
-    void (*fixed_walk_q31x4)(const wfft::fixed_walk::plan<std::int64_t>& p,
-                             const std::int64_t* xre, const std::int64_t* xim,
-                             std::int64_t* yre, std::int64_t* yim,
-                             std::int64_t* scratch) = nullptr;
 };
 
 /// The table for the active ISA (resolved once; see isa.hpp).

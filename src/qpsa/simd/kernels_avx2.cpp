@@ -11,7 +11,6 @@
 #include <cstddef>
 
 #include "qpsa/simd/kernels_generic.inl"
-#include "qpsa/wfft/fixed_walk.hpp"
 
 namespace qpsa::simd {
 namespace {
@@ -349,27 +348,6 @@ struct v4 {
     v4 neg() const { return {_mm256_xor_pd(v, _mm256_set1_pd(-0.0))}; }
 };
 
-// The fixed-point walks compiled with AVX2 (vpmulld for the Q15 lanes).
-// The TU-local tag keeps these instantiations apart from the baseline
-// build of the same templates.
-struct avx2_walk_tag {};
-
-void fixed_walk_q15x8_avx2(const wfft::fixed_walk::plan<std::int32_t>& p,
-                           const std::int32_t* xre, const std::int32_t* xim,
-                           std::int32_t* yre, std::int32_t* yim,
-                           std::int32_t* scratch) {
-    wfft::fixed_walk::walk<15, 8, false, avx2_walk_tag>(p, xre, xim, yre, yim,
-                                                        scratch);
-}
-
-void fixed_walk_q31x4_avx2(const wfft::fixed_walk::plan<std::int64_t>& p,
-                           const std::int64_t* xre, const std::int64_t* xim,
-                           std::int64_t* yre, std::int64_t* yim,
-                           std::int64_t* scratch) {
-    wfft::fixed_walk::walk<31, 4, false, avx2_walk_tag>(p, xre, xim, yre, yim,
-                                                        scratch);
-}
-
 }  // namespace
 
 namespace detail {
@@ -392,8 +370,6 @@ const kernel_table* avx2_table() noexcept {
         k.power_norm = power_norm_avx2;
         k.transpose_to_planes = transpose_to_planes_avx2;
         k.transpose_from_planes = transpose_from_planes_avx2;
-        k.fixed_walk_q15x8 = fixed_walk_q15x8_avx2;
-        k.fixed_walk_q31x4 = fixed_walk_q31x4_avx2;
         return k;
     }();
     return &t;

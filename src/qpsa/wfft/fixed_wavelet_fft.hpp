@@ -61,24 +61,30 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "qpsa/fixedpoint/fixed_point.hpp"
-#include "qpsa/simd/kernels.hpp"
 #include "qpsa/util/arena.hpp"
 #include "qpsa/util/common.hpp"
 #include "qpsa/wfft/prune.hpp"
-#include "qpsa/wfft/fixed_walk.hpp"
 #include "qpsa/wfft/twiddle_tables.hpp"
 
+namespace qpsa::lomb {
+template <unsigned FracBits>
+class fixed_wavelet_engine;  // lomb/fixed_engine.hpp
+}  // namespace qpsa::lomb
+
 namespace qpsa::wfft {
+
+/// Test access to fixed_wavelet_fft's lane walk (defined by the tests).
+struct fixed_wavelet_fft_test_peer;
 
 template <unsigned FracBits>
 class fixed_wavelet_fft {
 public:
     using scalar = fp::fixed_point<FracBits>;
     using fcplx = fp::basic_complex<scalar>;
-    using raw_type = typename scalar::raw_type;
 
     struct config {
         std::size_t n = 512;
@@ -105,6 +111,39 @@ public:
     /// quantile threshold folded into the tables at construction).
     std::size_t pruned_terms() const noexcept { return pruned_terms_; }
 
+    /// Forward transform of one input (the lane walk with L = 1); in/out
+    /// sized n, subband scratch drawn from `scratch`.  Output scale is 1/N
+    /// relative to the mathematical DFT when interstage_shift is on.
+    void forward(std::span<const fcplx> in, std::span<fcplx> out,
+                 util::arena& scratch) const {
+        const std::size_t n = cfg_.n;
+        QPSA_EXPECTS(in.size() == n);
+        QPSA_EXPECTS(out.size() == n);
+        util::arena::frame frame(scratch);
+        const std::span<raw_type> re = scratch.template alloc<raw_type>(n);
+        const std::span<raw_type> im = scratch.template alloc<raw_type>(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            re[i] = in[i].re.raw();
+            im[i] = in[i].im.raw();
+        }
+        forward_lanes<1>(re.data(), im.data(), re.data(), im.data(), scratch);
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = {scalar::from_raw(re[i]), scalar::from_raw(im[i])};
+    }
+
+private:
+    // The engine adapter converts and interleaves its own lanes.
+    template <unsigned>
+    friend class lomb::fixed_wavelet_engine;
+    friend struct fixed_wavelet_fft_test_peer;
+
+    using raw_type = typename scalar::raw_type;
+    using wide_type = typename scalar::wide_type;
+    /// Guarded-mode product type: Q15 and below fit int32.
+    using prod_type =
+        std::conditional_t<(FracBits <= 15), std::int32_t, std::int64_t>;
+    static constexpr raw_type k_half = raw_type{1} << (FracBits - 1);
+
     /// fixed_point<F>(v).raw() without the libm call: saturate in the
     /// double domain, truncate, then round half away from zero on the
     /// exact remainder (s - trunc(s) is exact for every double).  NaN
@@ -124,49 +163,22 @@ public:
 
     /// Forward transform of L lane-interleaved inputs: element e of lane l
     /// at [e * L + l] in each n * L plane.  The outputs may alias the
-    /// inputs.  Output scale is 1/N relative to the mathematical DFT when
-    /// interstage_shift is on.  Lane l is bit-identical to a one-lane walk
-    /// of lane l's input.
+    /// inputs.  Lane l is bit-identical to a one-lane walk of lane l's
+    /// input.
     template <std::size_t L>
     void forward_lanes(const raw_type* xre, const raw_type* xim,
                        raw_type* yre, raw_type* yim,
                        util::arena& scratch) const {
         util::arena::frame frame(scratch);
-        raw_type* planes =
-            scratch
-                .template alloc_aligned<raw_type>(fixed_walk::scratch_size(
-                    cfg_.n, cfg_.band_drop, L))
-                .data();
-        const fixed_walk::plan<raw_type> p = walk_plan();
-        if (!guarded<L>(xre, xim))
-            fixed_walk::walk<FracBits, L, true>(p, xre, xim, yre, yim, planes);
-        else if (const auto kernel = isa_walk<L>())
-            kernel(p, xre, xim, yre, yim, planes);
+        raw_type* planes = scratch
+                               .template alloc_aligned<raw_type>(
+                                   (cfg_.band_drop ? 2 : 4) * (cfg_.n / 2) * L)
+                               .data();
+        if (guarded<L>(xre, xim))
+            walk<L, false>(xre, xim, yre, yim, planes);
         else
-            fixed_walk::walk<FracBits, L, false>(p, xre, xim, yre, yim, planes);
+            walk<L, true>(xre, xim, yre, yim, planes);
     }
-
-    /// Forward transform of one input (the lane walk with L = 1); in/out
-    /// sized n, subband scratch drawn from `scratch`.
-    void forward(std::span<const fcplx> in, std::span<fcplx> out,
-                 util::arena& scratch) const {
-        const std::size_t n = cfg_.n;
-        QPSA_EXPECTS(in.size() == n);
-        QPSA_EXPECTS(out.size() == n);
-        util::arena::frame frame(scratch);
-        const std::span<raw_type> re = scratch.template alloc<raw_type>(n);
-        const std::span<raw_type> im = scratch.template alloc<raw_type>(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            re[i] = in[i].re.raw();
-            im[i] = in[i].im.raw();
-        }
-        forward_lanes<1>(re.data(), im.data(), re.data(), im.data(), scratch);
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = {scalar::from_raw(re[i]), scalar::from_raw(im[i])};
-    }
-
-private:
-    static constexpr raw_type k_half = raw_type{1} << (FracBits - 1);
 
     /// The per-group guard of the proof: the tables and n admit the
     /// guarded mode and every input component satisfies |raw| < U/2.
@@ -180,19 +192,207 @@ private:
         return ok;
     }
 
-    /// The guarded walk compiled for the active ISA, where the kernel
-    /// table carries one for this format and lane count.
-    template <std::size_t L>
-    static auto isa_walk() noexcept {
-        using fn = void (*)(const fixed_walk::plan<raw_type>&,
-                            const raw_type*, const raw_type*, raw_type*,
-                            raw_type*, raw_type*);
-        if constexpr (FracBits == 15 && L == 8)
-            return fn{simd::kernels().fixed_walk_q15x8};
-        else if constexpr (FracBits == 31 && L == 4)
-            return fn{simd::kernels().fixed_walk_q31x4};
-        else
-            return fn{nullptr};
+    /// Raw-integer arithmetic of one mode: Sat = fixed_point<F>'s
+    /// saturating operators over wide intermediates; !Sat = native width,
+    /// valid under the guard.
+    template <bool Sat>
+    struct ops {
+        static raw_type clamp(wide_type w) noexcept {
+            constexpr wide_type lo = std::numeric_limits<raw_type>::min();
+            constexpr wide_type hi = std::numeric_limits<raw_type>::max();
+            return static_cast<raw_type>(w < lo ? lo : (w > hi ? hi : w));
+        }
+        static raw_type add(raw_type a, raw_type b) noexcept {
+            if constexpr (Sat) return clamp(static_cast<wide_type>(a) + b);
+            else return a + b;
+        }
+        static raw_type sub(raw_type a, raw_type b) noexcept {
+            if constexpr (Sat) return clamp(static_cast<wide_type>(a) - b);
+            else return a - b;
+        }
+        /// Round-to-nearest product, fixed_point<F>::operator*.
+        static raw_type mul(raw_type a, raw_type b) noexcept {
+            if constexpr (Sat)
+                return clamp((static_cast<wide_type>(a) * b + k_half) >>
+                             FracBits);
+            else
+                return static_cast<raw_type>(
+                    (static_cast<prod_type>(a) * b + k_half) >> FracBits);
+        }
+        /// Multiply by fixed_point(0.5) (raw U/2): (a U/2 + U/2) >> F is
+        /// exactly (a + 1) >> 1.
+        static raw_type halve(raw_type a) noexcept {
+            if constexpr (Sat) return mul(a, k_half);
+            else return static_cast<raw_type>((a + 1) >> 1);
+        }
+    };
+
+    // The lane kernels below take every plane pointer __restrict: the
+    // lanes of one element never overlap another plane's, so each lane
+    // loop vectorizes with whole-vector loads and stores.
+
+    /// One radix-2 butterfly on every lane: t = w v, (u, v) <- (u + t,
+    /// u - t), halved when shifting.
+    template <std::size_t L, bool Sat>
+    static void butterfly(raw_type* __restrict ur, raw_type* __restrict ui,
+                          raw_type* __restrict vr, raw_type* __restrict vi,
+                          raw_type wr, raw_type wi, bool shift) {
+        using o = ops<Sat>;
+        for (std::size_t l = 0; l < L; ++l) {
+            const raw_type tr = o::sub(o::mul(wr, vr[l]), o::mul(wi, vi[l]));
+            const raw_type ti = o::add(o::mul(wr, vi[l]), o::mul(wi, vr[l]));
+            raw_type x0r = o::add(ur[l], tr);
+            raw_type x0i = o::add(ui[l], ti);
+            raw_type x1r = o::sub(ur[l], tr);
+            raw_type x1i = o::sub(ui[l], ti);
+            if (shift) {
+                x0r = o::halve(x0r);
+                x0i = o::halve(x0i);
+                x1r = o::halve(x1r);
+                x1i = o::halve(x1i);
+            }
+            ur[l] = x0r;
+            ui[l] = x0i;
+            vr[l] = x1r;
+            vi[l] = x1i;
+        }
+    }
+
+    /// One Haar pair on every lane: a = x0 + x1 and d = x0 - x1, halved
+    /// when shifting (d skipped when null: band drop).
+    template <std::size_t L, bool Sat>
+    static void haar(const raw_type* __restrict x0r,
+                     const raw_type* __restrict x0i,
+                     const raw_type* __restrict x1r,
+                     const raw_type* __restrict x1i, raw_type* __restrict ar,
+                     raw_type* __restrict ai, raw_type* __restrict dr,
+                     raw_type* __restrict di, bool shift) {
+        using o = ops<Sat>;
+        for (std::size_t l = 0; l < L; ++l) {
+            raw_type sr = o::add(x0r[l], x1r[l]);
+            raw_type si = o::add(x0i[l], x1i[l]);
+            if (shift) {
+                sr = o::halve(sr);
+                si = o::halve(si);
+            }
+            ar[l] = sr;
+            ai[l] = si;
+        }
+        if (dr == nullptr) return;
+        for (std::size_t l = 0; l < L; ++l) {
+            raw_type tr = o::sub(x0r[l], x1r[l]);
+            raw_type ti = o::sub(x0i[l], x1i[l]);
+            if (shift) {
+                tr = o::halve(tr);
+                ti = o::halve(ti);
+            }
+            dr[l] = tr;
+            di[l] = ti;
+        }
+    }
+
+    /// y = f a on every lane (complex product of a broadcast factor).
+    template <std::size_t L, bool Sat>
+    static void scale_lanes(const raw_type* __restrict ar,
+                            const raw_type* __restrict ai,
+                            raw_type* __restrict yr, raw_type* __restrict yi,
+                            raw_type fr, raw_type fi) {
+        using o = ops<Sat>;
+        for (std::size_t l = 0; l < L; ++l) {
+            yr[l] = o::sub(o::mul(fr, ar[l]), o::mul(fi, ai[l]));
+            yi[l] = o::add(o::mul(fr, ai[l]), o::mul(fi, ar[l]));
+        }
+    }
+
+    /// y += f d on every lane.
+    template <std::size_t L, bool Sat>
+    static void accumulate_lanes(const raw_type* __restrict dr,
+                                 const raw_type* __restrict di,
+                                 raw_type* __restrict yr,
+                                 raw_type* __restrict yi, raw_type fr,
+                                 raw_type fi) {
+        using o = ops<Sat>;
+        for (std::size_t l = 0; l < L; ++l) {
+            yr[l] = o::add(yr[l],
+                           o::sub(o::mul(fr, dr[l]), o::mul(fi, di[l])));
+            yi[l] = o::add(yi[l],
+                           o::add(o::mul(fr, di[l]), o::mul(fi, dr[l])));
+        }
+    }
+
+    /// In-place radix-2 DIT over bit-reversed planes of n/2 elements.
+    template <std::size_t L, bool Sat>
+    void sub_fft(raw_type* re, raw_type* im, bool shift) const {
+        const std::size_t m = cfg_.n / 2;
+        const raw_type* tw_re = tw_re_.data();
+        const raw_type* tw_im = tw_im_.data();
+        for (std::size_t len = 2; len <= m; len <<= 1) {
+            const std::size_t half_len = len / 2;
+            const std::size_t step = m / len;
+            for (std::size_t base = 0; base < m; base += len) {
+                for (std::size_t k = 0; k < half_len; ++k) {
+                    const std::size_t u = (base + k) * L;
+                    const std::size_t v = u + half_len * L;
+                    butterfly<L, Sat>(re + u, im + u, re + v, im + v,
+                                      tw_re[k * step], tw_im[k * step], shift);
+                }
+            }
+        }
+    }
+
+    /// The whole transform of L lanes: x planes (n * L each) in, y planes
+    /// out (may alias x); `scratch` holds (band_drop ? 2 : 4) * n/2 * L
+    /// elements.
+    template <std::size_t L, bool Sat>
+    void walk(const raw_type* xre, const raw_type* xim, raw_type* yre,
+              raw_type* yim, raw_type* scratch) const {
+        const std::size_t half = cfg_.n / 2;
+        const bool drop = cfg_.band_drop;
+        const bool shift = !Sat || cfg_.interstage_shift;
+        const std::size_t* bitrev = bitrev_.data();
+        raw_type* are = scratch;
+        raw_type* aim = are + half * L;
+        raw_type* dre = drop ? nullptr : aim + half * L;
+        raw_type* dim = drop ? nullptr : dre + half * L;
+
+        // Haar stage, folded (the 1/sqrt(2) lives in the factor tables);
+        // with interstage shifting the butterfly halves instead.  Outputs
+        // land bit-reversed, so the sub-FFTs run in place.
+        for (std::size_t k = 0; k < half; ++k) {
+            const std::size_t x0 = 2 * k * L;
+            const std::size_t at = bitrev[k] * L;
+            haar<L, Sat>(xre + x0, xim + x0, xre + x0 + L, xim + x0 + L,
+                         are + at, aim + at, drop ? nullptr : dre + at,
+                         drop ? nullptr : dim + at, shift);
+        }
+
+        sub_fft<L, Sat>(are, aim, shift);
+        if (!drop) sub_fft<L, Sat>(dre, dim, shift);
+
+        // Diagonal combine.  A pruned (zero) factor's product rounds to an
+        // exact 0, as the skipped term of the operator walk.  The x planes
+        // are consumed by now, so y may alias them.
+        const raw_type* fa_re = fa_re_.data();
+        const raw_type* fa_im = fa_im_.data();
+        const raw_type* fb_re = fb_re_.data();
+        const raw_type* fb_im = fb_im_.data();
+        const raw_type* fc_re = fc_re_.data();
+        const raw_type* fc_im = fc_im_.data();
+        const raw_type* fd_re = fd_re_.data();
+        const raw_type* fd_im = fd_im_.data();
+        for (std::size_t m = 0; m < half; ++m) {
+            const std::size_t e = m * L;
+            const std::size_t b = e + half * L;
+            scale_lanes<L, Sat>(are + e, aim + e, yre + e, yim + e, fa_re[m],
+                                fa_im[m]);
+            scale_lanes<L, Sat>(are + e, aim + e, yre + b, yim + b, fc_re[m],
+                                fc_im[m]);
+            if (drop) continue;
+            accumulate_lanes<L, Sat>(dre + e, dim + e, yre + e, yim + e,
+                                     fb_re[m], fb_im[m]);
+            accumulate_lanes<L, Sat>(dre + e, dim + e, yre + b, yim + b,
+                                     fd_re[m], fd_im[m]);
+        }
     }
 
     void build_tables() {
@@ -267,16 +467,6 @@ private:
             bound = bound * (1.0 + 1.0 / u) + 1.5;
         fast_ok_ = FracBits <= 31 && cfg_.interstage_shift && tables_ok &&
                    (1.0 + 1.0 / u) * bound + 1.5 < u;
-    }
-
-    /// The walk's view of the tables (rebuilt per call: copies of this
-    /// object must not share pointers into each other's tables).
-    fixed_walk::plan<raw_type> walk_plan() const noexcept {
-        return {cfg_.n,        cfg_.band_drop, cfg_.interstage_shift,
-                fa_re_.data(), fa_im_.data(),  fb_re_.data(),
-                fb_im_.data(), fc_re_.data(),  fc_im_.data(),
-                fd_re_.data(), fd_im_.data(),  tw_re_.data(),
-                tw_im_.data(), bitrev_.data()};
     }
 
     config cfg_;
