@@ -4,10 +4,6 @@
 
 namespace qpsa::counting {
 
-namespace {
-thread_local count_scope* g_top = nullptr;
-}  // namespace
-
 op_counts& op_counts::operator+=(const op_counts& o) noexcept {
     adds += o.adds;
     muls += o.muls;
@@ -45,20 +41,22 @@ std::string op_counts::to_string() const {
     return ss.str();
 }
 
-count_scope::count_scope(op_counts& sink) : sink_(&sink), parent_(g_top) {
-    g_top = this;
+count_scope::count_scope(op_counts& sink)
+    : sink_(&sink), parent_(detail::top_scope) {
+    detail::top_scope = this;
 }
 
-count_scope::~count_scope() { g_top = parent_; }
+count_scope::~count_scope() { detail::top_scope = parent_; }
 
-pause_scope::pause_scope() noexcept : saved_(g_top) { g_top = nullptr; }
+pause_scope::pause_scope() noexcept : saved_(detail::top_scope) {
+    detail::top_scope = nullptr;
+}
 
-pause_scope::~pause_scope() { g_top = saved_; }
-
-bool counting_active() noexcept { return g_top != nullptr; }
+pause_scope::~pause_scope() { detail::top_scope = saved_; }
 
 void add_to_active(const op_counts& delta) noexcept {
-    for (count_scope* s = g_top; s != nullptr; s = s->parent_) *s->sink_ += delta;
+    for (count_scope* s = detail::top_scope; s != nullptr; s = s->parent_)
+        *s->sink_ += delta;
 }
 
 }  // namespace qpsa::counting

@@ -3,22 +3,39 @@
 // The paper evaluates its approximations by the number of arithmetic
 // operations executed on a sensor-node RISC core (Fig. 5) and converts the
 // counts into cycles and energy (Fig. 1(b), Fig. 9).  qpsa mirrors this:
-// every kernel the paper prices calls into an op_counter while it runs, so
-// experiment tables are derived from the code that actually executed
-// rather than from closed-form estimates.
+// every kernel the paper prices has a counted walk that calls into an
+// op_counter per operation it executes, and that walk is the reference
+// the experiment tables and the tally tests are derived from.
+//
+// The rule for hot paths: a stage whose tally is a pure function of its
+// plan (a static-schedule transform) attributes the tally memoized by a
+// counted dry run at plan construction; a stage whose tally depends on
+// loop trip counts (interpolated points, output bins, model order) runs
+// uncounted and attributes the closed form of those counts once per call.
+// Either way the recorded tally equals, field for field, what the counted
+// walk records.  Only data-dependent decisions (dynamic pruning) count
+// live.
 //
 // Counting is scope-based: a kernel counts into the innermost active
-// count_scope of the calling thread (or into nothing, at zero-ish cost,
-// when no scope is active).  Counts are *real* operations: one complex
-// multiply contributes 4 muls + 2 adds, a complex add 2 adds, and so on --
-// the same accounting used by the classic FFT complexity literature the
-// paper compares against.
+// count_scope of the calling thread (or into nothing, at the cost of one
+// thread-local load, when no scope is active).  Counts are *real*
+// operations: one complex multiply contributes 4 muls + 2 adds, a complex
+// add 2 adds, and so on -- the same accounting used by the classic FFT
+// complexity literature the paper compares against.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 namespace qpsa::counting {
+
+class count_scope;
+
+namespace detail {
+/// Innermost active scope of this thread (null: counting is off).
+/// Defined inline so every count_* helper tests it with a plain TLS load.
+inline thread_local count_scope* top_scope = nullptr;
+}  // namespace detail
 
 /// Tally of executed real-valued operations.
 struct op_counts {
@@ -63,7 +80,6 @@ private:
     op_counts* sink_;
     count_scope* parent_;
     friend void add_to_active(const op_counts& delta) noexcept;
-    friend bool counting_active() noexcept;
 };
 
 /// RAII scope that suspends counting on this thread: all scopes active at
@@ -82,7 +98,7 @@ private:
 };
 
 /// True iff at least one count_scope is active on this thread.
-bool counting_active() noexcept;
+inline bool counting_active() noexcept { return detail::top_scope != nullptr; }
 
 /// Record a batch of operations into all active scopes.
 void add_to_active(const op_counts& delta) noexcept;

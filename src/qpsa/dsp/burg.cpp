@@ -35,6 +35,9 @@ burg_model burg_fit(std::span<const real> x, std::size_t order,
     for (real v : x) e += v * v;
     e /= static_cast<real>(n);
 
+    // The recursion's tally: per order m, 5 (n - m) + m + 2 muls,
+    // 5 (n - m) + m + 1 adds and one division, attributed once below.
+    counting::op_counts ops;
     for (std::size_t m = 1; m <= order; ++m) {
         // Reflection coefficient k_m = -2 sum f_i b_{i-1} / (sum f^2 + b^2).
         real num = 0.0;
@@ -43,10 +46,7 @@ burg_model burg_fit(std::span<const real> x, std::size_t order,
             num += f[i] * b[i - 1];
             den += f[i] * f[i] + b[i - 1] * b[i - 1];
         }
-        counting::count_muls(3 * (n - m));
-        counting::count_adds(3 * (n - m));
         const real k = den > 0.0 ? -2.0 * num / den : 0.0;
-        counting::count_divs(1);
 
         // Update AR coefficients: a'_j = a_j + k a_{m-j}.
         std::copy(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(m),
@@ -55,8 +55,6 @@ burg_model burg_fit(std::span<const real> x, std::size_t order,
             const real rev = (j == m) ? 1.0 : prev[m - j];
             a[j] = (j < m ? prev[j] : 0.0) + k * rev;
         }
-        counting::count_muls(m);
-        counting::count_adds(m);
 
         // Update prediction errors (descending i keeps b[i-1] intact).
         for (std::size_t i = n - 1; i >= m; --i) {
@@ -66,13 +64,13 @@ burg_model burg_fit(std::span<const real> x, std::size_t order,
             b[i] = bi + k * fi;
             if (i == m) break;
         }
-        counting::count_muls(2 * (n - m));
-        counting::count_adds(2 * (n - m));
 
         e *= (1.0 - k * k);
-        counting::count_muls(2);
-        counting::count_adds(1);
+        ops.muls += 5 * (n - m) + m + 2;
+        ops.adds += 5 * (n - m) + m + 1;
+        ops.divs += 1;
     }
+    counting::add_to_active(ops);
 
     for (std::size_t j = 1; j <= order; ++j) model.a[j - 1] = a[j];
     model.noise_var = e;
@@ -92,6 +90,8 @@ void burg_psd(const burg_model& model, real fs_hz,
               std::span<const real> freqs_hz, std::span<real> power) {
     QPSA_EXPECTS(fs_hz > 0.0);
     QPSA_EXPECTS(power.size() == freqs_hz.size());
+    const std::uint64_t nf = freqs_hz.size();
+    const std::uint64_t order = model.order();
     for (std::size_t i = 0; i < freqs_hz.size(); ++i) {
         const real w = two_pi * freqs_hz[i] / fs_hz;
         cplx den{1.0, 0.0};
@@ -99,13 +99,15 @@ void burg_psd(const burg_model& model, real fs_hz,
             const real ang = -w * static_cast<real>(k + 1);
             den += model.a[k] * cplx{std::cos(ang), std::sin(ang)};
         }
-        counting::count_trigs(2 * model.order());
-        counting::count_muls(2 * model.order());
-        counting::count_adds(2 * model.order());
         const real mag2 = std::max(sqr_mag(den), real{1e-15});
         power[i] = model.noise_var / (fs_hz * mag2);
-        counting::count_divs(1);
     }
+    // Per frequency: 2 trigs, 2 muls and 2 adds per model coefficient,
+    // plus one division.
+    counting::add_to_active({.adds = 2 * order * nf,
+                             .muls = 2 * order * nf,
+                             .divs = nf,
+                             .trigs = 2 * order * nf});
 }
 
 }  // namespace qpsa::dsp

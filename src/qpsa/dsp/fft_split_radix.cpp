@@ -14,20 +14,28 @@ fft_split_radix::fft_split_radix(std::size_t n) : n_(n), wtab_(n) {
         const real ang = -two_pi * static_cast<real>(k) / static_cast<real>(n);
         wtab_[k] = cplx{std::cos(ang), std::sin(ang)};
     }
-    // Memoize the per-transform operation tally with a dry run: counts
-    // depend only on n, and forward_batched attributes this per lane.
-    std::vector<cplx> buf(2 * n_);
+    // Memoize the per-transform operation tally with a counted dry run of
+    // the recursion: counts depend only on n, so every forward attributes
+    // this tally instead of counting per node.
+    std::vector<cplx> buf(4 * n_);
     counting::pause_scope pause;
     counting::count_scope scope(tally_);
-    forward(std::span<const cplx>(buf.data(), n_),
-            std::span<cplx>(buf.data() + n_, n_));
+    recurse(buf.data(), 1, buf.data() + n_, n_, buf.data() + 2 * n_);
+}
+
+void fft_split_radix::run(const cplx* in, cplx* out, cplx* scratch) const {
+    {
+        counting::pause_scope pause;
+        recurse(in, 1, out, n_, scratch);
+    }
+    counting::add_to_active(tally_);
 }
 
 void fft_split_radix::forward(std::span<const cplx> in, std::span<cplx> out) const {
     QPSA_EXPECTS(in.size() == n_);
     QPSA_EXPECTS(out.size() == n_);
     std::vector<cplx> scratch(2 * n_);
-    recurse(in.data(), 1, out.data(), n_, scratch.data());
+    run(in.data(), out.data(), scratch.data());
 }
 
 void fft_split_radix::forward(std::span<const cplx> in, std::span<cplx> out,
@@ -37,7 +45,7 @@ void fft_split_radix::forward(std::span<const cplx> in, std::span<cplx> out,
     // Every scratch element is written by a child recursion before the
     // parent reads it, so uninitialized arena storage is safe here.
     util::arena::frame frame(scratch);
-    recurse(in.data(), 1, out.data(), n_, scratch.alloc<cplx>(2 * n_).data());
+    run(in.data(), out.data(), scratch.alloc<cplx>(2 * n_).data());
 }
 
 std::vector<cplx> fft_split_radix::forward_copy(std::span<const cplx> in) const {

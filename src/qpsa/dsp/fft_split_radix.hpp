@@ -32,7 +32,8 @@ public:
 
     std::size_t size() const noexcept { return n_; }
 
-    /// Out-of-place forward transform; counts ops into the active scope.
+    /// Out-of-place forward transform; attributes op_tally() to the
+    /// active scopes.
     void forward(std::span<const cplx> in, std::span<cplx> out) const;
 
     /// Same transform with recursion scratch drawn from `scratch` (2n
@@ -56,6 +57,9 @@ public:
     const counting::op_counts& op_tally() const noexcept { return tally_; }
 
 private:
+    /// Uncounted recursion, then op_tally() attributed once.
+    void run(const cplx* in, cplx* out, cplx* scratch) const;
+    /// The counted walk: the constructor's dry run records op_tally().
     void recurse(const cplx* x, std::size_t stride, cplx* out, std::size_t n,
                  cplx* scratch) const;
 

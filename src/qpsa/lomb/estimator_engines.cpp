@@ -180,7 +180,8 @@ void resampled_engine::estimate(std::span<const real> t,
             ctx->cache->count_miss();
     }
 
-    std::size_t cached_points = 0;
+    std::uint64_t cached_points = 0;
+    std::uint64_t interpolated = 0;
     std::size_t clamp_from = count;  // first clamped (uncacheable) point
     std::size_t j = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -206,20 +207,17 @@ void resampled_engine::estimate(std::span<const real> t,
         const real span = t[j + 1] - t[j];
         const real u = span > 0.0 ? (ti - t[j]) / span : 0.0;
         series[i] = x[j] * (1.0 - u) + x[j + 1] * u;
-        counting::count_muls(2);
-        counting::count_adds(3);
-        counting::count_divs(1);
-        counting::count_cmps(1);
+        ++interpolated;
     }
-    if (cached_points != 0 && !ctx->count_actual_ops) {
-        // Every cached point replaced one interpolation.
-        counting::op_counts ops;
-        ops.muls = 2 * cached_points;
-        ops.adds = 3 * cached_points;
-        ops.divs = cached_points;
-        ops.cmps = cached_points;
-        counting::add_to_active(ops);
-    }
+    // Per interpolated point: 2 muls, 3 adds, 1 div, 1 compare.  Every
+    // cached point replaced one interpolation, so it is priced the same
+    // unless the context asks for the real (post-reuse) counts.
+    const std::uint64_t priced =
+        interpolated + (ctx->count_actual_ops ? 0 : cached_points);
+    counting::add_to_active({.adds = 3 * priced,
+                             .muls = 2 * priced,
+                             .divs = priced,
+                             .cmps = priced});
 
     // (Re)build the overlap range for window m+1: points at/after its
     // first beat f interpolate from beat pairs both windows contain, so

@@ -13,9 +13,11 @@ namespace {
 // (m-1)! for kernel orders 1..8.
 constexpr std::array<real, 9> k_nfac = {0.0, 1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0,
                                         5040.0};
-}  // namespace
 
-void spread(real y, std::span<real> mesh, real x, int order) {
+/// spread() without the live count: the deposit's tally accumulates into
+/// `ops` for the caller to attribute once.
+void spread_uncounted(real y, std::span<real> mesh, real x, int order,
+                      counting::op_counts& ops) {
     const auto n = static_cast<std::ptrdiff_t>(mesh.size());
     QPSA_EXPECTS(order >= 1 && order <= 8);
     QPSA_EXPECTS(n >= order);
@@ -26,7 +28,7 @@ void spread(real y, std::span<real> mesh, real x, int order) {
         // Zero-order: deposit at the nearest mesh point.
         const auto idx = static_cast<std::ptrdiff_t>(xr);
         mesh[static_cast<std::size_t>(mod_floor(idx, n))] += y;
-        counting::count_adds(1);
+        ops.adds += 1;
         return;
     }
     if (order == 2) {
@@ -35,8 +37,8 @@ void spread(real y, std::span<real> mesh, real x, int order) {
         const real frac = x - static_cast<real>(i0);
         mesh[static_cast<std::size_t>(mod_floor(i0, n))] += y * (1.0 - frac);
         mesh[static_cast<std::size_t>(mod_floor(i0 + 1, n))] += y * frac;
-        counting::count_muls(2);
-        counting::count_adds(4);
+        ops.muls += 2;
+        ops.adds += 4;
         return;
     }
     if (order == 4) {
@@ -49,8 +51,8 @@ void spread(real y, std::span<real> mesh, real x, int order) {
         const auto i0 = static_cast<std::ptrdiff_t>(std::floor(x));
         const real u = x - static_cast<real>(i0);
         simd::kernels().spread4(y, mesh.data(), mesh.size(), i0, u);
-        counting::count_muls(12);
-        counting::count_adds(9);
+        ops.muls += 12;
+        ops.adds += 9;
         return;
     }
 
@@ -62,23 +64,31 @@ void spread(real y, std::span<real> mesh, real x, int order) {
 
     real fac = x - static_cast<real>(ilo);
     for (std::ptrdiff_t j = ilo + 1; j <= ihi; ++j) fac *= (x - static_cast<real>(j));
-    counting::count_muls(static_cast<std::uint64_t>(order) - 1);
-    counting::count_adds(static_cast<std::uint64_t>(order));
+    ops.muls += static_cast<std::uint64_t>(order) - 1;
+    ops.adds += static_cast<std::uint64_t>(order);
 
     real nden = k_nfac[static_cast<std::size_t>(order)];
     const std::size_t hi_idx = static_cast<std::size_t>(mod_floor(ihi, n));
     mesh[hi_idx] += y * fac / (nden * (x - static_cast<real>(ihi)));
-    counting::count_muls(2);
-    counting::count_divs(1);
-    counting::count_adds(2);
+    ops.muls += 2;
+    ops.divs += 1;
+    ops.adds += 2;
     for (std::ptrdiff_t j = ihi - 1; j >= ilo; --j) {
         nden = (nden / static_cast<real>(j + 1 - ilo)) * static_cast<real>(j - ihi);
         const std::size_t idx = static_cast<std::size_t>(mod_floor(j, n));
         mesh[idx] += y * fac / (nden * (x - static_cast<real>(j)));
-        counting::count_muls(3);
-        counting::count_divs(2);
-        counting::count_adds(2);
+        ops.muls += 3;
+        ops.divs += 2;
+        ops.adds += 2;
     }
+}
+
+}  // namespace
+
+void spread(real y, std::span<real> mesh, real x, int order) {
+    counting::op_counts ops;
+    spread_uncounted(y, mesh, x, order, ops);
+    counting::add_to_active(ops);
 }
 
 std::vector<real> extirpolate(std::span<const real> t, std::span<const real> v,
@@ -96,16 +106,18 @@ void extirpolate(std::span<const real> t, std::span<const real> v,
     QPSA_EXPECTS(mesh_size >= static_cast<std::size_t>(order));
     std::fill(mesh.begin(), mesh.end(), 0.0);
     const real fac = static_cast<real>(mesh_size) / span;
+    // One tally for the whole fill: 1 mul + 1 add per position plus each
+    // deposit's own count.
+    counting::op_counts ops{.adds = t.size(), .muls = t.size()};
     for (std::size_t j = 0; j < t.size(); ++j) {
         real x = (t[j] - t0) * fac;
         // Wrap into [0, mesh_size) -- the mesh is periodic under the FFT.
         x = x - std::floor(x / static_cast<real>(mesh_size)) *
                     static_cast<real>(mesh_size);
         if (x >= static_cast<real>(mesh_size)) x = 0.0;
-        spread(v[j], mesh, x, order);
-        counting::count_muls(1);
-        counting::count_adds(1);
+        spread_uncounted(v[j], mesh, x, order, ops);
     }
+    counting::add_to_active(ops);
 }
 
 std::vector<real> redistribute_hold(std::span<const real> values, std::size_t m) {

@@ -288,6 +288,7 @@ std::size_t fill_meshes_aligned(std::span<const real> t,
     }
 
     counting::op_counts maintenance;  // dual-deposit duplicates, uncounted
+    counting::op_counts counted;      // this window's deposits, counted once
     for (std::size_t j = 0; j < n; ++j) {
         const beat_pos p = aligned_beat_pos(t[j], m, hop, fac);
         QPSA_EXPECTS(p.d >= 0 && p.d * plan.hc < meshi);
@@ -301,7 +302,7 @@ std::size_t fill_meshes_aligned(std::span<const real> t,
         const std::int64_t s2 = (p.d * 2 * plan.hc) % meshi;
         aligned_deposit(x[j], mx, m1, p.x0, s1, opt.macc, ops);
         aligned_deposit(1.0, wk2, {}, p.x2, s2, opt.macc, ops);
-        counting::add_to_active(ops);
+        counted += ops;
         if (entry != nullptr && p.d == 1) {
             // Same beat, next window's coordinates (d - 1 == 0): reuse the
             // identical weight evaluation, deposit unshifted.
@@ -318,8 +319,8 @@ std::size_t fill_meshes_aligned(std::span<const real> t,
 
     // Apply the window mean outside the cached partials.
     for (std::size_t c = 0; c < mesh; ++c) wk1[c] = mx[c] - prep.avg * m1[c];
-    counting::count_muls(mesh);
-    counting::count_adds(mesh);
+    counted += {.adds = mesh, .muls = mesh};
+    counting::add_to_active(counted);
     return n;
 }
 
@@ -496,11 +497,13 @@ void lomb_combine(const window_state& st, const fast_lomb_options& opt,
 
         res.spectrum.freq_hz[k - 1] = static_cast<real>(k) * df;
         res.spectrum.power[k - 1] = (cterm + sterm) / (2.0 * prep.var);
-        counting::count_sqrts(3);
-        counting::count_muls(13);
-        counting::count_adds(10);
-        counting::count_divs(4);
     }
+    // Per bin: 3 sqrts, 13 muls, 10 adds, 4 divs.
+    const std::uint64_t bins = prep.nout;
+    counting::add_to_active({.adds = 10 * bins,
+                             .muls = 13 * bins,
+                             .divs = 4 * bins,
+                             .sqrts = 3 * bins});
 }
 
 /// Phases C/D of one window: attribute the phase-B engine ops to the

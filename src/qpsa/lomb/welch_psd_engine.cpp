@@ -64,9 +64,9 @@ void welch_psd_engine::estimate(std::span<const real> t,
         resampled_psd(t.subspan(begin, count), x.subspan(begin, count),
                       seg_opt, fft_, scratch, seg);
         for (std::size_t k = 0; k < avg.size(); ++k) avg[k] += seg[k];
-        counting::count_adds(avg.size());
         ++segments;
     }
+    counting::count_adds(segments * avg.size());  // the segment sums
     if (segments == 0) {
         resampled_psd(t, x, seg_opt, fft_, scratch, avg);
         segments = 1;
@@ -211,9 +211,9 @@ void welch_psd_engine::estimate(std::span<const real> t,
         // Average in original segment order -- hits and misses interleave
         // exactly as a scratch run would have summed them.
         for (std::size_t i = 0; i < half; ++i) avg[i] += power[i];
-        counting::count_adds(half);
         ++segments;
     }
+    counting::count_adds(segments * half);  // the segment sums
     if (segments == 0) {
         // Degenerate window: one whole-window segment, i.e. the plain
         // resampled estimator (matches the unaligned path's fallback).

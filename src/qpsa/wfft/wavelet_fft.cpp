@@ -1,6 +1,7 @@
 #include "qpsa/wfft/wavelet_fft.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/simd/kernels.hpp"
@@ -23,20 +24,11 @@ bool is_free_rotation(cplx f) {
     return axis_re || axis_im;
 }
 
+/// f * v; a free rotation costs no multiplications (callers count the
+/// complex multiply of the non-free case).
 cplx apply_factor(cplx f, cplx v, bool free) {
     if (free) {
         // +/-1 or +/-i: sign flips and component swaps only.
-        if (std::abs(f.real()) > 0.5) return f.real() > 0.0 ? v : -v;
-        return f.imag() > 0.0 ? cplx{-v.imag(), v.real()} : cplx{v.imag(), -v.real()};
-    }
-    counting::count_cmul();
-    return f * v;
-}
-
-/// apply_factor without the live op count: the lane walk attributes the
-/// memoized probe tally per item instead.  Value arithmetic is identical.
-cplx apply_factor_uncounted(cplx f, cplx v, bool free) {
-    if (free) {
         if (std::abs(f.real()) > 0.5) return f.real() > 0.0 ? v : -v;
         return f.imag() > 0.0 ? cplx{-v.imag(), v.real()} : cplx{v.imag(), -v.real()};
     }
@@ -177,12 +169,28 @@ wavelet_fft::wavelet_fft(plan p) : plan_(std::move(p)) {
                        plan_.prune.mode != prune_mode::dynamic &&
                        (sub_a_ == nullptr || sub_a_->static_schedule_) &&
                        (sub_d_ == nullptr || sub_d_->static_schedule_);
-    if (static_schedule_) {
+    // A single-level tree without dynamic pruning is input-independent in
+    // the same way (static band drop, factor-table term selection, a
+    // split-radix sub-FFT of fixed tally), whatever its basis.
+    static_tally_ = static_schedule_ ||
+                    (plan_.tree == tree_mode::single_level &&
+                     plan_.prune.mode != prune_mode::dynamic);
+    if (static_tally_) {
         std::vector<cplx> buf(2 * plan_.n);
         counting::pause_scope pause;
         forward(std::span<const cplx>(buf.data(), plan_.n),
                 std::span<cplx>(buf.data() + plan_.n, plan_.n), &probe_stats_);
     }
+}
+
+void wavelet_fft::attribute_probe(exec_stats& st) const {
+    counting::count_scope scope(st.ops);
+    counting::add_to_active(probe_stats_.ops);
+    st.terms_total += probe_stats_.terms_total;
+    st.terms_pruned_factor += probe_stats_.terms_pruned_factor;
+    st.terms_pruned_data += probe_stats_.terms_pruned_data;
+    st.terms_structural_zero += probe_stats_.terms_structural_zero;
+    st.band_dropped = probe_stats_.band_dropped || st.band_dropped;
 }
 
 void wavelet_fft::dwt_stage(std::span<const cplx> x, std::span<cplx> a,
@@ -321,6 +329,7 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
     const bool dynamic =
         plan_.prune.mode == prune_mode::dynamic && plan_.prune.data_threshold > 0.0;
     const real data_thr = plan_.prune.data_threshold;
+    counting::op_counts ops;  // the combine's tally, attributed once
 
     for (std::size_t m = 0; m < half; ++m) {
         // Run-time significance proxy: L1 magnitude of the sub-spectrum
@@ -329,10 +338,10 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
         real l1d = 0.0;
         if (dynamic) {
             l1a = l1_mag(a_fft[m]);
-            counting::count_adds(1);
+            ops.adds += 1;
             if (d_fft != nullptr) {
                 l1d = l1_mag(d_fft[m]);
-                counting::count_adds(1);
+                ops.adds += 1;
             }
         }
 
@@ -356,8 +365,8 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
                 return {};
             }
             if (dynamic) {
-                counting::count_muls(1);
-                counting::count_cmps(1);
+                ops.muls += 1;
+                ops.cmps += 1;
                 if (mag[m] * l1 < data_thr) {
                     ++stats.terms_pruned_data;
                     *used = false;
@@ -365,6 +374,7 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
                 }
             }
             *used = true;
+            if (!free[m]) ops += {.adds = 2, .muls = 4};  // complex multiply
             return apply_factor(f, v, free[m]);
         };
 
@@ -377,7 +387,7 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
             tb = term(tables_->b, eff_b_, free_b_, mag_b_, d_fft[m], l1d, &ub);
         if (ua && ub) {
             out[m] = ta + tb;
-            counting::count_cadd();
+            ops.adds += 2;
         } else {
             out[m] = ua ? ta : tb;
         }
@@ -391,11 +401,41 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
             td = term(tables_->d, eff_d_, free_d_, mag_d_, d_fft[m], l1d, &ud);
         if (uc && ud) {
             out[m + half] = tc + td;
-            counting::count_cadd();
+            ops.adds += 2;
         } else {
             out[m + half] = uc ? tc : td;
         }
     }
+    counting::add_to_active(ops);
+}
+
+bool wavelet_fft::split(std::span<const cplx> in, std::span<cplx> a,
+                        std::span<cplx>& d, util::arena& scratch) const {
+    const std::size_t half = plan_.n / 2;
+    const bool drop_cfg = plan_.prune.band_drop_levels >= 1;
+    const bool dynamic_band =
+        plan_.prune.mode == prune_mode::dynamic && plan_.prune.dynamic_band_decision;
+
+    if (drop_cfg && !dynamic_band) {
+        // Static drop: the highpass half-band is never computed.
+        dwt_stage_lowpass(in, a);
+        return true;
+    }
+    d = scratch.alloc<cplx>(half);
+    dwt_stage(in, a, d, scratch);
+    if (!drop_cfg) return false;
+    // Run-time decision from the live mean L1 |d| (paper V.A: "based on
+    // the specific samples we could also apply such a threshold at
+    // run-time").  Calibration statistics use the normalized DWT, so the
+    // folded (unnormalized) Haar stage compares against a sqrt(2)-scaled
+    // threshold.
+    const real thr = plan_.prune.band_threshold * (tables_->folded ? sqrt2 : 1.0);
+    real acc = 0.0;
+    for (const cplx& v : d) acc += l1_mag(v);
+    counting::count_adds(2 * half - 1);
+    counting::count_divs(1);
+    counting::count_cmps(1);
+    return (acc / static_cast<real>(half)) < thr;
 }
 
 void wavelet_fft::forward_impl(std::span<const cplx> in, std::span<cplx> out,
@@ -408,36 +448,8 @@ void wavelet_fft::forward_impl(std::span<const cplx> in, std::span<cplx> out,
     util::arena::frame frame(scratch);
     std::span<cplx> a = scratch.alloc<cplx>(half);
     std::span<cplx> a_fft = scratch.alloc<cplx>(half);
-
-    const bool drop_cfg = plan_.prune.band_drop_levels >= 1;
-    const bool dynamic_band =
-        plan_.prune.mode == prune_mode::dynamic && plan_.prune.dynamic_band_decision;
-
-    bool drop = false;
     std::span<cplx> d;
-    if (drop_cfg && !dynamic_band) {
-        // Static drop: the highpass half-band is never computed.
-        dwt_stage_lowpass(in, a);
-        drop = true;
-    } else {
-        d = scratch.alloc<cplx>(half);
-        dwt_stage(in, a, d, scratch);
-        if (drop_cfg && dynamic_band) {
-            // Run-time decision from the live mean L1 |d| (paper V.A:
-            // "based on the specific samples we could also apply such a
-            // threshold at run-time").  Calibration statistics use the
-            // normalized DWT, so the folded (unnormalized) Haar stage
-            // compares against a sqrt(2)-scaled threshold.
-            const real thr = plan_.prune.band_threshold *
-                             (tables_->folded ? sqrt2 : 1.0);
-            real acc = 0.0;
-            for (const cplx& v : d) acc += l1_mag(v);
-            counting::count_adds(2 * half - 1);
-            counting::count_divs(1);
-            counting::count_cmps(1);
-            drop = (acc / static_cast<real>(half)) < thr;
-        }
-    }
+    const bool drop = split(in, a, d, scratch);
     stats.band_dropped = drop || stats.band_dropped;
 
     sub_transform_a(a, a_fft, stats, scratch);
@@ -459,11 +471,11 @@ void wavelet_fft::forward(std::span<const cplx> in, std::span<cplx> out,
 
 void wavelet_fft::forward_batched(std::span<const batch_io> items,
                                   util::arena& scratch) const {
-    // No batching win below two items; trees that are neither
-    // single_level nor static-schedule recursive (dynamic pruning, wide
-    // leaves, unfolded bases) run the sequential transform per item --
-    // identical by definition.
-    if (items.size() < 2 || !lane_batchable()) {
+    // Trees that are neither single_level nor static-schedule recursive
+    // (dynamic pruning, wide leaves, unfolded bases) run the sequential
+    // transform per item -- identical by definition -- and so does a lone
+    // item that has no memoized tally to attribute.
+    if (!lane_batchable() || (items.size() < 2 && !static_tally_)) {
         for (const batch_io& it : items)
             forward(std::span<const cplx>(it.in, plan_.n),
                     std::span<cplx>(it.out, plan_.n), it.stats, scratch);
@@ -500,36 +512,22 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
 
     util::arena::frame frame(scratch);
 
-    const bool drop_cfg = plan_.prune.band_drop_levels >= 1;
-    const bool dynamic_band = plan_.prune.mode == prune_mode::dynamic &&
-                              plan_.prune.dynamic_band_decision;
-
-    // Stage 1, per item: DWT split + band decision -- the sequential code
-    // under that item's counting scope, so per-item counts and the
-    // decision itself are untouched by batching.
+    // Stage 1, per item: DWT split + band decision.  A static plan runs it
+    // uncounted (the probe stats are attributed in stage 3); a dynamic
+    // plan counts it live under the item's scope, so per-item counts and
+    // the decision itself are untouched by batching.
     for (std::size_t i = 0; i < items.size(); ++i) {
         item_state& s = states[i];
         s.st = items[i].stats != nullptr ? items[i].stats : &locals[i];
-        counting::count_scope scope(s.st->ops);
         std::span<const cplx> in(items[i].in, n);
         s.a = scratch.alloc<cplx>(half);
         s.a_fft = scratch.alloc<cplx>(half);
-        if (drop_cfg && !dynamic_band) {
-            dwt_stage_lowpass(in, s.a);
-            s.drop = true;
+        if (static_tally_) {
+            counting::pause_scope pause;
+            s.drop = split(in, s.a, s.d, scratch);
         } else {
-            s.d = scratch.alloc<cplx>(half);
-            dwt_stage(in, s.a, s.d, scratch);
-            if (drop_cfg && dynamic_band) {
-                const real thr = plan_.prune.band_threshold *
-                                 (tables_->folded ? sqrt2 : 1.0);
-                real acc = 0.0;
-                for (const cplx& v : s.d) acc += l1_mag(v);
-                counting::count_adds(2 * half - 1);
-                counting::count_divs(1);
-                counting::count_cmps(1);
-                s.drop = (acc / static_cast<real>(half)) < thr;
-            }
+            counting::count_scope scope(s.st->ops);
+            s.drop = split(in, s.a, s.d, scratch);
         }
         s.st->band_dropped = s.drop || s.st->band_dropped;
         if (!s.drop) s.d_fft = scratch.alloc<cplx>(half);
@@ -537,9 +535,7 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
 
     // Stage 2: every surviving half-size sub-transform -- lowpass bands
     // first, then the kept highpass bands -- through one lane-batched
-    // split-radix walk.  The walk is uncounted; the memoized per-transform
-    // tally (exact for any input) is attributed per item below, exactly
-    // what the sequential sub-FFT would have counted.
+    // split-radix walk.  The walk is uncounted.
     sub_ins.clear();
     sub_outs.clear();
     for (item_state& s : states) {
@@ -554,19 +550,25 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
     sub_split_radix_->forward_batched(
         std::span<const cplx* const>(sub_ins.data(), sub_ins.size()),
         std::span<cplx* const>(sub_outs.data(), sub_outs.size()), scratch);
-    for (item_state& s : states) {
+
+    // Stage 3, per item: the diagonal combine.  A static plan runs the
+    // uncounted lane combine (one lane) and attributes the memoized
+    // probe stats; a dynamic plan attributes the memoized sub-FFT tallies
+    // and runs the counted combine (data-dependent pruning and its
+    // statistics).  Either way the item records exactly what forward()
+    // records.
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        item_state& s = states[i];
+        const cplx* d_fft = s.drop ? nullptr : s.d_fft.data();
+        if (static_tally_) {
+            combine_planes(s.a_fft.data(), d_fft, items[i].out, 1);
+            attribute_probe(*s.st);
+            continue;
+        }
         counting::count_scope scope(s.st->ops);
         counting::add_to_active(sub_split_radix_->op_tally());
         if (!s.drop) counting::add_to_active(sub_split_radix_->op_tally());
-    }
-
-    // Stage 3, per item: the diagonal combine (data-dependent pruning and
-    // its statistics), again the sequential code per item.
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        item_state& s = states[i];
-        counting::count_scope scope(s.st->ops);
-        combine(s.a_fft, s.drop ? nullptr : s.d_fft.data(),
-                std::span<cplx>(items[i].out, n), *s.st);
+        combine(s.a_fft, d_fft, std::span<cplx>(items[i].out, n), *s.st);
     }
 }
 
@@ -612,14 +614,7 @@ void wavelet_fft::forward_batched_planes(std::span<const batch_io> items,
             // stats (exact for any input under a static schedule) per
             // item, exactly what the sequential transform would have
             // recorded.
-            exec_stats* st = it.stats != nullptr ? it.stats : &sink;
-            counting::count_scope scope(st->ops);
-            counting::add_to_active(probe_stats_.ops);
-            st->terms_total += probe_stats_.terms_total;
-            st->terms_pruned_factor += probe_stats_.terms_pruned_factor;
-            st->terms_pruned_data += probe_stats_.terms_pruned_data;
-            st->terms_structural_zero += probe_stats_.terms_structural_zero;
-            st->band_dropped = probe_stats_.band_dropped || st->band_dropped;
+            attribute_probe(it.stats != nullptr ? *it.stats : sink);
         }
         base += nl;
     }
@@ -691,17 +686,17 @@ void wavelet_fft::combine_planes(const cplx* a_fft, const cplx* d_fft,
             const cplx vd =
                 d_fft != nullptr ? d_fft[m * nl + l] : cplx{0.0, 0.0};
             const cplx ta =
-                ua ? apply_factor_uncounted(eff_a_[m], va, free_a_[m])
+                ua ? apply_factor(eff_a_[m], va, free_a_[m])
                    : cplx{0.0, 0.0};
             const cplx tb =
-                ub ? apply_factor_uncounted(eff_b_[m], vd, free_b_[m])
+                ub ? apply_factor(eff_b_[m], vd, free_b_[m])
                    : cplx{0.0, 0.0};
             out[m * nl + l] = ua && ub ? ta + tb : (ua ? ta : tb);
             const cplx tc =
-                uc ? apply_factor_uncounted(eff_c_[m], va, free_c_[m])
+                uc ? apply_factor(eff_c_[m], va, free_c_[m])
                    : cplx{0.0, 0.0};
             const cplx td =
-                ud ? apply_factor_uncounted(eff_d_[m], vd, free_d_[m])
+                ud ? apply_factor(eff_d_[m], vd, free_d_[m])
                    : cplx{0.0, 0.0};
             out[(m + half) * nl + l] = uc && ud ? tc + td : (uc ? tc : td);
         }
@@ -738,7 +733,9 @@ wavelet_fft::subband_spectra wavelet_fft::analyze(std::span<const cplx> in) cons
     // Exact analysis: normalized DWT regardless of folding, so statistics
     // are comparable across bases.
     wavelet::dwt_level(in, plan_.basis, a, d);
-    dsp::fft_split_radix sub(half);
+    std::optional<dsp::fft_split_radix> own;
+    const dsp::fft_split_radix& sub =
+        sub_split_radix_ != nullptr ? *sub_split_radix_ : own.emplace(half);
     s.a_fft = sub.forward_copy(a);
     s.d_fft = sub.forward_copy(d);
     real acc = 0.0;

@@ -15,7 +15,9 @@
 //
 // Every arithmetic operation executed is recorded into the active
 // counting scope, so complexity tables (Fig. 5) and the energy model
-// (Fig. 9) are measured, not estimated.
+// (Fig. 9) are measured, not estimated.  forward() is the counted walk;
+// forward_batched() attributes the tally a counted dry run memoized at
+// construction whenever the plan's schedule is input-independent.
 #pragma once
 
 #include <memory>
@@ -93,13 +95,14 @@ public:
     /// Forward-transform every item with transforms interleaved one per
     /// SIMD lane.  single_level trees batch the two half-size sub-FFTs
     /// through fft_split_radix::forward_batched while the DWT stage, the
-    /// per-window band decision and the combine run per item with the
-    /// sequential code; static-schedule recursive trees run the entire
-    /// multi-level recursion -- every DWT stage, leaf DFT and diagonal
-    /// combine -- elementwise over lane-interleaved planes.  Both walks
-    /// execute the scalar operation sequence per lane, so outputs,
-    /// exec_stats and operation counts are bit-identical to calling
-    /// forward() per item in order.
+    /// per-window band decision and the combine run per item (uncounted,
+    /// with the memoized stats attributed per item, unless dynamic
+    /// pruning makes the tally data-dependent); static-schedule recursive
+    /// trees run the entire multi-level recursion -- every DWT stage,
+    /// leaf DFT and diagonal combine -- elementwise over lane-interleaved
+    /// planes.  Both walks execute the scalar operation sequence per lane,
+    /// so outputs, exec_stats and operation counts are bit-identical to
+    /// calling forward() per item in order.
     void forward_batched(std::span<const batch_io> items,
                          util::arena& scratch) const;
 
@@ -117,6 +120,14 @@ public:
 private:
     void forward_impl(std::span<const cplx> in, std::span<cplx> out,
                       exec_stats& stats, util::arena& scratch) const;
+    /// Stage 1: the DWT split into a (and d, drawn from scratch unless a
+    /// static band drop skips the highpass half) plus the band decision.
+    /// Returns whether the highpass band is dropped.
+    bool split(std::span<const cplx> in, std::span<cplx> a,
+               std::span<cplx>& d, util::arena& scratch) const;
+    /// Attribute probe_stats_ to one item: its pruning statistics, and its
+    /// ops into st.ops and every scope active at the call.
+    void attribute_probe(exec_stats& st) const;
     void forward_batched_planes(std::span<const batch_io> items,
                                 util::arena& scratch) const;
     void forward_planes(const cplx* x, cplx* out, std::size_t nl,
@@ -145,9 +156,12 @@ private:
     std::unique_ptr<wavelet_fft> sub_d_;  // recursive highpass child (exact)
 
     bool static_schedule_ = false;
-    /// Exact per-transform stats of a static-schedule tree (memoized by a
-    /// dry run at construction; input-independent by definition).  The
-    /// lane walk attributes this per item instead of counting live.
+    /// True when the per-transform stats are input-independent: static
+    /// schedules and single_level trees without dynamic pruning.
+    bool static_tally_ = false;
+    /// Exact per-transform stats of a static_tally_ tree (memoized by a
+    /// counted dry run at construction).  forward_batched attributes this
+    /// per item instead of counting live.
     exec_stats probe_stats_;
 };
 

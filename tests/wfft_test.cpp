@@ -225,10 +225,55 @@ TEST(WfftTest, WfftOpCountVsSplitRadixAt512) {
 
 namespace {
 
-/// forward_batched against per-item forward(): outputs, op counts and
-/// exec_stats must match bit for bit (the lane walk executes the scalar
-/// operation sequence per lane and attributes the memoized static-
-/// schedule tally per item).
+/// `count` random items through per-item forward() and through one
+/// forward_batched call, each under an enclosing count_scope: outputs
+/// must match bit for bit, and so must every exec_stats field and the
+/// enclosing tally.
+void expect_batch_matches_forward(const qf::wavelet_fft& fft, bool real_in,
+                                  std::size_t count, qpsa::util::rng& r) {
+    const std::size_t n = fft.size();
+    std::vector<std::vector<cplx>> ins(count), seq(count), bat(count);
+    std::vector<qf::exec_stats> st_seq(count), st_bat(count);
+    for (auto& v : ins) {
+        v.resize(n);
+        for (auto& c : v)
+            c = cplx{r.uniform(-1.0, 1.0), real_in ? 0.0 : r.uniform(-1.0, 1.0)};
+    }
+    qc::op_counts outer_seq, outer_bat;
+    {
+        qc::count_scope scope(outer_seq);
+        for (std::size_t i = 0; i < count; ++i) {
+            seq[i].resize(n);
+            fft.forward(ins[i], seq[i], &st_seq[i]);
+        }
+    }
+    std::vector<qf::wavelet_fft::batch_io> ios;
+    for (std::size_t i = 0; i < count; ++i) {
+        bat[i].resize(n);
+        ios.push_back({ins[i].data(), bat[i].data(), &st_bat[i]});
+    }
+    {
+        qc::count_scope scope(outer_bat);
+        qpsa::util::arena scratch;
+        fft.forward_batched(ios, scratch);
+    }
+    EXPECT_EQ(outer_seq, outer_bat) << "n=" << n << " count=" << count;
+    for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(std::memcmp(seq[i].data(), bat[i].data(), n * sizeof(cplx)), 0)
+            << "n=" << n << " count=" << count << " item=" << i;
+        EXPECT_EQ(st_seq[i].ops, st_bat[i].ops) << "count=" << count << " item=" << i;
+        EXPECT_EQ(st_seq[i].terms_total, st_bat[i].terms_total);
+        EXPECT_EQ(st_seq[i].terms_pruned_factor, st_bat[i].terms_pruned_factor);
+        EXPECT_EQ(st_seq[i].terms_pruned_data, st_bat[i].terms_pruned_data);
+        EXPECT_EQ(st_seq[i].terms_structural_zero,
+                  st_bat[i].terms_structural_zero);
+        EXPECT_EQ(st_seq[i].band_dropped, st_bat[i].band_dropped);
+    }
+}
+
+/// forward_batched against per-item forward() for static-schedule
+/// recursive trees (the lane walk executes the scalar operation sequence
+/// per lane and attributes the memoized static-schedule tally per item).
 void expect_batched_identical(const qf::plan& base, bool real_in) {
     qf::plan p = base;
     p.assume_real_input = real_in;
@@ -237,42 +282,23 @@ void expect_batched_identical(const qf::plan& base, bool real_in) {
     ASSERT_TRUE(fft.lane_batchable());
     qpsa::util::rng r(97 + p.n + (real_in ? 1 : 0));
     // Counts around the lane width: pairs, exact multiples, ragged tails.
-    for (const std::size_t count : {2u, 3u, 4u, 5u, 9u}) {
-        std::vector<std::vector<cplx>> ins(count), seq(count), bat(count);
-        std::vector<qf::exec_stats> st_seq(count), st_bat(count);
-        for (auto& v : ins) {
-            v.resize(p.n);
-            for (auto& c : v)
-                c = cplx{r.uniform(-1.0, 1.0),
-                         real_in ? 0.0 : r.uniform(-1.0, 1.0)};
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            seq[i].resize(p.n);
-            bat[i].resize(p.n);
-            fft.forward(ins[i], seq[i], &st_seq[i]);
-        }
-        std::vector<qf::wavelet_fft::batch_io> ios;
-        for (std::size_t i = 0; i < count; ++i)
-            ios.push_back({ins[i].data(), bat[i].data(), &st_bat[i]});
-        qpsa::util::arena scratch;
-        fft.forward_batched(ios, scratch);
-        for (std::size_t i = 0; i < count; ++i) {
-            EXPECT_EQ(std::memcmp(seq[i].data(), bat[i].data(),
-                                  p.n * sizeof(cplx)),
-                      0)
-                << "n=" << p.n << " count=" << count << " item=" << i;
-            EXPECT_EQ(st_seq[i].ops, st_bat[i].ops)
-                << "count=" << count << " item=" << i;
-            EXPECT_EQ(st_seq[i].terms_total, st_bat[i].terms_total);
-            EXPECT_EQ(st_seq[i].terms_pruned_factor,
-                      st_bat[i].terms_pruned_factor);
-            EXPECT_EQ(st_seq[i].terms_pruned_data,
-                      st_bat[i].terms_pruned_data);
-            EXPECT_EQ(st_seq[i].terms_structural_zero,
-                      st_bat[i].terms_structural_zero);
-            EXPECT_EQ(st_seq[i].band_dropped, st_bat[i].band_dropped);
-        }
-    }
+    for (const std::size_t count : {2u, 3u, 4u, 5u, 9u})
+        expect_batch_matches_forward(fft, real_in, count, r);
+}
+
+/// The same oracle for single_level trees: static plans run the DWT and
+/// the combine uncounted and attribute the memoized per-transform stats;
+/// dynamic plans keep counting live.  A lone item takes the batched path
+/// too.
+void expect_single_level_batched_identical(const qf::plan& base, bool real_in) {
+    qf::plan p = base;
+    p.assume_real_input = real_in;
+    ASSERT_EQ(p.tree, qf::tree_mode::single_level);
+    const qf::wavelet_fft fft(p);
+    ASSERT_TRUE(fft.lane_batchable());
+    qpsa::util::rng r(131 + p.n + (real_in ? 1 : 0));
+    for (const std::size_t count : {1u, 2u, 3u, 5u, 9u})
+        expect_batch_matches_forward(fft, real_in, count, r);
 }
 
 }  // namespace
@@ -294,6 +320,46 @@ TEST(WfftRecursiveLaneTest, BatchedWalkBitIdenticalToSequential) {
     expect_batched_identical(
         qf::plan::band_dropped(256, qw::basis::haar, tree_mode::recursive),
         true);
+}
+
+TEST(WfftSingleLevelLaneTest, BatchedMatchesSequentialForEveryPlan) {
+    using qf::twiddle_set;
+    for (const bool real_in : {true, false}) {
+        SCOPED_TRACE(real_in ? "real input" : "complex input");
+        for (const std::size_t n : {16u, 128u, 512u})
+            expect_single_level_batched_identical(
+                qf::plan::exact(n, qw::basis::haar), real_in);
+        for (const twiddle_set set :
+             {twiddle_set::set1, twiddle_set::set2, twiddle_set::set3})
+            expect_single_level_batched_identical(
+                qf::plan::static_pruned(512, qw::basis::haar, set), real_in);
+        expect_single_level_batched_identical(
+            qf::plan::band_dropped(512, qw::basis::haar), real_in);
+        expect_single_level_batched_identical(
+            qf::plan::exact(128, qw::basis::db2), real_in);
+    }
+}
+
+TEST(WfftSingleLevelLaneTest, DynamicPlanMatchesWhileCountingLive) {
+    // Run-time term and band decisions: the batched path counts them live
+    // per item, so the comparisons the tally records must show up.
+    const qf::plan dyn = qf::plan::dynamic_pruned(
+        256, qw::basis::haar, qf::twiddle_set::set2, /*data_thr=*/4.0,
+        /*band_thr=*/0.05);
+    for (const bool real_in : {true, false})
+        expect_single_level_batched_identical(dyn, real_in);
+
+    qf::plan p = dyn;
+    p.assume_real_input = true;
+    const qf::wavelet_fft fft(p);
+    std::vector<cplx> in = random_signal(p.n, 5);
+    for (auto& c : in) c = cplx{c.real(), 0.0};
+    std::vector<cplx> out(p.n);
+    qf::exec_stats st;
+    const qf::wavelet_fft::batch_io io{in.data(), out.data(), &st};
+    qpsa::util::arena scratch;
+    fft.forward_batched({&io, 1}, scratch);
+    EXPECT_GT(st.ops.cmps, 0u);
 }
 
 TEST(WfftRecursiveLaneTest, StaticScheduleGate) {
