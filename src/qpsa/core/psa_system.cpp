@@ -200,11 +200,8 @@ std::shared_ptr<const lomb::fft_engine> psa_system::build_engine(
     return engine_registry::instance().build(cfg);
 }
 
-psa_system::psa_system(psa_config cfg) : cfg_(std::move(cfg)) {
-    cfg_.validate();
-    cfg_.spec = cfg_.normalized_spec();
-    engine_ = build_engine(cfg_);
-}
+psa_system::psa_system(psa_config cfg)
+    : psa_system(cfg, build_engine(cfg)) {}
 
 psa_system::psa_system(psa_config cfg,
                        std::shared_ptr<const lomb::fft_engine> engine)
@@ -213,6 +210,8 @@ psa_system::psa_system(psa_config cfg,
     QPSA_EXPECTS(engine_ != nullptr);
     QPSA_EXPECTS(engine_->size() == cfg_.lomb.mesh_size);
     cfg_.spec = cfg_.normalized_spec();
+    key_ = cfg_.engine_key();
+    key_hash_ = engine_key_hash{}(key_);
 }
 
 record_analysis psa_system::analyze_record(std::span<const real> beat_times,

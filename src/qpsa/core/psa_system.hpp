@@ -50,6 +50,11 @@ public:
         const psa_config& cfg);
 
     const psa_config& config() const noexcept { return cfg_; }
+    /// config().engine_key() and its hash, computed once at construction:
+    /// the scheduler's engine grouping and the per-worker workspace lookup
+    /// read them per window.
+    const core::engine_key& engine_key() const noexcept { return key_; }
+    std::size_t engine_hash() const noexcept { return key_hash_; }
     const lomb::fft_engine& engine() const noexcept { return *engine_; }
     /// The engine as a shareable handle (aliasable by other systems).
     std::shared_ptr<const lomb::fft_engine> shared_engine() const noexcept {
@@ -89,6 +94,8 @@ public:
 private:
     psa_config cfg_;
     std::shared_ptr<const lomb::fft_engine> engine_;
+    core::engine_key key_;
+    std::size_t key_hash_ = 0;
 };
 
 }  // namespace qpsa::core

@@ -51,7 +51,8 @@ void streaming_monitor::push_beat(real beat_time_s, real rr_s) {
 
 lomb::workspace& streaming_monitor::window_workspace() {
     if (scratch_cache_ != nullptr)
-        return scratch_cache_->get(system_->config().engine_key());
+        return scratch_cache_->get(system_->engine_key(),
+                                   system_->engine_hash());
     return own_workspace_;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <optional>
 
 #include "qpsa/core/psa_system.hpp"
@@ -109,6 +110,15 @@ public:
     /// (false = the window failed its data contracts and is skipped).
     /// Resumes window closing.
     void finish_staged(bool ok);
+
+    /// End of the next window to close: a pushed beat stages (or, with
+    /// staging off, analyzes) a window iff it is accepted and its time is
+    /// >= this value, so a beat strictly before it only buffers.  +inf
+    /// before the first beat, whose time sets the window phase.
+    real next_window_end() const noexcept {
+        return started_ ? next_window_start_ + opt_.window_seconds
+                        : std::numeric_limits<real>::infinity();
+    }
 
     /// Next completed window report, if any.
     std::optional<window_report> poll();

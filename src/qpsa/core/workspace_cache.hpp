@@ -14,7 +14,7 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "qpsa/core/engine_spec.hpp"
 #include "qpsa/lomb/workspace.hpp"
@@ -24,21 +24,27 @@ namespace qpsa::core {
 class workspace_cache {
 public:
     /// The workspace for an engine identity (created and pre-sized from
-    /// the key's mesh on first use; stable address thereafter).
-    lomb::workspace& get(const engine_key& key) {
-        auto it = map_.find(key);
-        if (it == map_.end())
-            it = map_.emplace(key, std::make_unique<lomb::workspace>(key.mesh))
-                     .first;
-        return *it->second;
+    /// the key's mesh on first use; stable address thereafter).  `hash`
+    /// is engine_key_hash{}(key), which psa_system caches, so a lookup
+    /// is a short scan comparing precomputed hashes -- a worker holds one
+    /// entry per engine shape it has drained, a handful in practice.
+    lomb::workspace& get(const engine_key& key, std::size_t hash) {
+        for (const entry& e : entries_)
+            if (e.hash == hash && e.key == key) return *e.ws;
+        entries_.push_back(
+            {hash, key, std::make_unique<lomb::workspace>(key.mesh)});
+        return *entries_.back().ws;
     }
 
-    std::size_t size() const noexcept { return map_.size(); }
+    std::size_t size() const noexcept { return entries_.size(); }
 
 private:
-    std::unordered_map<engine_key, std::unique_ptr<lomb::workspace>,
-                       engine_key_hash>
-        map_;
+    struct entry {
+        std::size_t hash;
+        engine_key key;
+        std::unique_ptr<lomb::workspace> ws;
+    };
+    std::vector<entry> entries_;
 };
 
 }  // namespace qpsa::core

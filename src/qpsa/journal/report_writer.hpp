@@ -1,10 +1,18 @@
 // Durable append-only journal writer (one per shard).
 //
-// The writer is the fleet's `on_report` sink: sessions append beats and
-// window reports from whichever worker drains them, fleet_stats appends
-// each merged batch partial, and everything lands in one file through an
-// arena-backed staging buffer -- the hot path copies a few dozen bytes
-// under a short mutex and never touches the heap.  Staged bytes are
+// The writer is the fleet's `on_report` sink, fed from three places per
+// scheduler pass:
+//   * the pump caller appends ONE append_beats block holding every beat
+//     it absorbed this pass (sessions with nothing to close; see
+//     batch_scheduler.hpp), committed before the pass returns;
+//   * each drained session appends its staged beats, then its window
+//     report, from whichever worker drains it -- the stage is flushed
+//     before every report and when the session runs dry, so a session's
+//     beats always precede the reports they produced;
+//   * fleet_stats appends each merged batch partial at the pass barrier.
+// Everything lands in one file through an arena-backed staging buffer --
+// the hot path copies a few dozen bytes under a short mutex and never
+// touches the heap.  Staged bytes are
 // written when the buffer fills and fsync'd on a byte cadence, so
 // durability is batched the same way the scheduler batches windows:
 // a crash loses at most the unsynced suffix, never the file's integrity
@@ -65,11 +73,12 @@ public:
 
     void append_session_meta(const session_meta& meta);
     void append_beat(std::uint64_t session_id, real beat_time_s, real rr_s);
-    /// Append a run of beats under one mutex acquisition.  The drain loop
-    /// stages popped beats per session and flushes them here (and before
-    /// any report record, so a session's beats always precede the reports
-    /// they produced) -- per-beat locking is what the 512-patient bench
-    /// cannot afford.
+    /// Append a run of beats, framed outside the mutex and staged in
+    /// blocks of up to 256 records per mutex acquisition.  The scheduler
+    /// commits each pass's absorbed beats here in one call, and drained
+    /// sessions flush their per-session stages here (before any report
+    /// record, so a session's beats always precede the reports they
+    /// produced) -- per-beat locking is what a live fleet cannot afford.
     void append_beats(std::span<const beat_event> beats);
     void append_report(const report_event& ev);
     /// Append one migration record (session_manager logs an "out" on

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "qpsa/core/engine_spec.hpp"
 #include "qpsa/core/workspace_cache.hpp"
+#include "qpsa/journal/report_writer.hpp"
 #include "qpsa/simd/kernels.hpp"
 
 namespace qpsa::service {
@@ -29,11 +29,18 @@ batch_scheduler::batch_scheduler(thread_pool& pool, scheduler_options opt)
 std::size_t batch_scheduler::run_once(
     std::span<const std::unique_ptr<session>> sessions, fleet_stats& fleet) {
     ready_.clear();
-    for (const auto& s : sessions)
-        if (s->has_pending())
-            ready_.push_back(
-                {core::engine_key_hash{}(s->config().engine_key()), s.get()});
-    if (ready_.empty()) return 0;
+    absorb_.clear();
+    for (const auto& s : sessions) {
+        if (!s->has_pending()) continue;
+        if (s->due())
+            ready_.push_back({s->staged_system()->engine_hash(), s.get()});
+        else
+            absorb_.push_back(s.get());
+    }
+    if (ready_.empty()) {
+        absorb_pending();
+        return 0;
+    }
 
     // Plan locality: cluster same-engine sessions so each unit (and each
     // worker's run of units) hammers one engine shape.  stable_sort
@@ -76,6 +83,9 @@ std::size_t batch_scheduler::run_once(
             static_cast<std::uint32_t>(units_.size() * (w + 1) / workers));
 
     pool_.submit_per_worker([this](std::size_t w) { run_worker(w); });
+    // Overlap: the caller absorbs the non-due sessions while the workers
+    // drain the due ones (disjoint session sets).
+    absorb_pending();
     pool_.wait_idle();
 
     // Deterministic pass-end merge: unit index order == session-id order
@@ -89,6 +99,26 @@ std::size_t batch_scheduler::run_once(
         windows += u.windows;
     }
     return windows;
+}
+
+void batch_scheduler::absorb_pending() {
+    // Group commit: the absorbed beats of the whole pass go to the journal
+    // as one append_beats block (per journal; every session of a manager
+    // shares one), committed before the pass returns -- so they precede
+    // any report a later pass closes with them.
+    journal::report_writer* journal = nullptr;
+    const auto commit = [&] {
+        if (!block_.empty()) journal->append_beats(block_);
+        block_.clear();
+    };
+    for (session* s : absorb_) {
+        if (s->journal() != journal) {
+            commit();
+            journal = s->journal();
+        }
+        s->absorb(block_);
+    }
+    commit();
 }
 
 void batch_scheduler::run_worker(std::size_t self) {
@@ -189,7 +219,7 @@ std::size_t batch_scheduler::drain_lockstep(
             core::workspace_cache* wc = thread_pool::current_workspace_cache();
             lomb::workspace& ws =
                 (wc != nullptr ? *wc : fallback_cache)
-                    .get(sys->config().engine_key());
+                    .get(sys->engine_key(), sys->engine_hash());
             sys->analyze_window_batched(jobs, ws);
             for (std::size_t g = 0; g < group.size(); ++g)
                 group[g]->finish_staged(jobs[g].ok);

@@ -1,9 +1,13 @@
 // Batch scheduler: drains ready sessions across the fleet.
 //
 // A pass runs one pipeline:
-//   1. scan the fleet for sessions with buffered ingest;
-//   2. order the ready set by engine identity and cut it into engine-pure
-//      drain units (a unit never spans two engine keys);
+//   1. scan the fleet for sessions with buffered ingest and split them by
+//      session::due(): a session is *due* when the newest beat its
+//      producer pushed reaches its monitor's next window end, i.e. when
+//      draining it may close a window;
+//   2. order the due sessions by engine identity (the key hash each
+//      psa_system caches) and cut them into engine-pure drain units (a
+//      unit never spans two engine keys);
 //   3. deal the units contiguously to per-worker deques (work_deque.hpp);
 //      a worker drains its own range in index order and steals from the
 //      back of a neighbour's range when it runs dry, so one slow
@@ -13,7 +17,19 @@
 //      group through psa_system::analyze_window_batched (same-plan mesh
 //      FFTs interleaved one per SIMD lane), finish the windows, repeat
 //      until every session of the unit is dry;
-//   5. merge the per-unit fleet_partial accumulators at the pass barrier.
+//   5. meanwhile, on the calling thread, *absorb* every pending session
+//      that is not due: session::absorb moves its beats that lie before
+//      the next window end into the monitor.  Those beats only buffer,
+//      so an absorb closes no window and the drain in step 4 stays the
+//      only analysis path.  The caller gathers the absorbed beats' journal
+//      records into one append_beats block per pass (group commit);
+//   6. merge the per-unit fleet_partial accumulators at the pass barrier
+//      (a pass with nothing due merges nothing).
+//
+// Absorbing overlaps the drain instead of preceding it: on a trickle-fed
+// fleet most pending sessions carry a beat or two that close nothing,
+// and visiting them on the workers (or in a serial prologue) costs more
+// than the windows themselves.
 //
 // A session is always drained whole by a single worker, so its windows
 // complete in beat order and its monitor is never touched by two threads;
@@ -30,7 +46,10 @@
 // any worker count and any steal interleaving.  (windows_stolen is the one
 // exception by design: it counts scheduling events, not analysis results.
 // It still travels in the journaled partials -- a rebuild reproduces the
-// recorded value -- but cross-run comparisons must normalize it.)
+// recorded value -- but cross-run comparisons must normalize it.)  The
+// due/absorb split never changes a result: which beats a pass absorbs
+// depends on the pump cadence, but a beat reaches its monitor in ring
+// order either way and closes the same windows.
 #pragma once
 
 #include <cstddef>
@@ -63,10 +82,11 @@ class batch_scheduler {
 public:
     batch_scheduler(thread_pool& pool, scheduler_options opt = {});
 
-    /// One pass: dispatch every session with pending ingest, wait for the
-    /// pass barrier, return the number of windows completed fleet-wide.
-    /// Callers serialize passes (session_manager::pump_mu_), so the pass
-    /// scratch below is reused without locking.
+    /// One pass: dispatch every due session, absorb every other session
+    /// with pending ingest, wait for the pass barrier, return the number
+    /// of windows completed fleet-wide.  Callers serialize passes
+    /// (session_manager::pump_mu_), so the pass scratch below is reused
+    /// without locking.
     std::size_t run_once(std::span<const std::unique_ptr<session>> sessions,
                          fleet_stats& fleet);
 
@@ -86,6 +106,8 @@ private:
         fleet_partial partial;  ///< results + scheduler telemetry columns
     };
 
+    /// Step 5 above, on the calling thread.
+    void absorb_pending();
     void run_worker(std::size_t self);
     void run_unit(drain_unit& unit, bool stolen);
 
@@ -98,6 +120,8 @@ private:
     thread_pool& pool_;
     scheduler_options opt_;
     std::vector<ready_entry> ready_;  ///< pass scratch, capacity reused
+    std::vector<session*> absorb_;    ///< pending, not due (pass scratch)
+    std::vector<journal::beat_event> block_;  ///< absorbed beats' records
     std::vector<drain_unit> units_;   ///< pass scratch, capacity reused
     std::vector<work_deque> deques_;  ///< one per pool worker
 };

@@ -74,7 +74,10 @@ session::session(std::uint64_t id, session_config cfg,
     // Buffered beats re-enter through the ring so the next drain pass
     // replays them in order.  They fit by construction: the same-capacity
     // ring on the old shard held them.
-    for (const beat_sample& s : st.ring) ring_.push(s);
+    for (const beat_sample& s : st.ring) {
+        ring_.push(s);
+        note_newest(s.t);
+    }
     beats_ingested_ = st.beats_ingested;
     beats_rejected_.store(st.beats_rejected, std::memory_order_relaxed);
     windows_ = st.windows_completed;
@@ -183,12 +186,26 @@ session::pump_status session::pump_to_stage(fleet_partial& acc,
         completed += collect_windows(acc);
     }
     if (cfg_.journal != nullptr) flush_journal_stage();
-    // Re-arm the backpressure alarm once the drain has brought occupancy
-    // back below the mark (here: the ring is empty, the loop's exit
-    // condition, so any configured mark is satisfied).
+    rearm_high_water();
+    return pump_status::idle;
+}
+
+void session::absorb(std::vector<journal::beat_event>& block) {
+    QPSA_EXPECTS(!monitor_.has_staged());
+    // Re-read the end per beat: the first beat of an unstarted monitor
+    // sets the window phase (the end is +inf until then).
+    beat_sample s;
+    while (ring_.pop_before(monitor_.next_window_end(), s)) {
+        // Journaled before the monitor sees it, as in push_beat.
+        if (cfg_.journal != nullptr) block.push_back({journal_id_, s.t, s.rr});
+        feed_monitor(s);
+    }
+    rearm_high_water();
+}
+
+void session::rearm_high_water() noexcept {
     if (high_water_mark_ != 0 && ring_.size() < high_water_mark_)
         high_water_armed_.store(true, std::memory_order_release);
-    return pump_status::idle;
 }
 
 void session::push_beat(const beat_sample& s) {
@@ -201,6 +218,10 @@ void session::push_beat(const beat_sample& s) {
         journal_stage_.push_back({journal_id_, s.t, s.rr});
         if (journal_stage_.size() >= journal_stage_cap) flush_journal_stage();
     }
+    feed_monitor(s);
+}
+
+void session::feed_monitor(const beat_sample& s) {
     try {
         monitor_.push_beat(s.t, s.rr);
         ++beats_ingested_;

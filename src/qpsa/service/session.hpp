@@ -4,17 +4,18 @@
 // over shared cached engines), their simulated node battery and their QDES
 // governor (the paper's Fig. 2 loop, closed at run time).  Threading
 // contract: the ingest edge (one producer thread) calls ingest();
-// everything else -- the pump_to_stage / finish_staged drain, mode
-// changes, accessors below -- runs on at most one scheduler worker at a
-// time (the batch scheduler never assigns a session to two workers
-// concurrently).  The quality/battery columns read by fleet snapshots are
-// atomics, so session_manager::fleet() may run concurrently with a
-// draining worker.
+// everything else -- the pump_to_stage / finish_staged drain, absorb(),
+// mode changes, accessors below -- runs on at most one scheduler thread
+// at a time (a pass either hands a session to one pool worker or absorbs
+// it on the pump caller, never both).  The quality/battery columns read
+// by fleet snapshots are atomics, so session_manager::fleet() may run
+// concurrently with a draining worker.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,6 +140,7 @@ public:
         // producer is quiesced before extraction; this is the backstop.)
         if (extracted_.load(std::memory_order_relaxed)) return false;
         const bool accepted = ring_.push({beat_time_s, rr_s});
+        if (accepted) note_newest(beat_time_s);
         if (high_water_mark_ != 0) notify_high_water();
         return accepted;
     }
@@ -170,19 +172,31 @@ public:
     /// adopting manager together with the extracted state).
     const session_config& session_cfg() const noexcept { return cfg_; }
 
-    // ---- drain (the scheduler's side) -------------------------------
+    // ---- drain and absorb (the scheduler's side) ---------------------
     //
-    // The scheduler pumps each session of a drain unit until it *stages*
-    // a cut window, groups staged windows by analysis system, runs each
-    // group through psa_system::analyze_window_batched (mesh FFTs
-    // interleaved one per SIMD lane), then finishes every staged window
-    // and pumps again.  Beats reach the monitor one at a time and every
-    // window is analyzed before the next beat of its session lands, so
-    // per-session results -- reports, governor schedule, journal order,
+    // Each pass splits the sessions with buffered ingest by due():
+    //
+    //   * a *due* session may close a window, so a pool worker drains it:
+    //     the scheduler pumps each session of a drain unit until it
+    //     *stages* a cut window, groups staged windows by analysis system,
+    //     runs each group through psa_system::analyze_window_batched (mesh
+    //     FFTs interleaved one per SIMD lane), then finishes every staged
+    //     window and pumps again until the ring is dry.  This is the only
+    //     path that analyzes windows; completed windows are folded into
+    //     the caller's fleet_partial (and the local report log when
+    //     keep_reports), with the battery drained and the governor run at
+    //     every window boundary;
+    //   * every other session is *absorbed* on the pump caller while the
+    //     workers drain: absorb() moves the beats that lie before the
+    //     monitor's next window end into the monitor.  Such a beat only
+    //     buffers, so an absorb never closes a window, runs no analysis,
+    //     governor or battery step and adds nothing to the fleet stats.
+    //
+    // Either way beats reach the monitor one at a time in ring order and
+    // every window is analyzed before the next beat of its session lands,
+    // so per-session results -- reports, governor schedule, journal order,
     // battery trace -- are a pure function of the beat stream, whatever
-    // the grouping.  Completed windows are folded into the caller's
-    // fleet_partial (and the local report log when keep_reports), with
-    // the battery drained and the governor run at every window boundary.
+    // the split or the grouping.
 
     enum class pump_status {
         staged,  ///< a window is cut and awaiting analysis
@@ -193,6 +207,28 @@ public:
     /// report collection after previously finished windows.  Scheduler-
     /// thread only.
     pump_status pump_to_stage(fleet_partial& acc, std::size_t& completed);
+
+    /// The newest beat time the producer has pushed has reached the
+    /// monitor's next window end, so draining may close a window.  Exact
+    /// in the direction that matters: when a session is not due, every
+    /// beat it buffered before the test lies before that end.  (A due
+    /// session may still close nothing, e.g. when that beat is malformed;
+    /// the drain handles it.)
+    bool due() const noexcept {
+        return newest_.load(std::memory_order_relaxed) >=
+               monitor_.next_window_end();
+    }
+
+    /// Move every buffered beat that lies before the monitor's next window
+    /// end into the monitor (see the section comment).  The journal
+    /// records of the moved beats are appended to `block` instead of the
+    /// session's own stage; the caller commits the block to journal()
+    /// before the pass ends.  Runs on the pump caller, never concurrently
+    /// with a drain of this session.
+    void absorb(std::vector<journal::beat_event>& block);
+
+    /// The journal this session writes to (nullptr when not journaling).
+    journal::report_writer* journal() const noexcept { return cfg_.journal; }
 
     bool has_staged_window() const noexcept { return monitor_.has_staged(); }
     /// The staged window as a batchable job (valid until finish_staged).
@@ -271,13 +307,23 @@ private:
     /// and the stage is empty whenever the session is idle.
     void flush_journal_stage();
 
-    /// Journal-stage one popped beat and push it into the monitor;
-    /// malformed beats are counted and dropped.
+    /// Journal-stage one popped beat and feed it to the monitor.
     void push_beat(const beat_sample& s);
+    /// Push one beat into the monitor; malformed beats are counted and
+    /// dropped.
+    void feed_monitor(const beat_sample& s);
+
+    /// Producer side: raise the running maximum due() compares against.
+    void note_newest(real t) noexcept {
+        if (t > newest_.load(std::memory_order_relaxed))
+            newest_.store(t, std::memory_order_relaxed);
+    }
 
     /// Producer-side slow path of ingest(): fire the callback once per
-    /// crossing of the high-water mark (pump_to_stage re-arms below it).
+    /// crossing of the high-water mark (rearm_high_water re-arms below it).
     void notify_high_water() noexcept;
+    /// Consumer side: re-arm the alarm once occupancy is below the mark.
+    void rearm_high_water() noexcept;
 
     std::uint64_t id_;
     session_config cfg_;
@@ -294,9 +340,13 @@ private:
     /// Ring occupancy (in beats) at which the backpressure alarm fires;
     /// 0 when no callback is configured.
     std::size_t high_water_mark_ = 0;
-    /// Armed until the mark is crossed; pump_to_stage re-arms below it.
+    /// Armed until the mark is crossed; rearm_high_water re-arms below it.
     std::atomic<bool> high_water_armed_{true};
     std::atomic<std::uint64_t> high_water_alarms_{0};
+    /// Newest beat time ever pushed into the ring (producer-written).
+    /// Relaxed is enough: due() only picks the path, and absorb() checks
+    /// every beat it pops against the window end itself.
+    std::atomic<real> newest_{-std::numeric_limits<real>::infinity()};
     std::uint64_t beats_ingested_ = 0;
     std::atomic<std::uint64_t> beats_rejected_{0};
     std::uint64_t windows_ = 0;

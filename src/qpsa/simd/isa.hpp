@@ -3,7 +3,10 @@
 // The arithmetic core dispatches through a table of function pointers
 // (simd::kernels()) resolved once per process: the best instruction set
 // the CPU supports, overridable with the QPSA_FORCE_ISA environment
-// variable ("scalar", "sse2", "avx2", "neon").  Every vector kernel
+// variable ("scalar", "sse2", "avx2", "neon").  An empty value means
+// unset, and so does a name this build or CPU cannot run: both select
+// the auto-detected ISA (avx2, then neon, then sse2, else scalar).
+// Every vector kernel
 // preserves the scalar operation order per element -- no FMA contraction,
 // no reassociated horizontal sums -- so all ISA paths are bit-identical
 // to the scalar reference (CI runs the full suite under both).

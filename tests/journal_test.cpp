@@ -6,7 +6,9 @@
 // bench mix relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <unordered_map>
@@ -346,6 +348,114 @@ TEST(JournalRecoveryTest, SameSpecReplayIsBitIdentical) {
     EXPECT_GT(welch.reports_compared, 0u);
     EXPECT_FALSE(welch.all_identical);
     EXPECT_GT(welch.fleet.engine(qcore::engine_class::welch).windows, 0u);
+}
+
+namespace {
+
+/// Visit the records of a journal file in log order: (type, body) with
+/// the frame stripped.  The scanner groups records by kind; write-ahead
+/// checks need the interleaving.
+template <typename Fn>
+void walk_records(std::span<const std::uint8_t> bytes, Fn&& fn) {
+    const auto u32_at = [&](std::size_t off) {
+        std::uint32_t v = 0;
+        for (std::size_t i = 0; i < 4; ++i)
+            v |= static_cast<std::uint32_t>(bytes[off + i]) << (8 * i);
+        return v;
+    };
+    std::size_t off = qj::journal_header_bytes;
+    while (off + qj::journal_frame_bytes <= bytes.size()) {
+        const std::uint32_t len = u32_at(off);
+        const std::size_t payload = off + qj::journal_frame_bytes;
+        ASSERT_LE(payload + len, bytes.size());
+        fn(static_cast<qj::record_type>(bytes[payload]),
+           bytes.subspan(payload + 1, len - 1));
+        off = payload + len;
+    }
+}
+
+template <typename T>
+T field_at(std::span<const std::uint8_t> body, std::size_t off) {
+    T v;
+    std::memcpy(&v, body.data() + off, sizeof v);  // LE wire, LE host
+    return v;
+}
+
+}  // namespace
+
+TEST(JournalWriteAheadTest, TrickleFedShardsJournalBeatsBeforeReports) {
+    // Two journaled shards with two workers each, fed 1-3 beats per
+    // session per pump: most passes absorb on the pump caller and commit
+    // one beat block per shard, while the drained sessions flush their own
+    // stages before each report.  Either way a report record must follow
+    // the journaled beat that closed it (one at or past its t_end) and
+    // every beat it analyzed (at least `beats` journaled in [t_start,
+    // t_end) -- absorbed ones included), and the log must still rebuild
+    // the live snapshot bit for bit.
+    const fs::path dir = temp_dir("journal-write-ahead");
+    const journaled_fixture fx(10);
+    qs::router_options opt;
+    opt.shards = 2;
+    opt.shard.threads = 2;
+    opt.journal_dir = dir.string();
+    qs::plan_cache cache;
+    qs::shard_router router(opt, &cache);
+    for (unsigned i = 0; i < fx.records.size(); ++i)
+        router.add_session(fx.configs[i]);
+    std::vector<std::size_t> next(fx.records.size(), 0);
+    for (std::size_t step = 0;; ++step) {
+        bool remaining = false;
+        for (unsigned i = 0; i < fx.records.size(); ++i) {
+            const auto& rec = fx.records[i];
+            const std::size_t k = 1 + (step + i) % 3;
+            for (std::size_t j = 0; j < k && next[i] < rec.beats();
+                 ++j, ++next[i])
+                ASSERT_TRUE(router.ingest(i, rec.beat_time_s[next[i]],
+                                          rec.rr_s[next[i]]));
+            if (next[i] < rec.beats()) remaining = true;
+        }
+        router.pump();
+        if (!remaining) break;
+    }
+    router.drain_all();
+    router.close_journals();
+
+    const qs::fleet_snapshot live = router.fleet();
+    EXPECT_GT(live.windows, 0u);
+    EXPECT_EQ(qj::rebuild_fleet_snapshot(dir.string()), live);
+
+    std::uint64_t reports = 0, beats = 0;
+    for (const std::string& path : qj::journal_files(dir.string())) {
+        const std::vector<std::uint8_t> bytes = read_file(path);
+        std::unordered_map<std::uint64_t, std::vector<real>> logged;
+        walk_records(bytes, [&](qj::record_type type,
+                                std::span<const std::uint8_t> body) {
+            const auto sid = field_at<std::uint64_t>(body, 0);
+            if (type == qj::record_type::beat) {
+                ++beats;
+                logged[sid].push_back(field_at<real>(body, 8));
+            } else if (type == qj::record_type::report) {
+                ++reports;
+                const auto t_start = field_at<real>(body, 8);
+                const auto t_end = field_at<real>(body, 16);
+                const auto used = field_at<std::uint64_t>(body, 121);
+                const std::vector<real>& ts = logged[sid];
+                EXPECT_TRUE(std::any_of(ts.begin(), ts.end(),
+                                        [&](real t) { return t >= t_end; }))
+                    << "session " << sid << " window ending " << t_end;
+                EXPECT_GE(std::count_if(ts.begin(), ts.end(),
+                                        [&](real t) {
+                                            return t >= t_start && t < t_end;
+                                        }),
+                          static_cast<std::ptrdiff_t>(used))
+                    << "session " << sid << " window ending " << t_end;
+            }
+        });
+    }
+    EXPECT_EQ(reports, live.windows);
+    std::uint64_t delivered = 0;
+    for (const auto& rec : fx.records) delivered += rec.beats();
+    EXPECT_EQ(beats, delivered);
 }
 
 TEST(JournalRecoveryTest, TornTailToleratedAtEveryTruncationOffset) {

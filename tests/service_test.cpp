@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "qpsa/physio/patients.hpp"
@@ -132,6 +134,27 @@ TEST(BeatRingTest, FifoOrderAndOverflow) {
     }
     EXPECT_FALSE(ring.pop(s));
     EXPECT_TRUE(ring.empty());
+}
+
+TEST(BeatRingTest, PopBeforeStopsAtTheWindowEnd) {
+    qs::beat_ring ring(8);
+    for (const real t : {1.0, 2.0, std::numeric_limits<real>::quiet_NaN(),
+                         3.0, 5.0, 4.0})
+        ASSERT_TRUE(ring.push({t, 0.8}));
+    qs::beat_sample s;
+    ASSERT_TRUE(ring.pop_before(3.0, s));
+    EXPECT_EQ(s.t, 1.0);
+    ASSERT_TRUE(ring.pop_before(3.0, s));
+    EXPECT_EQ(s.t, 2.0);
+    ASSERT_TRUE(ring.pop_before(3.0, s));  // NaN never reaches an end
+    EXPECT_TRUE(std::isnan(s.t));
+    EXPECT_FALSE(ring.pop_before(3.0, s));  // 3.0 is not before 3.0
+    EXPECT_EQ(ring.size(), 3u);
+    ASSERT_TRUE(ring.pop_before(std::numeric_limits<real>::infinity(), s));
+    EXPECT_EQ(s.t, 3.0);
+    EXPECT_FALSE(ring.pop_before(4.5, s));  // FIFO: 5.0 blocks 4.0
+    ASSERT_TRUE(ring.pop(s));
+    EXPECT_EQ(s.t, 5.0);
 }
 
 TEST(BeatRingTest, SpscThreaded) {
@@ -1130,6 +1153,162 @@ TEST(FleetTest, ThirtyTwoSessionsConcurrentProducers) {
     // Two distinct configurations across 32 sessions.
     EXPECT_EQ(mgr.cache_stats().entries, 2u);
     EXPECT_GT(mgr.cache_stats().hit_rate(), 0.9);
+}
+
+// ------------------------------------------------- trickle cadence
+
+namespace {
+
+/// A patient's delivered beat stream with malformed beats mixed in: every
+/// 37th beat is followed by a non-monotonic one, every 53rd by one with a
+/// non-positive RR just after it (sometimes at or past a window end, so a
+/// due session may close nothing).
+std::vector<qs::beat_sample> hostile_stream(const qp::rr_record& rec) {
+    std::vector<qs::beat_sample> out;
+    for (std::size_t b = 0; b < rec.beats(); ++b) {
+        const real t = rec.beat_time_s[b];
+        out.push_back({t, rec.rr_s[b]});
+        if (b % 37 == 36) out.push_back({t - 0.25, 0.8});
+        if (b % 53 == 52) out.push_back({t + 0.01, b % 2 == 0 ? 0.0 : -0.5});
+    }
+    return out;
+}
+
+/// Serial reference over a delivered stream: a standalone monitor that
+/// drops malformed beats the way a session does.
+std::vector<qcore::window_report> serial_reports(
+    std::span<const qs::beat_sample> beats, qcore::psa_config cfg) {
+    qcore::streaming_monitor mon(std::move(cfg), paper_monitor());
+    std::vector<qcore::window_report> out;
+    for (const qs::beat_sample& b : beats) {
+        try {
+            mon.push_beat(b.t, b.rr);
+        } catch (const qpsa::contract_error&) {
+        }
+        while (auto rep = mon.poll()) out.push_back(*rep);
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(TrickleCadenceTest, OneToThreeBeatsPerPumpMatchSerialAtAnyWorkerCount) {
+    // The live cadence: every pump delivers only 1-3 beats per session,
+    // so nearly every pass absorbs most sessions on the caller and drains
+    // the few whose newest beat reached a window end.  Whatever the split,
+    // reports must equal a serial monitor over the delivered stream, every
+    // delivered beat must be ingested or rejected exactly once, and the
+    // fleet snapshot must not depend on the worker count.
+    constexpr unsigned n_sessions = 8;
+    constexpr std::size_t late_step = 150;  // the 9th session joins here
+    const std::vector<qcore::psa_config> configs = {
+        qcore::psa_config::conventional(),
+        qcore::psa_config::proposed(qf::plan::exact(512, qw::basis::haar)),
+    };
+    std::vector<std::vector<qs::beat_sample>> streams;
+    for (unsigned i = 0; i <= n_sessions; ++i)
+        streams.push_back(hostile_stream(qp::record_for(
+            qp::make_patient(i % 2 == 0 ? qp::cohort::sinus_arrhythmia
+                                        : qp::cohort::healthy,
+                             i),
+            420.0)));
+    const auto config_of = [&](unsigned i) { return configs[i % 2]; };
+
+    const auto run_fleet = [&](std::size_t workers) {
+        qs::service_options opt;
+        opt.threads = workers;
+        opt.scheduler.batch_size = 2;
+        auto cache = std::make_unique<qs::plan_cache>();
+        auto mgr = std::make_unique<qs::session_manager>(opt, cache.get());
+        for (unsigned i = 0; i < n_sessions; ++i)
+            mgr->add_session(
+                patient_session(qp::cohort::healthy, i, config_of(i)));
+        std::vector<std::size_t> next(n_sessions + 1, 0);
+        std::size_t windows = 0;
+        bool remaining = true;
+        for (std::size_t step = 0; remaining; ++step) {
+            if (step == late_step)
+                mgr->add_session(patient_session(qp::cohort::healthy,
+                                                 n_sessions,
+                                                 config_of(n_sessions)));
+            remaining = false;
+            for (unsigned i = 0; i < mgr->session_count(); ++i) {
+                const std::size_t k = 1 + (step * 7 + i * 3) % 3;
+                for (std::size_t j = 0; j < k && next[i] < streams[i].size();
+                     ++j, ++next[i])
+                    EXPECT_TRUE(mgr->ingest(i, streams[i][next[i]].t,
+                                            streams[i][next[i]].rr));
+                if (next[i] < streams[i].size()) remaining = true;
+            }
+            windows += mgr->pump();
+        }
+        windows += mgr->drain_all();
+        EXPECT_EQ(windows, mgr->fleet().windows);
+        return std::pair{std::move(mgr), std::move(cache)};
+    };
+
+    const auto [serial, serial_cache] = run_fleet(1);
+    ASSERT_EQ(serial->session_count(), n_sessions + 1);
+    std::uint64_t rejected = 0;
+    for (unsigned i = 0; i <= n_sessions; ++i) {
+        const qs::session& s = serial->at(i);
+        EXPECT_EQ(s.beats_ingested() + s.beats_rejected(), streams[i].size())
+            << "session " << i;
+        EXPECT_FALSE(s.has_pending());
+        rejected += s.beats_rejected();
+        const auto want = serial_reports(streams[i], config_of(i));
+        EXPECT_GT(want.size(), 3u);
+        expect_reports_identical(s.reports(), want);
+    }
+    EXPECT_GT(rejected, 0u);
+
+    qs::fleet_snapshot want = serial->fleet();
+    want.windows_stolen = 0;
+    for (const std::size_t workers : {2u, 4u}) {
+        const auto [mgr, cache] = run_fleet(workers);
+        for (unsigned i = 0; i <= n_sessions; ++i)
+            expect_reports_identical(mgr->at(i).reports(),
+                                     serial->at(i).reports());
+        qs::fleet_snapshot snap = mgr->fleet();
+        snap.windows_stolen = 0;
+        EXPECT_EQ(snap, want) << "workers " << workers;
+    }
+}
+
+TEST(TrickleCadenceTest, DrainAllTerminatesOnSubWindowRingAndUnstartedBacklog) {
+    const auto rec =
+        qp::record_for(qp::make_patient(qp::cohort::healthy, 3), 300.0);
+    qs::plan_cache cache;
+    qs::service_options opt;
+    opt.threads = 2;
+    qs::session_manager mgr(opt, &cache);
+
+    // A ring holding only beats before the first window end: the pass
+    // absorbs them, closes nothing and leaves nothing pending.
+    const auto sub = mgr.add_session(patient_session(
+        qp::cohort::healthy, 3, qcore::psa_config::conventional()));
+    std::size_t n_sub = 0;
+    for (; rec.beat_time_s[n_sub] < rec.beat_time_s[0] + 100.0; ++n_sub)
+        ASSERT_TRUE(mgr.ingest(sub, rec.beat_time_s[n_sub], rec.rr_s[n_sub]));
+    EXPECT_FALSE(mgr.at(sub).due());
+    EXPECT_EQ(mgr.drain_all(), 0u);
+    EXPECT_FALSE(mgr.at(sub).has_pending());
+    EXPECT_EQ(mgr.at(sub).beats_ingested(), n_sub);
+
+    // An unstarted monitor with a backlog longer than a window: its end is
+    // +inf, so the first pass absorbs up to the first window end and a
+    // later pass drains the rest.
+    const auto backlog = mgr.add_session(patient_session(
+        qp::cohort::healthy, 3, qcore::psa_config::conventional()));
+    for (std::size_t b = 0; b < rec.beats(); ++b)
+        ASSERT_TRUE(mgr.ingest(backlog, rec.beat_time_s[b], rec.rr_s[b]));
+    EXPECT_FALSE(mgr.at(backlog).due());
+    EXPECT_GT(mgr.drain_all(), 0u);
+    EXPECT_FALSE(mgr.at(backlog).has_pending());
+    EXPECT_EQ(mgr.at(backlog).beats_ingested(), rec.beats());
+    expect_reports_identical(
+        mgr.at(backlog).reports(),
+        serial_reports(rec, qcore::psa_config::conventional()));
 }
 
 // ------------------------------------------------- energy accumulation

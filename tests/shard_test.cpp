@@ -8,12 +8,15 @@
 // snapshot-vs-migration races (the tsan job runs this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "qpsa/journal/report_reader.hpp"
 #include "qpsa/physio/patients.hpp"
 #include "qpsa/service/service.hpp"
 #include "quality_ladder.hpp"
@@ -637,6 +640,89 @@ TEST(MigrationTest, ExtractAdoptMidWindowIsBitIdentical) {
     const auto fleet = router.fleet();
     EXPECT_EQ(fleet.sessions_migrated_out, 1u);
     EXPECT_EQ(fleet.sessions_migrated_in, 1u);
+}
+
+TEST(MigrationTest, ExtractAfterAnAbsorbOnlyPassReplaysAndJournalsOnce) {
+    // Extract a session right after a pass that only absorbed beats (they
+    // sit in its monitor and in the source shard's journal block, not in
+    // its ring), adopt it on the other shard and finish the record there.
+    // Replaying the session's journaled beats -- source file, then target
+    // file -- must reproduce its reports bit for bit, and no beat may be
+    // journaled on both shards.
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "qpsa-absorb-migration";
+    std::filesystem::remove_all(dir);
+    const sharded_fixture fx(4);
+    qs::router_options opt;
+    opt.shards = 2;
+    opt.shard.threads = 2;
+    opt.journal_dir = dir.string();
+    qs::plan_cache cache;
+    qs::shard_router router(opt, &cache);
+    for (unsigned i = 0; i < fx.records.size(); ++i)
+        router.add_session(fx.session(i));
+
+    const std::uint64_t moving = 1;
+    const auto& rec = fx.records[moving];
+    std::size_t b = 0;
+    for (; b < rec.beats() / 2; ++b)
+        ASSERT_TRUE(router.ingest(moving, rec.beat_time_s[b], rec.rr_s[b]));
+    router.drain_all();
+    const std::uint64_t windows_before = router.fleet().windows;
+    EXPECT_GT(windows_before, 0u);
+
+    // Beats strictly before the next window end: the pass absorbs them.
+    const real end = router.at(moving).monitor().next_window_end();
+    const std::size_t absorbed_from = b;
+    for (; rec.beat_time_s[b] < end; ++b)
+        ASSERT_TRUE(router.ingest(moving, rec.beat_time_s[b], rec.rr_s[b]));
+    ASSERT_GT(b, absorbed_from);
+    EXPECT_FALSE(router.at(moving).due());
+    EXPECT_EQ(router.pump(), 0u);
+    EXPECT_FALSE(router.at(moving).has_pending());
+    EXPECT_EQ(router.fleet().windows, windows_before);
+
+    const std::size_t source = router.shard_of(moving);
+    const std::size_t moved_at = b;
+    const qs::extracted_session es = router.extract_session(moving);
+    EXPECT_TRUE(es.state.ring.empty());
+    router.adopt_session(es, 1 - source);
+    for (; b < rec.beats(); ++b)
+        ASSERT_TRUE(router.ingest(moving, rec.beat_time_s[b], rec.rr_s[b]));
+    for (unsigned i = 0; i < fx.records.size(); ++i) {
+        if (i == moving) continue;
+        for (std::size_t k = 0; k < fx.records[i].beats(); ++k)
+            ASSERT_TRUE(router.ingest(i, fx.records[i].beat_time_s[k],
+                                      fx.records[i].rr_s[k]));
+    }
+    router.drain_all();
+    for (unsigned i = 0; i < fx.records.size(); ++i)
+        expect_reports_identical(router.at(i).reports(), fx.serial[i]);
+    router.close_journals();
+
+    std::vector<qpsa::journal::beat_event> logged[2];
+    for (std::size_t k = 0; k < 2; ++k)
+        for (const auto& ev :
+             qpsa::journal::scan_journal(router.journal(k)->path()).beats)
+            if (ev.session_id == moving) logged[k].push_back(ev);
+    const auto& src = logged[source];
+    const auto& dst = logged[1 - source];
+    EXPECT_EQ(src.size(), moved_at);  // absorbed beats included
+    EXPECT_EQ(src.size() + dst.size(), rec.beats());
+    for (const auto& ev : dst)
+        EXPECT_TRUE(std::none_of(src.begin(), src.end(), [&](const auto& s) {
+            return s.beat_time_s == ev.beat_time_s;
+        })) << "beat at " << ev.beat_time_s << " journaled on both shards";
+
+    qcore::streaming_monitor replay(fx.configs[moving], paper_monitor());
+    std::vector<qcore::window_report> replayed;
+    for (const auto* part : {&src, &dst})
+        for (const auto& ev : *part) {
+            replay.push_beat(ev.beat_time_s, ev.rr_s);
+            while (auto rep = replay.poll()) replayed.push_back(*rep);
+        }
+    expect_reports_identical(replayed, fx.serial[moving]);
+    expect_reports_identical(router.at(moving).reports(), replayed);
 }
 
 TEST(MigrationTest, MidDwellGovernorMigrationPreservesSwitchSchedule) {

@@ -120,15 +120,25 @@ std::vector<qc::psa_config> all_engine_configs() {
 
 TEST(SimdDispatch, StartupIsaHonorsForceEnv) {
     // When the CI matrix exports QPSA_FORCE_ISA, the process must have
-    // resolved exactly that ISA at startup; without the variable the
-    // best available ISA is active.  Either way the active table is in
-    // the available list.
-    if (const char* forced = std::getenv("QPSA_FORCE_ISA")) {
-        EXPECT_STREQ(qs::isa_name(g_startup_isa), forced);
-    }
+    // resolved exactly that ISA at startup; without the variable -- or
+    // with it set to the empty string, which means unset -- the
+    // auto-detected ISA is active.  Either way the active table is in the
+    // available list.
     const auto avail = qs::available_isas();
-    EXPECT_TRUE(std::find(avail.begin(), avail.end(), g_startup_isa) !=
-                avail.end());
+    const auto usable = [&](qs::isa which) {
+        return std::find(avail.begin(), avail.end(), which) != avail.end();
+    };
+    const char* forced = std::getenv("QPSA_FORCE_ISA");
+    if (forced != nullptr && *forced != '\0') {
+        EXPECT_STREQ(qs::isa_name(g_startup_isa), forced);
+    } else {
+        qs::isa detected = qs::isa::scalar;
+        for (const qs::isa cand :
+             {qs::isa::sse2, qs::isa::neon, qs::isa::avx2})
+            if (usable(cand)) detected = cand;
+        EXPECT_EQ(g_startup_isa, detected) << qs::isa_name(g_startup_isa);
+    }
+    EXPECT_TRUE(usable(g_startup_isa));
 }
 
 TEST(SimdDispatch, AvailableAlwaysContainsScalar) {
