@@ -1,12 +1,11 @@
 // Wall-clock microbenchmarks of all spectral kernels (google-benchmark).
 //
 // Operation counts drive the paper's energy model; this binary provides
-// the complementary host-time view: split-radix vs radix-2 vs the wavelet
+// the complementary host-time view: split-radix vs the wavelet
 // FFT in its exact / band-dropped / pruned configurations, the DWT, the
 // extirpolation, and the end-to-end Fast-Lomb window.
 #include <benchmark/benchmark.h>
 
-#include "qpsa/dsp/fft_radix2.hpp"
 #include "qpsa/dsp/fft_split_radix.hpp"
 #include "qpsa/lomb/extirpolate.hpp"
 #include "qpsa/lomb/fast_lomb.hpp"
@@ -69,19 +68,6 @@ void bm_split_radix(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(bm_split_radix)->Arg(256)->Arg(512)->Arg(1024);
-
-void bm_radix2(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto x = random_signal(n);
-    dsp::fft_radix2 fft(n);
-    std::vector<cplx> buf(n);
-    for (auto _ : state) {
-        buf = x;
-        fft.forward(buf);
-        benchmark::DoNotOptimize(buf.data());
-    }
-}
-BENCHMARK(bm_radix2)->Arg(512);
 
 void bm_wavelet_fft(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

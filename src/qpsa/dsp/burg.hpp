@@ -10,35 +10,49 @@
 #include <span>
 #include <vector>
 
+#include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/spectrum.hpp"
 #include "qpsa/util/arena.hpp"
 #include "qpsa/util/common.hpp"
 
 namespace qpsa::dsp {
 
+/// An AR model whose coefficients live elsewhere (an arena, a model).
+struct burg_coeffs {
+    std::span<const real> a;  ///< a_1..a_p (sign convention: 1 + sum a_k z^-k)
+    real noise_var = 0.0;     ///< driving-noise variance
+    std::size_t order() const noexcept { return a.size(); }
+};
+
+/// An AR model owning its coefficients (one-shot callers).
 struct burg_model {
     std::vector<real> a;    ///< AR coefficients a_1..a_p (sign convention: 1 + sum a_k z^-k)
     real noise_var = 0.0;   ///< driving-noise variance
     std::size_t order() const noexcept { return a.size(); }
+    operator burg_coeffs() const noexcept { return {a, noise_var}; }
 };
 
 /// Fit an AR(p) model with Burg's method.  x must be zero-mean-ish and
-/// longer than 2p.
+/// longer than 2p.  Allocates the model: for one-shot callers.
 burg_model burg_fit(std::span<const real> x, std::size_t order);
 
-/// Same fit with the prediction-error and coefficient scratch drawn from
-/// `scratch` (the streaming service path; no steady-state allocation
-/// beyond the returned model's coefficient vector).
-burg_model burg_fit(std::span<const real> x, std::size_t order,
-                    util::arena& scratch);
+/// Same fit with the coefficients and the prediction-error scratch drawn
+/// from `scratch`: no heap traffic once the arena is warm.  The
+/// coefficients stay valid until the caller's enclosing frame unwinds.
+burg_coeffs burg_fit(std::span<const real> x, std::size_t order,
+                     util::arena& scratch);
+
+/// The fit's operation tally for a series of n samples at `order`
+/// (closed form of the recursion's trip counts).
+counting::op_counts burg_fit_tally(std::size_t n, std::size_t order);
 
 /// Evaluate the AR PSD at the given frequencies for sample rate fs.
-dsp::sampled_spectrum burg_psd(const burg_model& model, real fs_hz,
+dsp::sampled_spectrum burg_psd(const burg_coeffs& model, real fs_hz,
                                std::span<const real> freqs_hz);
 
 /// Evaluate into caller-provided power storage (power.size() must equal
 /// freqs_hz.size(); the frequency grid stays with the caller).
-void burg_psd(const burg_model& model, real fs_hz,
+void burg_psd(const burg_coeffs& model, real fs_hz,
               std::span<const real> freqs_hz, std::span<real> power);
 
 }  // namespace qpsa::dsp

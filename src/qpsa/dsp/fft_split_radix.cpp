@@ -142,9 +142,17 @@ void fft_split_radix::forward_batched(std::span<const cplx* const> ins,
             i += chunk;
         }
     }
-    for (; i < ins.size(); ++i)
-        forward(std::span<const cplx>(ins[i], n_), std::span<cplx>(outs[i], n_),
+    for (; i < ins.size(); ++i) {
+        util::arena::frame frame(scratch);
+        const cplx* in = ins[i];
+        if (in == outs[i]) {  // the recursion reads its input to the end
+            std::span<cplx> copy = scratch.alloc<cplx>(n_);
+            std::copy(in, in + n_, copy.begin());
+            in = copy.data();
+        }
+        forward(std::span<const cplx>(in, n_), std::span<cplx>(outs[i], n_),
                 scratch);
+    }
 }
 
 }  // namespace qpsa::dsp

@@ -45,7 +45,8 @@ public:
 
     /// Batched forward: up to simd::kernels().lanes same-plan transforms
     /// interleaved one per SIMD lane through a single recursion walk.
-    /// Each output is bit-identical to a scalar forward of its input.
+    /// Each output is bit-identical to a scalar forward of its input, and
+    /// outs[i] may alias ins[i] (an in-place transform).
     /// Performs NO operation counting (a lane-batched walk cannot count
     /// per-transform); callers attribute op_tally() per transform instead.
     void forward_batched(std::span<const cplx* const> ins,

@@ -1,6 +1,7 @@
 #include "qpsa/dsp/window.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -25,12 +26,30 @@ real window_value(window_kind kind, real u) {
     throw std::logic_error("unhandled window kind");
 }
 
-std::vector<real> make_window(window_kind kind, std::size_t n) {
+namespace {
+
+void sample_window(window_kind kind, std::span<real> w) {
+    const std::size_t n = w.size();
     QPSA_EXPECTS(n >= 2);
-    std::vector<real> w(n);
     for (std::size_t i = 0; i < n; ++i)
         w[i] = window_value(kind, static_cast<real>(i) / static_cast<real>(n - 1));
+}
+
+}  // namespace
+
+std::vector<real> make_window(window_kind kind, std::size_t n) {
+    std::vector<real> w(n);
+    sample_window(kind, w);
     return w;
+}
+
+std::span<const real> window_table(window_kind kind, std::size_t n,
+                                   util::arena& mem) {
+    // The count tells tables of one kind apart; the tag keeps the key
+    // clear of other memoized tables.
+    constexpr std::uint64_t tag = 0x7461706572ull << 8;  // "taper"
+    return mem.memo<real>(tag | static_cast<std::uint64_t>(kind), n,
+                          [kind](std::span<real> w) { sample_window(kind, w); });
 }
 
 real window_power_gain(window_kind kind) {

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "qpsa/util/arena.hpp"
 #include "qpsa/util/common.hpp"
 
 namespace qpsa::dsp {
@@ -27,6 +28,12 @@ real window_value(window_kind kind, real u);
 
 /// Sampled window of n points (u = i/(n-1)).
 std::vector<real> make_window(window_kind kind, std::size_t n);
+
+/// The same n-point window memoized in `mem` (one table per (kind, n)
+/// for the arena's lifetime): entry i is window_value(kind, i/(n-1)),
+/// bit for bit, without the per-call trig.
+std::span<const real> window_table(window_kind kind, std::size_t n,
+                                   util::arena& mem);
 
 /// Mean of w(u)^2 over [0,1]; used to compensate the power lost to the
 /// taper when averaging Welch segments.

@@ -31,6 +31,30 @@ private:
     std::optional<counting::count_scope> scope_;
 };
 
+/// The phase driver of a batched whole-window estimate: runs `fn(i, item)`
+/// for every item still ok, inside that item's counting scopes (its
+/// `ops` sink and its exec_stats sink), so each window counts exactly what
+/// its single estimate() would.  A contract failure marks the item failed
+/// (later phases skip it) and, with `rethrow` (a single estimate() call),
+/// propagates.
+template <class Fn>
+void for_each_window(std::span<fft_engine::estimate_item> items, bool rethrow,
+                     Fn&& fn) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        fft_engine::estimate_item& it = items[i];
+        if (!it.ok) continue;
+        std::optional<counting::count_scope> caller;
+        if (it.ops != nullptr) caller.emplace(*it.ops);
+        estimator_stats_scope scope(it.stats);
+        try {
+            fn(i, it);
+        } catch (const contract_error&) {
+            it.ok = false;
+            if (rethrow) throw;
+        }
+    }
+}
+
 /// Interpolate a uniform-rate one-sided PSD (bin spacing `raw_df`) onto
 /// the pipeline grid f_k = (k+1) * grid.df and apply the shared
 /// normalized-periodogram convention (PSD * N / (2 sigma^2) of the
@@ -58,17 +82,47 @@ private:
     std::size_t mesh_;
 };
 
-/// Burg maximum-entropy estimator: uniform resampling, AR(p) fit,
-/// evaluation of the model PSD on the pipeline grid.
-class burg_engine final : public whole_window_engine {
+/// A whole-window estimator whose single and batched estimates are one
+/// phased implementation, run(): a single estimate() is a round of one
+/// window that rethrows its contract failure.  Rounds hold one window per
+/// vector lane.
+class lane_batched_estimator : public whole_window_engine {
 public:
-    burg_engine(std::size_t mesh, std::size_t order, real resample_hz)
-        : whole_window_engine(mesh), order_(order), resample_hz_(resample_hz) {}
-    std::string name() const override;
+    using whole_window_engine::whole_window_engine;
+    using whole_window_engine::estimate;
+    std::size_t batch_width() const noexcept final;
     void estimate(std::span<const real> t, std::span<const real> x,
                   const estimate_grid& grid, wfft::exec_stats* stats,
                   util::arena& scratch,
-                  dsp::sampled_spectrum& out) const override;
+                  dsp::sampled_spectrum& out) const final;
+    void estimate(std::span<const real> t, std::span<const real> x,
+                  const estimate_grid& grid, wfft::exec_stats* stats,
+                  util::arena& scratch, dsp::sampled_spectrum& out,
+                  const hop_ctx* ctx) const final;
+    void estimate_batched(std::span<estimate_item> items,
+                          util::arena& scratch) const final;
+
+protected:
+    /// Estimate every item (all enter with ok == true) through
+    /// for_each_window phases.
+    virtual void run(std::span<estimate_item> items, util::arena& scratch,
+                     bool rethrow) const = 0;
+};
+
+/// Burg maximum-entropy estimator: uniform resampling, AR(p) fit,
+/// evaluation of the model PSD on the pipeline grid.  A round fits its
+/// windows through the lane-interleaved lattice kernel.
+class burg_engine final : public lane_batched_estimator {
+public:
+    burg_engine(std::size_t mesh, std::size_t order, real resample_hz)
+        : lane_batched_estimator(mesh),
+          order_(order),
+          resample_hz_(resample_hz) {}
+    std::string name() const override;
+
+protected:
+    void run(std::span<estimate_item> items, util::arena& scratch,
+             bool rethrow) const override;
 
 private:
     std::size_t order_;
@@ -88,29 +142,32 @@ public:
 };
 
 /// Traditional estimator: interpolation + resampling + tapered FFT
-/// periodogram, interpolated onto the pipeline grid.
-class resampled_engine final : public whole_window_engine {
+/// periodogram, interpolated onto the pipeline grid.  A round prepares
+/// every window's tapered series, runs one lane-batched transform walk
+/// over them and finishes each periodogram.
+class resampled_engine final : public lane_batched_estimator {
 public:
     resampled_engine(std::size_t mesh, real resample_hz, dsp::window_kind taper)
-        : whole_window_engine(mesh),
+        : lane_batched_estimator(mesh),
           resample_hz_(resample_hz),
           taper_(taper),
           fft_(mesh) {}
     std::string name() const override;
-    void estimate(std::span<const real> t, std::span<const real> x,
-                  const estimate_grid& grid, wfft::exec_stats* stats,
-                  util::arena& scratch,
-                  dsp::sampled_spectrum& out) const override;
-    /// Hop-aligned estimate: the uniform grid sits at global indices g
+
+protected:
+    void run(std::span<estimate_item> items, util::arena& scratch,
+             bool rethrow) const override;
+
+private:
+    /// Hop-aligned series: the uniform grid sits at global indices g
     /// (t = g / rate) instead of anchoring on the window's first beat, so
     /// the interpolated series of the overlap range is bitwise stable
     /// across windows and the hop cache can replay it.
-    void estimate(std::span<const real> t, std::span<const real> x,
-                  const estimate_grid& grid, wfft::exec_stats* stats,
-                  util::arena& scratch, dsp::sampled_spectrum& out,
-                  const hop_ctx* ctx) const override;
+    std::span<real> aligned_series(std::span<const real> t,
+                                   std::span<const real> x,
+                                   const hop_ctx& ctx,
+                                   util::arena& scratch) const;
 
-private:
     real resample_hz_;
     dsp::window_kind taper_;
     /// Owned transform (immutable, so shared across workers like the

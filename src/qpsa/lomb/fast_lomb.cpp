@@ -36,10 +36,11 @@ namespace {
 
 // Both entry points run one pipeline per window: phase A (prepare_window:
 // moments, mesh fill, engine inputs), phase B (engine.forward_batched over
-// the queued transforms) and phases C/D (finish_window: fft op
-// attribution, Lomb combine).  The batched entry point only widens phase
-// B to every window of the batch, which is lane-exact by the kernel
-// contract, so both execute the identical arithmetic.
+// the queued transforms, or the whole-window estimate) and phases C/D
+// (finish_window: fft op attribution, Lomb combine).  The batched entry
+// point only widens phase B to every window of the round, which is
+// lane-exact by the kernel and estimate_batched contracts, so both execute
+// the identical arithmetic.
 
 /// Window-level facts established by the contract checks + moment pass.
 struct window_prep {
@@ -386,9 +387,10 @@ struct window_state {
     std::size_t n_eff = 0;
     /// The window's mesh transforms: the packed pair (packed_single) or
     /// the two meshes (two_transforms).  None for whole-window engines,
-    /// whose estimate already ran in phase A.
+    /// whose phase B is `estimate` instead.
     std::array<fft_engine::batch_item, 2> items{};
     std::size_t n_items = 0;
+    fft_engine::estimate_item estimate;
     /// bd.fft_stats.ops before phase B.  The engine is the sole counter
     /// into that sink, so the delta after phase B is the window's bd.fft
     /// share however the forwards were grouped.
@@ -400,8 +402,8 @@ struct window_state {
 };
 
 /// Phase A of one window: contract checks and moments, then either the
-/// whole-window estimate (the window is complete) or the mesh fill and
-/// the engine inputs, queued in the returned state for phase B.
+/// whole-window estimate's arguments or the mesh fill and the engine
+/// inputs, queued in the returned state for phase B.
 window_state prepare_window(const window_job& job, const fft_engine& engine,
                             const fast_lomb_options& opt, util::arena& mem) {
     lomb_breakdown& bd = *job.bd;
@@ -409,18 +411,15 @@ window_state prepare_window(const window_job& job, const fft_engine& engine,
     st.prep = window_moments(job.t, job.x, engine, opt, bd);
     const std::size_t mesh = st.prep.mesh;
 
-    // Whole-window estimators (AR, direct Lomb, resampled) consume the raw
-    // window and produce the normalized periodogram on the same grid
-    // directly; the mesh pipeline below is exclusive to forward()-style
-    // FFT engines.
+    // Whole-window estimators (AR, direct Lomb, resampled, Welch) consume
+    // the raw window and produce the normalized periodogram on the same
+    // grid directly; the mesh pipeline below is exclusive to
+    // forward()-style FFT engines.
     if (engine.whole_window()) {
-        job.out->n_samples = job.t.size();
-        job.out->mesh_span = st.prep.span;
-        counting::count_scope scope(bd.fft);
-        engine.estimate(job.t, job.x,
-                        {1.0 / (st.prep.span * opt.ofac), st.prep.nout},
-                        &bd.fft_stats, mem, job.out->spectrum, job.ctx);
-        QPSA_ENSURES(job.out->spectrum.power.size() == st.prep.nout);
+        st.estimate = {job.t,           job.x,
+                       {1.0 / (st.prep.span * opt.ofac), st.prep.nout},
+                       &bd.fft_stats,   &bd.fft,
+                       &job.out->spectrum, job.ctx};
         return st;
     }
 
@@ -507,15 +506,18 @@ void lomb_combine(const window_state& st, const fast_lomb_options& opt,
 }
 
 /// Phases C/D of one window: attribute the phase-B engine ops to the
-/// window's fft phase, then run the Lomb calculator.  No-op for a
-/// whole-window estimate (complete after phase A).
+/// window's fft phase, then run the Lomb calculator.  A whole-window
+/// estimate is complete after phase B.
 void finish_window(const window_job& job, const window_state& st,
                    const fast_lomb_options& opt) {
-    if (st.n_items == 0) return;
-    lomb_breakdown& bd = *job.bd;
-    bd.fft += bd.fft_stats.ops - st.fft_pre;
     job.out->n_samples = job.t.size();
     job.out->mesh_span = st.prep.span;
+    if (st.n_items == 0) {
+        QPSA_ENSURES(job.out->spectrum.power.size() == st.prep.nout);
+        return;
+    }
+    lomb_breakdown& bd = *job.bd;
+    bd.fft += bd.fft_stats.ops - st.fft_pre;
     lomb_combine(st, opt, *job.out, bd);
 }
 
@@ -540,22 +542,31 @@ void fast_lomb(std::span<const real> t, std::span<const real> x,
     util::arena& mem = ws.scratch();
     util::arena::frame frame(mem);
     const window_state st = prepare_window(job, engine, opt, mem);
-    if (st.n_items != 0) engine.forward_batched(st.transforms(), mem);
+    if (engine.whole_window()) {
+        const fft_engine::estimate_item& e = st.estimate;
+        counting::count_scope scope(*e.ops);
+        engine.estimate(e.t, e.x, e.grid, e.stats, mem, *e.out, e.ctx);
+    } else {
+        engine.forward_batched(st.transforms(), mem);
+    }
     finish_window(job, st, opt);
 }
 
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                        const fast_lomb_options& opt, workspace& ws) {
     // A round holds the windows of one lane group: batch_width() windows
-    // (one for engines without lanes and whole-window estimators).  The
-    // engine walks a round's transforms in groups of batch_width() anyway,
-    // so holding more windows gains nothing and only deepens the scratch
-    // arena, about 40 KB per mesh-512 window.
-    const std::size_t round = engine.whole_window() ? 1 : engine.batch_width();
+    // (one for engines without lanes).  The engine walks a round's
+    // transforms (or, for whole-window estimators, the round's windows) in
+    // groups of batch_width() anyway, so holding more windows gains
+    // nothing and only deepens the scratch arena, about 40 KB per
+    // mesh-512 window.
+    const std::size_t round = engine.batch_width();
+    const bool whole = engine.whole_window();
 
     // thread_local so steady-state batched drains stay allocation-free.
     thread_local std::vector<window_state> states;
     thread_local std::vector<fft_engine::batch_item> items;
+    thread_local std::vector<fft_engine::estimate_item> estimates;
     util::arena& mem = ws.scratch();
     for (std::size_t begin = 0; begin < jobs.size(); begin += round) {
         const std::span<window_job> part =
@@ -563,6 +574,7 @@ void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
         util::arena::frame frame(mem);
         states.resize(part.size());
         items.clear();
+        estimates.clear();
 
         // Phase A.  A window failing its data contracts is skipped
         // (ok = false) where the single-window call would throw.
@@ -573,14 +585,22 @@ void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                 states[i] = prepare_window(job, engine, opt, mem);
                 const auto tr = states[i].transforms();
                 items.insert(items.end(), tr.begin(), tr.end());
+                if (whole) estimates.push_back(states[i].estimate);
                 job.ok = true;
             } catch (const contract_error&) {
                 job.ok = false;
             }
         }
 
-        // Phase B: one lane-batched walk over every surviving transform.
+        // Phase B: one lane-batched walk over every surviving transform,
+        // or one batched estimate over every surviving window.
         if (!items.empty()) engine.forward_batched(items, mem);
+        if (!estimates.empty()) {
+            engine.estimate_batched(estimates, mem);
+            std::size_t e = 0;
+            for (window_job& job : part)
+                if (job.ok) job.ok = estimates[e++].ok;
+        }
 
         // Phases C/D.
         for (std::size_t i = 0; i < part.size(); ++i)

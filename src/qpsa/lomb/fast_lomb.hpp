@@ -134,13 +134,14 @@ struct window_job {
 };
 
 /// Analyze several same-plan windows, interleaving their mesh FFTs one per
-/// SIMD lane through one engine.forward_batched() call.  Runs the same
+/// SIMD lane through one engine.forward_batched() call (whole-window
+/// estimators: one engine.estimate_batched() call).  Runs the same
 /// per-window phases as fast_lomb, so every job's spectrum and per-phase
 /// op breakdown is bit-identical to a fast_lomb call; a window failing its
 /// data contracts sets ok = false instead of throwing.  Windows run in
-/// rounds of batch_width() (one at a time for engines without lanes and
-/// whole-window estimators), so scratch stays one lane group deep.  This
-/// is the path the streaming service runs.
+/// rounds of batch_width() (one at a time for engines without lanes), so
+/// scratch stays one lane group deep.  This is the path the streaming
+/// service runs.
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
                        const fast_lomb_options& opt, workspace& ws);
 

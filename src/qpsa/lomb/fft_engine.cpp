@@ -1,5 +1,6 @@
 #include "qpsa/lomb/fft_engine.hpp"
 
+#include <optional>
 #include <vector>
 
 #include "qpsa/counting/op_counter.hpp"
@@ -12,6 +13,20 @@ void fft_engine::estimate(std::span<const real>, std::span<const real>,
                           const estimate_grid&, wfft::exec_stats*,
                           util::arena&, dsp::sampled_spectrum&) const {
     QPSA_EXPECTS(whole_window());  // mesh-FFT engines have no estimator path
+}
+
+void fft_engine::estimate_batched(std::span<estimate_item> items,
+                                  util::arena& scratch) const {
+    for (estimate_item& it : items) {
+        std::optional<counting::count_scope> scope;
+        if (it.ops != nullptr) scope.emplace(*it.ops);
+        try {
+            estimate(it.t, it.x, it.grid, it.stats, scratch, *it.out, it.ctx);
+            it.ok = true;
+        } catch (const contract_error&) {
+            it.ok = false;
+        }
+    }
 }
 
 dsp::sampled_spectrum fft_engine::estimate(std::span<const real> t,

@@ -10,6 +10,7 @@
 #include <span>
 #include <string>
 
+#include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/fft_split_radix.hpp"
 #include "qpsa/dsp/spectrum.hpp"
 #include "qpsa/util/arena.hpp"
@@ -76,11 +77,12 @@ public:
     }
 
     /// Whole-window estimators (Burg AR, direct Lomb, resampled
-    /// periodogram) are not mesh FFTs: they see the raw (t, x) window and
-    /// return the normalized periodogram on the grid directly, bypassing
-    /// extirpolation and the Lomb combine.  Exactly one of the two paths
-    /// is live per engine: whole_window() selects which, and the inactive
-    /// entry point is a contract violation.
+    /// periodogram, Welch) are not mesh FFTs: they see the raw (t, x)
+    /// window and return the normalized periodogram on the grid directly,
+    /// bypassing extirpolation and the Lomb combine.  Exactly one of the
+    /// two paths is live per engine: whole_window() selects which, and the
+    /// inactive entry point is a contract violation.  For these engines
+    /// batch_width() counts windows per estimate_batched() round.
     virtual bool whole_window() const noexcept { return false; }
 
     /// Whole-window estimate into a caller-owned spectrum (vector capacity
@@ -105,6 +107,35 @@ public:
         (void)ctx;
         estimate(t, x, grid, stats, scratch, out);
     }
+
+    /// One window of a batched whole-window estimate: the arguments of the
+    /// hop-aware estimate() above, plus `ops`, a caller sink the window's
+    /// operations are also counted into (the Fast-Lomb breakdown's fft
+    /// phase), and the window's verdict.
+    struct estimate_item {
+        std::span<const real> t;
+        std::span<const real> x;
+        estimate_grid grid;
+        wfft::exec_stats* stats = nullptr;
+        counting::op_counts* ops = nullptr;
+        dsp::sampled_spectrum* out = nullptr;
+        const hop_ctx* ctx = nullptr;
+        bool ok = false;
+    };
+
+    /// Estimate several windows of one engine in one call.  Contract, per
+    /// item: spectrum, exec_stats and op tallies (into `ops`, `stats` and
+    /// every scope active at the call) are bit-identical to the item's own
+    /// hop-aware estimate() run under a count_scope on `ops`.  A window
+    /// that fails its data contracts gets ok = false instead of throwing;
+    /// its partial tallies are those the single call would have left when
+    /// it threw, and no other item is affected.  The default runs the
+    /// items one after another through estimate(), so the direct-Lomb
+    /// engine and any wrapper engine keep working unchanged; Burg,
+    /// resampled and Welch override it to share lane-batched kernels
+    /// across the round.  Rounds hold batch_width() windows.
+    virtual void estimate_batched(std::span<estimate_item> items,
+                                  util::arena& scratch) const;
 
     /// Allocating convenience wrapper around the virtual above.
     dsp::sampled_spectrum estimate(std::span<const real> t,

@@ -14,6 +14,10 @@
 // Batched forwards interleave batch_width() items per raw-integer lane
 // walk (see fixed_wavelet_fft.hpp); a single forward is the same walk with
 // one lane, so outputs, exec_stats and op tallies are identical either way.
+// A full-width group runs its input conversion, guarded walk and output
+// pass through the dispatched kernel table (simd::kernel_table::q15 /
+// q31, compiled per ISA); one-lane groups and groups outside the guard
+// run the transform's reference path.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +28,7 @@
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/lomb/fft_engine.hpp"
+#include "qpsa/simd/kernels.hpp"
 #include "qpsa/wfft/fixed_wavelet_fft.hpp"
 
 namespace qpsa::lomb {
@@ -32,6 +37,9 @@ template <unsigned FracBits>
 class fixed_wavelet_engine final : public fft_engine {
 public:
     using transform = wfft::fixed_wavelet_fft<FracBits>;
+
+    static_assert(FracBits == 15 || FracBits == 31,
+                  "the kernel table carries Q15 and Q31 walks");
 
     explicit fixed_wavelet_engine(typename transform::config cfg)
         : fft_(cfg), ops_per_forward_(count_ops(fft_)) {
@@ -99,6 +107,13 @@ private:
     using raw_type = typename transform::raw_type;
     static constexpr std::size_t max_lanes = FracBits <= 15 ? 8 : 4;
 
+    static const simd::fixed_kernels<raw_type>& kernels() noexcept {
+        if constexpr (FracBits == 15)
+            return simd::kernels().q15;
+        else
+            return simd::kernels().q31;
+    }
+
     /// One lane walk over up to L items (unused lanes run zeros).
     template <std::size_t L>
     void run_group(std::span<const batch_item> group,
@@ -107,43 +122,44 @@ private:
         util::arena::frame frame(scratch);
         raw_type* re = scratch.template alloc_aligned<raw_type>(n * L).data();
         raw_type* im = scratch.template alloc_aligned<raw_type>(n * L).data();
-        for (std::size_t l = group.size(); l < L; ++l)
-            for (std::size_t i = 0; i < n; ++i)
-                re[i * L + l] = im[i * L + l] = 0;
-
-        // Peak-normalize each lane into the Q range.  0.2 leaves headroom
-        // over the |x| < ~0.25 bound the transform's interstage shifting
-        // assumes, and keeps every lane inside the guarded mode.
-        std::array<real, L> scale{};
+        const cplx* srcs[L];
+        cplx* dsts[L];
         for (std::size_t l = 0; l < group.size(); ++l) {
             const batch_item& it = group[l];
             QPSA_EXPECTS(it.in.size() == n && it.out.size() == n);
-            real peak = 0.0;
-            for (const cplx& v : it.in)
-                peak = std::max(std::max(peak, std::abs(v.real())),
-                                std::abs(v.imag()));
-            const real s = peak > 0.0 ? 0.2 / peak : 1.0;
-            scale[l] = s;
-            for (std::size_t i = 0; i < n; ++i) {
-                re[i * L + l] = transform::to_raw(it.in[i].real() * s);
-                im[i * L + l] = transform::to_raw(it.in[i].imag() * s);
-            }
+            srcs[l] = it.in.data();
+            dsts[l] = it.out.data();
         }
 
-        fft_.template forward_lanes<L>(re, im, re, im, scratch);
+        // Peak-normalize each lane into the Q range.  0.2 leaves headroom
+        // over the |x| < ~0.25 bound the transform's interstage shifting
+        // assumes, and keeps every finite lane inside the guarded mode.
+        std::array<real, L> scale{};
+        const simd::fixed_kernels<raw_type>& k = kernels();
+        if (L == max_lanes && fft_.guard_ok() &&
+            k.load(srcs, group.size(), n, re, im, scale.data())) {
+            raw_type* planes = scratch.template alloc_aligned<raw_type>(
+                                          fft_.walk_scratch(L))
+                                   .data();
+            k.walk(fft_.plan(), re, im, planes);
+        } else {
+            load_reference<L>(srcs, group.size(), re, im, scale.data());
+            fft_.template forward_lanes<L>(re, im, re, im, scratch);
+        }
 
         // Undo the input scale and the transform's 1/N block-floating
         // scale so downstream sees the mathematical DFT.
-        const auto one = static_cast<real>(transform::scalar::one_raw);
-        for (std::size_t l = 0; l < group.size(); ++l) {
-            const batch_item& it = group[l];
-            const real restore = static_cast<real>(n) / scale[l];
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto r = static_cast<real>(re[i * L + l]);
-                const auto m = static_cast<real>(im[i * L + l]);
-                it.out[i] = cplx{r / one * restore, m / one * restore};
-            }
+        std::array<real, L> restore{};
+        for (std::size_t l = 0; l < group.size(); ++l)
+            restore[l] = static_cast<real>(n) / scale[l];
+        if constexpr (L == max_lanes)
+            k.store(re, im, dsts, group.size(), n, restore.data());
+        else
+            simd::fixed::restore_store<wfft::detail::reference_walk, raw_type,
+                                       FracBits, L>(re, im, dsts, group.size(),
+                                                    n, restore.data());
 
+        for (const batch_item& it : group) {
             // The fixed kernel is not instrumented internally (a node
             // would not be); charge the structural op count computed at
             // build time.
@@ -155,6 +171,31 @@ private:
                 st.terms_pruned_factor += fft_.pruned_terms();
                 st.band_dropped =
                     st.band_dropped || fft_.get_config().band_drop;
+            }
+        }
+    }
+
+    /// The input pass with the transform's scalar to_raw: exact for every
+    /// input, guarded or not.
+    template <std::size_t L>
+    void load_reference(const cplx* const* srcs, std::size_t count,
+                        raw_type* re, raw_type* im, real* scale) const {
+        const std::size_t n = size();
+        for (std::size_t l = 0; l < L; ++l) {
+            if (l >= count) {
+                for (std::size_t i = 0; i < n; ++i)
+                    re[i * L + l] = im[i * L + l] = 0;
+                continue;
+            }
+            real peak = 0.0;
+            for (std::size_t i = 0; i < n; ++i)
+                peak = std::max(std::max(peak, std::abs(srcs[l][i].real())),
+                                std::abs(srcs[l][i].imag()));
+            const real s = peak > 0.0 ? 0.2 / peak : 1.0;
+            scale[l] = s;
+            for (std::size_t i = 0; i < n; ++i) {
+                re[i * L + l] = transform::to_raw(srcs[l][i].real() * s);
+                im[i * L + l] = transform::to_raw(srcs[l][i].imag() * s);
             }
         }
     }

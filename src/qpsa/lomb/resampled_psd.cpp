@@ -68,17 +68,19 @@ std::span<real> resample_linear(std::span<const real> t,
 
 std::size_t resampled_psd_prepare_series(std::span<real> grid,
                                          const resampled_psd_options& opt,
+                                         util::arena& scratch,
                                          std::span<cplx> in) {
     QPSA_EXPECTS(grid.size() >= 8);
     QPSA_EXPECTS(grid.size() <= opt.fft_size);
     QPSA_EXPECTS(in.size() == opt.fft_size);
 
-    // Detrend (remove mean), taper, zero-pad to the transform size.
+    // Detrend (remove mean), taper, zero-pad to the transform size.  The
+    // taper comes from the arena's memoized table of this length.
+    const std::span<const real> taper =
+        dsp::window_table(opt.taper, grid.size(), scratch);
     const real mu = util::mean(grid);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        const real u = static_cast<real>(i) / static_cast<real>(grid.size() - 1);
-        grid[i] = (grid[i] - mu) * dsp::window_value(opt.taper, u);
-    }
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        grid[i] = (grid[i] - mu) * taper[i];
     counting::count_adds(grid.size());
     counting::count_muls(grid.size());
 
@@ -94,7 +96,7 @@ std::size_t resampled_psd_prepare(std::span<const real> t,
                                   util::arena& scratch, std::span<cplx> in) {
     std::span<real> grid =
         resample_linear(t, x, opt.resample_hz, opt.fft_size, scratch);
-    return resampled_psd_prepare_series(grid, opt, in);
+    return resampled_psd_prepare_series(grid, opt, scratch, in);
 }
 
 void resampled_psd_finish(std::span<const cplx> spec, std::size_t grid_n,

@@ -74,9 +74,11 @@ std::size_t resampled_psd_prepare(std::span<const real> t,
                                   util::arena& scratch, std::span<cplx> in);
 
 /// The tail of prepare for a caller-supplied uniform series: detrend +
-/// taper in place, pack zero-padded into `in`.  Returns series.size().
+/// taper in place (the taper table is memoized in `scratch`), pack
+/// zero-padded into `in`.  Returns series.size().
 std::size_t resampled_psd_prepare_series(std::span<real> series,
                                          const resampled_psd_options& opt,
+                                         util::arena& scratch,
                                          std::span<cplx> in);
 
 /// Normalize the forward transform of a prepared series into the

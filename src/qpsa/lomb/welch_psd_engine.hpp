@@ -22,11 +22,11 @@ class engine_registry;
 
 namespace qpsa::lomb {
 
-class welch_psd_engine final : public whole_window_engine {
+class welch_psd_engine final : public lane_batched_estimator {
 public:
     welch_psd_engine(std::size_t mesh, real resample_hz, real segment_seconds,
                      real segment_overlap, dsp::window_kind taper)
-        : whole_window_engine(mesh),
+        : lane_batched_estimator(mesh),
           resample_hz_(resample_hz),
           segment_seconds_(segment_seconds),
           segment_overlap_(segment_overlap),
@@ -34,18 +34,16 @@ public:
           fft_(mesh) {}
 
     std::string name() const override;
-    void estimate(std::span<const real> t, std::span<const real> x,
-                  const estimate_grid& grid, wfft::exec_stats* stats,
-                  util::arena& scratch,
-                  dsp::sampled_spectrum& out) const override;
-    /// Hop-aligned estimate: segments anchor on the absolute k * seg_hop
-    /// grid (not the window's first beat), so a segment's periodogram is
-    /// keyed by k and reused across the windows that share it; the cache
-    /// misses of a window ride one lane-batched transform walk.
-    void estimate(std::span<const real> t, std::span<const real> x,
-                  const estimate_grid& grid, wfft::exec_stats* stats,
-                  util::arena& scratch, dsp::sampled_spectrum& out,
-                  const hop_ctx* ctx) const override;
+
+protected:
+    /// A round prepares every segment of every window, runs one
+    /// lane-batched transform walk over all of them and finishes each
+    /// window's average.  With a hop context, segments anchor on the
+    /// absolute k * seg_hop grid (not the window's first beat), so a
+    /// segment's periodogram is keyed by k and reused across the windows
+    /// that share it.
+    void run(std::span<estimate_item> items, util::arena& scratch,
+             bool rethrow) const override;
 
 private:
     real resample_hz_;

@@ -207,12 +207,12 @@ std::size_t batch_scheduler::drain_lockstep(
                     jobs.push_back(active[b]->staged_job());
                 }
             }
-            // Lane-fill accounting, mirroring fast_lomb_batched's gate:
+            // Lane-fill accounting, mirroring fast_lomb_batched's rounds:
             // a group only executes lane-interleaved when it has >= 2
-            // windows and a lane-capable (non-whole-window) engine.
-            const lomb::fft_engine& eng = sys->engine();
-            const std::size_t width = eng.batch_width();
-            if (jobs.size() >= 2 && width >= 2 && !eng.whole_window())
+            // windows and a lane-capable engine (batch_width() >= 2; the
+            // whole-window estimators batch their rounds' windows too).
+            const std::size_t width = sys->engine().batch_width();
+            if (jobs.size() >= 2 && width >= 2)
                 partial.add_lane_fill(
                     jobs.size(),
                     width * ((jobs.size() + width - 1) / width));

@@ -10,11 +10,18 @@
 //     sequence (same multiplies, adds, negations, in the same order);
 //   * no FMA contraction, no reassociated sums -- lane-parallel loops only;
 //   * sequential reductions (Lomb denominators, band integrals) are NOT in
-//     this table on purpose: vectorizing them would reassociate.
+//     this table on purpose: vectorizing them would reassociate.  Entries
+//     that interleave independent problems one per lane (sr_batched,
+//     burg_lattice) keep each lane's sums in scalar order, which is
+//     lane-parallel again;
+//   * integer entries (the fixed-point walks) are exact, and their
+//     double <-> raw conversions are the scalar conversions' exact
+//     results, so they match on any ISA by construction.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "qpsa/simd/isa.hpp"
 #include "qpsa/util/common.hpp"
@@ -31,6 +38,51 @@ inline const real k_lift_c1 = k_lift_sqrt3 / 4.0;
 inline const real k_lift_c2 = (k_lift_sqrt3 - 2.0) / 4.0;
 inline const real k_lift_sa = (k_lift_sqrt3 - 1.0) / sqrt2;
 inline const real k_lift_sd = (k_lift_sqrt3 + 1.0) / sqrt2;
+
+/// Quantized tables of one fixed-point wavelet-FFT plan, as the lane walk
+/// reads them (wfft::fixed_wavelet_fft owns the storage).
+template <class Raw>
+struct fixed_plan {
+    std::size_t n = 0;
+    bool band_drop = false;
+    bool interstage_shift = true;
+    const Raw* tw_re = nullptr;  ///< n/4 sub-FFT twiddles
+    const Raw* tw_im = nullptr;
+    const std::size_t* bitrev = nullptr;  ///< n/2 bit-reversal indices
+    const Raw* fa_re = nullptr;  ///< n/2 diagonal factors each
+    const Raw* fa_im = nullptr;
+    const Raw* fb_re = nullptr;
+    const Raw* fb_im = nullptr;
+    const Raw* fc_re = nullptr;
+    const Raw* fc_im = nullptr;
+    const Raw* fd_re = nullptr;
+    const Raw* fd_im = nullptr;
+};
+
+/// The fixed-point wavelet FFT's kernels for one Q format: L = 8 int32
+/// lanes (Q15) or 4 int64 lanes (Q31), element e of lane l at [e * L + l].
+/// Integer lanes are exact, so every entry is bit-identical to the
+/// fixed_point<F> reference on every ISA.
+template <class Raw>
+struct fixed_kernels {
+    /// The guarded-mode walk of L lanes, in place; `scratch` holds
+    /// (band_drop ? 2 : 4) * n/2 * L values.  Callers run it only on
+    /// groups load() accepted (the guard of fixed_wavelet_fft.hpp).
+    void (*walk)(const fixed_plan<Raw>& p, Raw* re, Raw* im,
+                 Raw* scratch) = nullptr;
+    /// The engine adapter's input pass over `count` <= L inputs of n
+    /// values: scale[l] = 0.2 / peak |re|,|im| of input l (1 for an
+    /// all-zero input), lane l = to_raw(v * scale[l]), lanes >= count
+    /// zero.  Returns true iff every raw value lies inside the guard
+    /// (|raw| < U/2); the conversion is then exact.  On false the planes
+    /// are unspecified and callers convert with the scalar to_raw.
+    bool (*load)(const cplx* const* srcs, std::size_t count, std::size_t n,
+                 Raw* re, Raw* im, real* scale) = nullptr;
+    /// The output pass: dsts[l][i] = raw / 2^F * restore[l], l < count.
+    void (*store)(const Raw* re, const Raw* im, cplx* const* dsts,
+                  std::size_t count, std::size_t n,
+                  const real* restore) = nullptr;
+};
 
 struct kernel_table {
     isa which = isa::scalar;
@@ -91,6 +143,26 @@ struct kernel_table {
     /// out[k] = (re^2 + im^2) * norm -- the one-sided PSD power loop.
     void (*power_norm)(const cplx* spec, real* out, real norm,
                        std::size_t n) = nullptr;
+
+    // -- Burg AR: lane-interleaved lattice ---------------------------------
+    /// Burg's reflection recursion (dsp::burg_fit) for `lanes` windows at
+    /// once, one per lane, at a common order.  xs[l] / ns[l] is lane l's
+    /// zero-mean series (ns[l] > 2 * order); callers with fewer windows
+    /// repeat a lane.  Lane l's sums are masked to its own length, so it
+    /// performs burg_fit's exact scalar operation sequence: coefficient
+    /// a_j lands at coef[l * order + j - 1] and the driving-noise variance
+    /// at noise_var[l], bit-identical to a one-lane fit.  `work` holds
+    /// (2 * max(ns) + 2 * order + 1) * lanes reals.
+    void (*burg_lattice)(const real* const* xs, const std::size_t* ns,
+                         std::size_t order, real* work, real* coef,
+                         real* noise_var) = nullptr;
+
+    // -- fixed-point wavelet FFT --------------------------------------------
+    /// Q15 and Q31 lane walks and adapter conversions (kernels_fixed.inl),
+    /// compiled per ISA: each TU instantiates them with its own TU-local
+    /// type, so the -mavx2 copies can never be merged into baseline code.
+    fixed_kernels<std::int32_t> q15;
+    fixed_kernels<std::int64_t> q31;
 
     // -- batched-FFT lane transpose ---------------------------------------
     /// AoS -> SoA scatter for the batched walk: element e of input lane l

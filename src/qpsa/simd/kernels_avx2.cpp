@@ -9,7 +9,9 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
 
+#include "qpsa/simd/kernels_fixed.inl"
 #include "qpsa/simd/kernels_generic.inl"
 
 namespace qpsa::simd {
@@ -345,10 +347,48 @@ struct v4 {
     v4 operator+(v4 o) const { return {_mm256_add_pd(v, o.v)}; }
     v4 operator-(v4 o) const { return {_mm256_sub_pd(v, o.v)}; }
     v4 operator*(v4 o) const { return {_mm256_mul_pd(v, o.v)}; }
+    v4 operator/(v4 o) const { return {_mm256_div_pd(v, o.v)}; }
     v4 neg() const { return {_mm256_xor_pd(v, _mm256_set1_pd(-0.0))}; }
+    static v4 lt(v4 a, v4 b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)}; }
+    static v4 select(v4 m, v4 a, v4 b) {
+        return {_mm256_blendv_pd(b.v, a.v, m.v)};
+    }
+    static v4 abs(v4 a) {
+        return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
+    }
+    static v4 max(v4 x, v4 acc) { return {_mm256_max_pd(x.v, acc.v)}; }
+    static v4 trunc32(v4 a) {
+        return {_mm256_cvtepi32_pd(_mm256_cvttpd_epi32(a.v))};
+    }
 };
 
 }  // namespace
+
+// Guarded Q31 products.  AVX2 has no 64-bit multiply, but in guarded mode
+// every plane operand fits int32 and so does every table component except
+// an exact +U = 2^31, whose rounded product (U v + U/2) >> 31 is exactly v.
+// The rest run as 32 x 32 -> 64 multiplies (_mm256_mul_epi32 reads each
+// 64-bit lane's low half, sign-extended) and an emulated arithmetic shift:
+// the same integers as the generic (int64 product + U/2) >> 31.
+template <>
+inline void fixed::mul_lanes<v4, std::int64_t, 31, 4, false>(
+    std::int64_t w, const std::int64_t* __restrict v,
+    std::int64_t* __restrict out) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
+    __m256i r = x;
+    if (w != std::int64_t{1} << 31) {
+        const __m256i p = _mm256_add_epi64(
+            _mm256_mul_epi32(_mm256_set1_epi64x(w), x),
+            _mm256_set1_epi64x(std::int64_t{1} << 30));
+        // p >> 31 arithmetic: the logical shift, with the 31 vacated top
+        // bits set where p is negative.
+        const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), p);
+        r = _mm256_or_si256(
+            _mm256_srli_epi64(p, 31),
+            _mm256_and_si256(neg, _mm256_set1_epi64x(~std::int64_t{0} << 33)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), r);
+}
 
 namespace detail {
 
@@ -368,6 +408,8 @@ const kernel_table* avx2_table() noexcept {
         k.pack_real_pair = pack_real_pair_avx2;
         k.widen_real = widen_real_avx2;
         k.power_norm = power_norm_avx2;
+        k.burg_lattice = generic::burg_lattice<v4>;
+        fixed::fill_fixed_kernels<v4>(k);
         k.transpose_to_planes = transpose_to_planes_avx2;
         k.transpose_from_planes = transpose_from_planes_avx2;
         return k;

@@ -28,7 +28,14 @@ struct vn {
     vn operator+(vn o) const { return {vaddq_f64(v, o.v)}; }
     vn operator-(vn o) const { return {vsubq_f64(v, o.v)}; }
     vn operator*(vn o) const { return {vmulq_f64(v, o.v)}; }
+    vn operator/(vn o) const { return {vdivq_f64(v, o.v)}; }
     vn neg() const { return {vnegq_f64(v)}; }
+    static vn lt(vn a, vn b) {
+        return {vreinterpretq_f64_u64(vcltq_f64(a.v, b.v))};
+    }
+    static vn select(vn m, vn a, vn b) {
+        return {vbslq_f64(vreinterpretq_u64_f64(m.v), a.v, b.v)};
+    }
 };
 
 }  // namespace
@@ -42,6 +49,7 @@ const kernel_table* neon_table() noexcept {
         k.lanes = 2;
         k.sr_batched = generic::sr_batched<vn>;
         k.lifting_db2 = generic::lifting_db2<vn>;
+        k.burg_lattice = generic::burg_lattice<vn>;
         return k;
     }();
     return &t;

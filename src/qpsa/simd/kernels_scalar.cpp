@@ -2,8 +2,10 @@
 // exact loop body it replaced at the call site (operation order included),
 // minus the operation counting, which callers add in closed form.
 #include <cstddef>
+#include <cstdint>
 
 #include "qpsa/simd/kernels.hpp"
+#include "qpsa/simd/kernels_fixed.inl"
 #include "qpsa/simd/kernels_generic.inl"
 
 namespace qpsa::simd {
@@ -22,7 +24,18 @@ struct v1 {
     v1 operator+(v1 o) const { return {v + o.v}; }
     v1 operator-(v1 o) const { return {v - o.v}; }
     v1 operator*(v1 o) const { return {v * o.v}; }
+    v1 operator/(v1 o) const { return {v / o.v}; }
     v1 neg() const { return {-v}; }
+    static v1 lt(v1 a, v1 b) { return {a.v < b.v ? 1.0 : 0.0}; }
+    static v1 select(v1 m, v1 a, v1 b) { return m.v != 0.0 ? a : b; }
+    static v1 abs(v1 a) { return {std::abs(a.v)}; }
+    static v1 max(v1 x, v1 acc) { return {x.v > acc.v ? x.v : acc.v}; }
+    /// cvttpd's int32 truncation: out of range or NaN reads INT32_MIN.
+    static v1 trunc32(v1 a) {
+        return {a.v > -2147483649.0 && a.v < 2147483648.0
+                    ? static_cast<real>(static_cast<std::int32_t>(a.v))
+                    : -2147483648.0};
+    }
 };
 
 void sr_combine_scalar(const cplx* e, const cplx* o1, const cplx* o3, cplx* out,
@@ -160,6 +173,8 @@ const kernel_table* scalar_table() noexcept {
         k.pack_real_pair = pack_real_pair_scalar;
         k.widen_real = widen_real_scalar;
         k.power_norm = power_norm_scalar;
+        k.burg_lattice = generic::burg_lattice<v1>;
+        fixed::fill_fixed_kernels<v1>(k);
         k.transpose_to_planes = transpose_to_planes_scalar;
         k.transpose_from_planes = transpose_from_planes_scalar;
         return k;

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 
+#include "qpsa/simd/kernels_fixed.inl"
 #include "qpsa/simd/kernels_generic.inl"
 
 namespace qpsa::simd {
@@ -266,7 +267,17 @@ struct v2 {
     v2 operator+(v2 o) const { return {_mm_add_pd(v, o.v)}; }
     v2 operator-(v2 o) const { return {_mm_sub_pd(v, o.v)}; }
     v2 operator*(v2 o) const { return {_mm_mul_pd(v, o.v)}; }
+    v2 operator/(v2 o) const { return {_mm_div_pd(v, o.v)}; }
     v2 neg() const { return {_mm_xor_pd(v, _mm_set1_pd(-0.0))}; }
+    static v2 lt(v2 a, v2 b) { return {_mm_cmplt_pd(a.v, b.v)}; }
+    static v2 select(v2 m, v2 a, v2 b) {
+        return {_mm_or_pd(_mm_and_pd(m.v, a.v), _mm_andnot_pd(m.v, b.v))};
+    }
+    static v2 abs(v2 a) { return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)}; }
+    static v2 max(v2 x, v2 acc) { return {_mm_max_pd(x.v, acc.v)}; }
+    static v2 trunc32(v2 a) {
+        return {_mm_cvtepi32_pd(_mm_cvttpd_epi32(a.v))};
+    }
 };
 
 }  // namespace
@@ -289,6 +300,8 @@ const kernel_table* sse2_table() noexcept {
         k.pack_real_pair = pack_real_pair_sse2;
         k.widen_real = widen_real_sse2;
         k.power_norm = power_norm_sse2;
+        k.burg_lattice = generic::burg_lattice<v2>;
+        fixed::fill_fixed_kernels<v2>(k);
         k.transpose_to_planes = transpose_to_planes_sse2;
         k.transpose_from_planes = transpose_from_planes_sse2;
         return k;

@@ -7,6 +7,8 @@ namespace qpsa::util {
 namespace {
 
 constexpr std::size_t k_min_chunk_bytes = 4096;
+/// Chunks double up to this size, then grow by the last chunk's size.
+constexpr std::size_t k_doubling_limit = 64 * 1024;
 
 constexpr std::size_t align_up(std::size_t v, std::size_t align) noexcept {
     return (v + align - 1) & ~(align - 1);
@@ -45,11 +47,14 @@ void* arena::raw_alloc(std::size_t bytes, std::size_t align) {
             used_ = 0;
             continue;
         }
-        // High-water mark still rising: grow geometrically so a steady
-        // workload converges to zero heap traffic after a few calls.
+        // High-water mark still rising: grow geometrically while chunks
+        // are small, so a steady workload converges to zero heap traffic
+        // after a few calls, then in steps of the last chunk, so a
+        // workspace holds little more than its peak.
         const std::size_t prev = chunks_.empty() ? 0 : chunks_.back().size;
+        const std::size_t step = prev < k_doubling_limit ? 2 * prev : prev;
         const std::size_t size =
-            std::max({bytes + align, 2 * prev, k_min_chunk_bytes});
+            std::max({bytes + align, step, k_min_chunk_bytes});
         chunks_.push_back(make_chunk(size));
         cur_ = chunks_.size() - 1;
         used_ = 0;
@@ -59,6 +64,7 @@ void* arena::raw_alloc(std::size_t bytes, std::size_t align) {
 std::size_t arena::capacity_bytes() const noexcept {
     std::size_t total = 0;
     for (const chunk& c : chunks_) total += c.size;
+    for (const memo_entry& m : memos_) total += m.mem.size;
     return total;
 }
 

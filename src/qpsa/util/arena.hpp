@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -75,6 +76,27 @@ public:
         return s;
     }
 
+    /// A read-only table kept for the arena's lifetime under `key`: frames
+    /// never reclaim it.  The first request fills `count` elements through
+    /// `fill(std::span<T>)`; later requests with the same key and count
+    /// return that storage.  For per-shape tables a kernel would otherwise
+    /// rebuild on every call (taper windows), so a workspace arena holds
+    /// one copy per shape it has served.  Callers own the key space.
+    template <typename T, typename Fill>
+    std::span<const T> memo(std::uint64_t key, std::size_t count, Fill&& fill) {
+        static_assert(std::is_trivially_destructible_v<T>,
+                      "arena memory is reclaimed without running destructors");
+        const std::size_t bytes = count * sizeof(T);
+        for (const memo_entry& m : memos_)
+            if (m.key == key && m.bytes == bytes)
+                return {reinterpret_cast<const T*>(m.mem.data.get()), count};
+        chunk c = make_chunk(bytes > 0 ? bytes : 1);
+        const std::span<T> s{reinterpret_cast<T*>(c.data.get()), count};
+        fill(s);
+        memos_.push_back({key, bytes, std::move(c)});
+        return s;
+    }
+
     /// RAII mark/rewind: everything allocated while the frame is alive is
     /// reclaimed when it dies.  Frames must unwind in LIFO order, which
     /// scoping guarantees.
@@ -95,7 +117,8 @@ public:
         std::size_t used_;
     };
 
-    /// Total bytes owned (the high-water mark, rounded up to chunks).
+    /// Total bytes owned (the high-water mark, rounded up to chunks, plus
+    /// the memoized tables).
     std::size_t capacity_bytes() const noexcept;
 
 private:
@@ -116,7 +139,14 @@ private:
 
     static chunk make_chunk(std::size_t size);
 
+    struct memo_entry {
+        std::uint64_t key = 0;
+        std::size_t bytes = 0;
+        chunk mem;
+    };
+
     std::vector<chunk> chunks_;
+    std::vector<memo_entry> memos_;
     std::size_t cur_ = 0;   ///< index of the chunk being bumped
     std::size_t used_ = 0;  ///< bytes consumed in that chunk
 };

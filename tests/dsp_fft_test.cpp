@@ -9,8 +9,8 @@
 #include <cmath>
 
 #include "qpsa/counting/op_counter.hpp"
+#include "fft_radix2.hpp"
 #include "qpsa/dsp/dft.hpp"
-#include "qpsa/dsp/fft_radix2.hpp"
 #include "qpsa/dsp/fft_split_radix.hpp"
 #include "qpsa/dsp/real_pair_fft.hpp"
 #include "qpsa/dsp/spectrum.hpp"

@@ -6,13 +6,17 @@
 // and input range) must equal the oracle's bytewise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/dft.hpp"
 #include "qpsa/lomb/fixed_engine.hpp"
+#include "qpsa/simd/kernels.hpp"
 #include "qpsa/util/arena.hpp"
 #include "qpsa/util/random.hpp"
 #include "qpsa/wfft/fixed_wavelet_fft.hpp"
@@ -40,6 +44,17 @@ struct qpsa::wfft::fixed_wavelet_fft_test_peer {
     static void forward_lanes(const fixed_wavelet_fft<F>& fft, raw<F>* re,
                               raw<F>* im, util::arena& scratch) {
         fft.template forward_lanes<L>(re, im, re, im, scratch);
+    }
+
+    template <unsigned F>
+    static simd::fixed_plan<raw<F>> plan(const fixed_wavelet_fft<F>& fft) {
+        return fft.plan();
+    }
+
+    template <unsigned F>
+    static std::size_t walk_scratch(const fixed_wavelet_fft<F>& fft,
+                                    std::size_t lanes) {
+        return fft.walk_scratch(lanes);
     }
 };
 using peer = qf::fixed_wavelet_fft_test_peer;
@@ -662,4 +677,190 @@ TEST(FixedWfftOracleTest, Q15EngineBatchedMatchesOracle) {
 TEST(FixedWfftOracleTest, Q31EngineBatchedMatchesOracle) {
     EXPECT_EQ(ql::fixed_wavelet_engine<31>({}).batch_width(), 4u);
     run_engine_matrix<31>();
+}
+
+// ------------------------------------------------ per-ISA kernel entries
+
+namespace {
+
+namespace qsimd = qpsa::simd;
+
+/// The adapter's reference input pass for one lane: peak scale and the
+/// scalar to_raw.
+template <unsigned F>
+void reference_lane(std::span<const cplx> in, std::size_t lane, std::size_t L,
+                    std::vector<peer::raw<F>>& re, std::vector<peer::raw<F>>& im,
+                    real& scale) {
+    real peak = 0.0;
+    for (const cplx& v : in)
+        peak = std::max(std::max(peak, std::abs(v.real())), std::abs(v.imag()));
+    scale = peak > 0.0 ? 0.2 / peak : 1.0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        re[i * L + lane] = peer::to_raw<F>(in[i].real() * scale);
+        im[i * L + lane] = peer::to_raw<F>(in[i].imag() * scale);
+    }
+}
+
+/// Every compiled ISA's load / walk / store entries for Q-format F against
+/// the reference conversion and the fixed_point<F> oracle, for partial
+/// groups of 1..L items.
+template <unsigned F, class Raw>
+void run_kernel_matrix(qsimd::fixed_kernels<Raw> qsimd::kernel_table::*member) {
+    constexpr std::size_t L = F <= 15 ? 8 : 4;
+    using raw = peer::raw<F>;
+    using scalar_t = typename qf::fixed_wavelet_fft<F>::scalar;
+    static_assert(std::is_same_v<raw, Raw>);
+    for (const qsimd::isa which : qsimd::available_isas()) {
+        const qsimd::fixed_kernels<Raw>& k = qsimd::kernels_for(which)->*member;
+        for (const std::size_t n : {8u, 64u, 512u}) {
+            for (const bool band_drop : {false, true}) {
+                const typename qf::fixed_wavelet_fft<F>::config cfg{
+                    n, band_drop, band_drop ? 0.25 : 0.0, true};
+                const qf::fixed_wavelet_fft<F> fft(cfg);
+                const oracle_fixed_wfft<F> oracle(cfg);
+                auto ins = engine_inputs(n, n + F);
+                // Ties: with peak 0.2 the scale is exactly 1, so v * U
+                // lands on +-(k + 0.5); plus -0.0 entries.
+                auto& ties = ins.emplace_back(n);
+                const real u = std::ldexp(1.0, static_cast<int>(F));
+                for (std::size_t i = 0; i < n; ++i) {
+                    const real k = static_cast<real>(i % 9) + 0.5;
+                    ties[i] = cplx{(i % 2 == 0 ? k : -k) / u,
+                                   i % 3 == 0 ? -0.0 : k / u};
+                }
+                ties[5] = cplx{0.2, -0.0};
+                for (std::size_t count = 1; count <= L; ++count) {
+                    const std::string what =
+                        std::string(qsimd::isa_name(which)) + " F=" +
+                        std::to_string(F) + " n=" + std::to_string(n) +
+                        " drop=" + std::to_string(band_drop) +
+                        " items=" + std::to_string(count);
+                    const cplx* srcs[L];
+                    std::vector<std::vector<cplx>> outs(count,
+                                                        std::vector<cplx>(n));
+                    cplx* dsts[L];
+                    std::vector<raw> want_re(n * L, 0), want_im(n * L, 0);
+                    real want_scale[L] = {};
+                    for (std::size_t l = 0; l < count; ++l) {
+                        const auto& in = ins[(count + l) % ins.size()];
+                        srcs[l] = in.data();
+                        dsts[l] = outs[l].data();
+                        reference_lane<F>(in, l, L, want_re, want_im,
+                                          want_scale[l]);
+                    }
+                    std::vector<raw> re(n * L, 7), im(n * L, 7);
+                    real scale[L] = {};
+                    ASSERT_TRUE(k.load(srcs, count, n, re.data(), im.data(),
+                                       scale))
+                        << what;
+                    ASSERT_EQ(re, want_re) << what;
+                    ASSERT_EQ(im, want_im) << what;
+                    for (std::size_t l = 0; l < count; ++l)
+                        ASSERT_EQ(scale[l], want_scale[l]) << what;
+
+                    qu::arena scratch;
+                    std::span<raw> planes =
+                        scratch.alloc<raw>(peer::walk_scratch<F>(fft, L));
+                    k.walk(peer::plan<F>(fft), re.data(), im.data(),
+                           planes.data());
+                    std::vector<fcplx_t<F>> lane_in(n), want(n);
+                    real restore[L] = {};
+                    for (std::size_t l = 0; l < count; ++l) {
+                        for (std::size_t i = 0; i < n; ++i)
+                            lane_in[i] = {
+                                scalar_t::from_raw(want_re[i * L + l]),
+                                scalar_t::from_raw(want_im[i * L + l])};
+                        oracle.forward(lane_in, want);
+                        for (std::size_t i = 0; i < n; ++i) {
+                            ASSERT_EQ(re[i * L + l], want[i].re.raw()) << what;
+                            ASSERT_EQ(im[i * L + l], want[i].im.raw()) << what;
+                        }
+                        restore[l] = static_cast<real>(n) / scale[l];
+                    }
+
+                    k.store(re.data(), im.data(), dsts, count, n, restore);
+                    const real one = std::ldexp(1.0, static_cast<int>(F));
+                    for (std::size_t l = 0; l < count; ++l)
+                        for (std::size_t i = 0; i < n; ++i) {
+                            const cplx ref{
+                                static_cast<real>(re[i * L + l]) / one * restore[l],
+                                static_cast<real>(im[i * L + l]) / one * restore[l]};
+                            ASSERT_EQ(std::memcmp(&outs[l][i], &ref, sizeof(cplx)), 0)
+                                << what << " lane " << l << " bin " << i;
+                        }
+                }
+
+                // Inputs outside the guard -- a NaN, or an infinity (its
+                // lane scales to 0 and inf * 0 is NaN) -- fail the group
+                // from any lane of a partial group.
+                for (const real bad : {std::nan(""), std::numeric_limits<real>::infinity()}) {
+                    std::vector<cplx> in = ins[0];
+                    in[n / 2] = cplx{bad, 0.0};
+                    const cplx* srcs[L] = {ins[1].data(), in.data()};
+                    std::vector<raw> re(n * L), im(n * L);
+                    real scale[L] = {};
+                    EXPECT_FALSE(k.load(srcs, 2, n, re.data(), im.data(), scale))
+                        << qsimd::isa_name(which) << " " << bad;
+                }
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(FixedWfftKernels, Q15EntriesMatchOracleOnEveryIsa) {
+    run_kernel_matrix<15, std::int32_t>(&qsimd::kernel_table::q15);
+}
+
+TEST(FixedWfftKernels, Q31EntriesMatchOracleOnEveryIsa) {
+    run_kernel_matrix<31, std::int64_t>(&qsimd::kernel_table::q31);
+}
+
+TEST(FixedWfftKernels, ToRawEdgeCases) {
+    const auto fp15 = [](double v) { return qpsa::fp::fixed_point<15>(v).raw(); };
+    // Half-way ties round away from zero, +-U is exact, NaN maps to the
+    // raw minimum, -0.0 to 0, and saturation clamps at the raw limits.
+    for (const double k : {0.5, 1.5, 2.5, 1023.5}) {
+        EXPECT_EQ(peer::to_raw<15>(k / 32768.0), fp15(k / 32768.0));
+        EXPECT_EQ(peer::to_raw<15>(-k / 32768.0), fp15(-k / 32768.0));
+        EXPECT_EQ(peer::to_raw<15>(k / 32768.0),
+                  static_cast<std::int32_t>(k + 0.5));
+        EXPECT_EQ(peer::to_raw<31>(-k / 2147483648.0),
+                  -static_cast<std::int64_t>(k + 0.5));
+    }
+    EXPECT_EQ(peer::to_raw<15>(1.0), 32768);
+    EXPECT_EQ(peer::to_raw<15>(-1.0), -32768);
+    EXPECT_EQ(peer::to_raw<31>(1.0), std::int64_t{1} << 31);
+    EXPECT_EQ(peer::to_raw<31>(-1.0), -(std::int64_t{1} << 31));
+    EXPECT_EQ(peer::to_raw<15>(std::nan("")),
+              std::numeric_limits<std::int32_t>::min());
+    EXPECT_EQ(peer::to_raw<31>(std::nan("")),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(peer::to_raw<15>(-0.0), 0);
+    EXPECT_EQ(peer::to_raw<31>(-0.0), 0);
+    EXPECT_EQ(peer::to_raw<15>(1e30), std::numeric_limits<std::int32_t>::max());
+    EXPECT_EQ(peer::to_raw<15>(-1e30), std::numeric_limits<std::int32_t>::min());
+    for (const double v : {std::nan(""), -0.0, 1.0, -1.0, 1e30, -1e30}) {
+        EXPECT_EQ(peer::to_raw<15>(v), fp15(v)) << v;
+        EXPECT_EQ(peer::to_raw<31>(v), qpsa::fp::fixed_point<31>(v).raw()) << v;
+    }
+}
+
+TEST(FixedWfftKernels, IsaTablesHoldTheirOwnCopies) {
+    // Each ISA TU instantiates the lane templates with its own TU-local
+    // type.  Were the AVX2 and baseline copies one mangled symbol, the
+    // linker would keep one for both tables: these pointers would match.
+    const qsimd::kernel_table* sse2 = qsimd::kernels_for(qsimd::isa::sse2);
+    const qsimd::kernel_table* avx2 = qsimd::kernels_for(qsimd::isa::avx2);
+    if (sse2 == nullptr || avx2 == nullptr) GTEST_SKIP() << "needs sse2 and avx2";
+    EXPECT_NE(sse2->q15.walk, avx2->q15.walk);
+    EXPECT_NE(sse2->q15.load, avx2->q15.load);
+    EXPECT_NE(sse2->q15.store, avx2->q15.store);
+    EXPECT_NE(sse2->q31.walk, avx2->q31.walk);
+    EXPECT_NE(sse2->q31.load, avx2->q31.load);
+    EXPECT_NE(sse2->q31.store, avx2->q31.store);
+    EXPECT_NE(sse2->burg_lattice, avx2->burg_lattice);
+    const qsimd::kernel_table* scalar = qsimd::kernels_for(qsimd::isa::scalar);
+    EXPECT_NE(scalar->q15.walk, sse2->q15.walk);
 }
