@@ -1187,8 +1187,9 @@ fftw_ab_result run_fftw_ab(unsigned n_patients, real record_seconds) {
 /// them is the real thing).  Includes one live mid-stream migration over
 /// the socket.  The two determinism bars CI gates on: the aggregator's
 /// merged snapshot and the client's merged stats both bit-identical to
-/// an in-process shard_router running the identical schedule, and the
-/// migrated session bit-identical to an unmigrated solo run.
+/// an in-process shard_router running the identical schedule (every
+/// analysis column; see analysis_view), and the migrated session
+/// bit-identical to an unmigrated solo run.
 struct transport_result {
     unsigned patients = 0;
     unsigned shards = 0;
@@ -1225,6 +1226,17 @@ service::session_config transport_config(std::string_view token,
         cfg.battery.capacity_j = 2.6e-3;
     }
     return cfg;
+}
+
+/// A snapshot without its drain-scheduler columns.  The in-process
+/// router drains both shards in one pass on one pool, so its lane groups
+/// fill across shards and its workers steal; two socket shards drain
+/// apart.  Every other column must match bit for bit.
+service::fleet_snapshot analysis_view(service::fleet_snapshot s) {
+    s.windows_stolen = 0;
+    s.lane_slots_filled = 0;
+    s.lane_slots_offered = 0;
+    return s;
 }
 
 transport_result run_transport_fleet(unsigned n_patients,
@@ -1349,11 +1361,12 @@ transport_result run_transport_fleet(unsigned n_patients,
     // in flight; snapshots are whole-state, so the last one wins).
     pub0.publish_now();
     pub1.publish_now();
-    const service::fleet_snapshot want = ref.fleet();
+    const service::fleet_snapshot want = analysis_view(ref.fleet());
     const auto deadline = clock_type::now() + std::chrono::seconds(10);
     bool agg_identical = false;
     while (clock_type::now() < deadline) {
-        if (agg.shards_reporting() == 2 && agg.merged() == want) {
+        if (agg.shards_reporting() == 2 &&
+            analysis_view(agg.merged()) == want) {
             agg_identical = true;
             break;
         }
@@ -1361,8 +1374,8 @@ transport_result run_transport_fleet(unsigned n_patients,
         pub0.publish_now();
         pub1.publish_now();
     }
-    r.merge_identical =
-        schedule_identical && agg_identical && client.merged_stats() == want;
+    r.merge_identical = schedule_identical && agg_identical &&
+                        analysis_view(client.merged_stats()) == want;
 
     // Migration bar: the moved session's spectra and switch log match
     // the reference's and an unmigrated solo run with the same derived

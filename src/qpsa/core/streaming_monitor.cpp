@@ -124,9 +124,7 @@ void streaming_monitor::complete_staged(bool ok) {
             rep.ops = staged_bd_.total();
             pending_.push_back(rep);
             ++completed_;
-            history_.push_back(rep);
-            if (history_.size() > opt_.history_limit)
-                history_.erase(history_.begin());
+            push_history(rep);
         } catch (const contract_error&) {
             // Degenerate window (e.g. zero variance): skip silently, as a
             // node would.
@@ -135,6 +133,17 @@ void streaming_monitor::complete_staged(bool ok) {
     // A window that failed its analysis contracts (!ok) is skipped the
     // same way.
     advance_window();
+}
+
+void streaming_monitor::push_history(const window_report& rep) {
+    history_.push_back(rep);
+    if (history_.size() - history_head_ > opt_.history_limit) ++history_head_;
+    if (history_head_ >= std::max<std::size_t>(1, opt_.history_limit / 4)) {
+        history_.erase(history_.begin(),
+                       history_.begin() +
+                           static_cast<std::ptrdiff_t>(history_head_));
+        history_head_ = 0;
+    }
 }
 
 void streaming_monitor::advance_window() {
@@ -210,7 +219,8 @@ monitor_state streaming_monitor::export_state() const {
     st.pending.assign(
         pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_),
         pending_.end());
-    st.history = history_;
+    const std::span<const window_report> live = history();
+    st.history.assign(live.begin(), live.end());
     st.next_window_start = next_window_start_;
     st.started = started_;
     st.windows_completed = completed_;
@@ -224,6 +234,7 @@ void streaming_monitor::restore_state(const monitor_state& st) {
     pending_ = st.pending;
     pending_head_ = 0;
     history_ = st.history;
+    history_head_ = 0;
     next_window_start_ = st.next_window_start;
     started_ = st.started;
     completed_ = static_cast<std::size_t>(st.windows_completed);
@@ -237,11 +248,12 @@ void streaming_monitor::restore_state(const monitor_state& st) {
 }
 
 real streaming_monitor::arrhythmia_fraction() const {
-    if (history_.empty()) return 0.0;
+    const std::span<const window_report> live = history();
+    if (live.empty()) return 0.0;
     std::size_t flagged = 0;
-    for (const auto& rep : history_)
+    for (const auto& rep : live)
         if (rep.diagnosis == hrv::diagnosis::sinus_arrhythmia) ++flagged;
-    return static_cast<real>(flagged) / static_cast<real>(history_.size());
+    return static_cast<real>(flagged) / static_cast<real>(live.size());
 }
 
 }  // namespace qpsa::core

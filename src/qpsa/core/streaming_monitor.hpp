@@ -119,13 +119,16 @@ public:
         return started_ ? next_window_start_ + opt_.window_seconds
                         : std::numeric_limits<real>::infinity();
     }
+    /// A beat has set the window phase.
+    bool started() const noexcept { return started_; }
 
     /// Next completed window report, if any.
     std::optional<window_report> poll();
 
     /// Completed-window history (oldest first, bounded).
     std::span<const window_report> history() const noexcept {
-        return {history_.data(), history_.size()};
+        return {history_.data() + history_head_,
+                history_.size() - history_head_};
     }
 
     /// Swap the analysis configuration (e.g. a QDES mode change); takes
@@ -176,6 +179,9 @@ private:
     /// Build the staged window's report (when `ok` and the bands are
     /// well-defined) and advance to the next hop.
     void complete_staged(bool ok);
+    /// Append to the bounded history, retiring the oldest report past
+    /// the limit.
+    void push_history(const window_report& rep);
     /// Advance to the next hop and prune/compact beats no future window
     /// can use.
     void advance_window();
@@ -198,7 +204,11 @@ private:
     std::vector<window_report> pending_;
     std::size_t pending_head_ = 0;
 
+    // Bounded history, same head-index scheme: the live range is
+    // [history_head_, size), and the dead prefix is compacted once it
+    // reaches a quarter of the limit instead of shifting every window.
     std::vector<window_report> history_;
+    std::size_t history_head_ = 0;
 
     // Reused per-window scratch: the cut window, its spectrum, and the
     // fallback workspace used when no per-worker cache is injected.

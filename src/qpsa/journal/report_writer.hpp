@@ -1,15 +1,17 @@
 // Durable append-only journal writer (one per shard).
 //
-// The writer is the fleet's `on_report` sink, fed from three places per
+// The writer is the fleet's `on_report` sink, fed from two places per
 // scheduler pass:
-//   * the pump caller appends ONE append_beats block holding every beat
-//     it absorbed this pass (sessions with nothing to close; see
-//     batch_scheduler.hpp), committed before the pass returns;
 //   * each drained session appends its staged beats, then its window
 //     report, from whichever worker drains it -- the stage is flushed
 //     before every report and when the session runs dry, so a session's
 //     beats always precede the reports they produced;
 //   * fleet_stats appends each merged batch partial at the pass barrier.
+// A beat reaches the journal when its session drains: a pass leaves a
+// session's beats in its ring until a window falls due (see
+// batch_scheduler.hpp), so a beat is journaled at most about one hop
+// after ingest -- the same order of delay as the 256 KiB staging buffer
+// and the 4 MiB default fsync cadence below.
 // Everything lands in one file through an arena-backed staging buffer --
 // the hot path copies a few dozen bytes under a short mutex and never
 // touches the heap.  Staged bytes are
@@ -74,8 +76,7 @@ public:
     void append_session_meta(const session_meta& meta);
     void append_beat(std::uint64_t session_id, real beat_time_s, real rr_s);
     /// Append a run of beats, framed outside the mutex and staged in
-    /// blocks of up to 256 records per mutex acquisition.  The scheduler
-    /// commits each pass's absorbed beats here in one call, and drained
+    /// blocks of up to 256 records per mutex acquisition.  Drained
     /// sessions flush their per-session stages here (before any report
     /// record, so a session's beats always precede the reports they
     /// produced) -- per-beat locking is what a live fleet cannot afford.

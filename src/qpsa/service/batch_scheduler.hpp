@@ -1,13 +1,19 @@
 // Batch scheduler: drains ready sessions across the fleet.
 //
-// A pass runs one pipeline:
-//   1. scan the fleet for sessions with buffered ingest and split them by
-//      session::due(): a session is *due* when the newest beat its
-//      producer pushed reaches its monitor's next window end, i.e. when
-//      draining it may close a window;
-//   2. order the due sessions by engine identity (the key hash each
-//      psa_system caches) and cut them into engine-pure drain units (a
-//      unit never spans two engine keys);
+// A pass runs one pipeline over one or more *shards* (a shard is a
+// session_manager's sessions plus the fleet_stats its windows merge into;
+// a standalone manager passes itself, shard_router passes all K):
+//   1. scan every shard for sessions with buffered ingest and keep the
+//      ready ones (session::ready(): the newest pushed beat reaches the
+//      monitor's next window end, or the beats cannot wait -- unstarted
+//      monitor, ring at least half full, high-water callback).  Every
+//      other session keeps its beats in the ring for a later pass; a
+//      drain_all pass keeps every pending session instead;
+//   2. order the kept sessions by engine identity (the key hash each
+//      psa_system caches), cut each shard's share of an engine group into
+//      *slices* exactly as a pass over that shard alone would cut its
+//      units, and pack whole slices into engine-pure drain units (a unit
+//      never spans two engine keys, but may span shards);
 //   3. deal the units contiguously to per-worker deques (work_deque.hpp);
 //      a worker drains its own range in index order and steals from the
 //      back of a neighbour's range when it runs dry, so one slow
@@ -17,44 +23,42 @@
 //      group through psa_system::analyze_window_batched (same-plan mesh
 //      FFTs interleaved one per SIMD lane), finish the windows, repeat
 //      until every session of the unit is dry;
-//   5. meanwhile, on the calling thread, *absorb* every pending session
-//      that is not due: session::absorb moves its beats that lie before
-//      the next window end into the monitor.  Those beats only buffer,
-//      so an absorb closes no window and the drain in step 4 stays the
-//      only analysis path.  The caller gathers the absorbed beats' journal
-//      records into one append_beats block per pass (group commit);
-//   6. merge the per-unit fleet_partial accumulators at the pass barrier
-//      (a pass with nothing due merges nothing).
+//   5. at the pass barrier, each shard's fleet_stats merges its slices'
+//      partials in slice order (empty partials merge nothing).
 //
-// Absorbing overlaps the drain instead of preceding it: on a trickle-fed
-// fleet most pending sessions carry a beat or two that close nothing,
-// and visiting them on the workers (or in a serial prologue) costs more
-// than the windows themselves.
+// Leaving non-ready sessions in their rings is what makes a pass cost
+// scale with windows rather than beats: on a trickle-fed fleet most
+// pending sessions carry a beat or two that close nothing, and the pass
+// never touches them until a window falls due.
 //
 // A session is always drained whole by a single worker, so its windows
 // complete in beat order and its monitor is never touched by two threads;
 // parallelism comes from running different patients on different workers,
 // which is safe because all heavy analysis state (FFT engines, twiddle
 // tables) is shared immutably via the plan cache.  Because units are cut
-// inside engine groups, lane groups fill from anywhere in the fleet that
-// runs the same plan; fleet_snapshot's lane_slots_filled /
-// lane_slots_offered columns measure exactly this.
+// inside engine groups across every shard of the pass, lane groups fill
+// from anywhere in the fleet that runs the same plan; fleet_snapshot's
+// lane_slots_filled / lane_slots_offered columns measure exactly this.
 //
-// Determinism: partials are merged in UNIT INDEX order -- session-id order
-// within each engine group -- never in completion order, so fleet
-// snapshots, journal stats_delta ordering and replay are bit-identical for
-// any worker count and any steal interleaving.  (windows_stolen is the one
-// exception by design: it counts scheduling events, not analysis results.
-// It still travels in the journaled partials -- a rebuild reproduces the
-// recorded value -- but cross-run comparisons must normalize it.)  The
-// due/absorb split never changes a result: which beats a pass absorbs
-// depends on the pump cadence, but a beat reaches its monitor in ring
-// order either way and closes the same windows.
+// Determinism: each shard merges one partial per slice, in slice order --
+// session order within each engine group -- never in completion order.
+// A slice's partial sums its windows in the order of the unit a pass over
+// that shard alone would drain, so per-shard fleet snapshots, journal
+// stats_delta ordering and replay are bit-identical for any worker count,
+// any steal interleaving and whichever shards share the pass: a shard of
+// an in-process router equals a shard process.  The drain-scheduler
+// columns are the exception by design -- lane fill depends on which
+// shards share a lane group, and windows_stolen counts scheduling events
+// (cross-run comparisons normalize it) -- but both still travel in the
+// journaled partials, so a rebuild reproduces them.  Which pass drains a
+// beat depends on the pump cadence, but a beat reaches its monitor in
+// ring order either way and closes the same windows.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -78,52 +82,75 @@ struct scheduler_options {
     std::size_t batch_size = 0;
 };
 
+/// One partition of a pass: a manager's published sessions and the
+/// fleet_stats their windows merge into.
+struct pass_shard {
+    std::span<const std::unique_ptr<session>> sessions;
+    fleet_stats* fleet;
+};
+
+/// Which pending sessions a pass drains.
+enum class drain_scope {
+    ready,        ///< session::ready() only (pump)
+    all_pending,  ///< every session with buffered ingest (drain_all)
+};
+
 class batch_scheduler {
 public:
-    batch_scheduler(thread_pool& pool, scheduler_options opt = {});
+    /// Owns a pool of `threads` workers (0 = hardware concurrency).
+    batch_scheduler(std::size_t threads, scheduler_options opt = {});
 
-    /// One pass: dispatch every due session, absorb every other session
-    /// with pending ingest, wait for the pass barrier, return the number
-    /// of windows completed fleet-wide.  Callers serialize passes
-    /// (session_manager::pump_mu_), so the pass scratch below is reused
-    /// without locking.
-    std::size_t run_once(std::span<const std::unique_ptr<session>> sessions,
-                         fleet_stats& fleet);
+    /// Serializes passes, and anything that must not overlap one (session
+    /// extraction).  Hold it across run_once.
+    std::mutex& pass_mutex() noexcept { return pass_mu_; }
+
+    /// One pass over `shards` (caller holds pass_mutex()): drain the
+    /// sessions `scope` selects, wait for the pass barrier, merge, and
+    /// return the number of windows completed.
+    std::size_t run_once(std::span<const pass_shard> shards,
+                         drain_scope scope);
+
+    std::size_t worker_count() const noexcept { return pool_.size(); }
 
 private:
     struct ready_entry {
         std::size_t engine_order;  ///< engine-key hash (grouping key)
         session* s;
+        std::uint32_t shard;  ///< index into the pass's shards
+        std::uint32_t slice;  ///< index into partials_
     };
 
-    /// One engine-pure slice of the pass's ready set: drained whole by
-    /// exactly one worker, its results merged at the pass barrier in
-    /// unit index order.
+    /// Whole slices of one engine group, drained by exactly one worker.
+    /// A slice is one shard's share of a unit: the sessions a pass over
+    /// that shard alone would drain as one unit, with its own partial.
     struct drain_unit {
         std::uint32_t begin;  ///< range in ready_
         std::uint32_t end;
-        std::size_t windows;
-        fleet_partial partial;  ///< results + scheduler telemetry columns
+        std::uint32_t slice_begin;  ///< range in partials_
+        std::uint32_t slice_end;
     };
 
-    /// Step 5 above, on the calling thread.
-    void absorb_pending();
     void run_worker(std::size_t self);
-    void run_unit(drain_unit& unit, bool stolen);
+    void run_unit(std::size_t index, bool stolen);
 
     /// Lockstep drain of one unit (step 4 above); runs on a pool worker.
-    /// Returns windows completed; the lane-fill tallies of every batched
-    /// analyze call fold into `partial`.
-    static std::size_t drain_lockstep(std::span<const ready_entry> batch,
-                                      fleet_partial& partial);
+    /// Completed windows and the lane-fill tallies of every batched
+    /// analyze call fold into partials[entry.slice] (a lane group counts
+    /// on its first session's slice).
+    static void drain_lockstep(std::span<const ready_entry> batch,
+                               fleet_partial* partials);
 
-    thread_pool& pool_;
+    thread_pool pool_;
     scheduler_options opt_;
-    std::vector<ready_entry> ready_;  ///< pass scratch, capacity reused
-    std::vector<session*> absorb_;    ///< pending, not due (pass scratch)
-    std::vector<journal::beat_event> block_;  ///< absorbed beats' records
-    std::vector<drain_unit> units_;   ///< pass scratch, capacity reused
+    std::mutex pass_mu_;
+    // Pass scratch, capacity reused.
+    std::vector<ready_entry> ready_;
+    std::vector<std::size_t> shard_ready_;  ///< ready sessions per shard
+    std::vector<drain_unit> units_;
+    std::vector<std::uint32_t> slice_shard_;  ///< shard of each slice
+    std::vector<fleet_partial> partials_;     ///< one per slice
     std::vector<work_deque> deques_;  ///< one per pool worker
+    std::size_t workers_ = 0;  ///< workers (and deques) this pass uses
 };
 
 }  // namespace qpsa::service

@@ -147,7 +147,7 @@ struct fleet_snapshot {
     /// Drain-scheduler telemetry: windows completed on stolen drain
     /// units, and the SIMD lane-fill tallies of the staged drains
     /// (lane_fill = lane_slots_filled / lane_slots_offered).  Unlike the
-    /// drop columns these ride the per-unit fleet_partial accumulators,
+    /// drop columns these ride the per-slice fleet_partial accumulators,
     /// so they land in the journaled stats_delta stream and a recovery
     /// rebuild reproduces them exactly.  Lossless under operator+=.  The
     /// lane columns are deterministic for a given beat stream;

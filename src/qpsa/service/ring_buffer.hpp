@@ -2,8 +2,8 @@
 //
 // Each session owns one: the ingest edge (one producer -- the socket /
 // driver thread feeding that patient) pushes beats, the scheduler (one
-// consumer at a time -- the batch worker currently draining the session,
-// or the pump caller absorbing it) pops them into the monitor.  Lock-free via acquire/release indices;
+// consumer at a time -- the batch worker currently draining the session)
+// pops them into the monitor.  Lock-free via acquire/release indices;
 // capacity is a power of two so wrap-around is a mask.
 //
 // Overflow policy: by default a full ring rejects the new beat (complete
@@ -85,16 +85,21 @@ public:
 
     /// Consumer side.  Returns false when empty.
     bool pop(beat_sample& out) noexcept {
-        return pop_if([](const beat_sample&) { return true; }, out);
-    }
-
-    /// Consumer side: pop the front beat only when it lies before `end`,
-    /// i.e. unless its time is >= end (so a NaN time pops: it can never
-    /// reach a window end either).  Returns false when empty or when the
-    /// front beat is at or past `end`, which stays buffered.
-    bool pop_before(real end, beat_sample& out) noexcept {
-        return pop_if([end](const beat_sample& s) { return !(s.t >= end); },
-                      out);
+        if (policy_ == overflow_policy::overwrite_oldest) {
+            const spin_guard g(lock_);
+            const std::size_t tail = tail_.load(std::memory_order_relaxed);
+            const std::size_t head = head_.load(std::memory_order_relaxed);
+            if (tail == head) return false;
+            out = buf_[tail & mask_];
+            tail_.store(tail + 1, std::memory_order_release);
+            return true;
+        }
+        const std::size_t tail = tail_.load(std::memory_order_relaxed);
+        const std::size_t head = head_.load(std::memory_order_acquire);
+        if (tail == head) return false;
+        out = buf_[tail & mask_];
+        tail_.store(tail + 1, std::memory_order_release);
+        return true;
     }
 
     /// Beats currently buffered (approximate under concurrency).
@@ -114,25 +119,6 @@ public:
     }
 
 private:
-    template <typename Pred>
-    bool pop_if(Pred pred, beat_sample& out) noexcept {
-        if (policy_ == overflow_policy::overwrite_oldest) {
-            const spin_guard g(lock_);
-            const std::size_t tail = tail_.load(std::memory_order_relaxed);
-            const std::size_t head = head_.load(std::memory_order_relaxed);
-            if (tail == head || !pred(buf_[tail & mask_])) return false;
-            out = buf_[tail & mask_];
-            tail_.store(tail + 1, std::memory_order_release);
-            return true;
-        }
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        const std::size_t head = head_.load(std::memory_order_acquire);
-        if (tail == head || !pred(buf_[tail & mask_])) return false;
-        out = buf_[tail & mask_];
-        tail_.store(tail + 1, std::memory_order_release);
-        return true;
-    }
-
     struct spin_guard {
         explicit spin_guard(std::atomic_flag& f) noexcept : f_(f) {
             while (f_.test_and_set(std::memory_order_acquire)) {}

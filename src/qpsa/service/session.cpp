@@ -126,10 +126,8 @@ void session::notify_high_water() noexcept {
     }
 }
 
-std::size_t session::collect_windows(fleet_partial& acc) {
-    std::size_t completed = 0;
+void session::collect_windows(fleet_partial& acc) {
     while (auto rep = monitor_.poll()) {
-        ++completed;
         ++windows_;
         const real psa_j = acc.add_report(*rep);
         battery_.drain_window(psa_j);
@@ -158,11 +156,9 @@ std::size_t session::collect_windows(fleet_partial& acc) {
         }
         if (cfg_.keep_reports) reports_.push_back(std::move(*rep));
     }
-    return completed;
 }
 
-session::pump_status session::pump_to_stage(fleet_partial& acc,
-                                            std::size_t& completed) {
+session::pump_status session::pump_to_stage(fleet_partial& acc) {
     QPSA_EXPECTS(!monitor_.has_staged());
     // Analysis scratch comes from the worker currently draining us (the
     // session may land on a different worker next pass; the monitor
@@ -173,7 +169,7 @@ session::pump_status session::pump_to_stage(fleet_partial& acc,
     // Windows the previous batched round finished are collected here:
     // right after the beat that closed them, before the next beat of this
     // session lands.
-    completed += collect_windows(acc);
+    collect_windows(acc);
     // One beat at a time, windows collected after every push: the
     // governor then reacts at exact window boundaries in *beat* order, so
     // a governed session's mode schedule is a pure function of its beat
@@ -183,24 +179,11 @@ session::pump_status session::pump_to_stage(fleet_partial& acc,
     while (ring_.pop(s)) {
         push_beat(s);
         if (monitor_.has_staged()) return pump_status::staged;
-        completed += collect_windows(acc);
+        collect_windows(acc);
     }
     if (cfg_.journal != nullptr) flush_journal_stage();
     rearm_high_water();
     return pump_status::idle;
-}
-
-void session::absorb(std::vector<journal::beat_event>& block) {
-    QPSA_EXPECTS(!monitor_.has_staged());
-    // Re-read the end per beat: the first beat of an unstarted monitor
-    // sets the window phase (the end is +inf until then).
-    beat_sample s;
-    while (ring_.pop_before(monitor_.next_window_end(), s)) {
-        // Journaled before the monitor sees it, as in push_beat.
-        if (cfg_.journal != nullptr) block.push_back({journal_id_, s.t, s.rr});
-        feed_monitor(s);
-    }
-    rearm_high_water();
 }
 
 void session::rearm_high_water() noexcept {
@@ -218,10 +201,6 @@ void session::push_beat(const beat_sample& s) {
         journal_stage_.push_back({journal_id_, s.t, s.rr});
         if (journal_stage_.size() >= journal_stage_cap) flush_journal_stage();
     }
-    feed_monitor(s);
-}
-
-void session::feed_monitor(const beat_sample& s) {
     try {
         monitor_.push_beat(s.t, s.rr);
         ++beats_ingested_;

@@ -4,12 +4,11 @@
 // over shared cached engines), their simulated node battery and their QDES
 // governor (the paper's Fig. 2 loop, closed at run time).  Threading
 // contract: the ingest edge (one producer thread) calls ingest();
-// everything else -- the pump_to_stage / finish_staged drain, absorb(),
-// mode changes, accessors below -- runs on at most one scheduler thread
-// at a time (a pass either hands a session to one pool worker or absorbs
-// it on the pump caller, never both).  The quality/battery columns read
-// by fleet snapshots are atomics, so session_manager::fleet() may run
-// concurrently with a draining worker.
+// everything else -- the pump_to_stage / finish_staged drain, mode
+// changes, accessors below -- runs on at most one scheduler thread at a
+// time (a pass hands a session to exactly one pool worker).  The
+// quality/battery columns read by fleet snapshots are atomics, so
+// session_manager::fleet() may run concurrently with a draining worker.
 #pragma once
 
 #include <atomic>
@@ -172,41 +171,40 @@ public:
     /// adopting manager together with the extracted state).
     const session_config& session_cfg() const noexcept { return cfg_; }
 
-    // ---- drain and absorb (the scheduler's side) ---------------------
+    // ---- drain (the scheduler's side) --------------------------------
     //
-    // Each pass splits the sessions with buffered ingest by due():
+    // A pass drains a session with buffered ingest only when it is
+    // ready(): due (draining may close a window) or unable to wait.  Every
+    // other session keeps its beats in the ring until a later pass; they
+    // close nothing before the window end, so waiting changes no result.
     //
-    //   * a *due* session may close a window, so a pool worker drains it:
-    //     the scheduler pumps each session of a drain unit until it
-    //     *stages* a cut window, groups staged windows by analysis system,
-    //     runs each group through psa_system::analyze_window_batched (mesh
-    //     FFTs interleaved one per SIMD lane), then finishes every staged
-    //     window and pumps again until the ring is dry.  This is the only
-    //     path that analyzes windows; completed windows are folded into
-    //     the caller's fleet_partial (and the local report log when
-    //     keep_reports), with the battery drained and the governor run at
-    //     every window boundary;
-    //   * every other session is *absorbed* on the pump caller while the
-    //     workers drain: absorb() moves the beats that lie before the
-    //     monitor's next window end into the monitor.  Such a beat only
-    //     buffers, so an absorb never closes a window, runs no analysis,
-    //     governor or battery step and adds nothing to the fleet stats.
+    // A drained session's beats go through the staged lockstep: the
+    // scheduler pumps each session of a drain unit until it *stages* a
+    // cut window, groups staged windows by analysis system, runs each
+    // group through psa_system::analyze_window_batched (mesh FFTs
+    // interleaved one per SIMD lane), then finishes every staged window
+    // and pumps again until the ring is dry.  This is the only path that
+    // analyzes windows; completed windows are folded into the caller's
+    // fleet_partial (and the local report log when keep_reports), with
+    // the battery drained and the governor run at every window boundary.
+    // The session journals its popped beats itself, before the reports
+    // they close.
     //
-    // Either way beats reach the monitor one at a time in ring order and
-    // every window is analyzed before the next beat of its session lands,
-    // so per-session results -- reports, governor schedule, journal order,
+    // Beats reach the monitor one at a time in ring order and every window
+    // is analyzed before the next beat of its session lands, so
+    // per-session results -- reports, governor schedule, journal order,
     // battery trace -- are a pure function of the beat stream, whatever
-    // the split or the grouping.
+    // the pump cadence or the grouping.
 
     enum class pump_status {
         staged,  ///< a window is cut and awaiting analysis
         idle,    ///< ring drained, nothing staged: this pass is done
     };
 
-    /// Pop beats until a window stages or the ring empties.  Resumes
-    /// report collection after previously finished windows.  Scheduler-
-    /// thread only.
-    pump_status pump_to_stage(fleet_partial& acc, std::size_t& completed);
+    /// Pop beats until a window stages or the ring empties; completed
+    /// windows fold into `acc`.  Resumes report collection after
+    /// previously finished windows.  Scheduler-thread only.
+    pump_status pump_to_stage(fleet_partial& acc);
 
     /// The newest beat time the producer has pushed has reached the
     /// monitor's next window end, so draining may close a window.  Exact
@@ -219,16 +217,15 @@ public:
                monitor_.next_window_end();
     }
 
-    /// Move every buffered beat that lies before the monitor's next window
-    /// end into the monitor (see the section comment).  The journal
-    /// records of the moved beats are appended to `block` instead of the
-    /// session's own stage; the caller commits the block to journal()
-    /// before the pass ends.  Runs on the pump caller, never concurrently
-    /// with a drain of this session.
-    void absorb(std::vector<journal::beat_event>& block);
-
-    /// The journal this session writes to (nullptr when not journaling).
-    journal::report_writer* journal() const noexcept { return cfg_.journal; }
+    /// A pass drains this session now (see the section comment): it is
+    /// due, or its beats cannot wait -- its monitor has not started (the
+    /// first beat sets the window phase), its ring is at least half full,
+    /// or it has a high-water callback (whose alarm episodes assume every
+    /// pass empties the ring).
+    bool ready() const noexcept {
+        return due() || high_water_mark_ != 0 || !monitor_.started() ||
+               ring_.size() >= ring_.capacity() / 2;
+    }
 
     bool has_staged_window() const noexcept { return monitor_.has_staged(); }
     /// The staged window as a batchable job (valid until finish_staged).
@@ -299,7 +296,7 @@ public:
 
 private:
     /// Poll completed windows: accumulate, drain battery, run governor.
-    std::size_t collect_windows(fleet_partial& acc);
+    void collect_windows(fleet_partial& acc);
 
     /// Hand staged beats to the journal in one batched append (no-op when
     /// nothing is staged).  Called before any report record and at drain
@@ -307,11 +304,9 @@ private:
     /// and the stage is empty whenever the session is idle.
     void flush_journal_stage();
 
-    /// Journal-stage one popped beat and feed it to the monitor.
+    /// Journal-stage one popped beat and feed it to the monitor;
+    /// malformed beats are counted and dropped.
     void push_beat(const beat_sample& s);
-    /// Push one beat into the monitor; malformed beats are counted and
-    /// dropped.
-    void feed_monitor(const beat_sample& s);
 
     /// Producer side: raise the running maximum due() compares against.
     void note_newest(real t) noexcept {
@@ -344,8 +339,8 @@ private:
     std::atomic<bool> high_water_armed_{true};
     std::atomic<std::uint64_t> high_water_alarms_{0};
     /// Newest beat time ever pushed into the ring (producer-written).
-    /// Relaxed is enough: due() only picks the path, and absorb() checks
-    /// every beat it pops against the window end itself.
+    /// Relaxed is enough: due() only decides whether a pass drains now;
+    /// a drain pops every buffered beat whatever it read.
     std::atomic<real> newest_{-std::numeric_limits<real>::infinity()};
     std::uint64_t beats_ingested_ = 0;
     std::atomic<std::uint64_t> beats_rejected_{0};

@@ -5,10 +5,16 @@
 namespace qpsa::service {
 
 session_manager::session_manager(service_options opt, plan_cache* cache)
+    : session_manager(opt, cache, nullptr) {}
+
+session_manager::session_manager(service_options opt, plan_cache* cache,
+                                 batch_scheduler* shared)
     : opt_(opt),
       cache_(cache != nullptr ? cache : &global_plan_cache()),
-      pool_(opt.threads),
-      scheduler_(pool_, opt.scheduler),
+      own_scheduler_(shared != nullptr ? nullptr
+                                       : std::make_unique<batch_scheduler>(
+                                             opt.threads, opt.scheduler)),
+      scheduler_(shared != nullptr ? shared : own_scheduler_.get()),
       stats_(opt.node, opt.vfs_deadline_s) {
     QPSA_EXPECTS(opt_.max_sessions >= 1);
     // Reserved once: ingest() indexes this storage without a lock, so it
@@ -62,18 +68,21 @@ const session& session_manager::at(std::uint64_t id) const {
     return *sessions_[id];
 }
 
-std::size_t session_manager::pump() {
-    // One pass at a time: overlapping passes would hand the same session
-    // to two workers, violating the single-drainer contract.
-    std::lock_guard<std::mutex> lock(pump_mu_);
-    return scheduler_.run_once({sessions_.data(), session_count()}, stats_);
+std::size_t session_manager::pump() { return run_pass(drain_scope::ready); }
+
+std::size_t session_manager::run_pass(drain_scope scope) {
+    // One pass at a time per scheduler: overlapping passes would hand the
+    // same session to two workers, violating the single-drainer contract.
+    std::lock_guard<std::mutex> lock(scheduler_->pass_mutex());
+    const pass_shard view = pass_view();
+    return scheduler_->run_once({&view, 1}, scope);
 }
 
 extracted_session session_manager::extract_session(std::uint64_t id) {
     // Quiesce the analysis plane first (no worker is mid-drain on any
-    // session while pump_mu_ is held), then freeze admission so the id
-    // space is stable while the tombstone is cut.
-    std::scoped_lock lock(pump_mu_, admit_mu_);
+    // session while the pass mutex is held), then freeze admission so the
+    // id space is stable while the tombstone is cut.
+    std::scoped_lock lock(scheduler_->pass_mutex(), admit_mu_);
     QPSA_EXPECTS(id < sessions_.size());
     session& s = *sessions_[id];
     QPSA_EXPECTS(!s.extracted());
@@ -172,7 +181,7 @@ fleet_snapshot session_manager::fleet() const {
     snap.sessions_migrated_in += migrations_in();
     snap.sessions_migrated_out += migrations_out();
     // Drain-scheduler telemetry (windows_stolen, lane_slots_*) needs no
-    // fill-in here: it rides the per-unit partials into stats_, so the
+    // fill-in here: it rides the per-slice partials into stats_, so the
     // base snapshot already carries it -- journaled and rebuildable like
     // every other drain-side column.
     return snap;
@@ -180,18 +189,17 @@ fleet_snapshot session_manager::fleet() const {
 
 std::size_t session_manager::drain_all() {
     std::size_t total = 0;
-    for (;;) {
-        const std::size_t w = pump();
-        total += w;
-        bool pending = false;
-        const std::size_t n = session_count();
-        for (std::size_t i = 0; i < n; ++i)
-            if (sessions_[i]->has_pending()) {
-                pending = true;
-                break;
-            }
-        if (!pending) return total;
-    }
+    do {
+        total += run_pass(drain_scope::all_pending);
+    } while (has_pending());
+    return total;
+}
+
+bool session_manager::has_pending() const noexcept {
+    const std::size_t n = session_count();
+    for (std::size_t i = 0; i < n; ++i)
+        if (sessions_[i]->has_pending()) return true;
+    return false;
 }
 
 }  // namespace qpsa::service

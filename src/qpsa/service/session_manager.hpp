@@ -2,9 +2,11 @@
 // shared plan cache, a fixed worker pool and fleet-wide accounting.
 //
 // A manager holds no process-global state of its own -- stats, energy
-// pricer, scheduler and pool are all per-instance, and stream seeds can
-// be namespaced (stream_offset) -- so K managers compose into one sharded
-// fleet over a shared plan cache (see shard_router).
+// pricer and journal are per-instance, and stream seeds can be
+// namespaced (stream_offset) -- so K managers compose into one sharded
+// fleet over a shared plan cache (see shard_router).  A standalone
+// manager owns its scheduler and pool; a shard_router's shards create
+// none and run their passes on the router's.
 //
 // Threading contract:
 //   * admission -- add_session() is mutex-guarded and publishes the new
@@ -31,7 +33,6 @@
 #include "qpsa/service/plan_cache.hpp"
 #include "qpsa/service/session.hpp"
 #include "qpsa/service/session_state.hpp"
-#include "qpsa/service/thread_pool.hpp"
 
 namespace qpsa::service {
 
@@ -95,15 +96,18 @@ public:
         return sessions_[id]->ingest(beat_time_s, rr_s);
     }
 
-    /// One scheduler pass over the fleet; returns windows completed.
-    /// Serialized internally: concurrent callers (e.g. a pumper thread
-    /// racing a final drain_all()) queue up rather than dispatching the
-    /// same session to two workers.
+    /// One scheduler pass over the fleet: drains every ready session
+    /// (session::ready()) and leaves the others' beats in their rings;
+    /// returns windows completed.  Serialized with every other pass on
+    /// the same scheduler: concurrent callers (e.g. a pumper thread racing
+    /// a final drain_all(), or sibling shards of one router) queue up
+    /// rather than dispatching the same session to two workers.
     std::size_t pump();
 
     /// Live migration, source side: retire session `id` and return its
-    /// config + full run-time state.  Takes the pump mutex (no worker is
-    /// mid-drain on the session) then the admit mutex; the caller must
+    /// config + full run-time state.  Takes the scheduler's pass mutex (no
+    /// worker is mid-drain on the session) then the admit mutex; the
+    /// beats still waiting in its ring travel in the state.  The caller must
     /// have stopped the session's producer first.  The slot remains as a
     /// tombstone -- ids stay dense, ingest to it is rejected, the
     /// scheduler and fleet() skip it.
@@ -124,8 +128,9 @@ public:
         return migrations_in_.load(std::memory_order_relaxed);
     }
 
-    /// Pump until no session has buffered ingest (the batch barrier makes
-    /// this terminate once producers stop).
+    /// Run passes that drain every session with buffered ingest, ready or
+    /// not, until none has any (the batch barrier makes this terminate
+    /// once producers stop).
     std::size_t drain_all();
 
     /// The engine factory sessions are built over -- exposed so callers
@@ -137,20 +142,36 @@ public:
     /// concurrently with ingest and pump.
     fleet_snapshot fleet() const;
     plan_cache_stats cache_stats() const { return cache_->stats(); }
-    std::size_t worker_count() const noexcept { return pool_.size(); }
+    std::size_t worker_count() const noexcept {
+        return scheduler_->worker_count();
+    }
     /// The attached journal writer, if any.
     journal::report_writer* journal() const noexcept {
         return opt_.journal.get();
     }
 
 private:
+    friend class shard_router;
+
+    /// `shared == nullptr` builds the manager's own scheduler and pool;
+    /// a shard passes its router's instead and creates none (opt.threads
+    /// and opt.scheduler are then ignored).
+    session_manager(service_options opt, plan_cache* cache,
+                    batch_scheduler* shared);
+
+    /// This manager's published sessions and stats as one pass partition.
+    pass_shard pass_view() noexcept {
+        return {{sessions_.data(), session_count()}, &stats_};
+    }
+    std::size_t run_pass(drain_scope scope);
+    bool has_pending() const noexcept;
+
     service_options opt_;
     plan_cache* cache_;
-    thread_pool pool_;
-    batch_scheduler scheduler_;
+    std::unique_ptr<batch_scheduler> own_scheduler_;  ///< standalone only
+    batch_scheduler* scheduler_;
     fleet_stats stats_;
     std::mutex admit_mu_;  ///< serializes add_session()
-    std::mutex pump_mu_;   ///< serializes scheduler passes
     std::vector<std::unique_ptr<session>> sessions_;  ///< reserved, no realloc
     std::atomic<std::size_t> session_count_{0};       ///< published size
     std::atomic<std::uint64_t> migrations_out_{0};

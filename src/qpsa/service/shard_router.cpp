@@ -2,30 +2,25 @@
 
 #include <filesystem>
 #include <limits>
-#include <thread>
 
 namespace qpsa::service {
 
 shard_router::shard_router(router_options opt, plan_cache* cache)
     : opt_(opt),
       cache_(cache != nullptr ? cache : &global_plan_cache()),
-      map_(opt.shards, opt.placement) {
+      map_(opt.shards, opt.placement),
+      // One pool of shards * threads workers; threads == 0 (the pool's
+      // own 0) means hardware concurrency.
+      scheduler_(opt.shards * opt.shard.threads, opt.shard.scheduler) {
     QPSA_EXPECTS(opt_.shards >= 1);
-    shard_opt_ = opt_.shard;
-    if (shard_opt_.threads == 0) {
-        // Split the machine across shards rather than oversubscribing it
-        // K-fold; a shard always gets at least one worker.
-        const std::size_t hw = std::max<std::size_t>(
-            1, std::thread::hardware_concurrency());
-        shard_opt_.threads = std::max<std::size_t>(1, hw / opt_.shards);
-    }
     if (!opt_.journal_dir.empty())
         std::filesystem::create_directories(opt_.journal_dir);
     // Reserved once so ingest() can index shards_ lock-free while
     // reshape() appends: room for growth without reallocation.
     shards_.reserve(std::max<std::size_t>(opt_.shards * 2, 16));
+    views_.reserve(shards_.capacity());
     for (std::size_t k = 0; k < opt_.shards; ++k) {
-        service_options shard_opt = shard_opt_;
+        service_options shard_opt = opt_.shard;
         if (!opt_.journal_dir.empty()) {
             journal::writer_options jw = opt_.journal;
             jw.shard_index = static_cast<std::uint32_t>(k);
@@ -35,15 +30,21 @@ shard_router::shard_router(router_options opt, plan_cache* cache)
                     journal::journal_file_extension,
                 jw);
         }
-        shards_.push_back(
-            std::make_unique<session_manager>(shard_opt, cache_));
+        shards_.push_back(make_shard(std::move(shard_opt)));
     }
     // Allocated once: ingest() indexes this storage lock-free while
     // add_session() runs, so it must never move.  The global ceiling is
     // the sum of the construction-time shard ceilings (8 bytes per
     // reserved route); reshape() adds shards but not route capacity.
-    route_capacity_ = opt_.shards * shard_opt_.max_sessions;
+    route_capacity_ = opt_.shards * opt_.shard.max_sessions;
     routes_ = std::make_unique<std::atomic<std::uint64_t>[]>(route_capacity_);
+}
+
+std::unique_ptr<session_manager> shard_router::make_shard(
+    service_options opt) {
+    // The shard constructor is private to session_manager (friend).
+    return std::unique_ptr<session_manager>(
+        new session_manager(std::move(opt), cache_, &scheduler_));
 }
 
 std::uint64_t shard_router::add_session(session_config cfg) {
@@ -144,8 +145,7 @@ void shard_router::reshape(std::size_t new_shards) {
     if (new_shards == shards_.size()) return;
     while (shards_.size() < new_shards) {
         map_.add_shard();
-        shards_.push_back(
-            std::make_unique<session_manager>(shard_opt_, cache_));
+        shards_.push_back(make_shard(opt_.shard));
     }
     // Consistent hashing moves only the keys the new shards win; every
     // moved session resumes bit-identically from its extracted state.
@@ -158,18 +158,27 @@ void shard_router::reshape(std::size_t new_shards) {
     }
 }
 
-std::size_t shard_router::pump() {
+std::size_t shard_router::pump() { return run_pass(drain_scope::ready); }
+
+std::size_t shard_router::drain_all() {
     std::size_t windows = 0;
-    for (const auto& shard : shards_) windows += shard->pump();
+    do {
+        windows += run_pass(drain_scope::all_pending);
+    } while (has_pending());
     return windows;
 }
 
-std::size_t shard_router::drain_all() {
-    // Shards are independent (no cross-shard sessions), so each one's
-    // own drain loop terminating is fleet-wide termination.
-    std::size_t windows = 0;
-    for (const auto& shard : shards_) windows += shard->drain_all();
-    return windows;
+std::size_t shard_router::run_pass(drain_scope scope) {
+    std::lock_guard<std::mutex> lock(scheduler_.pass_mutex());
+    views_.clear();
+    for (const auto& shard : shards_) views_.push_back(shard->pass_view());
+    return scheduler_.run_once(views_, scope);
+}
+
+bool shard_router::has_pending() const noexcept {
+    for (const auto& shard : shards_)
+        if (shard->has_pending()) return true;
+    return false;
 }
 
 void shard_router::flush_journals(bool sync) {

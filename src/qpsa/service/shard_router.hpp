@@ -1,14 +1,19 @@
 // Shard-aware fleet topology: K session_manager shards behind one
 // topology-blind facade.
 //
-// The router partitions patients across K independent shards by
-// consistent hashing on the (first-class) patient_id -- see shard_map --
-// and exposes the same ingest/drain/fleet surface as a single
-// session_manager, so callers never learn the topology.  Each shard owns
-// its own batch_scheduler and worker pool (no cross-shard locks anywhere
-// on the hot path); all shards share one plan_cache and therefore the
-// process-wide twiddle memo, so a 4-shard fleet running the standard
-// mode mix still builds each engine exactly once.
+// The router partitions patients across K shards by consistent hashing on
+// the (first-class) patient_id -- see shard_map -- and exposes the same
+// ingest/drain/fleet surface as a single session_manager, so callers
+// never learn the topology.  Shards are placement and state partitions:
+// each keeps its own sessions, fleet_stats and journal, but none owns a
+// pool.  A router pass is ONE pass of the router's one batch_scheduler
+// over every shard: drain units may span shards, so lane groups fill from
+// the whole fleet, yet every shard's snapshot and journal equal a
+// standalone manager's (see batch_scheduler.hpp).  Separate pools matter
+// only at process boundaries (qpsa::net).  All shards share one
+// plan_cache and therefore the process-wide twiddle memo, so a 4-shard
+// fleet running the standard mode mix still builds each engine exactly
+// once.
 //
 // Identity:
 //   * session ids are global and dense in admission order -- exactly the
@@ -21,9 +26,11 @@
 //     per-shard rows before handing bytes or merges out).
 //
 // Threading contract matches session_manager's: ingest() is lock-free
-// and safe concurrently with add_session() and pump(); pump()/drain_all()
-// may be driven by one thread per shard via shard(k).pump() -- shards
-// never share mutable state, which the tsan suite exercises.
+// and safe concurrently with add_session() and pump().  shard(k).pump()
+// stays safe from any thread, concurrently too: it runs a pass over shard
+// k alone on the shared scheduler, serialized with every other pass
+// (router or shard) by the scheduler's pass mutex, which the tsan suite
+// exercises.
 #pragma once
 
 #include <atomic>
@@ -43,9 +50,10 @@ struct router_options {
     std::size_t shards = 1;
     shard_map_options placement;
 
-    /// Per-shard service options.  threads == 0 divides the hardware
-    /// threads evenly across shards (min 1 each) instead of giving every
-    /// shard a full-size pool; max_sessions is the per-shard admission
+    /// Per-shard service options.  `threads` sizes the router's one pool
+    /// at shards * threads workers (0 = hardware concurrency); the pool
+    /// keeps that size across reshape(), and `scheduler` configures the
+    /// router's one scheduler.  max_sessions is the per-shard admission
     /// ceiling, and the router's global ceiling is shards * max_sessions
     /// (consistent hashing keeps shard loads near-even, so the fleet
     /// ceiling is realizable, not just nominal).
@@ -126,11 +134,11 @@ public:
     /// topology.
     void reshape(std::size_t new_shards);
 
-    /// One scheduler pass per shard; returns windows completed fleet-wide.
-    /// Shards are pumped in sequence here -- a deployment wanting shard
-    /// parallelism drives shard(k).pump() from one thread per shard.
+    /// One scheduler pass over every shard (ready sessions only, as
+    /// session_manager::pump); returns windows completed fleet-wide.
     std::size_t pump();
-    /// Drain every shard until no session has buffered ingest.
+    /// Run passes over every shard that drain every pending session until
+    /// no session has buffered ingest.
     std::size_t drain_all();
 
     /// Engine factory over the shared cache (same as any shard's).
@@ -182,11 +190,22 @@ private:
     /// old manager, adopt on the new, atomic route publish).
     void move_route_locked(std::uint64_t id, std::size_t target_shard);
 
+    /// A shard manager running its passes on scheduler_.
+    std::unique_ptr<session_manager> make_shard(service_options opt);
+    /// One pass over every shard (see pump / drain_all).
+    std::size_t run_pass(drain_scope scope);
+    bool has_pending() const noexcept;
+
     router_options opt_;
-    service_options shard_opt_;  ///< resolved per-shard options (threads set)
     plan_cache* cache_;
     shard_map map_;
+    /// The one scheduler and pool every shard's passes run on; declared
+    /// before shards_ so it outlives them.
+    batch_scheduler scheduler_;
     std::vector<std::unique_ptr<session_manager>> shards_;
+    /// Pass partitions, one per shard (scratch under the pass mutex;
+    /// reserved with shards_, so a pass allocates nothing).
+    std::vector<pass_shard> views_;
     /// Serializes add_session(), migration (extract/adopt/reshape) and
     /// the snapshot id remapping: a fleet read must not observe a
     /// shard-published session whose global route is not out yet, and a

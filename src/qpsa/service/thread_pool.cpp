@@ -31,19 +31,22 @@ thread_pool::~thread_pool() {
     for (auto& w : workers_) w.join();
 }
 
-void thread_pool::submit_per_worker(
-    const std::function<void(std::size_t)>& task) {
+void thread_pool::submit_per_worker(std::size_t n,
+                                    std::function<void(std::size_t)> task) {
+    QPSA_EXPECTS(n <= workers_.size());
     {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (std::size_t i = 0; i < workers_.size(); ++i)
-            queue_.push_back([task, i] { task(i); });
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_idle_.wait(lock, [this] { return idle(); });
+        task_ = std::move(task);
+        next_slot_ = 0;
+        end_slot_ = n;
     }
-    cv_work_.notify_all();
+    for (std::size_t i = 0; i < n; ++i) cv_work_.notify_one();
 }
 
 void thread_pool::wait_idle() {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+    cv_idle_.wait(lock, [this] { return idle(); });
 }
 
 core::workspace_cache* thread_pool::current_workspace_cache() noexcept {
@@ -52,22 +55,18 @@ core::workspace_cache* thread_pool::current_workspace_cache() noexcept {
 
 void thread_pool::worker_loop(core::workspace_cache* cache) {
     g_worker_cache = cache;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-            if (stop_ && queue_.empty()) return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++active_;
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --active_;
-            if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-        }
+        cv_work_.wait(lock,
+                      [this] { return stop_ || next_slot_ < end_slot_; });
+        if (next_slot_ == end_slot_) return;  // stopping, nothing queued
+        const std::size_t slot = next_slot_++;
+        ++active_;
+        lock.unlock();
+        task_(slot);
+        lock.lock();
+        --active_;
+        if (idle()) cv_idle_.notify_all();
     }
 }
 

@@ -12,7 +12,7 @@
 //
 // Determinism note: the deque decides only WHICH worker drains a unit,
 // never what a unit computes or the order unit results are merged (the
-// scheduler merges in unit index order at the pass barrier), so any steal
+// scheduler merges in slice order at the pass barrier), so any steal
 // interleaving yields bit-identical fleet results.
 #pragma once
 

@@ -1,6 +1,6 @@
 // Core PSA-system tests: configuration, end-to-end record analysis,
 // conventional-vs-proposed agreement, quality controller, and the
-// streaming monitor's one window-report path.
+// streaming monitor's one window-report path and bounded history.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -372,4 +372,46 @@ TEST(StreamingMonitorTest, InlineReportsEqualStagedReports) {
         EXPECT_GE(got.skipped, 1u);
         EXPECT_EQ(inline_mon.windows_completed(), want.size());
     }
+}
+
+TEST(StreamingMonitorTest, HistoryKeepsTheNewestWindowsOldestFirst) {
+    // The bounded history retires its oldest report through a head index
+    // and compacts every history_limit / 4 windows: after every window it
+    // must still read as the newest history_limit reports, oldest first,
+    // and export, restore and arrhythmia_fraction see only that range.
+    qcore::monitor_options opt;
+    opt.history_limit = 8;
+    qcore::streaming_monitor mon(qcore::psa_config::conventional(), opt);
+    const qp::rr_record& rec = arrhythmia_record();
+    std::vector<qcore::window_report> all;
+    for (std::size_t b = 0; b < rec.beats(); ++b) {
+        mon.push_beat(rec.beat_time_s[b], rec.rr_s[b]);
+        while (auto rep = mon.poll()) {
+            all.push_back(*rep);
+            const std::size_t keep = std::min(all.size(), opt.history_limit);
+            const std::vector<qcore::window_report> want(
+                all.end() - static_cast<std::ptrdiff_t>(keep), all.end());
+            const auto hist = mon.history();
+            ASSERT_EQ(std::vector<qcore::window_report>(hist.begin(),
+                                                        hist.end()),
+                      want);
+            ASSERT_EQ(mon.export_state().history, want);
+        }
+    }
+    ASSERT_GT(all.size(), opt.history_limit + opt.history_limit / 4);
+
+    const auto live = mon.history();
+    const auto flagged = std::count_if(
+        live.begin(), live.end(), [](const qcore::window_report& r) {
+            return r.diagnosis == qpsa::hrv::diagnosis::sinus_arrhythmia;
+        });
+    EXPECT_EQ(mon.arrhythmia_fraction(),
+              static_cast<real>(flagged) / static_cast<real>(live.size()));
+
+    qcore::streaming_monitor restored(qcore::psa_config::conventional(), opt);
+    restored.restore_state(mon.export_state());
+    const auto back = restored.history();
+    EXPECT_EQ(std::vector<qcore::window_report>(back.begin(), back.end()),
+              std::vector<qcore::window_report>(live.begin(), live.end()));
+    EXPECT_EQ(restored.arrhythmia_fraction(), mon.arrhythmia_fraction());
 }

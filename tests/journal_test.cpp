@@ -384,14 +384,13 @@ T field_at(std::span<const std::uint8_t> body, std::size_t off) {
 }  // namespace
 
 TEST(JournalWriteAheadTest, TrickleFedShardsJournalBeatsBeforeReports) {
-    // Two journaled shards with two workers each, fed 1-3 beats per
-    // session per pump: most passes absorb on the pump caller and commit
-    // one beat block per shard, while the drained sessions flush their own
-    // stages before each report.  Either way a report record must follow
-    // the journaled beat that closed it (one at or past its t_end) and
-    // every beat it analyzed (at least `beats` journaled in [t_start,
-    // t_end) -- absorbed ones included), and the log must still rebuild
-    // the live snapshot bit for bit.
+    // Two journaled shards on one pool of four workers, fed 1-3 beats per
+    // session per pump: most passes leave most sessions' beats waiting in
+    // their rings, and a drained session journals its beats from its own
+    // stage before each report.  A report record must follow the
+    // journaled beat that closed it (one at or past its t_end) and every
+    // beat it analyzed (at least `beats` journaled in [t_start, t_end)),
+    // and the log must still rebuild the live snapshot bit for bit.
     const fs::path dir = temp_dir("journal-write-ahead");
     const journaled_fixture fx(10);
     qs::router_options opt;
@@ -456,6 +455,59 @@ TEST(JournalWriteAheadTest, TrickleFedShardsJournalBeatsBeforeReports) {
     std::uint64_t delivered = 0;
     for (const auto& rec : fx.records) delivered += rec.beats();
     EXPECT_EQ(beats, delivered);
+}
+
+TEST(JournalRecoveryTest, ShardSpanningUnitsRebuildBitIdentically) {
+    // A mixed-engine 3-shard router fed at the live cadence: each router
+    // pass is one scheduler pass whose drain units mix shards (every
+    // engine runs on more than one shard), and each shard journals only
+    // its own slices' partials.  The rebuild must still equal fleet()
+    // over every column.
+    const fs::path dir = temp_dir("journal-one-pass");
+    const journaled_fixture fx(16);
+    qs::router_options opt;
+    opt.shards = 3;
+    opt.shard.threads = 2;
+    opt.journal_dir = dir.string();
+    qs::plan_cache cache;
+    qs::shard_router router(opt, &cache);
+    for (unsigned i = 0; i < fx.records.size(); ++i)
+        router.add_session(fx.configs[i]);
+
+    // Sessions that start on the same engine land on different shards.
+    std::unordered_map<std::uint64_t, std::vector<std::size_t>> shards_of;
+    for (unsigned i = 0; i < fx.records.size(); ++i)
+        shards_of[router.at(i).staged_system()->engine_hash()].push_back(
+            router.shard_of(i));
+    bool spans = false;
+    for (const auto& [hash, shards] : shards_of)
+        spans = spans || std::any_of(shards.begin(), shards.end(),
+                                     [&](std::size_t k) {
+                                         return k != shards.front();
+                                     });
+    EXPECT_TRUE(spans);
+
+    std::vector<std::size_t> next(fx.records.size(), 0);
+    for (std::size_t step = 0, more = 1; more != 0; ++step) {
+        more = 0;
+        for (unsigned i = 0; i < fx.records.size(); ++i) {
+            const auto& rec = fx.records[i];
+            const std::size_t k = 1 + (step + i) % 3;
+            for (std::size_t j = 0; j < k && next[i] < rec.beats();
+                 ++j, ++next[i])
+                ASSERT_TRUE(router.ingest(i, rec.beat_time_s[next[i]],
+                                          rec.rr_s[next[i]]));
+            if (next[i] < rec.beats()) more = 1;
+        }
+        router.pump();
+    }
+    router.drain_all();
+    router.close_journals();
+
+    const qs::fleet_snapshot live = router.fleet();
+    EXPECT_GT(live.windows, 0u);
+    EXPECT_GT(live.lane_slots_filled, 0u);
+    EXPECT_EQ(qj::rebuild_fleet_snapshot(dir.string()), live);
 }
 
 TEST(JournalRecoveryTest, TornTailToleratedAtEveryTruncationOffset) {

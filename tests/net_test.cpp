@@ -527,8 +527,20 @@ TEST(IngestTierTest, SocketFleetComputesBitIdenticallyToInProcess) {
     client.flush();
     ref.drain_all();
 
-    // Merged socket stats == in-process router, every column.
-    EXPECT_EQ(client.merged_stats(), ref.fleet());
+    // Merged socket stats == in-process router, every analysis column.
+    // The drain-scheduler columns are the exception: the in-process
+    // router drains both shards in one pass on one pool, so its lane
+    // groups fill across shards (never emptier than two shard processes
+    // draining apart) and its workers steal.
+    qs::fleet_snapshot socket_stats = client.merged_stats();
+    qs::fleet_snapshot ref_stats = ref.fleet();
+    EXPECT_GE(ref_stats.lane_slots_filled, socket_stats.lane_slots_filled);
+    for (qs::fleet_snapshot* snap : {&socket_stats, &ref_stats}) {
+        snap->windows_stolen = 0;
+        snap->lane_slots_filled = 0;
+        snap->lane_slots_offered = 0;
+    }
+    EXPECT_EQ(socket_stats, ref_stats);
 
     // The migrated session's full output matches the reference's and an
     // unmigrated serial run (migration left no computational trace).

@@ -136,27 +136,6 @@ TEST(BeatRingTest, FifoOrderAndOverflow) {
     EXPECT_TRUE(ring.empty());
 }
 
-TEST(BeatRingTest, PopBeforeStopsAtTheWindowEnd) {
-    qs::beat_ring ring(8);
-    for (const real t : {1.0, 2.0, std::numeric_limits<real>::quiet_NaN(),
-                         3.0, 5.0, 4.0})
-        ASSERT_TRUE(ring.push({t, 0.8}));
-    qs::beat_sample s;
-    ASSERT_TRUE(ring.pop_before(3.0, s));
-    EXPECT_EQ(s.t, 1.0);
-    ASSERT_TRUE(ring.pop_before(3.0, s));
-    EXPECT_EQ(s.t, 2.0);
-    ASSERT_TRUE(ring.pop_before(3.0, s));  // NaN never reaches an end
-    EXPECT_TRUE(std::isnan(s.t));
-    EXPECT_FALSE(ring.pop_before(3.0, s));  // 3.0 is not before 3.0
-    EXPECT_EQ(ring.size(), 3u);
-    ASSERT_TRUE(ring.pop_before(std::numeric_limits<real>::infinity(), s));
-    EXPECT_EQ(s.t, 3.0);
-    EXPECT_FALSE(ring.pop_before(4.5, s));  // FIFO: 5.0 blocks 4.0
-    ASSERT_TRUE(ring.pop(s));
-    EXPECT_EQ(s.t, 5.0);
-}
-
 TEST(BeatRingTest, SpscThreaded) {
     qs::beat_ring ring(64);
     constexpr int n = 20000;
@@ -229,13 +208,23 @@ TEST(ThreadPoolTest, RunsAllTasksAndWaitsIdle) {
     std::atomic<int> done{0};
     std::atomic<unsigned> slots{0};  // bit i set by task(i)
     for (int pass = 0; pass < 25; ++pass)
-        pool.submit_per_worker([&](std::size_t i) {
+        pool.submit_per_worker(pool.size(), [&](std::size_t i) {
             done.fetch_add(1);
             slots.fetch_or(1u << i);
         });
     pool.wait_idle();
     EXPECT_EQ(done.load(), 100);
     EXPECT_EQ(slots.load(), 0xFu);  // every per-worker slot ran
+
+    // A pass may use fewer workers than the pool has: slots 0 and 1 only.
+    slots.store(0);
+    pool.submit_per_worker(2, [&](std::size_t i) {
+        done.fetch_add(1);
+        slots.fetch_or(1u << i);
+    });
+    pool.wait_idle();
+    EXPECT_EQ(done.load(), 102);
+    EXPECT_EQ(slots.load(), 0x3u);
 }
 
 // ---------------------------------------------------------- plan cache
@@ -1194,11 +1183,12 @@ std::vector<qcore::window_report> serial_reports(
 
 TEST(TrickleCadenceTest, OneToThreeBeatsPerPumpMatchSerialAtAnyWorkerCount) {
     // The live cadence: every pump delivers only 1-3 beats per session,
-    // so nearly every pass absorbs most sessions on the caller and drains
-    // the few whose newest beat reached a window end.  Whatever the split,
-    // reports must equal a serial monitor over the delivered stream, every
-    // delivered beat must be ingested or rejected exactly once, and the
-    // fleet snapshot must not depend on the worker count.
+    // so nearly every pass leaves most sessions' beats waiting in their
+    // rings and drains the few whose newest beat reached a window end.
+    // Whatever the cadence, reports must equal a serial monitor over the
+    // delivered stream, every delivered beat must be ingested or rejected
+    // exactly once, and the fleet snapshot must not depend on the worker
+    // count.
     constexpr unsigned n_sessions = 8;
     constexpr std::size_t late_step = 150;  // the 9th session joins here
     const std::vector<qcore::psa_config> configs = {
@@ -1283,8 +1273,9 @@ TEST(TrickleCadenceTest, DrainAllTerminatesOnSubWindowRingAndUnstartedBacklog) {
     opt.threads = 2;
     qs::session_manager mgr(opt, &cache);
 
-    // A ring holding only beats before the first window end: the pass
-    // absorbs them, closes nothing and leaves nothing pending.
+    // A ring holding only beats before the first window end: the monitor
+    // has not started, so the pass drains them, closes nothing and leaves
+    // nothing pending.
     const auto sub = mgr.add_session(patient_session(
         qp::cohort::healthy, 3, qcore::psa_config::conventional()));
     std::size_t n_sub = 0;
@@ -1296,8 +1287,8 @@ TEST(TrickleCadenceTest, DrainAllTerminatesOnSubWindowRingAndUnstartedBacklog) {
     EXPECT_EQ(mgr.at(sub).beats_ingested(), n_sub);
 
     // An unstarted monitor with a backlog longer than a window: its end is
-    // +inf, so the first pass absorbs up to the first window end and a
-    // later pass drains the rest.
+    // +inf, so it is not due, but it cannot wait either -- the pass drains
+    // the whole backlog, closing its windows on the way.
     const auto backlog = mgr.add_session(patient_session(
         qp::cohort::healthy, 3, qcore::psa_config::conventional()));
     for (std::size_t b = 0; b < rec.beats(); ++b)
@@ -1309,6 +1300,213 @@ TEST(TrickleCadenceTest, DrainAllTerminatesOnSubWindowRingAndUnstartedBacklog) {
     expect_reports_identical(
         mgr.at(backlog).reports(),
         serial_reports(rec, qcore::psa_config::conventional()));
+}
+
+// ------------------------------------------------- pump contract
+//
+// pump() drains a session only when it is ready(): due, or unable to wait
+// (unstarted monitor, ring at least half full, high-water callback).
+// Every other session keeps its beats in the ring; drain_all() drains
+// every pending session.
+
+namespace {
+
+/// Beats of `rec` in [from, to) as ring samples.
+std::vector<qs::beat_sample> beats_of(const qp::rr_record& rec,
+                                      std::size_t from, std::size_t to) {
+    std::vector<qs::beat_sample> out;
+    for (std::size_t b = from; b < to; ++b)
+        out.push_back({rec.beat_time_s[b], rec.rr_s[b]});
+    return out;
+}
+
+}  // namespace
+
+TEST(PumpContractTest, StartedNonDueSessionKeepsItsBeatsInTheRing) {
+    const auto rec =
+        qp::record_for(qp::make_patient(qp::cohort::healthy, 5), 600.0);
+    const auto cfg = qcore::psa_config::conventional();
+    qs::plan_cache cache;
+    qs::service_options opt;
+    opt.threads = 2;
+    qs::session_manager mgr(opt, &cache);
+    const auto id = mgr.add_session(patient_session(qp::cohort::healthy, 5, cfg));
+    const qs::session& s = mgr.at(id);
+
+    // Start the monitor and close the first windows.
+    std::size_t b = 0;
+    for (; rec.beat_time_s[b] < rec.beat_time_s[0] + 200.0; ++b)
+        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+    EXPECT_GT(mgr.drain_all(), 0u);
+    const std::uint64_t ingested = s.beats_ingested();
+
+    // Beats before the next window end wait across any number of passes.
+    const real end = s.monitor().next_window_end();
+    const std::size_t waiting_from = b;
+    for (; rec.beat_time_s[b] < end; ++b) {
+        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+        EXPECT_FALSE(s.ready());
+        EXPECT_EQ(mgr.pump(), 0u);
+        EXPECT_TRUE(s.has_pending());
+    }
+    ASSERT_GT(b, waiting_from);
+    EXPECT_EQ(s.beats_ingested(), ingested);
+
+    // The beat at the window end makes the session due: the next pass
+    // drains every waiting beat and closes the window.
+    ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+    ++b;
+    EXPECT_TRUE(s.due());
+    EXPECT_GT(mgr.pump(), 0u);
+    EXPECT_FALSE(s.has_pending());
+    EXPECT_EQ(s.beats_ingested(), ingested + (b - waiting_from));
+
+    // None was lost: the rest of the record drains to the serial reports.
+    for (; b < rec.beats(); ++b)
+        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+    mgr.drain_all();
+    EXPECT_EQ(s.beats_ingested(), rec.beats());
+    expect_reports_identical(s.reports(), serial_reports(rec, cfg));
+}
+
+TEST(PumpContractTest, RingAtHalfCapacityDrainsOnTheNextPump) {
+    const auto rec =
+        qp::record_for(qp::make_patient(qp::cohort::healthy, 6), 300.0);
+    qs::plan_cache cache;
+    qs::session_manager mgr({}, &cache);
+    auto cfg = patient_session(qp::cohort::healthy, 6,
+                               qcore::psa_config::conventional());
+    cfg.ingest_capacity = 64;  // drains once 32 beats wait
+    const auto id = mgr.add_session(std::move(cfg));
+    const qs::session& s = mgr.at(id);
+    ASSERT_LT(rec.beat_time_s[32], rec.beat_time_s[0] + 120.0);
+
+    // The first beat sets the window phase (an unstarted monitor drains).
+    ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[0], rec.rr_s[0]));
+    mgr.pump();
+    EXPECT_FALSE(s.has_pending());
+
+    // Up to 31 buffered beats wait ...
+    std::size_t b = 1;
+    for (; b < 32; ++b) {
+        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+        EXPECT_EQ(mgr.pump(), 0u);
+        EXPECT_TRUE(s.has_pending()) << "beat " << b;
+    }
+    EXPECT_EQ(s.beats_ingested(), 1u);
+
+    // ... the 32nd fills half the ring, and the next pass drains it
+    // although no window is due.
+    ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+    EXPECT_FALSE(s.due());
+    EXPECT_TRUE(s.ready());
+    EXPECT_EQ(mgr.pump(), 0u);
+    EXPECT_FALSE(s.has_pending());
+    EXPECT_EQ(s.beats_ingested(), 33u);
+}
+
+TEST(PumpContractTest, HighWaterSessionNeverWaits) {
+    // Alarm episodes assume every pass empties the ring, so a session
+    // with a callback drains on every pump, due or not: pumped every few
+    // beats, a ring marked at 16 of 64 never raises an alarm (waiting
+    // would let it fill to half capacity first).
+    const auto rec =
+        qp::record_for(qp::make_patient(qp::cohort::healthy, 7), 600.0);
+    qs::plan_cache cache;
+    qs::session_manager mgr({}, &cache);
+    auto cfg = patient_session(qp::cohort::healthy, 7,
+                               qcore::psa_config::conventional());
+    cfg.ingest_capacity = 64;
+    cfg.high_water_fraction = 0.25;
+    std::atomic<int> alarms{0};
+    cfg.on_high_water = [&alarms](std::uint64_t, std::size_t, std::size_t) {
+        alarms.fetch_add(1, std::memory_order_relaxed);
+    };
+    const auto id = mgr.add_session(std::move(cfg));
+    const qs::session& s = mgr.at(id);
+
+    for (std::size_t b = 0; b < rec.beats(); ++b) {
+        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+        if (b % 4 != 3) continue;
+        mgr.pump();
+        EXPECT_FALSE(s.has_pending()) << "beat " << b;
+    }
+    mgr.drain_all();
+    EXPECT_EQ(alarms.load(), 0);
+    EXPECT_EQ(s.high_water_alarms(), 0u);
+    EXPECT_EQ(s.beats_ingested(), rec.beats());
+    expect_reports_identical(
+        s.reports(), serial_reports(rec, qcore::psa_config::conventional()));
+}
+
+TEST(PumpContractTest, UnstartedMonitorDrainsOnItsFirstPass) {
+    const auto rec =
+        qp::record_for(qp::make_patient(qp::cohort::healthy, 8), 120.0);
+    qs::plan_cache cache;
+    qs::session_manager mgr({}, &cache);
+    const auto id = mgr.add_session(patient_session(
+        qp::cohort::healthy, 8, qcore::psa_config::conventional()));
+    const qs::session& s = mgr.at(id);
+    for (std::size_t b = 0; b < 10; ++b)
+        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
+
+    EXPECT_FALSE(s.monitor().started());
+    EXPECT_FALSE(s.due());  // the window end is +inf until the first beat
+    EXPECT_TRUE(s.ready());
+    EXPECT_EQ(mgr.pump(), 0u);
+    EXPECT_FALSE(s.has_pending());
+    EXPECT_TRUE(s.monitor().started());
+    EXPECT_EQ(s.beats_ingested(), 10u);
+}
+
+TEST(PumpContractTest, DrainAllLeavesNothingPending) {
+    // Trickle a mixed fleet with pumps and stop mid-record: beats wait in
+    // some rings.  drain_all() then drains every pending session, due or
+    // not, and each session's reports equal the serial run over exactly
+    // the beats it was delivered.
+    constexpr unsigned n = 6;
+    const std::vector<qcore::psa_config> configs = {
+        qcore::psa_config::conventional(),
+        qcore::psa_config::proposed(qf::plan::exact(512, qw::basis::haar)),
+        qcore::psa_config::welch(),
+    };
+    std::vector<qp::rr_record> recs;
+    qs::plan_cache cache;
+    qs::service_options opt;
+    opt.threads = 2;
+    qs::session_manager mgr(opt, &cache);
+    for (unsigned i = 0; i < n; ++i) {
+        recs.push_back(
+            qp::record_for(qp::make_patient(qp::cohort::healthy, i), 400.0));
+        mgr.add_session(
+            patient_session(qp::cohort::healthy, i, configs[i % 3]));
+    }
+    std::vector<std::size_t> next(n, 0);
+    for (std::size_t step = 0, more = 1; more != 0; ++step) {
+        more = 0;
+        for (unsigned i = 0; i < n; ++i) {
+            const std::size_t stop = recs[i].beats() / 2;
+            const std::size_t k = 1 + (step + 2 * i) % 3;
+            for (std::size_t j = 0; j < k && next[i] < stop; ++j, ++next[i])
+                ASSERT_TRUE(mgr.ingest(i, recs[i].beat_time_s[next[i]],
+                                       recs[i].rr_s[next[i]]));
+            if (next[i] < stop) more = 1;
+        }
+        mgr.pump();
+    }
+    bool waiting = false;
+    for (unsigned i = 0; i < n; ++i) waiting = waiting || mgr.at(i).has_pending();
+    EXPECT_TRUE(waiting);
+
+    mgr.drain_all();
+    for (unsigned i = 0; i < n; ++i) {
+        const qs::session& s = mgr.at(i);
+        EXPECT_FALSE(s.has_pending()) << "session " << i;
+        EXPECT_EQ(s.beats_ingested(), next[i]) << "session " << i;
+        const auto delivered = beats_of(recs[i], 0, next[i]);
+        expect_reports_identical(s.reports(),
+                                 serial_reports(delivered, configs[i % 3]));
+    }
 }
 
 // ------------------------------------------------- energy accumulation

@@ -454,9 +454,10 @@ TEST(ShardRouterTest, WireRoundTripOfShardSnapshotsEqualsInProcessMerge) {
 
 TEST(ShardRouterTest, ConcurrentMultiShardDrain) {
     // One producer thread per patient ingesting while one pumper thread
-    // per shard drains its own shard -- the cross-shard independence
-    // contract under tsan.  A snapshot thread stresses fleet() against
-    // concurrent admission-published state.
+    // per shard drains its own shard -- shard passes run on the router's
+    // one scheduler and serialize on its pass mutex, which tsan checks
+    // here.  A snapshot thread stresses fleet() against concurrent
+    // admission-published state.
     const sharded_fixture fx(16, 300.0);
     qs::router_options opt;
     opt.shards = 4;
@@ -502,6 +503,184 @@ TEST(ShardRouterTest, ConcurrentMultiShardDrain) {
 
     for (unsigned i = 0; i < fx.records.size(); ++i)
         expect_reports_identical(router.at(i).reports(), fx.serial[i]);
+}
+
+// ------------------------------------------------------ one-pass router
+//
+// A router pass is one scheduler pass over every shard on one pool: drain
+// units may span shards, and each shard merges its own slices' partials
+// in slice order.
+
+namespace {
+
+/// Admit the fixture and feed it 1-7 beats per session per pump, then
+/// drain: the live cadence, so passes mix due, waiting and unstarted
+/// sessions from every shard.
+void trickle_through(const sharded_fixture& fx, qs::shard_router& router) {
+    for (unsigned i = 0; i < fx.records.size(); ++i)
+        router.add_session(fx.session(i));
+    std::vector<std::size_t> next(fx.records.size(), 0);
+    for (std::size_t step = 0, more = 1; more != 0; ++step) {
+        more = 0;
+        for (unsigned i = 0; i < fx.records.size(); ++i) {
+            const auto& rec = fx.records[i];
+            const std::size_t k = 1 + (step + i) % 7;
+            for (std::size_t j = 0; j < k && next[i] < rec.beats();
+                 ++j, ++next[i])
+                ASSERT_TRUE(router.ingest(i, rec.beat_time_s[next[i]],
+                                          rec.rr_s[next[i]]));
+            if (next[i] < rec.beats()) more = 1;
+        }
+        router.pump();
+    }
+    router.drain_all();
+}
+
+}  // namespace
+
+TEST(OnePassRouterTest, ShardCountChangesNoReportOrIntegerTally) {
+    // K = 1/2/4 over one input: every session gets the serial reports and
+    // the fleet the same integer tallies.  (Sums of reals depend on how
+    // windows fall into units, so they may differ in the last bits.)
+    const sharded_fixture fx(12);
+    const auto run = [&](std::size_t shards) {
+        qs::router_options opt;
+        opt.shards = shards;
+        opt.shard.threads = 1;
+        opt.shard.scheduler.batch_size = 3;  // multi-unit passes
+        auto cache = std::make_unique<qs::plan_cache>();
+        auto router = std::make_unique<qs::shard_router>(opt, cache.get());
+        trickle_through(fx, *router);
+        EXPECT_EQ(router->shard(0).worker_count(), shards);
+        for (unsigned i = 0; i < fx.records.size(); ++i)
+            expect_reports_identical(router->at(i).reports(), fx.serial[i]);
+        return std::pair{std::move(router), std::move(cache)};
+    };
+
+    const auto [one, one_cache] = run(1);
+    const qs::fleet_snapshot want = one->fleet();
+    EXPECT_GT(want.windows, 0u);
+    for (const std::size_t shards : {2u, 4u}) {
+        const auto [router, cache] = run(shards);
+        const qs::fleet_snapshot got = router->fleet();
+        EXPECT_EQ(got.windows, want.windows) << shards;
+        EXPECT_EQ(got.beats, want.beats) << shards;
+        EXPECT_EQ(got.arrhythmia_windows, want.arrhythmia_windows) << shards;
+        EXPECT_EQ(got.energy.ops, want.energy.ops) << shards;
+        EXPECT_EQ(got.beats_rejected, want.beats_rejected) << shards;
+        for (std::size_t e = 0; e < got.by_engine.size(); ++e) {
+            EXPECT_EQ(got.by_engine[e].windows, want.by_engine[e].windows);
+            EXPECT_EQ(got.by_engine[e].beats, want.by_engine[e].beats);
+        }
+    }
+}
+
+TEST(OnePassRouterTest, JournaledShardSnapshotsDoNotDependOnPoolSize) {
+    // One journaled 3-shard router at 1 and 4 threads per shard (pools of
+    // 3 and 12 workers): every shard_fleet(k) is bit-identical, energy
+    // floats and journal counters included.  windows_stolen counts
+    // scheduling events, so it is normalized.
+    const sharded_fixture fx(12);
+    const auto run = [&](std::size_t threads) {
+        const auto dir = std::filesystem::path(::testing::TempDir()) /
+                         ("qpsa-one-pass-" + std::to_string(threads));
+        std::filesystem::remove_all(dir);
+        qs::router_options opt;
+        opt.shards = 3;
+        opt.shard.threads = threads;
+        opt.shard.scheduler.batch_size = 2;
+        opt.journal_dir = dir.string();
+        qs::plan_cache cache;
+        qs::shard_router router(opt, &cache);
+        trickle_through(fx, router);
+        router.close_journals();
+        std::vector<qs::fleet_snapshot> snaps;
+        for (std::size_t k = 0; k < router.shard_count(); ++k) {
+            snaps.push_back(router.shard_fleet(k));
+            snaps.back().windows_stolen = 0;
+        }
+        return snaps;
+    };
+
+    const auto narrow = run(1);
+    const auto wide = run(4);
+    ASSERT_EQ(narrow.size(), wide.size());
+    for (std::size_t k = 0; k < narrow.size(); ++k) {
+        EXPECT_GT(narrow[k].windows, 0u) << "shard " << k;
+        EXPECT_GT(narrow[k].journal_bytes, 0u) << "shard " << k;
+        EXPECT_EQ(wide[k], narrow[k]) << "shard " << k;
+    }
+}
+
+TEST(OnePassRouterTest, ShardSnapshotsEqualStandaloneManagers) {
+    // Each shard's share of a pass is cut into slices the way a pass over
+    // that shard alone cuts its units, one partial per slice: a router
+    // shard must equal a standalone manager holding the same sessions and
+    // pumped at the same points, every column but the drain-scheduler
+    // telemetry (lane groups span shards only in the router).  Units of 3
+    // over 24 sessions make shard runs straddle the router's unit cuts, and
+    // 30-210 beats per pump close windows in most sessions every pass.
+    const sharded_fixture fx(24, 900.0);
+    qs::router_options opt;
+    opt.shards = 3;
+    opt.shard.threads = 1;
+    opt.shard.scheduler.batch_size = 3;
+    qs::plan_cache cache;
+    qs::shard_router router(opt, &cache);
+    std::vector<std::unique_ptr<qs::session_manager>> solo;
+    for (std::size_t k = 0; k < opt.shards; ++k) {
+        qs::service_options sopt;
+        sopt.threads = 2;
+        sopt.scheduler.batch_size = 3;
+        solo.push_back(std::make_unique<qs::session_manager>(sopt, &cache));
+    }
+    std::vector<std::pair<std::size_t, std::uint64_t>> solo_id;
+    for (unsigned i = 0; i < fx.records.size(); ++i) {
+        const auto id = router.add_session(fx.session(i));
+        qs::session_config cfg = fx.session(i);
+        cfg.seed = router.at(id).seed();
+        const std::size_t k = router.shard_of(id);
+        solo_id.emplace_back(k, solo[k]->add_session(std::move(cfg)));
+    }
+
+    std::vector<std::size_t> next(fx.records.size(), 0);
+    for (std::size_t step = 0, more = 1; more != 0; ++step) {
+        more = 0;
+        for (unsigned i = 0; i < fx.records.size(); ++i) {
+            const auto& rec = fx.records[i];
+            const auto [k, local] = solo_id[i];
+            for (std::size_t j = 0; j < 30 * (1 + (step + i) % 7) &&
+                                    next[i] < rec.beats();
+                 ++j, ++next[i]) {
+                const real t = rec.beat_time_s[next[i]];
+                const real rr = rec.rr_s[next[i]];
+                ASSERT_TRUE(router.ingest(i, t, rr));
+                ASSERT_TRUE(solo[k]->ingest(local, t, rr));
+            }
+            if (next[i] < rec.beats()) more = 1;
+        }
+        router.pump();
+        for (const auto& m : solo) m->pump();
+    }
+    router.drain_all();
+    for (const auto& m : solo) m->drain_all();
+
+    const auto analysis = [](qs::fleet_snapshot s) {
+        s.windows_stolen = 0;
+        s.lane_slots_filled = 0;
+        s.lane_slots_offered = 0;
+        return s;
+    };
+    std::uint64_t router_filled = 0, solo_filled = 0;
+    for (std::size_t k = 0; k < opt.shards; ++k) {
+        const qs::fleet_snapshot got = router.shard_fleet(k);
+        const qs::fleet_snapshot want = solo[k]->fleet();
+        EXPECT_GT(want.windows, 0u) << "shard " << k;
+        EXPECT_EQ(analysis(got), analysis(want)) << "shard " << k;
+        router_filled += got.lane_slots_filled;
+        solo_filled += want.lane_slots_filled;
+    }
+    EXPECT_GE(router_filled, solo_filled);
 }
 
 // --------------------------------------------------------- version skew
@@ -642,15 +821,17 @@ TEST(MigrationTest, ExtractAdoptMidWindowIsBitIdentical) {
     EXPECT_EQ(fleet.sessions_migrated_in, 1u);
 }
 
-TEST(MigrationTest, ExtractAfterAnAbsorbOnlyPassReplaysAndJournalsOnce) {
-    // Extract a session right after a pass that only absorbed beats (they
-    // sit in its monitor and in the source shard's journal block, not in
-    // its ring), adopt it on the other shard and finish the record there.
-    // Replaying the session's journaled beats -- source file, then target
-    // file -- must reproduce its reports bit for bit, and no beat may be
-    // journaled on both shards.
+TEST(MigrationTest, ExtractWithWaitingBeatsReplaysAndJournalsOnce) {
+    // Extract a session right after a pass that left its beats waiting
+    // (they lie before the next window end, so the pass did not drain
+    // them: they sit in its ring, not in its monitor or the source
+    // shard's journal), adopt it on the other shard and finish the record
+    // there.  The waiting beats travel in the extracted ring and are
+    // journaled exactly once, on the target shard.  Replaying the
+    // session's journaled beats -- source file, then target file -- must
+    // reproduce its reports bit for bit.
     const auto dir = std::filesystem::path(::testing::TempDir()) /
-                     "qpsa-absorb-migration";
+                     "qpsa-waiting-migration";
     std::filesystem::remove_all(dir);
     const sharded_fixture fx(4);
     qs::router_options opt;
@@ -671,21 +852,22 @@ TEST(MigrationTest, ExtractAfterAnAbsorbOnlyPassReplaysAndJournalsOnce) {
     const std::uint64_t windows_before = router.fleet().windows;
     EXPECT_GT(windows_before, 0u);
 
-    // Beats strictly before the next window end: the pass absorbs them.
+    // Beats strictly before the next window end: the pass leaves them.
     const real end = router.at(moving).monitor().next_window_end();
-    const std::size_t absorbed_from = b;
+    const std::size_t waiting_from = b;
     for (; rec.beat_time_s[b] < end; ++b)
         ASSERT_TRUE(router.ingest(moving, rec.beat_time_s[b], rec.rr_s[b]));
-    ASSERT_GT(b, absorbed_from);
-    EXPECT_FALSE(router.at(moving).due());
+    ASSERT_GT(b, waiting_from);
+    EXPECT_FALSE(router.at(moving).ready());
     EXPECT_EQ(router.pump(), 0u);
-    EXPECT_FALSE(router.at(moving).has_pending());
+    EXPECT_TRUE(router.at(moving).has_pending());
     EXPECT_EQ(router.fleet().windows, windows_before);
 
     const std::size_t source = router.shard_of(moving);
-    const std::size_t moved_at = b;
     const qs::extracted_session es = router.extract_session(moving);
-    EXPECT_TRUE(es.state.ring.empty());
+    ASSERT_EQ(es.state.ring.size(), b - waiting_from);
+    for (std::size_t k = 0; k < es.state.ring.size(); ++k)
+        EXPECT_EQ(es.state.ring[k].t, rec.beat_time_s[waiting_from + k]);
     router.adopt_session(es, 1 - source);
     for (; b < rec.beats(); ++b)
         ASSERT_TRUE(router.ingest(moving, rec.beat_time_s[b], rec.rr_s[b]));
@@ -707,7 +889,7 @@ TEST(MigrationTest, ExtractAfterAnAbsorbOnlyPassReplaysAndJournalsOnce) {
             if (ev.session_id == moving) logged[k].push_back(ev);
     const auto& src = logged[source];
     const auto& dst = logged[1 - source];
-    EXPECT_EQ(src.size(), moved_at);  // absorbed beats included
+    EXPECT_EQ(src.size(), waiting_from);  // the waiting beats moved on
     EXPECT_EQ(src.size() + dst.size(), rec.beats());
     for (const auto& ev : dst)
         EXPECT_TRUE(std::none_of(src.begin(), src.end(), [&](const auto& s) {
