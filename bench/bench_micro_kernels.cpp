@@ -223,12 +223,13 @@ BENCHMARK(bm_extirpolate_isa)->Apply(per_isa);
 
 /// Lane-batched multi-window transform vs the same windows sequentially:
 /// range(1) == 0 runs W sequential forwards, 1 runs one batched call of
-/// the active table's lane width.
+/// the active table's lane width; range(2) is the size (256: the wavelet
+/// sub-FFT and Welch segment; 512: the conventional mesh).
 void bm_forward_batched(benchmark::State& state) {
     isa_scope scope(state, static_cast<simd::isa>(state.range(0)));
     if (!scope.ok()) return;
     const bool batched = state.range(1) != 0;
-    const std::size_t n = 512;
+    const auto n = static_cast<std::size_t>(state.range(2));
     const std::size_t w = std::max<std::size_t>(2, simd::kernels().lanes);
     dsp::fft_split_radix fft(n);
     std::vector<std::vector<cplx>> ins;
@@ -257,10 +258,11 @@ void bm_forward_batched(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * w));
 }
 void per_isa_ab(benchmark::internal::Benchmark* b) {
-    for (const simd::isa which : simd::available_isas()) {
-        b->Args({static_cast<long>(which), 0});
-        b->Args({static_cast<long>(which), 1});
-    }
+    for (const long n : {256L, 512L})
+        for (const simd::isa which : simd::available_isas()) {
+            b->Args({static_cast<long>(which), 0, n});
+            b->Args({static_cast<long>(which), 1, n});
+        }
 }
 BENCHMARK(bm_forward_batched)->Apply(per_isa_ab);
 

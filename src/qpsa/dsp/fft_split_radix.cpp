@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/simd/kernels.hpp"
@@ -17,35 +18,23 @@ fft_split_radix::fft_split_radix(std::size_t n) : n_(n), wtab_(n) {
     // Memoize the per-transform operation tally with a counted dry run of
     // the recursion: counts depend only on n, so every forward attributes
     // this tally instead of counting per node.
-    std::vector<cplx> buf(4 * n_);
+    std::vector<cplx> buf(2 * n_);
     counting::pause_scope pause;
     counting::count_scope scope(tally_);
-    recurse(buf.data(), 1, buf.data() + n_, n_, buf.data() + 2 * n_);
-}
-
-void fft_split_radix::run(const cplx* in, cplx* out, cplx* scratch) const {
-    {
-        counting::pause_scope pause;
-        recurse(in, 1, out, n_, scratch);
-    }
-    counting::add_to_active(tally_);
+    recurse(buf.data(), 1, buf.data() + n_, n_);
 }
 
 void fft_split_radix::forward(std::span<const cplx> in, std::span<cplx> out) const {
     QPSA_EXPECTS(in.size() == n_);
     QPSA_EXPECTS(out.size() == n_);
-    std::vector<cplx> scratch(2 * n_);
-    run(in.data(), out.data(), scratch.data());
-}
-
-void fft_split_radix::forward(std::span<const cplx> in, std::span<cplx> out,
-                              util::arena& scratch) const {
-    QPSA_EXPECTS(in.size() == n_);
-    QPSA_EXPECTS(out.size() == n_);
-    // Every scratch element is written by a child recursion before the
-    // parent reads it, so uninitialized arena storage is safe here.
-    util::arena::frame frame(scratch);
-    run(in.data(), out.data(), scratch.alloc<cplx>(2 * n_).data());
+    const std::less<const cplx*> before;
+    QPSA_EXPECTS(!before(in.data(), out.data() + n_) ||
+                 !before(out.data(), in.data() + n_));
+    {
+        counting::pause_scope pause;
+        recurse(in.data(), 1, out.data(), n_);
+    }
+    counting::add_to_active(tally_);
 }
 
 std::vector<cplx> fft_split_radix::forward_copy(std::span<const cplx> in) const {
@@ -55,7 +44,7 @@ std::vector<cplx> fft_split_radix::forward_copy(std::span<const cplx> in) const 
 }
 
 void fft_split_radix::recurse(const cplx* x, std::size_t stride, cplx* out,
-                              std::size_t n, cplx* scratch) const {
+                              std::size_t n) const {
     using counting::count_adds;
     using counting::count_cadd;
     using counting::count_cmul;
@@ -71,30 +60,65 @@ void fft_split_radix::recurse(const cplx* x, std::size_t stride, cplx* out,
         count_cadd(2);
         return;
     }
+    // The n = 4 and n = 8 levels fused in registers: the scalar combine's
+    // k == 0 and 8k == n bins on their 2- and 4-point children, with the
+    // tally those levels record.
+    const auto butterfly = [out](std::size_t k, std::size_t q, cplx e, cplx e2,
+                                 cplx t1, cplx t3) {
+        const cplx s = t1 + t3;
+        const cplx d = t1 - t3;
+        const cplx jd{d.imag(), -d.real()};
+        out[k] = e + s;
+        out[k + 2 * q] = e - s;
+        out[k + q] = e2 + jd;
+        out[k + 3 * q] = e2 - jd;
+    };
+    if (n == 4) {
+        const cplx x0 = x[0];
+        const cplx x2 = x[2 * stride];
+        butterfly(0, 1, x0 + x2, x0 - x2, x[stride], x[3 * stride]);
+        count_cadd(8);
+        return;
+    }
+    if (n == 8) {
+        cplx v[8];
+        for (std::size_t i = 0; i < 8; ++i) v[i] = x[i * stride];
+        const cplx e0 = v[0] + v[4];
+        const cplx e1 = v[0] - v[4];
+        const cplx s26 = v[2] + v[6];
+        const cplx d26 = v[2] - v[6];
+        const cplx jd26{d26.imag(), -d26.real()};
+        const cplx z1 = v[1] - v[5];
+        const cplx z3 = v[3] - v[7];
+        // E = the 4-point transform of the evens: E[0], E[2] = e0 +/- s26,
+        // E[1], E[3] = e1 +/- jd26.
+        butterfly(0, 2, e0 + s26, e0 - s26, v[1] + v[5], v[3] + v[7]);
+        butterfly(1, 2, e1 + jd26, e1 - jd26,
+                  cplx{inv_sqrt2 * (z1.real() + z1.imag()),
+                       inv_sqrt2 * (z1.imag() - z1.real())},
+                  cplx{inv_sqrt2 * (z3.imag() - z3.real()),
+                       inv_sqrt2 * (-z3.real() - z3.imag())});
+        count_cadd(24);
+        count_muls(4);
+        count_adds(4);
+        return;
+    }
 
     const std::size_t q = n / 4;
     const std::size_t h = n / 2;
-    cplx* const e = scratch;           // E: half-size transform of evens
-    cplx* const o1 = scratch + h;      // O1: quarter-size of x[4m+1]
-    cplx* const o3 = scratch + h + q;  // O3: quarter-size of x[4m+3]
-    cplx* const child = scratch + n;
+    recurse(x, 2 * stride, out, h);                       // E
+    recurse(x + stride, 4 * stride, out + h, q);          // O1: x[4m+1]
+    recurse(x + 3 * stride, 4 * stride, out + h + q, q);  // O3: x[4m+3]
 
-    recurse(x, 2 * stride, e, h, child);
-    recurse(x + stride, 4 * stride, o1, q, child);
-    recurse(x + 3 * stride, 4 * stride, o3, q, child);
-
-    const std::size_t tstep = n_ / n;  // twiddle stride for this level
-    // The whole combine pass (k == 0 copy, the W^(N/8) = (1-i)/sqrt(2)
-    // 2-mul special at 8k == n, generic twiddle bins) runs through the
-    // dispatched kernel; the tally below is the closed form of the
-    // per-iteration counts the scalar loop used to record.
-    simd::kernels().sr_combine(e, o1, o3, out, n, wtab_.data(), tstep);
+    // The whole in-place combine pass (k == 0 copy, the W^(N/8) =
+    // (1-i)/sqrt(2) 2-mul special at 8k == n, generic twiddle bins) runs
+    // through the dispatched kernel; the tally below is the closed form of
+    // the per-iteration counts the scalar loop used to record.
+    simd::kernels().sr_combine(out, n, wtab_.data(), n_ / n);
     count_cadd(6 * q);
-    if (n >= 8) {
-        count_muls(4);
-        count_adds(4);
-    }
-    count_cmul(2 * (q - 1 - (n >= 8 ? 1 : 0)));
+    count_muls(4);
+    count_adds(4);
+    count_cmul(2 * (q - 2));
 }
 
 void fft_split_radix::forward_batched(std::span<const cplx* const> ins,
@@ -103,55 +127,43 @@ void fft_split_radix::forward_batched(std::span<const cplx* const> ins,
     QPSA_EXPECTS(ins.size() == outs.size());
     // No counting in here: a lane-batched walk cannot attribute work to a
     // single transform.  Callers add op_tally() once per transform, which
-    // also covers the scalar fallbacks below (the tally is exact for any
+    // also covers the scalar remainder below (the tally is exact for any
     // input).
     counting::pause_scope pause;
     const simd::kernel_table& kt = simd::kernels();
     const std::size_t w = kt.lanes;
     std::size_t i = 0;
     if (w >= 2) {
-        util::arena::frame frame(scratch);
-        std::span<real> xre = scratch.alloc<real>(n_ * w);
-        std::span<real> xim = scratch.alloc<real>(n_ * w);
-        std::span<real> ore = scratch.alloc<real>(n_ * w);
-        std::span<real> oim = scratch.alloc<real>(n_ * w);
-        std::span<real> sre = scratch.alloc<real>(2 * n_ * w);
-        std::span<real> sim = scratch.alloc<real>(2 * n_ * w);
         QPSA_EXPECTS(w <= 8);
+        util::arena::frame frame(scratch);
+        // The walk's workspace planes; every element is written by a child
+        // before its level reads it, so uninitialized storage is fine.
+        std::span<real> wre = scratch.alloc<real>(n_ * w);
+        std::span<real> wim = scratch.alloc<real>(n_ * w);
         while (ins.size() - i >= 2) {
+            // A short chunk repeats lane 0 in both arrays: the walk reads
+            // every input before it writes any output, so the repeated
+            // lane rewrites lane 0's output with the same values.
             const std::size_t chunk = std::min(w, ins.size() - i);
-            // Transpose AoS inputs into SoA lane planes; short chunks pad
-            // by repeating lane 0 (their outputs are discarded).
             const cplx* srcs[8];
-            for (std::size_t l = 0; l < w; ++l)
+            cplx* dsts[8];
+            for (std::size_t l = 0; l < w; ++l) {
                 srcs[l] = ins[i + (l < chunk ? l : 0)];
-            kt.transpose_to_planes(srcs, xre.data(), xim.data(), n_, w);
-            kt.sr_batched(xre.data(), xim.data(), ore.data(), oim.data(),
-                          sre.data(), sim.data(), n_, wtab_.data());
-            if (chunk == w) {
-                cplx* dsts[8];
-                for (std::size_t l = 0; l < w; ++l) dsts[l] = outs[i + l];
-                kt.transpose_from_planes(ore.data(), oim.data(), dsts, n_, w);
-            } else {
-                for (std::size_t l = 0; l < chunk; ++l) {
-                    cplx* dst = outs[i + l];
-                    for (std::size_t e = 0; e < n_; ++e)
-                        dst[e] = cplx{ore[e * w + l], oim[e * w + l]};
-                }
+                dsts[l] = outs[i + (l < chunk ? l : 0)];
             }
+            kt.sr_batched(srcs, dsts, wre.data(), wim.data(), n_, wtab_.data());
             i += chunk;
         }
     }
     for (; i < ins.size(); ++i) {
         util::arena::frame frame(scratch);
         const cplx* in = ins[i];
-        if (in == outs[i]) {  // the recursion reads its input to the end
+        if (in == outs[i]) {  // the in-place walk reads its input to the end
             std::span<cplx> copy = scratch.alloc<cplx>(n_);
             std::copy(in, in + n_, copy.begin());
             in = copy.data();
         }
-        forward(std::span<const cplx>(in, n_), std::span<cplx>(outs[i], n_),
-                scratch);
+        forward(std::span<const cplx>(in, n_), std::span<cplx>(outs[i], n_));
     }
 }
 

@@ -15,6 +15,17 @@
 // +/-i) are multiplication-free and W^(N/8) multiplies cost 2 muls + 2
 // adds, so the measured operation counts reproduce the canonical
 // split-radix totals (e.g. 15368 real ops at N = 512).
+//
+// The walk runs in place in the output.  Each child transform writes
+// straight into its slice of the level's output:
+//
+//   [0, N/2)      E   half-size transform of x[2m]
+//   [N/2, 3N/4)   O1  quarter-size transform of x[4m+1]
+//   [3N/4, N)     O3  quarter-size transform of x[4m+3]
+//
+// so the combine at bin k reads and rewrites the same four slots k,
+// k+N/4, k+N/2, k+3N/4, and no level needs scratch.  The input is read
+// to the end of the walk, so it must not overlap the output.
 #pragma once
 
 #include <span>
@@ -33,20 +44,19 @@ public:
     std::size_t size() const noexcept { return n_; }
 
     /// Out-of-place forward transform; attributes op_tally() to the
-    /// active scopes.
+    /// active scopes.  Allocation-free; `in` must not overlap `out`.
     void forward(std::span<const cplx> in, std::span<cplx> out) const;
-
-    /// Same transform with recursion scratch drawn from `scratch` (2n
-    /// complex values per call) -- allocation-free in steady state.
-    void forward(std::span<const cplx> in, std::span<cplx> out,
-                 util::arena& scratch) const;
 
     std::vector<cplx> forward_copy(std::span<const cplx> in) const;
 
     /// Batched forward: up to simd::kernels().lanes same-plan transforms
     /// interleaved one per SIMD lane through a single recursion walk.
     /// Each output is bit-identical to a scalar forward of its input, and
-    /// outs[i] may alias ins[i] (an in-place transform).
+    /// outs[i] may alias ins[i] (an in-place transform): a lane group
+    /// reads all its inputs before it writes any output, and a scalar
+    /// remainder whose output aliases its input is copied into `scratch`
+    /// first.  Lane groups draw 2 * n * lanes reals of workspace from
+    /// `scratch`.
     /// Performs NO operation counting (a lane-batched walk cannot count
     /// per-transform); callers attribute op_tally() per transform instead.
     void forward_batched(std::span<const cplx* const> ins,
@@ -58,11 +68,10 @@ public:
     const counting::op_counts& op_tally() const noexcept { return tally_; }
 
 private:
-    /// Uncounted recursion, then op_tally() attributed once.
-    void run(const cplx* in, cplx* out, cplx* scratch) const;
-    /// The counted walk: the constructor's dry run records op_tally().
-    void recurse(const cplx* x, std::size_t stride, cplx* out, std::size_t n,
-                 cplx* scratch) const;
+    /// The counted in-place walk of one level; the constructor's dry run
+    /// records op_tally(), forward() runs it paused.
+    void recurse(const cplx* x, std::size_t stride, cplx* out,
+                 std::size_t n) const;
 
     std::size_t n_;
     std::vector<cplx> wtab_;  ///< W_N^k for k in [0, N)

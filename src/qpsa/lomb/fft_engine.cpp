@@ -49,17 +49,6 @@ void split_radix_engine::forward(std::span<const cplx> in, std::span<cplx> out,
     }
 }
 
-void split_radix_engine::forward(std::span<const cplx> in, std::span<cplx> out,
-                                 wfft::exec_stats* stats,
-                                 util::arena& scratch) const {
-    if (stats != nullptr) {
-        counting::count_scope scope(stats->ops);
-        fft_.forward(in, out, scratch);
-    } else {
-        fft_.forward(in, out, scratch);
-    }
-}
-
 std::size_t split_radix_engine::batch_width() const noexcept {
     return simd::kernels().lanes;
 }

@@ -150,11 +150,11 @@ public:
     explicit split_radix_engine(std::size_t n) : fft_(n) {}
     std::size_t size() const noexcept override { return fft_.size(); }
     std::string name() const override { return "split-radix"; }
+    /// The split-radix walk needs no scratch, so the arena overload is
+    /// the base default (which forwards here).
     using fft_engine::forward;
     void forward(std::span<const cplx> in, std::span<cplx> out,
                  wfft::exec_stats* stats) const override;
-    void forward(std::span<const cplx> in, std::span<cplx> out,
-                 wfft::exec_stats* stats, util::arena& scratch) const override;
     std::size_t batch_width() const noexcept override;
     void forward_batched(std::span<const batch_item> items,
                          util::arena& scratch) const override;

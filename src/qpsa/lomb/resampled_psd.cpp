@@ -124,7 +124,7 @@ void resampled_psd(std::span<const real> t, std::span<const real> x,
     std::span<cplx> buf = scratch.alloc<cplx>(opt.fft_size);
     const std::size_t grid_n = resampled_psd_prepare(t, x, opt, scratch, buf);
     std::span<cplx> spec = scratch.alloc<cplx>(opt.fft_size);
-    fft.forward(buf, spec, scratch);
+    fft.forward(buf, spec);
     resampled_psd_finish(spec, grid_n, opt, out_power);
 }
 

@@ -92,22 +92,31 @@ struct kernel_table {
 
     // -- split-radix FFT --------------------------------------------------
     /// One combine pass (all k in [0, n/4)) of the recursive split-radix
-    /// decomposition: e = half-size even transform, o1/o3 = quarter-size
-    /// odd transforms, twiddles from wtab with stride tstep.  Includes the
-    /// k == 0 and 8k == n multiplication-free specials.
-    void (*sr_combine)(const cplx* e, const cplx* o1, const cplx* o3,
-                       cplx* out, std::size_t n, const cplx* wtab,
+    /// decomposition, in place: on entry x holds E (the half-size even
+    /// transform) in [0, n/2), O1 in [n/2, 3n/4) and O3 in [3n/4, n) (the
+    /// quarter-size odd transforms), on exit the n-point transform.  Bin k
+    /// reads and writes only slots k, k+n/4, k+n/2, k+3n/4, loading all
+    /// four before it stores.  Twiddles from wtab with stride tstep;
+    /// includes the k == 0 and 8k == n multiplication-free specials.  No
+    /// scratch.
+    void (*sr_combine)(cplx* x, std::size_t n, const cplx* wtab,
                        std::size_t tstep) = nullptr;
 
-    /// Complete batched split-radix walk: `lanes` interleaved transforms in
-    /// SoA planes, element i of lane l at index [i * lanes + l].  xre/xim
-    /// and outre/outim hold n elements, sre/sim 2n recursion scratch.
-    /// Twiddles broadcast (same plan in every lane); each lane executes
-    /// exactly the scalar schedule, so lane l's output is bit-identical to
-    /// a scalar forward of lane l's input.
-    void (*sr_batched)(const real* xre, const real* xim, real* outre,
-                       real* outim, real* sre, real* sim, std::size_t n,
-                       const cplx* wtab) = nullptr;
+    /// Complete batched split-radix walk of `lanes` same-plan transforms,
+    /// one per SIMD lane: srcs[l] / dsts[l] are lane l's n-point input and
+    /// output.  The leaves read srcs directly; every level below the top
+    /// runs in place in the workspace planes wre/wim (n elements each,
+    /// element i of lane l at [i * lanes + l]: each child lands in its
+    /// quarter and the level combines there, no further scratch); the top
+    /// level combines from the planes into dsts.  So every input is read
+    /// before any output is written: dsts[l] may alias srcs[l], and
+    /// callers with fewer transforms repeat a lane in both arrays.  The
+    /// planes must not alias any input or output.  Twiddles broadcast
+    /// (same plan in every lane); each lane executes exactly the scalar
+    /// schedule, so lane l's output is bit-identical to a scalar forward
+    /// of lane l's input.
+    void (*sr_batched)(const cplx* const* srcs, cplx* const* dsts, real* wre,
+                       real* wim, std::size_t n, const cplx* wtab) = nullptr;
 
     // -- wavelet: folded Haar butterflies ---------------------------------
     /// a[k] = x[2k] + x[2k+1], d[k] = x[2k] - x[2k+1]; the _real variants
@@ -163,18 +172,6 @@ struct kernel_table {
     /// type, so the -mavx2 copies can never be merged into baseline code.
     fixed_kernels<std::int32_t> q15;
     fixed_kernels<std::int64_t> q31;
-
-    // -- batched-FFT lane transpose ---------------------------------------
-    /// AoS -> SoA scatter for the batched walk: element e of input lane l
-    /// (srcs[l][e]) lands at re/im[e * w + l].  Callers pass exactly
-    /// w == lanes source pointers (short chunks repeat a lane).  Pure data
-    /// movement -- trivially bit-identical on every ISA.
-    void (*transpose_to_planes)(const cplx* const* srcs, real* re, real* im,
-                                std::size_t n, std::size_t w) = nullptr;
-    /// SoA -> AoS gather of the lane planes back into w complex outputs.
-    void (*transpose_from_planes)(const real* re, const real* im,
-                                  cplx* const* dsts, std::size_t n,
-                                  std::size_t w) = nullptr;
 };
 
 /// The table for the active ISA (resolved once; see isa.hpp).

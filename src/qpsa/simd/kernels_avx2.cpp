@@ -34,14 +34,18 @@ inline __m256d cmul2(__m256d w_r, __m256d w_i, __m256d o) {
                             _mm256_mul_pd(w_i, swap_reim(o)));
 }
 
-void sr_combine_avx2(const cplx* e, const cplx* o1, const cplx* o3, cplx* out,
-                     std::size_t n, const cplx* wtab, std::size_t tstep) {
+// In place (see kernel_table::sr_combine): every bin, scalar or vector,
+// loads its four slots before it stores any of them.
+void sr_combine_avx2(cplx* x, std::size_t n, const cplx* wtab,
+                     std::size_t tstep) {
     const std::size_t q = n / 4;
     const std::size_t h = n / 2;
-    auto* const pe = reinterpret_cast<const double*>(e);
-    auto* const po1 = reinterpret_cast<const double*>(o1);
-    auto* const po3 = reinterpret_cast<const double*>(o3);
-    auto* const pout = reinterpret_cast<double*>(out);
+    const cplx* const o1 = x + h;
+    const cplx* const o3 = x + h + q;
+    auto* const pout = reinterpret_cast<double*>(x);
+    const double* const pe = pout;
+    const double* const po1 = pout + 2 * h;
+    const double* const po3 = pout + 2 * (h + q);
 
     // k == 0 and 8k == n are multiplication-free specials; run them scalar
     // and vectorize pairs of generic twiddle bins in the runs between.
@@ -62,13 +66,15 @@ void sr_combine_avx2(const cplx* e, const cplx* o1, const cplx* o3, cplx* out,
             t1 = wtab[k * tstep] * o1[k];
             t3 = wtab[3 * k * tstep] * o3[k];
         }
+        const cplx ek = x[k];
+        const cplx eq = x[k + q];
         const cplx s = t1 + t3;
         const cplx d = t1 - t3;
         const cplx jd{d.imag(), -d.real()};
-        out[k] = e[k] + s;
-        out[k + h] = e[k] - s;
-        out[k + q] = e[k + q] + jd;
-        out[k + 3 * q] = e[k + q] - jd;
+        x[k] = ek + s;
+        x[k + h] = ek - s;
+        x[k + q] = eq + jd;
+        x[k + 3 * q] = eq - jd;
     };
 
     const auto vector_run = [&](std::size_t lo, std::size_t hi) {
@@ -264,67 +270,6 @@ void power_norm_avx2(const cplx* spec, real* out, real norm, std::size_t n) {
     for (; k < n; ++k) out[k] = sqr_mag(spec[k]) * norm;
 }
 
-void transpose_to_planes_avx2(const cplx* const* srcs, real* re, real* im,
-                              std::size_t n, std::size_t w) {
-    if (w == 4) {
-        const auto* s0 = reinterpret_cast<const double*>(srcs[0]);
-        const auto* s1 = reinterpret_cast<const double*>(srcs[1]);
-        const auto* s2 = reinterpret_cast<const double*>(srcs[2]);
-        const auto* s3 = reinterpret_cast<const double*>(srcs[3]);
-        for (std::size_t e = 0; e < n; ++e) {
-            const __m128d a0 = _mm_loadu_pd(s0 + 2 * e);  // [re0, im0]
-            const __m128d a1 = _mm_loadu_pd(s1 + 2 * e);
-            const __m128d a2 = _mm_loadu_pd(s2 + 2 * e);
-            const __m128d a3 = _mm_loadu_pd(s3 + 2 * e);
-            const __m128d r01 = _mm_unpacklo_pd(a0, a1);  // [re0, re1]
-            const __m128d r23 = _mm_unpacklo_pd(a2, a3);  // [re2, re3]
-            const __m128d i01 = _mm_unpackhi_pd(a0, a1);  // [im0, im1]
-            const __m128d i23 = _mm_unpackhi_pd(a2, a3);  // [im2, im3]
-            _mm256_storeu_pd(
-                re + 4 * e,
-                _mm256_insertf128_pd(_mm256_castpd128_pd256(r01), r23, 1));
-            _mm256_storeu_pd(
-                im + 4 * e,
-                _mm256_insertf128_pd(_mm256_castpd128_pd256(i01), i23, 1));
-        }
-        return;
-    }
-    for (std::size_t l = 0; l < w; ++l) {
-        const cplx* src = srcs[l];
-        for (std::size_t e = 0; e < n; ++e) {
-            re[e * w + l] = src[e].real();
-            im[e * w + l] = src[e].imag();
-        }
-    }
-}
-
-void transpose_from_planes_avx2(const real* re, const real* im,
-                                cplx* const* dsts, std::size_t n,
-                                std::size_t w) {
-    if (w == 4) {
-        auto* d0 = reinterpret_cast<double*>(dsts[0]);
-        auto* d1 = reinterpret_cast<double*>(dsts[1]);
-        auto* d2 = reinterpret_cast<double*>(dsts[2]);
-        auto* d3 = reinterpret_cast<double*>(dsts[3]);
-        for (std::size_t e = 0; e < n; ++e) {
-            const __m256d vr = _mm256_loadu_pd(re + 4 * e);
-            const __m256d vi = _mm256_loadu_pd(im + 4 * e);
-            const __m256d lo = _mm256_unpacklo_pd(vr, vi);  // [r0,i0,r2,i2]
-            const __m256d hi = _mm256_unpackhi_pd(vr, vi);  // [r1,i1,r3,i3]
-            _mm_storeu_pd(d0 + 2 * e, _mm256_castpd256_pd128(lo));
-            _mm_storeu_pd(d1 + 2 * e, _mm256_castpd256_pd128(hi));
-            _mm_storeu_pd(d2 + 2 * e, _mm256_extractf128_pd(lo, 1));
-            _mm_storeu_pd(d3 + 2 * e, _mm256_extractf128_pd(hi, 1));
-        }
-        return;
-    }
-    for (std::size_t l = 0; l < w; ++l) {
-        cplx* dst = dsts[l];
-        for (std::size_t e = 0; e < n; ++e)
-            dst[e] = cplx{re[e * w + l], im[e * w + l]};
-    }
-}
-
 // Width-4 vector for the generic batched-transform and lifting templates.
 struct v4 {
     __m256d v;
@@ -349,6 +294,30 @@ struct v4 {
     v4 operator*(v4 o) const { return {_mm256_mul_pd(v, o.v)}; }
     v4 operator/(v4 o) const { return {_mm256_div_pd(v, o.v)}; }
     v4 neg() const { return {_mm256_xor_pd(v, _mm256_set1_pd(-0.0))}; }
+    static void load_lanes(const cplx* const* p, std::size_t i, v4& re,
+                           v4& im) {
+        const auto at = [&](std::size_t l) {
+            return _mm_loadu_pd(reinterpret_cast<const double*>(p[l] + i));
+        };
+        // [c0 | c2] and [c1 | c3], then per-128-bit-half unpacks.
+        const __m256d a =
+            _mm256_insertf128_pd(_mm256_castpd128_pd256(at(0)), at(2), 1);
+        const __m256d b =
+            _mm256_insertf128_pd(_mm256_castpd128_pd256(at(1)), at(3), 1);
+        re = {_mm256_unpacklo_pd(a, b)};  // [re0, re1, re2, re3]
+        im = {_mm256_unpackhi_pd(a, b)};
+    }
+    static void store_lanes(v4 re, v4 im, cplx* const* p, std::size_t i) {
+        const __m256d lo = _mm256_unpacklo_pd(re.v, im.v);  // [c0 | c2]
+        const __m256d hi = _mm256_unpackhi_pd(re.v, im.v);  // [c1 | c3]
+        const auto at = [&](std::size_t l) {
+            return reinterpret_cast<double*>(p[l] + i);
+        };
+        _mm_storeu_pd(at(0), _mm256_castpd256_pd128(lo));
+        _mm_storeu_pd(at(1), _mm256_castpd256_pd128(hi));
+        _mm_storeu_pd(at(2), _mm256_extractf128_pd(lo, 1));
+        _mm_storeu_pd(at(3), _mm256_extractf128_pd(hi, 1));
+    }
     static v4 lt(v4 a, v4 b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)}; }
     static v4 select(v4 m, v4 a, v4 b) {
         return {_mm256_blendv_pd(b.v, a.v, m.v)};
@@ -410,8 +379,6 @@ const kernel_table* avx2_table() noexcept {
         k.power_norm = power_norm_avx2;
         k.burg_lattice = generic::burg_lattice<v4>;
         fixed::fill_fixed_kernels<v4>(k);
-        k.transpose_to_planes = transpose_to_planes_avx2;
-        k.transpose_from_planes = transpose_from_planes_avx2;
         return k;
     }();
     return &t;

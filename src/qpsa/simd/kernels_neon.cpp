@@ -30,6 +30,19 @@ struct vn {
     vn operator*(vn o) const { return {vmulq_f64(v, o.v)}; }
     vn operator/(vn o) const { return {vdivq_f64(v, o.v)}; }
     vn neg() const { return {vnegq_f64(v)}; }
+    static void load_lanes(const cplx* const* p, std::size_t i, vn& re,
+                           vn& im) {
+        const auto* a = reinterpret_cast<const double*>(p[0] + i);
+        const auto* b = reinterpret_cast<const double*>(p[1] + i);
+        const float64x2_t va = vld1q_f64(a);  // [re0, im0]
+        const float64x2_t vb = vld1q_f64(b);  // [re1, im1]
+        re = {vzip1q_f64(va, vb)};  // [re0, re1]
+        im = {vzip2q_f64(va, vb)};  // [im0, im1]
+    }
+    static void store_lanes(vn re, vn im, cplx* const* p, std::size_t i) {
+        vst1q_f64(reinterpret_cast<double*>(p[0] + i), vzip1q_f64(re.v, im.v));
+        vst1q_f64(reinterpret_cast<double*>(p[1] + i), vzip2q_f64(re.v, im.v));
+    }
     static vn lt(vn a, vn b) {
         return {vreinterpretq_f64_u64(vcltq_f64(a.v, b.v))};
     }

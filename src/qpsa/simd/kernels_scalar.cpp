@@ -26,6 +26,14 @@ struct v1 {
     v1 operator*(v1 o) const { return {v * o.v}; }
     v1 operator/(v1 o) const { return {v / o.v}; }
     v1 neg() const { return {-v}; }
+    static void load_lanes(const cplx* const* p, std::size_t i, v1& re,
+                           v1& im) {
+        re = {p[0][i].real()};
+        im = {p[0][i].imag()};
+    }
+    static void store_lanes(v1 re, v1 im, cplx* const* p, std::size_t i) {
+        p[0][i] = cplx{re.v, im.v};
+    }
     static v1 lt(v1 a, v1 b) { return {a.v < b.v ? 1.0 : 0.0}; }
     static v1 select(v1 m, v1 a, v1 b) { return m.v != 0.0 ? a : b; }
     static v1 abs(v1 a) { return {std::abs(a.v)}; }
@@ -38,10 +46,12 @@ struct v1 {
     }
 };
 
-void sr_combine_scalar(const cplx* e, const cplx* o1, const cplx* o3, cplx* out,
-                       std::size_t n, const cplx* wtab, std::size_t tstep) {
+void sr_combine_scalar(cplx* x, std::size_t n, const cplx* wtab,
+                       std::size_t tstep) {
     const std::size_t q = n / 4;
     const std::size_t h = n / 2;
+    const cplx* const o1 = x + h;
+    const cplx* const o3 = x + h + q;
     for (std::size_t k = 0; k < q; ++k) {
         cplx t1;
         cplx t3;
@@ -59,13 +69,16 @@ void sr_combine_scalar(const cplx* e, const cplx* o1, const cplx* o3, cplx* out,
             t1 = wtab[k * tstep] * o1[k];
             t3 = wtab[3 * k * tstep] * o3[k];
         }
+        // In place: E[k] and E[k+q] are loaded before any slot is stored.
+        const cplx ek = x[k];
+        const cplx eq = x[k + q];
         const cplx s = t1 + t3;
         const cplx d = t1 - t3;
         const cplx jd{d.imag(), -d.real()};
-        out[k] = e[k] + s;
-        out[k + h] = e[k] - s;
-        out[k + q] = e[k + q] + jd;
-        out[k + 3 * q] = e[k + q] - jd;
+        x[k] = ek + s;
+        x[k + h] = ek - s;
+        x[k + q] = eq + jd;
+        x[k + 3 * q] = eq - jd;
     }
 }
 
@@ -132,27 +145,6 @@ void power_norm_scalar(const cplx* spec, real* out, real norm, std::size_t n) {
     for (std::size_t k = 0; k < n; ++k) out[k] = sqr_mag(spec[k]) * norm;
 }
 
-void transpose_to_planes_scalar(const cplx* const* srcs, real* re, real* im,
-                                std::size_t n, std::size_t w) {
-    for (std::size_t l = 0; l < w; ++l) {
-        const cplx* src = srcs[l];
-        for (std::size_t e = 0; e < n; ++e) {
-            re[e * w + l] = src[e].real();
-            im[e * w + l] = src[e].imag();
-        }
-    }
-}
-
-void transpose_from_planes_scalar(const real* re, const real* im,
-                                  cplx* const* dsts, std::size_t n,
-                                  std::size_t w) {
-    for (std::size_t l = 0; l < w; ++l) {
-        cplx* dst = dsts[l];
-        for (std::size_t e = 0; e < n; ++e)
-            dst[e] = cplx{re[e * w + l], im[e * w + l]};
-    }
-}
-
 }  // namespace
 
 namespace detail {
@@ -175,8 +167,6 @@ const kernel_table* scalar_table() noexcept {
         k.power_norm = power_norm_scalar;
         k.burg_lattice = generic::burg_lattice<v1>;
         fixed::fill_fixed_kernels<v1>(k);
-        k.transpose_to_planes = transpose_to_planes_scalar;
-        k.transpose_from_planes = transpose_from_planes_scalar;
         return k;
     }();
     return &t;

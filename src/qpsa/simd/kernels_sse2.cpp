@@ -36,15 +36,17 @@ inline __m128d cmul1(__m128d w_r, __m128d w_i, __m128d o) {
     return _mm_add_pd(p0, _mm_xor_pd(p1, neg_lo()));
 }
 
-void sr_combine_sse2(const cplx* e, const cplx* o1, const cplx* o3, cplx* out,
-                     std::size_t n, const cplx* wtab, std::size_t tstep) {
+// In place (see kernel_table::sr_combine): every bin loads its four slots
+// before it stores any of them.
+void sr_combine_sse2(cplx* x, std::size_t n, const cplx* wtab,
+                     std::size_t tstep) {
     const std::size_t q = n / 4;
     const std::size_t h = n / 2;
     const __m128d c_inv_sqrt2 = _mm_set1_pd(inv_sqrt2);
-    auto* const pe = reinterpret_cast<const double*>(e);
-    auto* const po1 = reinterpret_cast<const double*>(o1);
-    auto* const po3 = reinterpret_cast<const double*>(o3);
-    auto* const pout = reinterpret_cast<double*>(out);
+    auto* const pout = reinterpret_cast<double*>(x);
+    const double* const pe = pout;
+    const double* const po1 = pout + 2 * h;
+    const double* const po3 = pout + 2 * (h + q);
     for (std::size_t k = 0; k < q; ++k) {
         __m128d t1;
         __m128d t3;
@@ -204,49 +206,6 @@ void power_norm_sse2(const cplx* spec, real* out, real norm, std::size_t n) {
     for (; k < n; ++k) out[k] = sqr_mag(spec[k]) * norm;
 }
 
-void transpose_to_planes_sse2(const cplx* const* srcs, real* re, real* im,
-                              std::size_t n, std::size_t w) {
-    if (w == 2) {
-        auto* const s0 = reinterpret_cast<const double*>(srcs[0]);
-        auto* const s1 = reinterpret_cast<const double*>(srcs[1]);
-        for (std::size_t e = 0; e < n; ++e) {
-            const __m128d a = _mm_loadu_pd(s0 + 2 * e);  // [re0, im0]
-            const __m128d b = _mm_loadu_pd(s1 + 2 * e);  // [re1, im1]
-            _mm_storeu_pd(re + 2 * e, _mm_unpacklo_pd(a, b));
-            _mm_storeu_pd(im + 2 * e, _mm_unpackhi_pd(a, b));
-        }
-        return;
-    }
-    for (std::size_t l = 0; l < w; ++l) {
-        const cplx* src = srcs[l];
-        for (std::size_t e = 0; e < n; ++e) {
-            re[e * w + l] = src[e].real();
-            im[e * w + l] = src[e].imag();
-        }
-    }
-}
-
-void transpose_from_planes_sse2(const real* re, const real* im,
-                                cplx* const* dsts, std::size_t n,
-                                std::size_t w) {
-    if (w == 2) {
-        auto* const d0 = reinterpret_cast<double*>(dsts[0]);
-        auto* const d1 = reinterpret_cast<double*>(dsts[1]);
-        for (std::size_t e = 0; e < n; ++e) {
-            const __m128d vr = _mm_loadu_pd(re + 2 * e);  // [re0, re1]
-            const __m128d vi = _mm_loadu_pd(im + 2 * e);  // [im0, im1]
-            _mm_storeu_pd(d0 + 2 * e, _mm_unpacklo_pd(vr, vi));
-            _mm_storeu_pd(d1 + 2 * e, _mm_unpackhi_pd(vr, vi));
-        }
-        return;
-    }
-    for (std::size_t l = 0; l < w; ++l) {
-        cplx* dst = dsts[l];
-        for (std::size_t e = 0; e < n; ++e)
-            dst[e] = cplx{re[e * w + l], im[e * w + l]};
-    }
-}
-
 // Width-2 vector for the generic batched-transform and lifting templates.
 struct v2 {
     __m128d v;
@@ -269,6 +228,19 @@ struct v2 {
     v2 operator*(v2 o) const { return {_mm_mul_pd(v, o.v)}; }
     v2 operator/(v2 o) const { return {_mm_div_pd(v, o.v)}; }
     v2 neg() const { return {_mm_xor_pd(v, _mm_set1_pd(-0.0))}; }
+    static void load_lanes(const cplx* const* p, std::size_t i, v2& re,
+                           v2& im) {
+        const __m128d a = _mm_loadu_pd(reinterpret_cast<const double*>(p[0] + i));
+        const __m128d b = _mm_loadu_pd(reinterpret_cast<const double*>(p[1] + i));
+        re = {_mm_unpacklo_pd(a, b)};  // [re0, re1]
+        im = {_mm_unpackhi_pd(a, b)};  // [im0, im1]
+    }
+    static void store_lanes(v2 re, v2 im, cplx* const* p, std::size_t i) {
+        _mm_storeu_pd(reinterpret_cast<double*>(p[0] + i),
+                      _mm_unpacklo_pd(re.v, im.v));
+        _mm_storeu_pd(reinterpret_cast<double*>(p[1] + i),
+                      _mm_unpackhi_pd(re.v, im.v));
+    }
     static v2 lt(v2 a, v2 b) { return {_mm_cmplt_pd(a.v, b.v)}; }
     static v2 select(v2 m, v2 a, v2 b) {
         return {_mm_or_pd(_mm_and_pd(m.v, a.v), _mm_andnot_pd(m.v, b.v))};
@@ -302,8 +274,6 @@ const kernel_table* sse2_table() noexcept {
         k.power_norm = power_norm_sse2;
         k.burg_lattice = generic::burg_lattice<v2>;
         fixed::fill_fixed_kernels<v2>(k);
-        k.transpose_to_planes = transpose_to_planes_sse2;
-        k.transpose_from_planes = transpose_from_planes_sse2;
         return k;
     }();
     return &t;

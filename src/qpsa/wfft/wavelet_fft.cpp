@@ -1,6 +1,7 @@
 #include "qpsa/wfft/wavelet_fft.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <optional>
 
 #include "qpsa/counting/op_counter.hpp"
@@ -24,6 +25,29 @@ bool is_free_rotation(cplx f) {
     return axis_re || axis_im;
 }
 
+// Term classes, two bits per term (see wavelet_fft.hpp).
+constexpr unsigned term_structural = 0;
+constexpr unsigned term_pruned = 1;
+constexpr unsigned term_free = 2;
+constexpr unsigned term_generic = 3;
+constexpr unsigned shift_a = 0;
+constexpr unsigned shift_b = 2;
+constexpr unsigned shift_c = 4;
+constexpr unsigned shift_d = 6;
+/// Keeps the a and c terms of a bin byte (a dropped highpass band).
+constexpr std::uint8_t k_ac_terms = 0x33;
+
+unsigned term_of(std::uint8_t cls, unsigned shift) { return (cls >> shift) & 3u; }
+
+/// f * v as the textbook product (f.re*v.re - f.im*v.im,
+/// f.re*v.im + f.im*v.re), the order sr_combine's kernels use.  For finite
+/// values this is std::complex's operator* bit for bit; it omits only
+/// that operator's inf/NaN recovery.
+cplx cmul(cplx f, cplx v) {
+    return {f.real() * v.real() - f.imag() * v.imag(),
+            f.real() * v.imag() + f.imag() * v.real()};
+}
+
 /// f * v; a free rotation costs no multiplications (callers count the
 /// complex multiply of the non-free case).
 cplx apply_factor(cplx f, cplx v, bool free) {
@@ -32,7 +56,48 @@ cplx apply_factor(cplx f, cplx v, bool free) {
         if (std::abs(f.real()) > 0.5) return f.real() > 0.0 ? v : -v;
         return f.imag() > 0.0 ? cplx{-v.imag(), v.real()} : cplx{v.imag(), -v.real()};
     }
-    return f * v;
+    return cmul(f, v);
+}
+
+/// One combine output from its two terms (an unused term's value is
+/// (0, 0)): the sum when both are used, else the used one, else (0, 0).
+cplx sum_terms(bool u1, cplx t1, bool u2, cplx t2) {
+    return u1 && u2 ? t1 + t2 : (u1 ? t1 : t2);
+}
+
+/// One half of the combine over the bins [b, e) of one class byte and nl
+/// lanes (layout [bin * nl + lane]): out = the used terms of f1 * v1 +
+/// f2 * v2, given the terms' classes c1, c2 (v2 is read only when c2 is
+/// used).  Generic/zero pairs -- every bin of an exact plan but the
+/// rotations, a dropped band's a/c halves, a pruned plan's bins -- run as
+/// branch-free loops over the whole run; a pair with a free rotation
+/// decodes per element.
+void combine_run(unsigned c1, const cplx* f1, const cplx* v1, unsigned c2,
+                 const cplx* f2, const cplx* v2, cplx* out, std::size_t b,
+                 std::size_t e, std::size_t nl) {
+    const bool u1 = c1 >= term_free;
+    const bool u2 = c2 >= term_free;
+    // Lane-outer, bin-inner: with one lane (every single-level plan) the
+    // inner loop runs over contiguous bins, which the compiler vectorizes.
+    if (c1 == term_generic && c2 == term_generic) {
+        for (std::size_t l = 0; l < nl; ++l)
+            for (std::size_t m = b, i = b * nl + l; m < e; ++m, i += nl)
+                out[i] = cmul(f1[m], v1[i]) + cmul(f2[m], v2[i]);
+    } else if (c1 == term_generic && !u2) {
+        for (std::size_t l = 0; l < nl; ++l)
+            for (std::size_t m = b, i = b * nl + l; m < e; ++m, i += nl)
+                out[i] = cmul(f1[m], v1[i]);
+    } else if (!u1 && c2 == term_generic) {
+        for (std::size_t l = 0; l < nl; ++l)
+            for (std::size_t m = b, i = b * nl + l; m < e; ++m, i += nl)
+                out[i] = cmul(f2[m], v2[i]);
+    } else {
+        for (std::size_t m = b; m < e; ++m)
+            for (std::size_t i = m * nl; i < (m + 1) * nl; ++i)
+                out[i] = sum_terms(
+                    u1, u1 ? apply_factor(f1[m], v1[i], c1 == term_free) : cplx{},
+                    u2, u2 ? apply_factor(f2[m], v2[i], c2 == term_free) : cplx{});
+    }
 }
 
 /// leaf_dft, elementwise over nl lane-interleaved slots (layout
@@ -119,23 +184,28 @@ wavelet_fft::wavelet_fft(plan p) : plan_(std::move(p)) {
     const std::vector<real> mags = factor_magnitudes(*tables_, highpass_kept);
     static_threshold_ = magnitude_threshold(mags, fraction);
 
+    // Effective factors, magnitudes and the per-bin term-class byte.
+    term_class_.assign(tables_->a.size(), 0);
     auto build_effective = [&](const std::vector<cplx>& src, std::vector<cplx>& dst,
-                               std::vector<bool>& free, std::vector<real>& mag) {
+                               std::vector<real>& mag, unsigned shift) {
         dst = src;
-        free.assign(src.size(), false);
         mag.resize(src.size());
         for (std::size_t i = 0; i < src.size(); ++i) {
             mag[i] = std::abs(src[i]);
-            if (mag[i] <= std::max(static_threshold_, k_structural_eps))
+            unsigned cls = term_generic;
+            if (mag[i] <= std::max(static_threshold_, k_structural_eps)) {
                 dst[i] = cplx{0.0, 0.0};
-            else
-                free[i] = is_free_rotation(src[i]);
+                cls = mag[i] <= k_structural_eps ? term_structural : term_pruned;
+            } else if (is_free_rotation(src[i])) {
+                cls = term_free;
+            }
+            term_class_[i] |= static_cast<std::uint8_t>(cls << shift);
         }
     };
-    build_effective(tables_->a, eff_a_, free_a_, mag_a_);
-    build_effective(tables_->b, eff_b_, free_b_, mag_b_);
-    build_effective(tables_->c, eff_c_, free_c_, mag_c_);
-    build_effective(tables_->d, eff_d_, free_d_, mag_d_);
+    build_effective(tables_->a, eff_a_, mag_a_, shift_a);
+    build_effective(tables_->b, eff_b_, mag_b_, shift_b);
+    build_effective(tables_->c, eff_c_, mag_c_, shift_c);
+    build_effective(tables_->d, eff_d_, mag_d_, shift_d);
 
     const std::size_t half = plan_.n / 2;
     if (plan_.tree == tree_mode::single_level) {
@@ -304,7 +374,7 @@ void wavelet_fft::dwt_stage_lowpass(std::span<const cplx> x,
 void wavelet_fft::sub_transform_a(std::span<const cplx> in, std::span<cplx> out,
                                   exec_stats& stats, util::arena& scratch) const {
     if (plan_.tree == tree_mode::single_level) {
-        sub_split_radix_->forward(in, out, scratch);
+        sub_split_radix_->forward(in, out);
     } else if (sub_a_) {
         sub_a_->forward_impl(in, out, stats, scratch);
     } else {
@@ -315,7 +385,7 @@ void wavelet_fft::sub_transform_a(std::span<const cplx> in, std::span<cplx> out,
 void wavelet_fft::sub_transform_d(std::span<const cplx> in, std::span<cplx> out,
                                   exec_stats& stats, util::arena& scratch) const {
     if (plan_.tree == tree_mode::single_level) {
-        sub_split_radix_->forward(in, out, scratch);
+        sub_split_radix_->forward(in, out);
     } else if (sub_d_) {
         sub_d_->forward_impl(in, out, stats, scratch);
     } else {
@@ -350,14 +420,14 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
         // ("data and twiddle factors below a set of thresholds are
         // eliminated on the fly") at the cost of one multiply and one
         // comparison per candidate term.
-        auto term = [&](const std::vector<cplx>& orig, const std::vector<cplx>& eff,
-                        const std::vector<bool>& free,
+        const std::uint8_t cls = term_class_[m];
+        auto term = [&](unsigned shift, const std::vector<cplx>& eff,
                         const std::vector<real>& mag, cplx v, real l1,
                         bool* used) -> cplx {
             ++stats.terms_total;
-            const cplx f = eff[m];
-            if (f == cplx{0.0, 0.0}) {
-                if (std::abs(orig[m]) <= k_structural_eps)
+            const unsigned c = term_of(cls, shift);
+            if (c < term_free) {
+                if (c == term_structural)
                     ++stats.terms_structural_zero;
                 else
                     ++stats.terms_pruned_factor;
@@ -374,37 +444,27 @@ void wavelet_fft::combine(std::span<const cplx> a_fft, const cplx* d_fft,
                 }
             }
             *used = true;
-            if (!free[m]) ops += {.adds = 2, .muls = 4};  // complex multiply
-            return apply_factor(f, v, free[m]);
+            if (c == term_generic) ops += {.adds = 2, .muls = 4};  // complex multiply
+            return apply_factor(eff[m], v, c == term_free);
         };
 
         bool ua = false;
         bool ub = false;
-        const cplx ta =
-            term(tables_->a, eff_a_, free_a_, mag_a_, a_fft[m], l1a, &ua);
+        const cplx ta = term(shift_a, eff_a_, mag_a_, a_fft[m], l1a, &ua);
         cplx tb{0.0, 0.0};
         if (d_fft != nullptr)
-            tb = term(tables_->b, eff_b_, free_b_, mag_b_, d_fft[m], l1d, &ub);
-        if (ua && ub) {
-            out[m] = ta + tb;
-            ops.adds += 2;
-        } else {
-            out[m] = ua ? ta : tb;
-        }
+            tb = term(shift_b, eff_b_, mag_b_, d_fft[m], l1d, &ub);
+        out[m] = sum_terms(ua, ta, ub, tb);
+        if (ua && ub) ops.adds += 2;
 
         bool uc = false;
         bool ud = false;
-        const cplx tc =
-            term(tables_->c, eff_c_, free_c_, mag_c_, a_fft[m], l1a, &uc);
+        const cplx tc = term(shift_c, eff_c_, mag_c_, a_fft[m], l1a, &uc);
         cplx td{0.0, 0.0};
         if (d_fft != nullptr)
-            td = term(tables_->d, eff_d_, free_d_, mag_d_, d_fft[m], l1d, &ud);
-        if (uc && ud) {
-            out[m + half] = tc + td;
-            ops.adds += 2;
-        } else {
-            out[m + half] = uc ? tc : td;
-        }
+            td = term(shift_d, eff_d_, mag_d_, d_fft[m], l1d, &ud);
+        out[m + half] = sum_terms(uc, tc, ud, td);
+        if (uc && ud) ops.adds += 2;
     }
     counting::add_to_active(ops);
 }
@@ -673,33 +733,22 @@ void wavelet_fft::forward_planes(const cplx* x, cplx* out, std::size_t nl,
 void wavelet_fft::combine_planes(const cplx* a_fft, const cplx* d_fft,
                                  cplx* out, std::size_t nl) const {
     const std::size_t half = plan_.n / 2;
-    // Term selection is static (factor tables only; no dynamic mode
-    // here), so it hoists out of the lane loop; the per-lane arithmetic
-    // mirrors combine()'s term/sum structure exactly.
-    for (std::size_t m = 0; m < half; ++m) {
-        const bool ua = eff_a_[m] != cplx{0.0, 0.0};
-        const bool ub = d_fft != nullptr && eff_b_[m] != cplx{0.0, 0.0};
-        const bool uc = eff_c_[m] != cplx{0.0, 0.0};
-        const bool ud = d_fft != nullptr && eff_d_[m] != cplx{0.0, 0.0};
-        for (std::size_t l = 0; l < nl; ++l) {
-            const cplx va = a_fft[m * nl + l];
-            const cplx vd =
-                d_fft != nullptr ? d_fft[m * nl + l] : cplx{0.0, 0.0};
-            const cplx ta =
-                ua ? apply_factor(eff_a_[m], va, free_a_[m])
-                   : cplx{0.0, 0.0};
-            const cplx tb =
-                ub ? apply_factor(eff_b_[m], vd, free_b_[m])
-                   : cplx{0.0, 0.0};
-            out[m * nl + l] = ua && ub ? ta + tb : (ua ? ta : tb);
-            const cplx tc =
-                uc ? apply_factor(eff_c_[m], va, free_c_[m])
-                   : cplx{0.0, 0.0};
-            const cplx td =
-                ud ? apply_factor(eff_d_[m], vd, free_d_[m])
-                   : cplx{0.0, 0.0};
-            out[(m + half) * nl + l] = uc && ud ? tc + td : (uc ? tc : td);
-        }
+    // Term selection is static (the compiled class bytes; no dynamic mode
+    // here): each run of bins sharing one byte takes one loop per output
+    // half, whose per-element arithmetic is combine()'s term/sum structure
+    // exactly.  A dropped band clears the b and d terms, so d_fft is
+    // never read.
+    const std::uint8_t keep = d_fft != nullptr ? 0xFF : k_ac_terms;
+    for (std::size_t b = 0; b < half;) {
+        std::size_t e = b + 1;
+        while (e < half && term_class_[e] == term_class_[b]) ++e;
+        const std::uint8_t cls = term_class_[b] & keep;
+        combine_run(term_of(cls, shift_a), eff_a_.data(), a_fft,
+                    term_of(cls, shift_b), eff_b_.data(), d_fft, out, b, e, nl);
+        combine_run(term_of(cls, shift_c), eff_c_.data(), a_fft,
+                    term_of(cls, shift_d), eff_d_.data(), d_fft, out + half * nl,
+                    b, e, nl);
+        b = e;
     }
 }
 

@@ -18,8 +18,29 @@
 // (Fig. 9) are measured, not estimated.  forward() is the counted walk;
 // forward_batched() attributes the tally a counted dry run memoized at
 // construction whenever the plan's schedule is input-independent.
+//
+// Term classes.  The plan compiles its four diagonal factor tables into
+// one byte per bin m, two bits per term (a at bits 0-1, b at 2-3, c at
+// 4-5, d at 6-7; out[m] sums the a and b terms, out[m + N/2] the c and d
+// terms):
+//
+//   0  structural zero  |f| <= 1e-14: the basis has no such term
+//   1  pruned           |f| at or below the static factor threshold
+//   2  free rotation    f is +/-1 or +/-i: sign flips and swaps only
+//   3  generic          one complex multiply (4 muls + 2 adds)
+//
+// Classes 0 and 1 contribute no term (they differ only in the pruning
+// statistics).  The counted combine reads the class to pick each term
+// and its statistics.  The lane combine cuts the bins into runs of one
+// byte and runs each output half of a run as one loop: branch-free over
+// bins and lanes when both terms are generic or absent (the all-generic
+// byte, a dropped band's a+c byte, pruned bins), decoded per element when
+// a term is a free rotation.  Both multiply through one textbook product
+// helper, (f.re v.re - f.im v.im, f.re v.im + f.im v.re): std::complex's
+// operator* for finite values, without its inf/NaN recovery.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -118,6 +139,8 @@ public:
     subband_spectra analyze(std::span<const cplx> in) const;
 
 private:
+    friend struct wavelet_fft_access;  ///< white-box tests of the combines
+
     void forward_impl(std::span<const cplx> in, std::span<cplx> out,
                       exec_stats& stats, util::arena& scratch) const;
     /// Stage 1: the DWT split into a (and d, drawn from scratch unless a
@@ -148,8 +171,8 @@ private:
     std::shared_ptr<const twiddle_tables> tables_;
     real static_threshold_ = -1.0;
     std::vector<cplx> eff_a_, eff_b_, eff_c_, eff_d_;
-    std::vector<bool> free_a_, free_b_, free_c_, free_d_;  ///< |f| == 1 rotations
-    std::vector<real> mag_a_, mag_b_, mag_c_, mag_d_;      ///< |factor| tables
+    std::vector<real> mag_a_, mag_b_, mag_c_, mag_d_;  ///< |factor| tables
+    std::vector<std::uint8_t> term_class_;  ///< per bin; see the header
 
     std::unique_ptr<dsp::fft_split_radix> sub_split_radix_;  // single_level
     std::unique_ptr<wavelet_fft> sub_a_;  // recursive lowpass child

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "qpsa/util/arena.hpp"
 #include "qpsa/util/random.hpp"
 #include "qpsa/wfft/wavelet_fft.hpp"
+#include "fft_scratch_oracle.hpp"
 
 using qpsa::cplx;
 using qpsa::real;
@@ -328,6 +330,122 @@ TEST(SimdBatched, ForwardBatchedMatchesSequential) {
         for (std::size_t b = 0; b < batch; ++b)
             EXPECT_TRUE(bits_equal(seq[b], outs[b]))
                 << "batch=" << batch << " lane=" << b;
+    }
+}
+
+// ------------------------------------------- the frozen walk oracle
+
+namespace {
+
+/// Complex inputs, or real-only ones whose imaginary parts are exactly
+/// +0.0 (what widen_real feeds the conventional engine).
+std::vector<cplx> oracle_input(std::size_t n, std::uint64_t seed, bool real_only) {
+    std::vector<cplx> v = random_cplx(n, seed);
+    if (real_only)
+        for (cplx& z : v) z = cplx{z.real(), 0.0};
+    return v;
+}
+
+}  // namespace
+
+TEST(SplitRadixOracle, ForwardMatchesScratchChainedWalkUnderEveryIsa) {
+    isa_guard guard;
+    for (std::size_t n = 2; n <= 4096; n *= 2) {
+        const qd::fft_split_radix fft(n);
+        const qd::fft_scratch_oracle oracle(n);
+        for (const bool real_only : {false, true}) {
+            const auto in = oracle_input(n, 7 * n + real_only, real_only);
+            const auto want = oracle.forward_copy(in);
+            for (const qs::isa which : qs::available_isas()) {
+                ASSERT_TRUE(qs::set_active_isa(which));
+                EXPECT_TRUE(bits_equal(want, fft.forward_copy(in)))
+                    << qs::isa_name(which) << " n=" << n
+                    << " real_only=" << real_only;
+            }
+        }
+    }
+}
+
+TEST(SplitRadixOracle, BatchedMatchesScratchChainedWalkUnderEveryIsa) {
+    // Batch sizes 1..9 cover lone scalar remainders, exact lane groups and
+    // ragged tails at every lane width; the aliased arm runs each
+    // transform in place (outs[i] == ins[i]), as resampled and Welch do.
+    isa_guard guard;
+    qu::arena scratch;
+    for (std::size_t n = 2; n <= 4096; n *= 2) {
+        const qd::fft_split_radix fft(n);
+        const qd::fft_scratch_oracle oracle(n);
+        for (const bool real_only : {false, true}) {
+            std::vector<std::vector<cplx>> ins, want;
+            for (std::size_t b = 0; b < 9; ++b) {
+                ins.push_back(oracle_input(n, 1000 * n + 31 * b + real_only,
+                                           real_only));
+                want.push_back(oracle.forward_copy(ins.back()));
+            }
+            for (const qs::isa which : qs::available_isas()) {
+                ASSERT_TRUE(qs::set_active_isa(which));
+                for (std::size_t batch = 1; batch <= 9; ++batch) {
+                    for (const bool aliased : {false, true}) {
+                        std::vector<std::vector<cplx>> outs(batch);
+                        std::vector<const cplx*> in_ptrs;
+                        std::vector<cplx*> out_ptrs;
+                        for (std::size_t b = 0; b < batch; ++b) {
+                            outs[b] = aliased ? ins[b]
+                                              : std::vector<cplx>(n, cplx{});
+                            in_ptrs.push_back(aliased ? outs[b].data()
+                                                      : ins[b].data());
+                            out_ptrs.push_back(outs[b].data());
+                        }
+                        fft.forward_batched(in_ptrs, out_ptrs, scratch);
+                        for (std::size_t b = 0; b < batch; ++b)
+                            EXPECT_TRUE(bits_equal(want[b], outs[b]))
+                                << qs::isa_name(which) << " n=" << n
+                                << " batch=" << batch << " lane=" << b
+                                << " real_only=" << real_only
+                                << " aliased=" << aliased;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SplitRadixOracle, KernelWalkMatchesScratchChainedWalkOnEveryTable) {
+    // The batched walk of every compiled table -- the scalar one included,
+    // which forward_batched never runs -- straight through the kernel
+    // entry point, one distinct input per lane, out of place and in place.
+    for (const qs::isa which : qs::available_isas()) {
+        const qs::kernel_table& kt = *qs::kernels_for(which);
+        const std::size_t w = kt.lanes;
+        for (std::size_t n = 2; n <= 1024; n *= 2) {
+            const qd::fft_scratch_oracle oracle(n);
+            std::vector<cplx> wtab(n);
+            for (std::size_t k = 0; k < n; ++k) {
+                const real ang = -qpsa::two_pi * static_cast<real>(k) /
+                                 static_cast<real>(n);
+                wtab[k] = cplx{std::cos(ang), std::sin(ang)};
+            }
+            std::vector<real> wre(n * w), wim(n * w);
+            for (const bool aliased : {false, true}) {
+                std::vector<std::vector<cplx>> ins, outs;
+                std::vector<const cplx*> srcs;
+                std::vector<cplx*> dsts;
+                for (std::size_t l = 0; l < w; ++l) {
+                    ins.push_back(oracle_input(n, 5 * n + l, l % 2 == 1));
+                    outs.push_back(aliased ? ins.back() : std::vector<cplx>(n));
+                }
+                for (std::size_t l = 0; l < w; ++l) {
+                    srcs.push_back(aliased ? outs[l].data() : ins[l].data());
+                    dsts.push_back(outs[l].data());
+                }
+                kt.sr_batched(srcs.data(), dsts.data(), wre.data(), wim.data(),
+                              n, wtab.data());
+                for (std::size_t l = 0; l < w; ++l)
+                    EXPECT_TRUE(bits_equal(oracle.forward_copy(ins[l]), outs[l]))
+                        << qs::isa_name(which) << " n=" << n << " lane=" << l
+                        << " aliased=" << aliased;
+            }
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/dft.hpp"
@@ -386,4 +387,169 @@ TEST(WfftRecursiveLaneTest, StaticScheduleGate) {
     const qf::wavelet_fft single(qf::plan::exact(128, qw::basis::haar));
     EXPECT_FALSE(single.static_schedule());
     EXPECT_TRUE(single.lane_batchable());
+}
+
+// ------------------------------------- counted vs lane combine identity
+
+namespace qpsa::wfft {
+
+/// White-box entry to the two diagonal combines (friend of wavelet_fft).
+struct wavelet_fft_access {
+    static void combine(const wavelet_fft& f, std::span<const cplx> a_fft,
+                        const cplx* d_fft, std::span<cplx> out,
+                        exec_stats& stats) {
+        f.combine(a_fft, d_fft, out, stats);
+    }
+    static void combine_planes(const wavelet_fft& f, const cplx* a_fft,
+                               const cplx* d_fft, cplx* out, std::size_t nl) {
+        f.combine_planes(a_fft, d_fft, out, nl);
+    }
+};
+
+}  // namespace qpsa::wfft
+
+namespace {
+
+/// Bit equality of two complex values, except that any NaN equals any
+/// NaN: IEEE leaves the payload of an operation on two NaNs open, so only
+/// NaN-ness is part of the contract there.
+bool same_value(real a, real b) {
+    if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+    return std::memcmp(&a, &b, sizeof(real)) == 0;
+}
+bool same_value(cplx a, cplx b) {
+    return same_value(a.real(), b.real()) && same_value(a.imag(), b.imag());
+}
+
+/// Sub-spectra seeded with every special value: +/-0 in either part,
+/// +/-inf, NaN, mixed with finite values.
+std::vector<cplx> special_spectrum(std::size_t half, std::uint64_t seed) {
+    const real inf = std::numeric_limits<real>::infinity();
+    const real nan = std::numeric_limits<real>::quiet_NaN();
+    const real specials[] = {0.0, -0.0, inf, -inf, nan, 1.5, -0.25};
+    qpsa::util::rng r(seed);
+    std::vector<cplx> v(half);
+    for (std::size_t m = 0; m < half; ++m) {
+        const std::size_t k = m % 10;
+        if (k < 7)
+            v[m] = cplx{specials[k], specials[(k + m / 10) % 7]};
+        else
+            v[m] = cplx{r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0)};
+    }
+    return v;
+}
+
+/// The combine's expected term statistics and op tally, re-derived from
+/// the public factor tables: a zeroed effective factor is no term
+/// (structural when the unpruned factor is zero too), a +/-1 or +/-i
+/// factor is a free rotation, anything else one complex multiply.
+void expected_combine_tally(const qf::wavelet_fft& f, bool with_d,
+                            qf::exec_stats& st) {
+    const auto free_rotation = [](cplx z) {
+        const real re = std::abs(z.real());
+        const real im = std::abs(z.imag());
+        return (std::abs(re - 1.0) < 1e-12 && im < 1e-12) ||
+               (std::abs(im - 1.0) < 1e-12 && re < 1e-12);
+    };
+    const std::size_t half = f.size() / 2;
+    const auto& t = f.tables();
+    for (std::size_t m = 0; m < half; ++m) {
+        const auto used = [&](cplx eff, cplx orig) {
+            ++st.terms_total;
+            if (eff == cplx{0.0, 0.0}) {
+                if (std::abs(orig) <= 1e-14)
+                    ++st.terms_structural_zero;
+                else
+                    ++st.terms_pruned_factor;
+                return false;
+            }
+            if (!free_rotation(eff)) st.ops += {.adds = 2, .muls = 4};
+            return true;
+        };
+        const bool ua = used(f.effective_factor_a()[m], t.a[m]);
+        const bool ub = with_d && used(f.effective_factor_b()[m], t.b[m]);
+        if (ua && ub) st.ops.adds += 2;
+        const bool uc = used(f.effective_factor_c()[m], t.c[m]);
+        const bool ud = with_d && used(f.effective_factor_d()[m], t.d[m]);
+        if (uc && ud) st.ops.adds += 2;
+    }
+}
+
+void expect_combines_identical(const qf::plan& p) {
+    const qf::wavelet_fft f(p);
+    const std::size_t n = f.size();
+    const std::size_t half = n / 2;
+    const bool with_d = p.prune.band_drop_levels == 0;
+    constexpr std::size_t nl = 4;
+    std::vector<std::vector<cplx>> as, ds;
+    for (std::size_t l = 0; l < nl; ++l) {
+        as.push_back(special_spectrum(half, 11 * n + l));
+        ds.push_back(special_spectrum(half, 13 * n + l));
+    }
+    qf::exec_stats want_st;
+    expected_combine_tally(f, with_d, want_st);
+
+    // The counted combine, per lane: the reference values, and a tally
+    // that the special values leave unchanged.
+    std::vector<std::vector<cplx>> ref(nl, std::vector<cplx>(n));
+    for (std::size_t l = 0; l < nl; ++l) {
+        qf::exec_stats st;
+        {
+            qc::count_scope scope(st.ops);
+            qf::wavelet_fft_access::combine(f, as[l],
+                                            with_d ? ds[l].data() : nullptr,
+                                            ref[l], st);
+        }
+        EXPECT_EQ(st.ops, want_st.ops) << "lane " << l;
+        EXPECT_EQ(st.terms_total, want_st.terms_total);
+        EXPECT_EQ(st.terms_structural_zero, want_st.terms_structural_zero);
+        EXPECT_EQ(st.terms_pruned_factor, want_st.terms_pruned_factor);
+        EXPECT_EQ(st.terms_pruned_data, 0u);
+    }
+
+    // One lane: the lane combine over the same buffers.
+    for (std::size_t l = 0; l < nl; ++l) {
+        std::vector<cplx> out(n);
+        qf::wavelet_fft_access::combine_planes(
+            f, as[l].data(), with_d ? ds[l].data() : nullptr, out.data(), 1);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_TRUE(same_value(ref[l][i], out[i]))
+                << "nl=1 lane " << l << " bin " << i;
+    }
+
+    // Four lanes interleaved element-major, as the recursive walk lays
+    // them out.
+    std::vector<cplx> a4(half * nl), d4(half * nl), out4(n * nl);
+    for (std::size_t m = 0; m < half; ++m)
+        for (std::size_t l = 0; l < nl; ++l) {
+            a4[m * nl + l] = as[l][m];
+            d4[m * nl + l] = ds[l][m];
+        }
+    qf::wavelet_fft_access::combine_planes(
+        f, a4.data(), with_d ? d4.data() : nullptr, out4.data(), nl);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t l = 0; l < nl; ++l)
+            ASSERT_TRUE(same_value(ref[l][i], out4[i * nl + l]))
+                << "nl=4 lane " << l << " bin " << i;
+}
+
+}  // namespace
+
+TEST(WfftCombineTest, LaneCombineEqualsCountedCombineOnSpecialValues) {
+    using qf::tree_mode;
+    using qf::twiddle_set;
+    for (const std::size_t n : {16u, 512u}) {
+        SCOPED_TRACE(n);
+        expect_combines_identical(qf::plan::exact(n, qw::basis::haar));
+        expect_combines_identical(
+            qf::plan::exact(n, qw::basis::haar, tree_mode::recursive));
+        expect_combines_identical(qf::plan::exact(n, qw::basis::db2));
+        for (const twiddle_set s :
+             {twiddle_set::set1, twiddle_set::set2, twiddle_set::set3})
+            expect_combines_identical(
+                qf::plan::static_pruned(n, qw::basis::haar, s));
+        expect_combines_identical(qf::plan::band_dropped(n, qw::basis::haar));
+        expect_combines_identical(
+            qf::plan::band_dropped(n, qw::basis::db2, tree_mode::recursive));
+    }
 }

@@ -7,7 +7,9 @@
 // across windows of varying length, under aggressive reuse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "qpsa/core/streaming_monitor.hpp"
@@ -176,18 +178,27 @@ TEST(Workspace, PackRealPairIntoMatchesAllocating) {
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(ref[i], out[i]);
 }
 
-TEST(Workspace, SplitRadixArenaForwardMatches) {
+TEST(Workspace, SplitRadixForwardIsScratchFreeAndRejectsOverlap) {
+    // The in-place walk needs no workspace: repeated forwards into a
+    // reused output match, and an output overlapping the input (which the
+    // walk reads to the end) is a contract violation, not silent garbage.
     qd::fft_split_radix fft(128);
     qu::rng r(7);
     std::vector<cplx> x(128);
     for (auto& v : x) v = cplx{r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0)};
     std::vector<cplx> ref(128), out(128);
     fft.forward(x, ref);
-    qu::arena scratch;
     for (int rep = 0; rep < 3; ++rep) {
-        fft.forward(x, out, scratch);
+        fft.forward(x, out);
         for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(ref[i], out[i]);
     }
+    std::vector<cplx> buf(192);
+    std::copy(x.begin(), x.end(), buf.begin());
+    const std::span<const cplx> in(buf.data(), 128);
+    EXPECT_THROW(fft.forward(in, std::span<cplx>(buf.data(), 128)),
+                 qpsa::contract_error);
+    EXPECT_THROW(fft.forward(in, std::span<cplx>(buf.data() + 64, 128)),
+                 qpsa::contract_error);
 }
 
 TEST(Workspace, WaveletFftArenaForwardMatches) {
