@@ -49,7 +49,6 @@
 #include "qpsa/dsp/fft_split_radix.hpp"
 #include "qpsa/journal/replay_driver.hpp"
 #include "qpsa/lomb/fftw_engine.hpp"
-#include "qpsa/lomb/hop_cache.hpp"
 #include "qpsa/simd/kernels.hpp"
 #include "qpsa/util/arena.hpp"
 #include "qpsa/wavelet/dwt.hpp"
@@ -364,211 +363,6 @@ fleet_result run_fleet(unsigned n_patients, real record_seconds) {
         }
     }
     if (r.max_abs_diff > 1e-9) r.identical = false;
-    return r;
-}
-
-// ------------------------------------------------------ hop-cache A/B
-
-/// Hop-cache scenario: the hop-aligned engine mix run twice over the
-/// identical cohort -- once with the per-session hop cache reusing the
-/// 50 %-overlap sub-results, once with it disabled at runtime -- and the
-/// two report streams compared bit for bit.  CI gates on `identical`,
-/// on observed hits and on the allocation budget; the speedup is reported
-/// for the perf record only (it sits inside run-to-run noise on multi-core
-/// hosts).
-struct hopcache_result {
-    unsigned patients = 0;
-    std::uint64_t windows = 0;
-    double wall_ms_on = 0.0;
-    double wall_ms_off = 0.0;
-    double windows_per_s_on = 0.0;
-    double windows_per_s_off = 0.0;
-    double speedup = 1.0;
-    std::uint64_t hop_hits = 0;
-    std::uint64_t hop_misses = 0;
-    std::uint64_t hop_bytes = 0;
-    double hit_rate = 0.0;
-    double allocs_per_window = 0.0;
-    std::uint64_t measured_windows = 0;
-    /// Cache-on reports bit-identical (ops included) to cache-off.
-    bool identical = true;
-};
-
-/// The mode mix with every row hop-aligned: mesh engines pinned to
-/// Lagrange extirpolation on the fixed 120 s span (hop = 256 mesh cells,
-/// the aligned-plan eligibility), whole-window estimators (resampled,
-/// Welch) aligned for series / segment reuse.  Welch is doubled -- the
-/// segment ring is the deepest reuse site.
-std::vector<core::psa_config> hopcache_mix() {
-    const auto aligned = [](core::psa_config cfg, bool mesh) {
-        if (mesh) cfg.lomb.mesh = lomb::mesh_mode::lagrange_extirpolation;
-        cfg.lomb.ofac = 1.0;
-        cfg.lomb.span_override = 120.0;
-        cfg.lomb.hop_aligned = true;
-        return cfg;
-    };
-    return {
-        aligned(core::psa_config::conventional(), true),
-        aligned(core::psa_config::proposed(
-                    wfft::plan::exact(512, wavelet::basis::haar)),
-                true),
-        aligned(core::psa_config::proposed(wfft::plan::static_pruned(
-                    512, wavelet::basis::haar, wfft::twiddle_set::set2)),
-                true),
-        aligned(core::psa_config::fixed_wavelet(core::fixed_format::q15), true),
-        aligned(core::psa_config::fixed_wavelet(core::fixed_format::q31), true),
-        aligned(core::psa_config::resampled(), false),
-        aligned(core::psa_config::welch(4.0, 30.0), false),
-        aligned(core::psa_config::welch(4.0, 30.0), false),
-    };
-}
-
-struct hopcache_pass {
-    double wall_ms = std::numeric_limits<double>::infinity();
-    service::fleet_snapshot fleet;
-    std::vector<std::vector<core::window_report>> reports;
-    double allocs_per_window = 0.0;
-    std::uint64_t measured_windows = 0;
-};
-
-hopcache_pass hopcache_run(const std::vector<physio::rr_record>& records,
-                           const std::vector<core::psa_config>& configs,
-                           bool cache_on) {
-    lomb::set_hop_cache_enabled(cache_on);
-    const auto n_patients = static_cast<unsigned>(records.size());
-
-    service::service_options opt;
-    opt.vfs_deadline_s = paper_monitor().hop_seconds;
-    service::plan_cache cache;
-    service::session_manager mgr(opt, &cache);
-
-    const auto t0 = clock_type::now();
-    for (unsigned i = 0; i < n_patients; ++i) {
-        service::session_config cfg;
-        cfg.patient_id = "hop-" + std::to_string(i);
-        cfg.analysis = configs[i % configs.size()];
-        cfg.monitor = paper_monitor();
-        cfg.ingest_capacity = 512;
-        mgr.add_session(std::move(cfg));
-    }
-
-    constexpr std::size_t chunk = 256;
-    const auto stream_range = [&](double lo_frac, double hi_frac) {
-        std::size_t step = 0;
-        bool remaining = true;
-        while (remaining) {
-            remaining = false;
-            for (unsigned i = 0; i < n_patients; ++i) {
-                const auto& rec = records[i];
-                const auto lo = static_cast<std::size_t>(
-                    lo_frac * static_cast<double>(rec.beats()));
-                const auto hi = static_cast<std::size_t>(
-                    hi_frac * static_cast<double>(rec.beats()));
-                const std::size_t begin = std::min(lo + step * chunk, hi);
-                const std::size_t end = std::min(begin + chunk, hi);
-                for (std::size_t b = begin; b < end; ++b)
-                    while (!mgr.ingest(i, rec.beat_time_s[b], rec.rr_s[b]))
-                        mgr.pump();
-                if (end < hi) remaining = true;
-            }
-            ++step;
-            mgr.pump();
-        }
-    };
-    const auto fleet_windows = [&] {
-        std::uint64_t w = 0;
-        for (unsigned i = 0; i < n_patients; ++i)
-            w += mgr.at(i).windows_completed();
-        return w;
-    };
-
-    // Warm-up covers the first window of every session -- exactly where
-    // the hop cache sizes its workspace-tier buffers, so the measured
-    // remainder holds the cache to the same zero-allocation budget as
-    // the rest of the hot path.
-    constexpr double warmup_fraction = 0.6;
-    stream_range(0.0, warmup_fraction);
-    mgr.drain_all();
-    const std::uint64_t allocs0 = heap_allocs();
-    const std::uint64_t windows0 = fleet_windows();
-
-    stream_range(warmup_fraction, 1.0);
-    mgr.drain_all();
-    const std::uint64_t allocs1 = heap_allocs();
-    const std::uint64_t windows1 = fleet_windows();
-    const auto t1 = clock_type::now();
-
-    hopcache_pass p;
-    p.wall_ms =
-        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-            t1 - t0)
-            .count();
-    p.measured_windows = windows1 - windows0;
-    p.allocs_per_window =
-        p.measured_windows > 0
-            ? static_cast<double>(allocs1 - allocs0) /
-                  static_cast<double>(p.measured_windows)
-            : 0.0;
-    p.fleet = mgr.fleet();
-    p.reports.reserve(n_patients);
-    for (unsigned i = 0; i < n_patients; ++i) {
-        const auto got = mgr.at(i).reports();
-        p.reports.emplace_back(got.begin(), got.end());
-    }
-    return p;
-}
-
-hopcache_result run_hopcache_fleet(unsigned n_patients, real record_seconds) {
-    const auto configs = hopcache_mix();
-    std::vector<physio::rr_record> records;
-    records.reserve(n_patients);
-    for (unsigned i = 0; i < n_patients; ++i) {
-        const auto group = i % 2 == 0 ? physio::cohort::sinus_arrhythmia
-                                      : physio::cohort::healthy;
-        records.push_back(physio::record_for(
-            physio::make_patient(group, i % 64), record_seconds));
-    }
-
-    // Alternating best-of-3 per arm: both arms are deterministic in their
-    // results, so wall-time differences are scheduler noise and the
-    // minimum of each arm is the honest throughput estimate.
-    hopcache_pass best_on, best_off;
-    for (int rep = 0; rep < 3; ++rep) {
-        auto on = hopcache_run(records, configs, true);
-        auto off = hopcache_run(records, configs, false);
-        if (on.wall_ms < best_on.wall_ms) best_on = std::move(on);
-        if (off.wall_ms < best_off.wall_ms) best_off = std::move(off);
-    }
-    lomb::set_hop_cache_enabled(true);
-
-    hopcache_result r;
-    r.patients = n_patients;
-    r.windows = best_on.fleet.windows;
-    r.wall_ms_on = best_on.wall_ms;
-    r.wall_ms_off = best_off.wall_ms;
-    r.windows_per_s_on =
-        static_cast<double>(best_on.fleet.windows) / (r.wall_ms_on / 1000.0);
-    r.windows_per_s_off =
-        static_cast<double>(best_off.fleet.windows) / (r.wall_ms_off / 1000.0);
-    r.speedup = r.windows_per_s_off > 0.0
-                    ? r.windows_per_s_on / r.windows_per_s_off
-                    : 1.0;
-    r.hop_hits = best_on.fleet.hop_hits;
-    r.hop_misses = best_on.fleet.hop_misses;
-    r.hop_bytes = best_on.fleet.hop_bytes;
-    const std::uint64_t lookups = r.hop_hits + r.hop_misses;
-    r.hit_rate = lookups > 0 ? static_cast<double>(r.hop_hits) /
-                                   static_cast<double>(lookups)
-                             : 0.0;
-    r.allocs_per_window = best_on.allocs_per_window;
-    r.measured_windows = best_on.measured_windows;
-
-    // Identity bar (untimed): the cached arm's report streams -- spectra,
-    // diagnoses and op tallies alike -- equal the scratch arm's bit for
-    // bit, and the disabled arm never touched the cache.
-    r.identical = best_on.reports == best_off.reports &&
-                  best_off.fleet.hop_hits == 0 &&
-                  best_off.fleet.hop_misses == 0 && r.hop_hits > 0;
     return r;
 }
 
@@ -1665,28 +1459,6 @@ int main() {
         std::cout << " windows; dropped beats: " << big.beats_dropped << "\n";
     }
 
-    // Hop-cache A/B: the hop-aligned mix at the largest scale, cache on
-    // vs runtime-disabled, identical cohort and schedule.
-    util::print_section(std::cout,
-                        "Hop cache -- 512-patient hop-aligned fleet, "
-                        "incremental reuse vs scratch recompute");
-    // 3x the fleet record: reuse is a steady-state effect (the first
-    // window of a session is always a compulsory rebuild), so the A/B
-    // needs enough hops per session for the warm windows to dominate.
-    const auto hc = run_hopcache_fleet(512, record_seconds * 3);
-    std::cout << "windows/s: " << util::table::fmt(hc.windows_per_s_off, 1)
-              << " scratch -> " << util::table::fmt(hc.windows_per_s_on, 1)
-              << " cached (" << util::table::fmt(hc.speedup, 2)
-              << "x), allocs/window "
-              << util::table::fmt(hc.allocs_per_window, 3) << "\n"
-              << "cache: " << hc.hop_hits << " hits / " << hc.hop_misses
-              << " misses (" << util::table::fmt_pct(hc.hit_rate) << " hit rate), "
-              << hc.hop_bytes << " bytes held\n"
-              << "verification: cached reports "
-              << (hc.identical ? "bit-identical" : "MISMATCH")
-              << " vs scratch reports (op tallies included)\n";
-    all_identical = all_identical && hc.identical;
-
     // Battery-drain scenario: the largest fleet again, now governed -- the
     // closed QDES loop degrades every node double -> Q15 -> pruned as its
     // simulated charge falls.
@@ -1887,22 +1659,7 @@ int main() {
             json << (k ? ", " : "") << r.per_shard_windows_per_s[k];
         json << "]}" << (i + 1 < sharded.size() ? "," : "") << "\n";
     }
-    json << "  ],\n  \"hopcache\": {\"patients\": " << hc.patients
-         << ", \"windows\": " << hc.windows
-         << ", \"wall_ms_on\": " << hc.wall_ms_on
-         << ", \"wall_ms_off\": " << hc.wall_ms_off
-         << ", \"windows_per_s_on\": " << hc.windows_per_s_on
-         << ", \"windows_per_s_off\": " << hc.windows_per_s_off
-         << ", \"speedup\": " << hc.speedup
-         << ", \"hop_hits\": " << hc.hop_hits
-         << ", \"hop_misses\": " << hc.hop_misses
-         << ", \"hop_bytes\": " << hc.hop_bytes
-         << ", \"hit_rate\": " << hc.hit_rate
-         << ", \"allocs_per_window\": " << hc.allocs_per_window
-         << ", \"measured_windows\": " << hc.measured_windows
-         << ", \"identical\": " << (hc.identical ? "true" : "false")
-         << "},\n";
-    json << "  \"journal\": {\"patients\": " << jr.patients
+    json << "  ],\n  \"journal\": {\"patients\": " << jr.patients
          << ", \"shards\": 2"
          << ", \"windows\": " << jr.windows
          << ", \"wall_ms\": " << jr.wall_ms

@@ -239,12 +239,6 @@ record_analysis psa_system::analyze_record(std::span<const real> beat_times,
     return out;
 }
 
-lomb::lomb_result psa_system::analyze_window(std::span<const real> t,
-                                             std::span<const real> x,
-                                             lomb::lomb_breakdown* bd) const {
-    return lomb::fast_lomb(t, x, *engine_, cfg_.lomb, bd);
-}
-
 void psa_system::analyze_window(std::span<const real> t,
                                 std::span<const real> x, lomb::workspace& ws,
                                 lomb::lomb_result& out,

@@ -66,17 +66,11 @@ public:
     record_analysis analyze_record(std::span<const real> beat_times,
                                    std::span<const real> rr) const;
 
-    /// Analyze a single already-cut window; returns the periodogram and,
-    /// optionally, the per-phase op breakdown.
-    lomb::lomb_result analyze_window(std::span<const real> t,
-                                     std::span<const real> x,
-                                     lomb::lomb_breakdown* bd = nullptr) const;
-
-    /// Workspace-reusing variant (bit-identical): scratch is drawn from
-    /// `ws` and the result lands in `out`, whose vectors keep their
-    /// capacity, so steady-state calls are allocation-free.
-    /// `ctx` (optional) carries the hop-alignment context + cache of the
-    /// owning monitor when cfg.lomb.hop_aligned is set.
+    /// Analyze a single already-cut window into `out` and, optionally,
+    /// the per-phase op breakdown.  Scratch is drawn from `ws` and the
+    /// vectors of `out` keep their capacity, so steady-state calls are
+    /// allocation-free.  `ctx` (optional) carries the window's position
+    /// on the owning monitor's hop grid when cfg.lomb.hop_aligned is set.
     void analyze_window(std::span<const real> t, std::span<const real> x,
                         lomb::workspace& ws, lomb::lomb_result& out,
                         lomb::lomb_breakdown* bd = nullptr,

@@ -57,12 +57,8 @@ lomb::workspace& streaming_monitor::window_workspace() {
 }
 
 void streaming_monitor::update_hop_ctx(real w0) {
-    hop_ctx_.cache = lomb::hop_cache_enabled() ? &hop_cache_ : nullptr;
-    hop_ctx_.window_index = std::llround(w0 / opt_.hop_seconds);
-    hop_ctx_.hop_seconds = opt_.hop_seconds;
-    hop_ctx_.window_start = w0;
-    hop_ctx_.window_seconds = opt_.window_seconds;
-    hop_ctx_.count_actual_ops = system_->config().lomb.count_actual_ops;
+    hop_ctx_ = {std::llround(w0 / opt_.hop_seconds), opt_.hop_seconds, w0,
+                opt_.window_seconds};
 }
 
 void streaming_monitor::try_close_windows() {
@@ -206,9 +202,6 @@ std::optional<window_report> streaming_monitor::poll() {
 void streaming_monitor::set_config(psa_config cfg) {
     system_ = factory_(cfg);
     QPSA_EXPECTS(system_ != nullptr);
-    // Cached sub-results embed the previous config's arithmetic (engine
-    // kind, mesh, span); none survive a mode switch.
-    hop_cache_.invalidate();
 }
 
 monitor_state streaming_monitor::export_state() const {
@@ -239,12 +232,6 @@ void streaming_monitor::restore_state(const monitor_state& st) {
     started_ = st.started;
     completed_ = static_cast<std::size_t>(st.windows_completed);
     beats_seen_ = static_cast<std::size_t>(st.beats_seen);
-    // The hop cache never travels with monitor_state (an adopting monitor
-    // may hold stale entries of a *different* session); drop everything
-    // and rebuild during the first post-restore window.  Outputs stay
-    // bit-identical -- the cache only replays values the scratch path
-    // would recompute.
-    hop_cache_.invalidate();
 }
 
 real streaming_monitor::arrhythmia_fraction() const {

@@ -13,7 +13,6 @@
 
 #include "qpsa/core/psa_system.hpp"
 #include "qpsa/core/workspace_cache.hpp"
-#include "qpsa/lomb/hop_cache.hpp"
 
 namespace qpsa::core {
 
@@ -149,11 +148,6 @@ public:
     /// Fraction of completed windows flagged as sinus arrhythmia.
     real arrhythmia_fraction() const;
 
-    /// Hop cache of this monitor (hit/miss/bytes telemetry).  Only active
-    /// -- and only populated -- when the config sets lomb.hop_aligned and
-    /// the QPSA_HOPCACHE toggle is on; otherwise all counters stay zero.
-    const lomb::hop_cache& hop_cache() const noexcept { return hop_cache_; }
-
     std::size_t windows_completed() const noexcept { return completed_; }
     std::size_t beats_seen() const noexcept { return beats_seen_; }
 
@@ -224,12 +218,9 @@ private:
     bool staged_ = false;
     lomb::lomb_breakdown staged_bd_;
 
-    // Hop cache: session-lifetime memo of sub-results shared by the 50 %
-    // overlap of consecutive windows.  Owned here (per monitor == per
-    // session/patient); invalidated on set_config and restore_state, NOT
-    // exported with monitor_state -- a migrated session rebuilds it
-    // during its first post-adopt window, bit-identically.
-    lomb::hop_cache hop_cache_;
+    // Hop-alignment context of the staged window (hop-aligned configs
+    // only); a pure function of the window start, so it never travels
+    // with monitor_state.
     lomb::hop_ctx hop_ctx_{};
 
     real next_window_start_ = 0.0;

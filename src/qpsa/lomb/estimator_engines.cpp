@@ -8,7 +8,6 @@
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/burg.hpp"
-#include "qpsa/lomb/hop_cache.hpp"
 #include "qpsa/lomb/lomb_direct.hpp"
 #include "qpsa/lomb/resampled_psd.hpp"
 #include "qpsa/simd/kernels.hpp"
@@ -230,7 +229,7 @@ void resampled_engine::run(std::span<estimate_item> items,
         util::arena::frame grid_frame(scratch);  // the resampled grid
         std::span<real> series =
             it.ctx != nullptr
-                ? aligned_series(it.t, it.x, *it.ctx, scratch)
+                ? aligned_series(it.t, it.x, scratch)
                 : resample_linear(it.t, it.x, opt.resample_hz, opt.fft_size,
                                   scratch);
         pg.grid_n = resampled_psd_prepare_series(series, opt, scratch, pg.spec);
@@ -255,7 +254,6 @@ void resampled_engine::run(std::span<estimate_item> items,
 
 std::span<real> resampled_engine::aligned_series(std::span<const real> t,
                                                  std::span<const real> x,
-                                                 const hop_ctx& ctx,
                                                  util::arena& scratch) const {
     const std::size_t fft_size = size();
     const real rate = resample_hz_;
@@ -272,39 +270,17 @@ std::span<real> resampled_engine::aligned_series(std::span<const real> t,
                               static_cast<std::size_t>(g1 - g0) + 1);
     std::span<real> series = scratch.alloc<real>(count);
 
-    hop_series_entry* entry =
-        ctx.cache != nullptr ? &ctx.cache->series() : nullptr;
-    const bool hit = entry != nullptr && entry->valid &&
-                     entry->window_index == ctx.window_index;
-    if (entry != nullptr) {
-        if (hit)
-            ctx.cache->count_hit();
-        else
-            ctx.cache->count_miss();
-    }
-
-    std::uint64_t cached_points = 0;
     std::uint64_t interpolated = 0;
-    std::size_t clamp_from = count;  // first clamped (uncacheable) point
     std::size_t j = 0;
     for (std::size_t i = 0; i < count; ++i) {
         const std::int64_t g = g0 + static_cast<std::int64_t>(i);
         const real ti = static_cast<real>(g) / rate;
         while (j + 1 < t.size() && t[j + 1] < ti) ++j;
-        if (hit && g >= entry->g_start &&
-            g < entry->g_start +
-                    static_cast<std::int64_t>(entry->values.size())) {
-            series[i] =
-                entry->values[static_cast<std::size_t>(g - entry->g_start)];
-            ++cached_points;
-            continue;
-        }
         if (j + 1 >= t.size()) {
             // Clamp (never fires for g <= g1 by construction, kept for
             // parity with the plain resampler); clamped points count
-            // nothing and are never cached.
+            // nothing.
             series[i] = x.back();
-            if (clamp_from == count) clamp_from = i;
             continue;
         }
         const real span = t[j + 1] - t[j];
@@ -312,46 +288,11 @@ std::span<real> resampled_engine::aligned_series(std::span<const real> t,
         series[i] = x[j] * (1.0 - u) + x[j + 1] * u;
         ++interpolated;
     }
-    // Per interpolated point: 2 muls, 3 adds, 1 div, 1 compare.  Every
-    // cached point replaced one interpolation, so it is priced the same
-    // unless the context asks for the real (post-reuse) counts.
-    const std::uint64_t priced =
-        interpolated + (ctx.count_actual_ops ? 0 : cached_points);
-    counting::add_to_active({.adds = 3 * priced,
-                             .muls = 2 * priced,
-                             .divs = priced,
-                             .cmps = priced});
-
-    // (Re)build the overlap range for window m+1: points at/after its
-    // first beat f interpolate from beat pairs both windows contain, so
-    // their values replay bitwise.  Consuming before rebuilding lets the
-    // single entry storage serve both roles.
-    if (entry != nullptr) {
-        entry->valid = false;
-        entry->window_index = ctx.window_index + 1;
-        entry->values.clear();
-        entry->g_start = 0;
-        const real mid = ctx.window_start + ctx.hop_seconds;
-        std::size_t fs = 0;
-        while (fs < t.size() && t[fs] < mid) ++fs;
-        if (fs < t.size()) {
-            const real f = t[fs];
-            auto gc = static_cast<std::int64_t>(std::ceil(f * rate));
-            while (static_cast<real>(gc) / rate < f) ++gc;
-            while (static_cast<real>(gc - 1) / rate >= f) --gc;
-            const std::int64_t g_last =
-                std::min(g0 + static_cast<std::int64_t>(clamp_from) - 1,
-                         g0 + static_cast<std::int64_t>(count) - 1);
-            if (gc >= g0 && gc <= g_last) {
-                entry->g_start = gc;
-                for (std::int64_t g = gc; g <= g_last; ++g)
-                    entry->values.push_back(
-                        series[static_cast<std::size_t>(g - g0)]);
-            }
-        }
-        entry->valid = true;
-    }
-
+    // Per interpolated point: 2 muls, 3 adds, 1 div, 1 compare.
+    counting::add_to_active({.adds = 3 * interpolated,
+                             .muls = 2 * interpolated,
+                             .divs = interpolated,
+                             .cmps = interpolated});
     return series;
 }
 

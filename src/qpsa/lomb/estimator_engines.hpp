@@ -162,10 +162,9 @@ private:
     /// Hop-aligned series: the uniform grid sits at global indices g
     /// (t = g / rate) instead of anchoring on the window's first beat, so
     /// the interpolated series of the overlap range is bitwise stable
-    /// across windows and the hop cache can replay it.
+    /// across windows.
     std::span<real> aligned_series(std::span<const real> t,
                                    std::span<const real> x,
-                                   const hop_ctx& ctx,
                                    util::arena& scratch) const;
 
     real resample_hz_;

@@ -88,32 +88,23 @@ window_prep window_moments(std::span<const real> t, std::span<const real> x,
 // ---- hop-aligned mesh fill (canonical position decomposition) -----------
 //
 // The scratch extirpolation anchors mesh positions on the window's first
-// beat, so a beat lands at different fractional positions in the two
-// windows that contain it and nothing can be reused.  Hop alignment
-// anchors on the global hop grid instead: with q = floor(t / hop),
-// r = t - q * hop, fac = mesh / (span * ofac) and hc = hop * fac an
-// integer number of mesh cells, beat t deposits at
+// beat.  Hop alignment anchors on the global hop grid instead: with
+// q = floor(t / hop), r = t - q * hop, fac = mesh / (span * ofac) and
+// hc = hop * fac an integer number of mesh cells, beat t deposits at
 //
 //     x0 + (q - m) * hc      where  x0 = r * fac  in [0, hc)
 //
 // in window m.  x0 -- and therefore every Lagrange weight -- is a pure
 // function of the beat itself, so the two windows containing a beat make
-// bitwise-equal deposits at integer-shifted cells.  That is what lets the
-// overlap half of window m+1's meshes be built (dual-deposit) while
-// window m's suffix beats run, and consumed on the next hop.  Centering
-// is decomposed the same way: three meshes accumulate raw values (mx),
-// unit weights (m1) and doubled-angle unit weights (m2 == wk2), and the
-// final wk1[c] = mx[c] - avg * m1[c] applies the window mean outside the
-// cacheable partials.
-//
-// Per-cell accumulation order equals global beat-time order in both the
-// hit and the scratch path, so the filled meshes are bit-identical
-// whether or not a cache is attached.
+// bitwise-equal deposits at integer-shifted cells.  Centering is
+// decomposed the same way: two meshes accumulate raw values (mx) and unit
+// weights (m1) at the base angles, wk2 takes the doubled-angle unit
+// weights, and the final wk1[c] = mx[c] - avg * m1[c] applies the window
+// mean after every beat has deposited.
 
 struct aligned_mesh_plan {
-    bool aligned = false;   ///< canonical fill applies
-    bool cacheable = false; ///< suffix == next window's prefix (W == 2 hop)
-    std::int64_t hc = 0;    ///< mesh cells per hop
+    bool aligned = false;  ///< canonical fill applies
+    std::int64_t hc = 0;   ///< mesh cells per hop
 };
 
 aligned_mesh_plan plan_aligned_mesh(const fast_lomb_options& opt,
@@ -127,13 +118,11 @@ aligned_mesh_plan plan_aligned_mesh(const fast_lomb_options& opt,
     const real hc = ctx->hop_seconds * fac;
     const auto ihc = static_cast<std::int64_t>(std::llround(hc));
     // The hop must be an integer number of mesh cells (and leave room for
-    // new beats); otherwise the scratch path runs -- same arithmetic with
-    // or without a cache, just nothing to reuse.
+    // new beats); otherwise the scratch path runs.
     if (ihc <= 0 || ihc >= static_cast<std::int64_t>(mesh)) return p;
     if (std::abs(hc - static_cast<real>(ihc)) > 1e-9) return p;
     p.aligned = true;
     p.hc = ihc;
-    p.cacheable = std::abs(ctx->window_seconds - 2.0 * ctx->hop_seconds) < 1e-9;
     return p;
 }
 
@@ -169,11 +158,10 @@ beat_pos aligned_beat_pos(real t, std::int64_t m, real hop, real fac) {
 /// Deposit helper of the aligned fill: order-4 Lagrange weights evaluated
 /// from the base position x alone (spread4's shared sub-products), then
 /// deposited `shift` whole cells later -- so the deposit is bitwise
-/// shift-invariant, which is the cache's correctness contract.  `mate`
-/// (when non-null) receives unit-weight deposits at the same cells,
-/// sharing the one weight evaluation (the centering decomposition).
-/// `ops` accumulates the fixed per-beat tally; whether it is *counted*
-/// is the caller's business (cache-building duplicates are maintenance).
+/// shift-invariant.  `mate` (when non-null) receives unit-weight deposits
+/// at the same cells, sharing the one weight evaluation (the centering
+/// decomposition).  `ops` accumulates the fixed per-beat tally, which the
+/// caller attributes once per window.
 void aligned_deposit(real y, std::span<real> mesh, std::span<real> mate,
                      real x, std::int64_t shift, int order,
                      counting::op_counts& ops) {
@@ -231,10 +219,8 @@ void aligned_deposit(real y, std::span<real> mesh, std::span<real> mate,
     }
 }
 
-/// Canonical hop-aligned fill.  With a cache attached the overlap half of
-/// the meshes is consumed from the previous window's dual-deposit and only
-/// the new hop's beats run; without one every beat runs -- identical
-/// deposits either way.
+/// Canonical hop-aligned fill: every beat deposits at its hop-grid
+/// position, in beat-time order.
 std::size_t fill_meshes_aligned(std::span<const real> t,
                                 std::span<const real> x,
                                 const window_prep& prep,
@@ -260,42 +246,10 @@ std::size_t fill_meshes_aligned(std::span<const real> t,
     std::fill(m1.begin(), m1.end(), 0.0);
     std::fill(wk2.begin(), wk2.end(), 0.0);
 
-    hop_mesh_entry* entry = nullptr;
-    bool hit = false;
-    if (plan.cacheable && ctx.cache != nullptr) {
-        entry = &ctx.cache->mesh();
-        hit = entry->valid && entry->window_index == m && entry->mesh == mesh;
-        if (hit) {
-            std::copy(entry->mesh_x.begin(), entry->mesh_x.end(), mx.begin());
-            std::copy(entry->mesh_1.begin(), entry->mesh_1.end(), m1.begin());
-            std::copy(entry->mesh_2.begin(), entry->mesh_2.end(), wk2.begin());
-            if (!ctx.count_actual_ops) counting::add_to_active(entry->ops);
-            ctx.cache->count_hit();
-        } else {
-            ctx.cache->count_miss();
-        }
-        // (Re)build the prefix meshes of window m+1 while this window's
-        // suffix deposits run; consuming before rebuilding lets one entry
-        // storage serve both roles.  valid stays false until the fill
-        // completes, so a window aborted by a data contract leaves a miss
-        // behind, never a half-built hit.
-        entry->valid = false;
-        entry->window_index = m + 1;
-        entry->mesh = mesh;
-        entry->mesh_x.assign(mesh, 0.0);
-        entry->mesh_1.assign(mesh, 0.0);
-        entry->mesh_2.assign(mesh, 0.0);
-        entry->ops = {};
-    }
-
-    counting::op_counts maintenance;  // dual-deposit duplicates, uncounted
-    counting::op_counts counted;      // this window's deposits, counted once
+    counting::op_counts ops;  // this window's deposits, counted once
     for (std::size_t j = 0; j < n; ++j) {
         const beat_pos p = aligned_beat_pos(t[j], m, hop, fac);
         QPSA_EXPECTS(p.d >= 0 && p.d * plan.hc < meshi);
-        const bool suffix = p.d >= 1;
-        if (hit && !suffix) continue;  // prefix came from the cache
-        counting::op_counts ops;
         ops.divs += 1;  // t / hop
         ops.muls += 3;  // q * hop, r * fac, 2 * x0
         ops.adds += 1;  // t - q * hop
@@ -303,25 +257,12 @@ std::size_t fill_meshes_aligned(std::span<const real> t,
         const std::int64_t s2 = (p.d * 2 * plan.hc) % meshi;
         aligned_deposit(x[j], mx, m1, p.x0, s1, opt.macc, ops);
         aligned_deposit(1.0, wk2, {}, p.x2, s2, opt.macc, ops);
-        counted += ops;
-        if (entry != nullptr && p.d == 1) {
-            // Same beat, next window's coordinates (d - 1 == 0): reuse the
-            // identical weight evaluation, deposit unshifted.
-            aligned_deposit(x[j], entry->mesh_x, entry->mesh_1, p.x0, 0,
-                            opt.macc, maintenance);
-            aligned_deposit(1.0, entry->mesh_2, {}, p.x2, 0, opt.macc,
-                            maintenance);
-            // The tally this window counted for the beat is exactly what
-            // the next window's scratch path would count for it.
-            entry->ops += ops;
-        }
     }
-    if (entry != nullptr) entry->valid = true;
 
-    // Apply the window mean outside the cached partials.
+    // Apply the window mean after every deposit.
     for (std::size_t c = 0; c < mesh; ++c) wk1[c] = mx[c] - prep.avg * m1[c];
-    counted += {.adds = mesh, .muls = mesh};
-    counting::add_to_active(counted);
+    ops += {.adds = mesh, .muls = mesh};
+    counting::add_to_active(ops);
     return n;
 }
 

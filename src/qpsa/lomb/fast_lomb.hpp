@@ -14,7 +14,6 @@
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/spectrum.hpp"
 #include "qpsa/lomb/fft_engine.hpp"
-#include "qpsa/lomb/hop_cache.hpp"
 #include "qpsa/lomb/workspace.hpp"
 #include "qpsa/util/common.hpp"
 
@@ -62,19 +61,17 @@ struct fast_lomb_options {
     /// count (0.5 * ofac * hifac * n).  Welch segmentation fixes it so all
     /// segments share one grid.
     std::size_t nout_override = 0;
-    /// Anchor window arithmetic on the monitor's global hop grid instead
-    /// of the window's first beat (requires span_override > 0).  Every
-    /// beat's mesh position becomes a pure function of the beat itself, so
-    /// the hop_cache can reuse the overlap half across windows; with
-    /// cache reuse off the aligned path still computes the identical
-    /// result -- that is the invariant the hopcache tests pin down.
+    /// Anchor window arithmetic on the monitor's global hop grid (the
+    /// hop_ctx of each window) instead of the window's first beat;
+    /// requires span_override > 0.  Lagrange meshes place a beat by its
+    /// hop cell and its offset inside that cell, Welch cuts segments at
+    /// global multiples of the segment hop, and the resampled engine
+    /// samples global multiples of 1 / rate -- so each beat's
+    /// contribution is a pure function of the beat itself.  A mesh the
+    /// grid cannot align (a hop that is not a whole number of mesh cells,
+    /// staircase mode, macc other than 1 or 4) keeps the
+    /// first-beat-anchored fill.
     bool hop_aligned = false;
-    /// Report real (post-reuse) operation counts on cache hits instead of
-    /// attributing the memoized scratch-path tally.  Off by default so
-    /// counted complexity -- and the QDES energy model -- is unchanged by
-    /// caching (the PR 8 batched-FFT precedent); a governor flips it on to
-    /// see the true savings.
-    bool count_actual_ops = false;
 
     /// Equal options + the same engine = the same arithmetic: the batch
     /// scheduler groups windows across sessions on exactly this.
@@ -127,7 +124,7 @@ struct window_job {
     lomb_result* out = nullptr;
     lomb_breakdown* bd = nullptr;
     /// Per-job hop-alignment context (jobs in one batch come from
-    /// different sessions, each with its own cache); null when the
+    /// different sessions, each at its own window); null when the
     /// configuration is not hop-aligned.
     const hop_ctx* ctx = nullptr;
     bool ok = false;

@@ -6,6 +6,7 @@
 // powers) is shared.  This interface is that swap point.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,7 +20,18 @@
 
 namespace qpsa::lomb {
 
-struct hop_ctx;  // hop_cache.hpp: hop-alignment context of one window
+/// Hop-alignment context of one analysis window: window m covers
+/// [m * hop, m * hop + window_seconds).  Built by the streaming monitor
+/// when the configuration sets lomb.hop_aligned; aligned engines anchor
+/// their arithmetic on this global grid instead of the window's first
+/// beat, so every output is a function of the configuration, the window's
+/// beats and this context only.
+struct hop_ctx {
+    std::int64_t window_index = 0;  ///< m: window start == m * hop_seconds
+    real hop_seconds = 0.0;
+    real window_start = 0.0;  ///< the monitor's w0 (== m * hop)
+    real window_seconds = 0.0;
+};
 
 /// Frequency grid a whole-window estimator must fill: f_k = k * df for
 /// k = 1..nout (the Fast-Lomb grid, so every engine kind lands on the
@@ -96,8 +108,7 @@ public:
 
     /// Hop-aware whole-window estimate: engines that can anchor their
     /// arithmetic on the monitor's global hop grid (Welch segmentation,
-    /// uniform resampling) override this to reuse sub-results across
-    /// overlapping windows via ctx->cache.  The default discards the
+    /// uniform resampling) override this.  The default discards the
     /// context and runs the plain path, so every other engine keeps its
     /// exact behavior.
     virtual void estimate(std::span<const real> t, std::span<const real> x,

@@ -61,7 +61,7 @@ void resampled_psd(std::span<const real> t, std::span<const real> x,
 // The core above is prepare -> forward -> finish.  The phases are exposed
 // so callers can interleave several estimates through one lane-batched
 // transform walk (Welch segments) or feed a series that came from
-// elsewhere (the hop cache's aligned resample grid); chaining them is
+// elsewhere (the hop-aligned resample grid); chaining them is
 // bit-identical to the one-call core.
 
 /// Resample + detrend + taper + zero-pad-pack into `in` (sized

@@ -8,7 +8,6 @@
 #include "qpsa/core/engine_registry.hpp"
 #include "qpsa/core/psa_config.hpp"
 #include "qpsa/counting/op_counter.hpp"
-#include "qpsa/lomb/hop_cache.hpp"
 #include "qpsa/lomb/resampled_psd.hpp"
 
 namespace qpsa::lomb {
@@ -30,14 +29,11 @@ void welch_psd_engine::run(std::span<estimate_item> items,
     constexpr std::size_t min_seg_beats = 8;
 
     // One task per surviving segment, in segment order within its window;
-    // misses prepare their transform input in phase one and ride one
-    // batched walk with every other window's misses.
+    // each prepares its transform input in phase one and rides one
+    // batched walk with every other window's segments.
     struct seg_task {
-        std::int64_t k = 0;
-        hop_segment_entry* entry = nullptr;  // hit: cached periodogram
-        std::span<cplx> spec;  // miss: transform input, then (in place) output
+        std::span<cplx> spec;  // transform input, then (in place) output
         std::size_t grid_n = 0;
-        counting::op_counts ops;  // miss: scratch-equivalent tally
     };
     struct window_tasks {
         std::size_t first = 0;
@@ -55,11 +51,11 @@ void welch_psd_engine::run(std::span<estimate_item> items,
     fft_ins.clear();
     fft_outs.clear();
 
-    const auto queue_miss = [&](std::span<const real> t,
-                                std::span<const real> x, seg_task task) {
+    const auto queue_segment = [&](std::span<const real> t,
+                                   std::span<const real> x) {
+        seg_task task;
+        task.spec = scratch.alloc<cplx>(seg_opt.fft_size);
         {
-            counting::count_scope seg_scope(task.ops);
-            task.spec = scratch.alloc<cplx>(seg_opt.fft_size);
             util::arena::frame series(scratch);  // the resampled grid
             task.grid_n =
                 resampled_psd_prepare(t, x, seg_opt, scratch, task.spec);
@@ -69,7 +65,7 @@ void welch_psd_engine::run(std::span<estimate_item> items,
         tasks.push_back(task);
     };
 
-    // Phase one: segmentation, cache lookups, segment prepares.
+    // Phase one: segmentation and segment prepares.
     for_each_window(items, rethrow, [&](std::size_t i, estimate_item& it) {
         QPSA_EXPECTS(it.grid.df > 0.0 && it.grid.nout >= 1);
         const std::span<const real> t = it.t;
@@ -96,16 +92,15 @@ void welch_psd_engine::run(std::span<estimate_item> items,
             for (real start = t.front();
                  start + segment_seconds_ <= t.back() + 1e-9; start += seg_hop)
                 if (bounds(start, start + segment_seconds_, begin, end))
-                    queue_miss(t.subspan(begin, end - begin),
-                               x.subspan(begin, end - begin), {});
+                    queue_segment(t.subspan(begin, end - begin),
+                                  x.subspan(begin, end - begin));
         } else {
             // Hop-aligned segmentation: segment k covers [k * seg_hop,
             // k * seg_hop + segment_seconds] on the *global* time axis.
             // Its beat subset -- and therefore its periodogram (the
             // per-segment resampler anchors on the subset's own first
             // beat) -- is a pure function of k, so two windows sharing
-            // segment k compute bitwise-equal periodograms and the cache
-            // can hand the later window the earlier one's result.
+            // segment k compute bitwise-equal periodograms.
             QPSA_EXPECTS(seg_hop > 0.0);
             const real w0 = ctx->window_start;
             const real w1 = w0 + ctx->window_seconds;
@@ -116,82 +111,43 @@ void welch_psd_engine::run(std::span<estimate_item> items,
                 const real start = static_cast<real>(k) * seg_hop;
                 const real stop = start + segment_seconds_;
                 if (stop > w1 + 1e-9) break;
-                if (!bounds(start, stop, begin, end)) continue;
-                seg_task task;
-                task.k = k;
-                if (ctx->cache != nullptr) {
-                    hop_segment_entry& e = ctx->cache->segment_slot(k);
-                    if (e.valid && e.seg_index == k && e.power.size() == half) {
-                        task.entry = &e;
-                        ctx->cache->count_hit();
-                    } else {
-                        ctx->cache->count_miss();
-                    }
-                }
-                if (task.entry != nullptr)
-                    tasks.push_back(task);
-                else
-                    queue_miss(t.subspan(begin, end - begin),
-                               x.subspan(begin, end - begin), task);
+                if (bounds(start, stop, begin, end))
+                    queue_segment(t.subspan(begin, end - begin),
+                                  x.subspan(begin, end - begin));
             }
         }
         if (tasks.size() == w.first) {
             // Degenerate window: one whole-window segment, i.e. the plain
             // resampled estimator (throws for a too-short window).
-            queue_miss(t, x, {});
+            queue_segment(t, x);
             w.whole = true;
         }
         w.count = tasks.size() - w.first;
     });
 
-    // Phase two: one lane-batched walk over every miss transform of the
-    // round, in place (bit-identical per item to sequential forwards; the memoized
-    // per-transform tally is attributed per segment below, as
-    // split_radix_engine does).
+    // Phase two: one lane-batched walk over every segment transform of
+    // the round, in place (bit-identical per item to sequential forwards;
+    // the memoized per-transform tally is attributed per segment below,
+    // as split_radix_engine does).
     if (!fft_ins.empty()) fft_.forward_batched(fft_ins, fft_outs, scratch);
 
-    // Phase three: finish the misses, average in segment order, map.
+    // Phase three: finish each segment, average in segment order, map.
     const real raw_df = resample_hz_ / static_cast<real>(seg_opt.fft_size);
     for_each_window(items, rethrow, [&](std::size_t i, estimate_item& it) {
         const window_tasks& w = windows[i];
-        const hop_ctx* ctx = it.ctx;
         std::span<real> avg = scratch.alloc<real>(half);
         std::span<real> seg = scratch.alloc<real>(half);
         std::fill(avg.begin(), avg.end(), 0.0);
         std::size_t segments = 0;
         for (std::size_t j = w.first; j < w.first + w.count; ++j) {
-            seg_task& task = tasks[j];
-            std::span<const real> power;
-            if (task.entry != nullptr) {
-                if (!ctx->count_actual_ops)
-                    counting::add_to_active(task.entry->ops);
-                power = task.entry->power;
-            } else {
-                {
-                    // Nested scope: the fft tally and the finish ops land
-                    // in task.ops AND every outer sink, exactly once each
-                    // (the prepare phase counted the same way).
-                    counting::count_scope seg_scope(task.ops);
-                    counting::add_to_active(fft_.op_tally());
-                    resampled_psd_finish(task.spec, task.grid_n, seg_opt,
-                                         seg);
-                }
-                power = seg;
-                if (ctx != nullptr && ctx->cache != nullptr && !w.whole) {
-                    hop_segment_entry& e = ctx->cache->segment_slot(task.k);
-                    e.seg_index = task.k;
-                    e.power.assign(power.begin(), power.end());
-                    e.ops = task.ops;
-                    e.valid = true;
-                }
-            }
+            const seg_task& task = tasks[j];
+            counting::add_to_active(fft_.op_tally());
+            resampled_psd_finish(task.spec, task.grid_n, seg_opt, seg);
             if (w.whole) {
-                std::copy(power.begin(), power.end(), avg.begin());
+                std::copy(seg.begin(), seg.end(), avg.begin());
                 continue;
             }
-            // Average in original segment order -- hits and misses
-            // interleave exactly as a scratch run would have summed them.
-            for (std::size_t b = 0; b < half; ++b) avg[b] += power[b];
+            for (std::size_t b = 0; b < half; ++b) avg[b] += seg[b];
             ++segments;
         }
         counting::count_adds(segments * half);  // the segment sums

@@ -40,8 +40,7 @@ protected:
     /// lane-batched transform walk over all of them and finishes each
     /// window's average.  With a hop context, segments anchor on the
     /// absolute k * seg_hop grid (not the window's first beat), so a
-    /// segment's periodogram is keyed by k and reused across the windows
-    /// that share it.
+    /// segment's periodogram is a pure function of k.
     void run(std::span<estimate_item> items, util::arena& scratch,
              bool rethrow) const override;
 

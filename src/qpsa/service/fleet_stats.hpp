@@ -43,9 +43,10 @@ public:
 /// History: v1 = PR 5 layout; v2 appends the high-water and journal
 /// telemetry columns after ratio_sum; v3 appends the live-migration
 /// columns (sessions_migrated_in/out); v4 appends the hop-cache columns
-/// (hop_hits/hop_misses/hop_bytes); v5 appends the drain-scheduler
-/// columns (windows_stolen/lane_slots_filled/lane_slots_offered).  Older
-/// payloads still load with the missing trailing columns zero.
+/// (hop_hits/hop_misses/hop_bytes, retired: 0 from live fleets); v5
+/// appends the drain-scheduler columns (windows_stolen/lane_slots_filled/
+/// lane_slots_offered).  Older payloads still load with the missing
+/// trailing columns zero.
 inline constexpr std::uint16_t fleet_wire_version = 5;
 
 /// Per-engine-kind tally (one slot per core::engine_class).
@@ -134,12 +135,10 @@ struct fleet_snapshot {
     std::uint64_t sessions_migrated_in = 0;
     std::uint64_t sessions_migrated_out = 0;
 
-    /// Hop-cache telemetry: reuse hits / misses across the fleet's
-    /// monitors and the bytes their caches hold.  Like the drop columns
-    /// this is live-only telemetry (session_manager::fleet() reads each
-    /// live monitor's cache; extracted sessions and journal rebuilds
-    /// report zero).  Counts add under operator+=; hop_bytes is a sum of
-    /// point-in-time footprints, not a monotonic counter.
+    /// Retired hop-cache telemetry (reuse hits / misses and cached
+    /// bytes): live fleets report 0.  The columns stay because persisted
+    /// v4/v5 payloads carry them and must load losslessly.  Counts add
+    /// under operator+=.
     std::uint64_t hop_hits = 0;
     std::uint64_t hop_misses = 0;
     std::uint64_t hop_bytes = 0;

@@ -163,14 +163,6 @@ fleet_snapshot session_manager::fleet() const {
                 {s.id(), switches, s.current_mode(), charge});
 
         snap.high_water_alarms += s.high_water_alarms();
-
-        // Hop-cache telemetry is live-only by design: an extracted
-        // session's cache was dropped with it, and the adopting shard
-        // reports the (rebuilt) cache from its side.
-        const lomb::hop_cache& hc = s.monitor().hop_cache();
-        snap.hop_hits += hc.hits();
-        snap.hop_misses += hc.misses();
-        snap.hop_bytes += hc.bytes();
     }
     if (opt_.journal != nullptr) {
         const journal::writer_counters c = opt_.journal->counters();

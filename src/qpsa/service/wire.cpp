@@ -20,7 +20,8 @@
 //   v2+: u64 high_water_alarms; u64 journal_appends, journal_bytes,
 //        journal_fsyncs, journal_torn_tails
 //   v3+: u64 sessions_migrated_in, sessions_migrated_out
-//   v4+: u64 hop_hits, hop_misses, hop_bytes
+//   v4+: u64 hop_hits, hop_misses, hop_bytes (retired hop-cache
+//        telemetry: 0 from live fleets, kept so v4/v5 payloads load)
 //   v5+: u64 windows_stolen, lane_slots_filled, lane_slots_offered
 //
 // A snapshot serialized by a build with fewer engine kinds than the

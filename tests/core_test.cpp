@@ -115,8 +115,10 @@ TEST(PsaSystemTest, AnalyzeWindowReturnsSpectrum) {
     const auto& rec = arrhythmia_record();
     std::vector<real> t(rec.beat_time_s.begin(), rec.beat_time_s.begin() + 140);
     std::vector<real> x(rec.rr_s.begin(), rec.rr_s.begin() + 140);
+    qpsa::lomb::workspace ws;
+    qpsa::lomb::lomb_result res;
     qpsa::lomb::lomb_breakdown bd;
-    const auto res = sys.analyze_window(t, x, &bd);
+    sys.analyze_window(t, x, ws, res, &bd);
     EXPECT_GT(res.spectrum.size(), 50u);
     EXPECT_GT(bd.fft.arithmetic(), 0u);
 }

@@ -46,6 +46,17 @@ void tone_window(std::vector<real>& t, std::vector<real>& x) {
     }
 }
 
+/// One window through psa_system's workspace-form analyze_window.
+qpsa::lomb::lomb_result analyze(const qcore::psa_system& sys,
+                                const std::vector<real>& t,
+                                const std::vector<real>& x,
+                                qpsa::lomb::lomb_breakdown* bd = nullptr) {
+    qpsa::lomb::workspace ws;
+    qpsa::lomb::lomb_result out;
+    sys.analyze_window(t, x, ws, out, bd);
+    return out;
+}
+
 real peak_freq(const qpsa::dsp::sampled_spectrum& s) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < s.power.size(); ++i)
@@ -138,7 +149,7 @@ TEST(WholeWindowEngineTest, EveryKindLocatesTheToneBin) {
     tone_window(t, x);
     for (const auto& cfg : all_kinds()) {
         const qcore::psa_system sys(cfg);
-        const auto res = sys.analyze_window(t, x);
+        const auto res = analyze(sys, t, x);
         const real df = res.spectrum.freq_hz[1] - res.spectrum.freq_hz[0];
         EXPECT_NEAR(peak_freq(res.spectrum), 0.1, 2.0 * df + 1e-12)
             << cfg.describe();
@@ -156,7 +167,7 @@ TEST(WholeWindowEngineTest, EstimatorsCountOperations) {
                             qcore::psa_config::welch()}) {
         const qcore::psa_system sys(cfg);
         qpsa::lomb::lomb_breakdown bd;
-        (void)sys.analyze_window(t, x, &bd);
+        (void)analyze(sys, t, x, &bd);
         EXPECT_GT(bd.fft.total(), 0u) << cfg.describe();
         EXPECT_GT(bd.fft_stats.ops.total(), 0u) << cfg.describe();
         EXPECT_TRUE(sys.engine().whole_window()) << cfg.describe();
@@ -176,7 +187,7 @@ TEST(FixedEngineTest, BandPowersTrackTheDoubleEngine) {
     tone_window(t, x);
 
     const qcore::psa_system ref(qcore::psa_config::conventional());
-    const auto want = ref.analyze_window(t, x);
+    const auto want = analyze(ref, t, x);
     const auto want_bands =
         qpsa::hrv::compute_band_powers(want.spectrum, qpsa::hrv::band_limits{});
 
@@ -189,7 +200,7 @@ TEST(FixedEngineTest, BandPowersTrackTheDoubleEngine) {
     for (const auto& c : {case_def{qcore::fixed_format::q15, 0.05},
                           case_def{qcore::fixed_format::q31, 1e-4}}) {
         const qcore::psa_system sys(qcore::psa_config::fixed_wavelet(c.format));
-        const auto got = sys.analyze_window(t, x);
+        const auto got = analyze(sys, t, x);
         const auto got_bands = qpsa::hrv::compute_band_powers(
             got.spectrum, qpsa::hrv::band_limits{});
         EXPECT_NEAR(got_bands.lf / want_bands.lf, 1.0, c.tol)
@@ -204,11 +215,11 @@ TEST(FixedEngineTest, Q31IsStrictlyCloserThanQ15) {
     std::vector<real> x;
     tone_window(t, x);
     const qcore::psa_system ref(qcore::psa_config::conventional());
-    const auto want = ref.analyze_window(t, x);
+    const auto want = analyze(ref, t, x);
 
     auto spectrum_err = [&](qcore::fixed_format f) {
         const qcore::psa_system sys(qcore::psa_config::fixed_wavelet(f));
-        const auto got = sys.analyze_window(t, x);
+        const auto got = analyze(sys, t, x);
         real num = 0.0;
         real den = 0.0;
         for (std::size_t i = 0; i < want.spectrum.power.size(); ++i) {
@@ -232,7 +243,7 @@ TEST(FixedEngineTest, PrunedVariantsReportStats) {
         qcore::fixed_format::q15, 512, /*band_drop=*/true,
         /*twiddle_fraction=*/0.4));
     qpsa::lomb::lomb_breakdown bd;
-    (void)sys.analyze_window(t, x, &bd);
+    (void)analyze(sys, t, x, &bd);
     EXPECT_TRUE(bd.fft_stats.band_dropped);
     EXPECT_GT(bd.fft_stats.terms_total, 0u);
     EXPECT_GT(bd.fft_stats.terms_pruned_factor, 0u);

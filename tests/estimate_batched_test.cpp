@@ -3,8 +3,8 @@
 // the same windows analyzed one fast_lomb call at a time -- ok flags,
 // spectra, every breakdown tally and the engine's exec_stats -- for Burg,
 // resampled, Welch and direct Lomb, at every compiled lane width, with
-// ragged windows and contract failures mid-round.  Hop-aligned Welch and
-// resampled rounds must also reproduce the per-window cache hits.
+// ragged windows and contract failures mid-round, hop-aligned Welch and
+// resampled rounds included.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,7 +13,6 @@
 
 #include "qpsa/core/psa_system.hpp"
 #include "qpsa/lomb/fast_lomb.hpp"
-#include "qpsa/lomb/hop_cache.hpp"
 #include "qpsa/physio/patients.hpp"
 #include "qpsa/simd/kernels.hpp"
 
@@ -189,7 +188,7 @@ TEST(EstimateBatched, DegenerateWindowsFailOnlyThemselves) {
     }
 }
 
-TEST(EstimateBatched, HopAlignedRoundsReplayCacheHits) {
+TEST(EstimateBatched, HopAlignedRoundsMatchSingleCalls) {
     isa_restore restore;
     for (const qsimd::isa which : qsimd::available_isas()) {
         ASSERT_TRUE(qsimd::set_active_isa(which));
@@ -200,41 +199,28 @@ TEST(EstimateBatched, HopAlignedRoundsReplayCacheHits) {
             const qcore::psa_system sys(cfg);
             ql::workspace ws(512);
             ql::workspace ws_single(512);
-            // Two sessions per round, each with its own cache; the
-            // reference runs the same windows one call at a time on caches
-            // of its own.
-            ql::hop_cache cache[2];
-            ql::hop_cache ref_cache[2];
+            // Two sessions per round; the reference runs the same windows
+            // one call at a time.
             for (std::int64_t m = 0; m < 10; ++m) {
                 const real w0 = 60.0 * static_cast<real>(m);
                 window w[2] = {cut(record(0), w0, 120.0), cut(record(1), w0, 120.0)};
-                ql::hop_ctx ctx[2];
-                ql::hop_ctx ref_ctx[2];
+                const ql::hop_ctx ctx{m, 60.0, w0, 120.0};
                 std::vector<ql::lomb_result> res(2);
                 std::vector<ql::lomb_breakdown> bd(2);
                 std::vector<ql::window_job> jobs;
-                for (int s = 0; s < 2; ++s) {
-                    ctx[s] = {&cache[s], m, 60.0, w0, 120.0, false};
-                    ref_ctx[s] = {&ref_cache[s], m, 60.0, w0, 120.0, false};
-                    jobs.push_back({w[s].t, w[s].x, &res[s], &bd[s], &ctx[s]});
-                }
+                for (int s = 0; s < 2; ++s)
+                    jobs.push_back({w[s].t, w[s].x, &res[s], &bd[s], &ctx});
                 sys.analyze_window_batched(jobs, ws);
                 for (int s = 0; s < 2; ++s) {
                     const std::string what = std::string(qsimd::isa_name(which)) +
                                              " " + sys.engine().name() +
                                              " window " + std::to_string(m);
-                    const single ref =
-                        run_single(sys, w[s], ws_single, &ref_ctx[s]);
+                    const single ref = run_single(sys, w[s], ws_single, &ctx);
                     ASSERT_TRUE(jobs[s].ok) << what;
                     ASSERT_TRUE(ref.ok) << what;
                     expect_same_counts(bd[s], ref.bd, what);
                     expect_same_result(res[s], ref.res, what);
                 }
-            }
-            for (int s = 0; s < 2; ++s) {
-                EXPECT_GT(cache[s].hits(), 0u) << sys.engine().name();
-                EXPECT_EQ(cache[s].hits(), ref_cache[s].hits());
-                EXPECT_EQ(cache[s].misses(), ref_cache[s].misses());
             }
         }
     }

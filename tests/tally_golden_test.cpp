@@ -18,7 +18,6 @@
 
 #include "qpsa/core/psa_system.hpp"
 #include "qpsa/counting/op_counter.hpp"
-#include "qpsa/lomb/hop_cache.hpp"
 #include "qpsa/lomb/workspace.hpp"
 #include "qpsa/physio/patients.hpp"
 
@@ -74,7 +73,7 @@ std::vector<golden_case> cases() {
              /*band_thr=*/1e9))},
         // Window-anchored Lagrange extirpolation.
         {"conventional-lagrange", lagrange},
-        // Hop-aligned configs (hop cache attached, windows in order).
+        // Hop-aligned configs (windows in order, each with its hop_ctx).
         {"aligned-welch", aligned(qcore::psa_config::welch(4.0, 30.0), false)},
         {"aligned-resampled", aligned(qcore::psa_config::resampled(), false)},
         {"aligned-wavelet-exact",
@@ -131,7 +130,7 @@ const window_set& windows() {
 /// Per-window breakdowns plus the tally an enclosing scope saw over all
 /// three windows.  Plain configs analyze the windows as one batch (the
 /// lane-batched service path); hop-aligned ones analyze them in order,
-/// one per call, against one hop cache, exactly as a monitor does.
+/// one per call, each with its hop_ctx, exactly as a monitor does.
 std::array<std::string, k_windows + 1> run(const qcore::psa_config& cfg) {
     const qcore::psa_system sys(cfg);
     const window_set& w = windows();
@@ -140,14 +139,12 @@ std::array<std::string, k_windows + 1> run(const qcore::psa_config& cfg) {
     std::array<ql::lomb_breakdown, k_windows> bd;
     std::array<ql::window_job, k_windows> jobs;
     std::array<ql::hop_ctx, k_windows> ctx;
-    ql::hop_cache cache;
     qc::op_counts outer;
     {
         qc::count_scope scope(outer);
         for (std::size_t m = 0; m < k_windows; ++m) {
             jobs[m] = {w.t[m], w.x[m], &res[m], &bd[m], nullptr, false};
             if (cfg.lomb.hop_aligned) {
-                ctx[m].cache = &cache;
                 ctx[m].window_index = static_cast<std::int64_t>(m + 1);
                 ctx[m].hop_seconds = k_hop_s;
                 ctx[m].window_start = static_cast<real>(m + 1) * k_hop_s;
