@@ -31,7 +31,7 @@ void streaming_monitor::push_beat(real beat_time_s, real rr_s) {
     // next beat could close further windows whose analysis would have to
     // run *after* the staged one to preserve window order.
     QPSA_EXPECTS(!staged_);
-    QPSA_EXPECTS(rr_s > 0.0);
+    QPSA_EXPECTS(std::isfinite(beat_time_s) && std::isfinite(rr_s) && rr_s > 0.0);
     if (buffer_head_ < buffer_.size())
         QPSA_EXPECTS(beat_time_s > buffer_.back().first);
     if (!started_) {

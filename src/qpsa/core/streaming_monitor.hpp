@@ -78,7 +78,9 @@ public:
     /// windows; they are queued and returned one per call to poll()).
     /// In staging mode a closable window is *staged* instead of analyzed
     /// (see set_staging); no further beats may be pushed until the staged
-    /// window is finished.
+    /// window is finished.  A non-finite time or RR, a non-positive RR
+    /// or a non-increasing time throws contract_error before any state
+    /// changes.
     void push_beat(real beat_time_s, real rr_s);
 
     // ---- staged window analysis (cross-monitor SIMD batching) --------

@@ -58,7 +58,7 @@ replay_result replay_driver::run(const replay_config_fn& make_config,
     }
 
     // Chunked round-robin ingest with a pump between rounds -- the same
-    // interleaving shape the bench drives, though any other would yield
+    // interleaving shape a live fleet sees, though any other would yield
     // the same reports.  A full ring retries the *same* beat after a
     // pump, so each monitor sees its recorded stream exactly.
     replay_result res;

@@ -171,7 +171,7 @@ private:
     dsp::window_kind taper_;
     /// Owned transform (immutable, so shared across workers like the
     /// engine itself): per-window scratch then comes entirely from the
-    /// worker arena -- the alloc budget the service bench gates on.
+    /// worker arena -- the alloc budget the perf ledger gates on.
     dsp::fft_split_radix fft_;
 };
 

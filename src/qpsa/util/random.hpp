@@ -48,10 +48,12 @@ public:
         return d(engine_);
     }
 
-    /// Standard normal scaled to sigma.
+    /// Standard normal scaled to sigma.  The draw is taken at unit sigma
+    /// (a normal_distribution with sigma = 0 violates its precondition),
+    /// so gaussian(0) returns 0 and advances the engine like any sigma.
     real gaussian(real sigma) {
-        std::normal_distribution<real> d(0.0, sigma);
-        return d(engine_);
+        std::normal_distribution<real> d(0.0, 1.0);
+        return sigma * d(engine_);
     }
 
     /// Uniform integer in [lo, hi] inclusive.

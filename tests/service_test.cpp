@@ -331,6 +331,40 @@ TEST(SessionTest, MalformedBeatsAreRejectedNotFatal) {
     mgr.drain_all();
     EXPECT_EQ(mgr.at(id).beats_rejected(), 2u);
     EXPECT_EQ(mgr.at(id).beats_ingested(), 2u);
+
+    // Non-finite beats are rejected the same way.  A NaN first beat must
+    // not anchor the window grid (that would silence the session for
+    // good), and an +inf or NaN RR must not reach a window.  The dirty
+    // session then produces exactly the clean session's windows.
+    const real nan = std::numeric_limits<real>::quiet_NaN();
+    const real inf = std::numeric_limits<real>::infinity();
+    const auto rec =
+        qp::record_for(qp::make_patient(qp::cohort::sinus_arrhythmia, 1), 300.0);
+    const auto cfg = [] {
+        return patient_session(qp::cohort::sinus_arrhythmia, 1,
+                               qcore::psa_config::conventional());
+    };
+    const auto clean = mgr.add_session(cfg());
+    const auto dirty = mgr.add_session(cfg());
+    EXPECT_TRUE(mgr.ingest(dirty, nan, 0.9));
+    for (std::size_t i = 0; i < rec.beats(); ++i) {
+        const real t = rec.beat_time_s[i];
+        EXPECT_TRUE(mgr.ingest(clean, t, rec.rr_s[i]));
+        EXPECT_TRUE(mgr.ingest(dirty, t, rec.rr_s[i]));
+        if (i == 50) {
+            EXPECT_TRUE(mgr.ingest(dirty, t + 1e-3, inf));
+        }
+        if (i == 100) {
+            EXPECT_TRUE(mgr.ingest(dirty, t + 1e-3, nan));
+        }
+    }
+    mgr.drain_all();
+    EXPECT_EQ(mgr.at(clean).beats_rejected(), 0u);
+    EXPECT_EQ(mgr.at(dirty).beats_rejected(), 3u);
+    EXPECT_EQ(mgr.at(dirty).beats_ingested(), rec.beats());
+    EXPECT_EQ(mgr.at(clean).windows_completed(), 3u);
+    EXPECT_EQ(mgr.at(dirty).windows_completed(), 3u);
+    expect_reports_identical(mgr.at(dirty).reports(), mgr.at(clean).reports());
 }
 
 TEST(SessionTest, QdesControllerSelectsModeWithinBudget) {
@@ -1569,6 +1603,20 @@ TEST(RandomStreamTest, DerivedSeedsAreStableAndDistinct) {
     auto r1 = a.at(ida).make_rng(7);
     auto r2 = a.at(ida).make_rng(7);
     EXPECT_EQ(r1.uniform(0.0, 1.0), r2.uniform(0.0, 1.0));
+}
+
+TEST(RandomStreamTest, ZeroSigmaGaussianIsZeroAndAdvancesLikeUnitSigma) {
+    // sigma = 0 is a valid request (a noise-free synthetic record): it
+    // returns 0 and consumes the same engine draws as sigma = 1, so every
+    // later draw of a seeded stream is unchanged.
+    qpsa::util::rng zero(7);
+    qpsa::util::rng unit(7);
+    for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(zero.gaussian(0.0), 0.0);
+        (void)unit.gaussian(1.0);
+        EXPECT_EQ(zero.engine(), unit.engine()) << i;
+    }
+    EXPECT_EQ(zero.gaussian(2.5), unit.gaussian(2.5));
 }
 
 TEST(RandomStreamTest, StreamOffsetPartitionsOneSeedSpace) {

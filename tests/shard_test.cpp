@@ -539,9 +539,11 @@ void trickle_through(const sharded_fixture& fx, qs::shard_router& router) {
 }  // namespace
 
 TEST(OnePassRouterTest, ShardCountChangesNoReportOrIntegerTally) {
-    // K = 1/2/4 over one input: every session gets the serial reports and
-    // the fleet the same integer tallies.  (Sums of reals depend on how
-    // windows fall into units, so they may differ in the last bits.)
+    // K = 1/2/4/8 over one input: every session gets the serial reports
+    // and the fleet the same integer tallies.  (Sums of reals depend on
+    // how windows fall into units, so they may differ in the last bits.)
+    // At every K the shard snapshots shipped through the wire and merged
+    // equal the in-process merge, and their windows sum to the fleet's.
     const sharded_fixture fx(12);
     const auto run = [&](std::size_t shards) {
         qs::router_options opt;
@@ -560,9 +562,22 @@ TEST(OnePassRouterTest, ShardCountChangesNoReportOrIntegerTally) {
     const auto [one, one_cache] = run(1);
     const qs::fleet_snapshot want = one->fleet();
     EXPECT_GT(want.windows, 0u);
-    for (const std::size_t shards : {2u, 4u}) {
+    for (const std::size_t shards : {2u, 4u, 8u}) {
         const auto [router, cache] = run(shards);
         const qs::fleet_snapshot got = router->fleet();
+        qs::fleet_snapshot wired;
+        std::uint64_t shard_windows = 0;
+        for (std::size_t k = 0; k < shards; ++k) {
+            const qs::fleet_snapshot part = router->shard_fleet(k);
+            shard_windows += part.windows;
+            const auto back = qs::fleet_snapshot::deserialize(part.serialize());
+            if (k == 0)
+                wired = back;
+            else
+                wired += back;
+        }
+        EXPECT_EQ(wired, got) << shards;
+        EXPECT_EQ(shard_windows, got.windows) << shards;
         EXPECT_EQ(got.windows, want.windows) << shards;
         EXPECT_EQ(got.beats, want.beats) << shards;
         EXPECT_EQ(got.arrhythmia_windows, want.arrhythmia_windows) << shards;
