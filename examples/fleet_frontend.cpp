@@ -182,13 +182,8 @@ int run_verify(const std::string& shard0, const std::string& shard1,
     // --- check 3: the aggregator converges to the same merged view ------
     if (agg_ep != "-") {
         net::socket_conn agg = net::dial(net::endpoint::parse(agg_ep));
-        net::body_writer hello;
-        hello.u16(net::net_protocol_version);
-        hello.u8(static_cast<std::uint8_t>(net::peer_role::query));
-        hello.u32(0);
-        hello.u32(1);
-        const std::vector<std::uint8_t> hello_body = hello.take();
-        agg.send_frame(net::msg_type::hello, hello_body);
+        agg.send_frame(net::msg_type::hello,
+                       net::hello_body(net::peer_role::query, 0, 1));
 
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(15);
@@ -226,13 +221,8 @@ int run_verify(const std::string& shard0, const std::string& shard1,
 int run_await(const std::string& agg_ep, std::uint64_t min_windows,
               int timeout_s) {
     net::socket_conn agg = net::dial(net::endpoint::parse(agg_ep));
-    net::body_writer hello;
-    hello.u16(net::net_protocol_version);
-    hello.u8(static_cast<std::uint8_t>(net::peer_role::query));
-    hello.u32(0);
-    hello.u32(1);
-    const std::vector<std::uint8_t> hello_body = hello.take();
-    agg.send_frame(net::msg_type::hello, hello_body);
+    agg.send_frame(net::msg_type::hello,
+                   net::hello_body(net::peer_role::query, 0, 1));
 
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(timeout_s);

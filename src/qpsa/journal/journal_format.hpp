@@ -2,8 +2,8 @@
 // everything a fleet computes, durable enough to survive SIGKILL and
 // complete enough to rebuild the merged fleet_snapshot bit for bit.
 //
-// File layout (all integers little-endian, doubles as raw IEEE-754 bits,
-// the same conventions as the fleet_snapshot wire format):
+// File layout (encoding rules, op_counts, engine_class and window_report:
+// service/byte_codec.hpp):
 //
 //   header   u32 magic "QPJL"; u16 version; u16 reserved (0);
 //            u32 shard_index; u32 shard_count
@@ -12,17 +12,14 @@
 //
 // Record types and bodies:
 //   session_meta  u64 session_id; u64 seed; f64 window_seconds,
-//                 hop_seconds; u64 min_beats, history_limit; u8 governed;
-//                 u8 initial_mode (engine_class); u16 patient_id length;
-//                 patient_id bytes
+//                 hop_seconds; u64 min_beats, history_limit; bool governed;
+//                 engine_class initial_mode; str patient_id
 //   beat          u64 session_id; f64 beat_time_s; f64 rr_s
 //                 (journaled at drain time, malformed beats included, so a
 //                 replay reproduces reject counts too)
-//   report        u64 session_id; f64 t_start, t_end; f64 ulf, lf, hf,
-//                 total; u8 diagnosis; 8 x u64 op counts (adds, muls,
-//                 divs, sqrts, cmps, trigs, loads, stores); u64 beats;
-//                 u8 engine; then the session's post-window state:
-//                 f64 battery_fraction; u64 mode_switches; u8 mode_after
+//   report        u64 session_id; window_report; then the session's
+//                 post-window state: f64 battery_fraction;
+//                 u64 mode_switches; engine_class mode_after
 //   stats_delta   one embedded fleet_snapshot::serialize() payload -- the
 //                 batch partial exactly as it was merged into fleet_stats
 //                 (appended under the stats mutex in merge order, so a
@@ -34,8 +31,9 @@
 //   migration     u64 session_id; u8 direction (0 = out, 1 = in); then a
 //                 checkpoint of the session's quality columns at the
 //                 moment of the move: f64 battery_fraction;
-//                 u64 mode_switches; u8 mode_after.  (v2+.)  An "out"
-//                 record retires the session from this shard's rebuild;
+//                 u64 mode_switches; engine_class mode_after.  (v2+.)
+//                 An "out" record retires the session from this shard's
+//                 rebuild;
 //                 an "in" record (preceded by a fresh session_meta whose
 //                 initial_mode is the *restored* mode) is the session's
 //                 state until its first post-adopt report.

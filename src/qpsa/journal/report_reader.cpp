@@ -1,7 +1,6 @@
 #include "qpsa/journal/report_reader.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <unordered_map>
@@ -14,146 +13,62 @@ using service::wire_error;
 
 namespace {
 
-/// Bounds-checked little-endian field decoder (truncation inside a
-/// CRC-valid record is corruption the checksum cannot see -- reject it).
-class cursor {
-public:
-    explicit cursor(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+using service::byte_reader;
 
-    std::uint8_t u8() { return take<std::uint8_t>(); }
-    std::uint16_t u16() { return take<std::uint16_t>(); }
-    std::uint32_t u32() { return take<std::uint32_t>(); }
-    std::uint64_t u64() { return take<std::uint64_t>(); }
-    double f64() { return std::bit_cast<double>(take<std::uint64_t>()); }
+constexpr const char* context = "journal";
 
-    std::span<const std::uint8_t> bytes(std::size_t n) {
-        if (bytes_.size() - pos_ < n)
-            throw wire_error("journal: truncated record body");
-        const auto s = bytes_.subspan(pos_, n);
-        pos_ += n;
-        return s;
-    }
-
-    std::span<const std::uint8_t> rest() {
-        const auto s = bytes_.subspan(pos_);
-        pos_ = bytes_.size();
-        return s;
-    }
-
-    void expect_exhausted() const {
-        if (pos_ != bytes_.size())
-            throw wire_error("journal: trailing bytes in record body");
-    }
-
-private:
-    template <typename T>
-    T take() {
-        if (bytes_.size() - pos_ < sizeof(T))
-            throw wire_error("journal: truncated record body");
-        T v{};
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            v = static_cast<T>(v | (static_cast<T>(bytes_[pos_ + i]) << (8 * i)));
-        pos_ += sizeof(T);
-        return v;
-    }
-
-    std::span<const std::uint8_t> bytes_;
-    std::size_t pos_ = 0;
-};
-
-counting::op_counts read_ops(cursor& c) {
-    counting::op_counts ops;
-    ops.adds = c.u64();
-    ops.muls = c.u64();
-    ops.divs = c.u64();
-    ops.sqrts = c.u64();
-    ops.cmps = c.u64();
-    ops.trigs = c.u64();
-    ops.loads = c.u64();
-    ops.stores = c.u64();
-    return ops;
-}
-
-core::engine_class read_engine_class(cursor& c) {
-    const std::uint8_t v = c.u8();
-    if (v >= core::engine_class_count)
-        throw wire_error("journal: invalid engine class " + std::to_string(v));
-    return static_cast<core::engine_class>(v);
-}
-
-session_meta decode_session_meta(cursor c) {
+session_meta decode_session_meta(byte_reader r) {
     session_meta m;
-    m.session_id = c.u64();
-    m.seed = c.u64();
-    m.monitor.window_seconds = c.f64();
-    m.monitor.hop_seconds = c.f64();
-    m.monitor.min_beats = c.u64();
-    m.monitor.history_limit = c.u64();
-    const std::uint8_t governed = c.u8();
-    if (governed > 1)
-        throw wire_error("journal: invalid governed flag");
-    m.governed = governed != 0;
-    m.initial_mode = read_engine_class(c);
-    const std::uint16_t len = c.u16();
-    const auto id = c.bytes(len);
-    m.patient_id.assign(reinterpret_cast<const char*>(id.data()), id.size());
-    c.expect_exhausted();
+    m.session_id = r.u64();
+    m.seed = r.u64();
+    m.monitor.window_seconds = r.f64();
+    m.monitor.hop_seconds = r.f64();
+    m.monitor.min_beats = r.u64();
+    m.monitor.history_limit = r.u64();
+    m.governed = r.boolean();
+    m.initial_mode = service::read_engine(r);
+    m.patient_id = r.str();
+    r.expect_exhausted();
     return m;
 }
 
-beat_event decode_beat(cursor c) {
+beat_event decode_beat(byte_reader r) {
     beat_event b;
-    b.session_id = c.u64();
-    b.beat_time_s = c.f64();
-    b.rr_s = c.f64();
-    c.expect_exhausted();
+    b.session_id = r.u64();
+    b.beat_time_s = r.f64();
+    b.rr_s = r.f64();
+    r.expect_exhausted();
     return b;
 }
 
-report_event decode_report(cursor c) {
+report_event decode_report(byte_reader r) {
     report_event ev;
-    ev.session_id = c.u64();
-    ev.report.t_start = c.f64();
-    ev.report.t_end = c.f64();
-    ev.report.bands.ulf = c.f64();
-    ev.report.bands.lf = c.f64();
-    ev.report.bands.hf = c.f64();
-    ev.report.bands.total = c.f64();
-    const std::uint8_t diag = c.u8();
-    if (diag > static_cast<std::uint8_t>(hrv::diagnosis::normal))
-        throw wire_error("journal: invalid diagnosis " + std::to_string(diag));
-    ev.report.diagnosis = static_cast<hrv::diagnosis>(diag);
-    ev.report.ops = read_ops(c);
-    ev.report.beats = c.u64();
-    ev.report.engine = read_engine_class(c);
-    ev.battery_fraction = c.f64();
-    ev.mode_switches = c.u64();
-    ev.mode_after = read_engine_class(c);
-    c.expect_exhausted();
+    ev.session_id = r.u64();
+    ev.report = service::read_report(r);
+    ev.battery_fraction = r.f64();
+    ev.mode_switches = r.u64();
+    ev.mode_after = service::read_engine(r);
+    r.expect_exhausted();
     return ev;
 }
 
-migration_event decode_migration(cursor c) {
+migration_event decode_migration(byte_reader r) {
     migration_event ev;
-    ev.session_id = c.u64();
-    const std::uint8_t dir = c.u8();
-    if (dir > 1)
-        throw wire_error("journal: invalid migration direction " +
-                         std::to_string(dir));
-    ev.direction = static_cast<migration_direction>(dir);
-    ev.battery_fraction = c.f64();
-    ev.mode_switches = c.u64();
-    ev.mode_after = read_engine_class(c);
-    c.expect_exhausted();
+    ev.session_id = r.u64();
+    ev.direction = r.enumerator(migration_direction::in, "migration direction");
+    ev.battery_fraction = r.f64();
+    ev.mode_switches = r.u64();
+    ev.mode_after = service::read_engine(r);
+    r.expect_exhausted();
     return ev;
 }
 
-journal_footer decode_footer(cursor c) {
+journal_footer decode_footer(byte_reader r) {
     journal_footer f;
-    f.records = c.u64();
-    f.bytes = c.u64();
-    f.fsyncs = c.u64();
-    c.expect_exhausted();
+    f.records = r.u64();
+    f.bytes = r.u64();
+    f.fsyncs = r.u64();
+    r.expect_exhausted();
     return f;
 }
 
@@ -167,17 +82,16 @@ journal_scan scan_journal_bytes(std::span<const std::uint8_t> bytes) {
         scan.torn_tail = !bytes.empty();
         return scan;
     }
-    cursor hdr(bytes.first(journal_header_bytes));
-    if (hdr.u32() != journal_magic)
-        throw wire_error("journal: bad magic");
+    byte_reader hdr(bytes.first(journal_header_bytes), context);
+    if (hdr.u32() != journal_magic) hdr.fail("bad magic");
     const std::uint16_t version = hdr.u16();
     if (version == 0 || version > journal_wire_version)
-        throw wire_error("journal: unknown version " + std::to_string(version));
+        hdr.fail("unknown version " + std::to_string(version));
     hdr.u16();  // reserved
     scan.shard_index = hdr.u32();
     scan.shard_count = hdr.u32();
     if (scan.shard_count == 0 || scan.shard_index >= scan.shard_count)
-        throw wire_error("journal: invalid shard header");
+        hdr.fail("invalid shard header");
     scan.header_present = true;
 
     std::size_t pos = journal_header_bytes;
@@ -187,9 +101,9 @@ journal_scan scan_journal_bytes(std::span<const std::uint8_t> bytes) {
             scan.torn_tail = true;  // partial frame header
             break;
         }
-        cursor frame(bytes.subspan(pos, journal_frame_bytes));
-        const std::uint32_t len = frame.u32();
-        const std::uint32_t crc = frame.u32();
+        const std::uint32_t len = service::load_le<std::uint32_t>(&bytes[pos]);
+        const std::uint32_t crc =
+            service::load_le<std::uint32_t>(&bytes[pos + 4]);
         if (len == 0 || len > journal_max_record_bytes)
             throw wire_error("journal: bad record length " +
                              std::to_string(len));
@@ -204,7 +118,7 @@ journal_scan scan_journal_bytes(std::span<const std::uint8_t> bytes) {
         if (saw_footer)
             throw wire_error("journal: record after footer");
 
-        cursor body(payload.subspan(1));
+        byte_reader body(payload.subspan(1), context);
         switch (static_cast<record_type>(payload[0])) {
             case record_type::session_meta:
                 scan.sessions.push_back(decode_session_meta(body));

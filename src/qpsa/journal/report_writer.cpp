@@ -13,47 +13,6 @@ namespace qpsa::journal {
 
 namespace {
 
-/// Little-endian field encoder over a caller-owned buffer.
-class cursor {
-public:
-    explicit cursor(std::span<std::uint8_t> buf) : buf_(buf) {}
-
-    void u8(std::uint8_t v) { buf_[pos_++] = v; }
-    void u16(std::uint16_t v) { raw(v); }
-    void u32(std::uint32_t v) { raw(v); }
-    void u64(std::uint64_t v) { raw(v); }
-    void f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
-    void bytes(std::span<const std::uint8_t> b) {
-        if (!b.empty()) std::memcpy(buf_.data() + pos_, b.data(), b.size());
-        pos_ += b.size();
-    }
-
-    std::span<const std::uint8_t> done() const { return buf_.first(pos_); }
-
-private:
-    template <typename T>
-    void raw(T v) {
-        QPSA_EXPECTS(buf_.size() - pos_ >= sizeof(T));
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            buf_[pos_ + i] = static_cast<std::uint8_t>(v >> (8 * i));
-        pos_ += sizeof(T);
-    }
-
-    std::span<std::uint8_t> buf_;
-    std::size_t pos_ = 0;
-};
-
-void write_ops(cursor& c, const counting::op_counts& ops) {
-    c.u64(ops.adds);
-    c.u64(ops.muls);
-    c.u64(ops.divs);
-    c.u64(ops.sqrts);
-    c.u64(ops.cmps);
-    c.u64(ops.trigs);
-    c.u64(ops.loads);
-    c.u64(ops.stores);
-}
-
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
     throw journal_error("journal: " + what + " " + path + ": " +
                         std::strerror(errno));
@@ -73,15 +32,14 @@ report_writer::report_writer(std::string path, writer_options opt)
 
     // The header goes to disk immediately: even a crash before the first
     // record leaves a scannable (empty) journal behind.
-    std::uint8_t hdr[journal_header_bytes];
-    cursor c({hdr, journal_header_bytes});
-    c.u32(journal_magic);
-    c.u16(journal_wire_version);
-    c.u16(0);  // reserved
-    c.u32(opt_.shard_index);
-    c.u32(opt_.shard_count);
     std::lock_guard<std::mutex> lock(mu_);
-    write_raw(c.done());
+    service::byte_writer w = begin_record();
+    w.u32(journal_magic);
+    w.u16(journal_wire_version);
+    w.u16(0);  // reserved
+    w.u32(opt_.shard_index);
+    w.u32(opt_.shard_count);
+    write_raw(body_);
 }
 
 report_writer::~report_writer() {
@@ -94,33 +52,28 @@ report_writer::~report_writer() {
 }
 
 void report_writer::append_session_meta(const session_meta& meta) {
-    QPSA_EXPECTS(meta.patient_id.size() <= 0xFFFF);
-    std::vector<std::uint8_t> buf(52 + meta.patient_id.size());
-    cursor c(buf);
-    c.u64(meta.session_id);
-    c.u64(meta.seed);
-    c.f64(meta.monitor.window_seconds);
-    c.f64(meta.monitor.hop_seconds);
-    c.u64(meta.monitor.min_beats);
-    c.u64(meta.monitor.history_limit);
-    c.u8(meta.governed ? 1 : 0);
-    c.u8(static_cast<std::uint8_t>(meta.initial_mode));
-    c.u16(static_cast<std::uint16_t>(meta.patient_id.size()));
-    c.bytes({reinterpret_cast<const std::uint8_t*>(meta.patient_id.data()),
-             meta.patient_id.size()});
     std::lock_guard<std::mutex> lock(mu_);
-    put_record(record_type::session_meta, c.done());
+    service::byte_writer w = begin_record();
+    w.u64(meta.session_id);
+    w.u64(meta.seed);
+    w.f64(meta.monitor.window_seconds);
+    w.f64(meta.monitor.hop_seconds);
+    w.u64(meta.monitor.min_beats);
+    w.u64(meta.monitor.history_limit);
+    w.boolean(meta.governed);
+    w.enumerator(meta.initial_mode);
+    w.str(meta.patient_id);
+    put_record(record_type::session_meta);
 }
 
 void report_writer::append_beat(std::uint64_t session_id, real beat_time_s,
                                 real rr_s) {
-    std::uint8_t buf[24];
-    cursor c({buf, sizeof buf});
-    c.u64(session_id);
-    c.f64(beat_time_s);
-    c.f64(rr_s);
     std::lock_guard<std::mutex> lock(mu_);
-    put_record(record_type::beat, c.done());
+    service::byte_writer w = begin_record();
+    w.u64(session_id);
+    w.f64(beat_time_s);
+    w.f64(rr_s);
+    put_record(record_type::beat);
 }
 
 void report_writer::append_beats(std::span<const beat_event> beats) {
@@ -136,26 +89,17 @@ void report_writer::append_beats(std::span<const beat_event> beats) {
         for (const beat_event& b : beats.first(n)) {
             std::uint8_t* frame = block + used;
             std::uint8_t* payload = frame + journal_frame_bytes;
+            // The beat record body, field by field as append_beat's
+            // byte_writer lays it out, stored straight into the block.
             payload[0] = static_cast<std::uint8_t>(record_type::beat);
-            if constexpr (std::endian::native == std::endian::little) {
-                // The wire format is little-endian, so on LE hosts the
-                // field encode is three raw copies (doubles ship as their
-                // IEEE bit patterns either way).
-                std::memcpy(payload + 1, &b.session_id, 8);
-                std::memcpy(payload + 9, &b.beat_time_s, 8);
-                std::memcpy(payload + 17, &b.rr_s, 8);
-            } else {
-                cursor c({payload + 1, framed - journal_frame_bytes - 1});
-                c.u64(b.session_id);
-                c.f64(b.beat_time_s);
-                c.f64(b.rr_s);
-            }
+            service::store_le(payload + 1, b.session_id);
+            service::store_le(payload + 9,
+                              std::bit_cast<std::uint64_t>(b.beat_time_s));
+            service::store_le(payload + 17,
+                              std::bit_cast<std::uint64_t>(b.rr_s));
             const std::uint32_t len = 25;
-            const std::uint32_t crc = util::crc32({payload, len});
-            for (std::size_t i = 0; i < 4; ++i)
-                frame[i] = static_cast<std::uint8_t>(len >> (8 * i));
-            for (std::size_t i = 0; i < 4; ++i)
-                frame[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+            service::store_le(frame, len);
+            service::store_le(frame + 4, util::crc32({payload, len}));
             used += framed;
         }
         {
@@ -167,47 +111,42 @@ void report_writer::append_beats(std::span<const beat_event> beats) {
 }
 
 void report_writer::append_report(const report_event& ev) {
-    std::uint8_t buf[147];
-    cursor c({buf, sizeof buf});
-    c.u64(ev.session_id);
-    c.f64(ev.report.t_start);
-    c.f64(ev.report.t_end);
-    c.f64(ev.report.bands.ulf);
-    c.f64(ev.report.bands.lf);
-    c.f64(ev.report.bands.hf);
-    c.f64(ev.report.bands.total);
-    c.u8(static_cast<std::uint8_t>(ev.report.diagnosis));
-    write_ops(c, ev.report.ops);
-    c.u64(ev.report.beats);
-    c.u8(static_cast<std::uint8_t>(ev.report.engine));
-    c.f64(ev.battery_fraction);
-    c.u64(ev.mode_switches);
-    c.u8(static_cast<std::uint8_t>(ev.mode_after));
     std::lock_guard<std::mutex> lock(mu_);
-    put_record(record_type::report, c.done());
+    service::byte_writer w = begin_record();
+    w.u64(ev.session_id);
+    service::write_report(w, ev.report);
+    w.f64(ev.battery_fraction);
+    w.u64(ev.mode_switches);
+    w.enumerator(ev.mode_after);
+    put_record(record_type::report);
 }
 
 void report_writer::append_migration(const migration_event& ev) {
-    std::uint8_t buf[26];
-    cursor c({buf, sizeof buf});
-    c.u64(ev.session_id);
-    c.u8(static_cast<std::uint8_t>(ev.direction));
-    c.f64(ev.battery_fraction);
-    c.u64(ev.mode_switches);
-    c.u8(static_cast<std::uint8_t>(ev.mode_after));
     std::lock_guard<std::mutex> lock(mu_);
-    put_record(record_type::migration, c.done());
+    service::byte_writer w = begin_record();
+    w.u64(ev.session_id);
+    w.enumerator(ev.direction);
+    w.f64(ev.battery_fraction);
+    w.u64(ev.mode_switches);
+    w.enumerator(ev.mode_after);
+    put_record(record_type::migration);
 }
 
 void report_writer::append_stats_delta(const service::fleet_snapshot& delta) {
-    const std::vector<std::uint8_t> body = delta.serialize();
     std::lock_guard<std::mutex> lock(mu_);
-    put_record(record_type::stats_delta, body);
+    service::byte_writer w = begin_record();
+    delta.write(w);
+    put_record(record_type::stats_delta);
 }
 
-void report_writer::put_record(record_type type,
-                               std::span<const std::uint8_t> body) {
+service::byte_writer report_writer::begin_record() {
+    body_.clear();
+    return service::byte_writer(body_);
+}
+
+void report_writer::put_record(record_type type) {
     QPSA_EXPECTS(!closed_);
+    const std::span<const std::uint8_t> body = body_;
     const auto type_b = static_cast<std::uint8_t>(type);
     const auto len = static_cast<std::uint32_t>(1 + body.size());
     QPSA_EXPECTS(len <= journal_max_record_bytes);
@@ -218,10 +157,8 @@ void report_writer::put_record(record_type type,
     if (staged_ + need > staging_.size()) flush_locked(true);
 
     std::uint8_t frame[journal_frame_bytes + 1];
-    for (std::size_t i = 0; i < 4; ++i)
-        frame[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    for (std::size_t i = 0; i < 4; ++i)
-        frame[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    service::store_le(frame, len);
+    service::store_le(frame + 4, crc);
     frame[8] = type_b;
 
     if (need <= staging_.size()) {
@@ -301,12 +238,11 @@ void report_writer::close() {
     // them after the body is encoded); the fsync count *includes* the
     // final sync issued right after, so a graceful close leaves the live
     // counters equal to what a recovery scan reconstructs.
-    std::uint8_t buf[24];
-    cursor c({buf, sizeof buf});
-    c.u64(appends_.load(std::memory_order_relaxed));
-    c.u64(bytes_.load(std::memory_order_relaxed));
-    c.u64(fsyncs_.load(std::memory_order_relaxed) + 1);
-    put_record(record_type::footer, c.done());
+    service::byte_writer w = begin_record();
+    w.u64(appends_.load(std::memory_order_relaxed));
+    w.u64(bytes_.load(std::memory_order_relaxed));
+    w.u64(fsyncs_.load(std::memory_order_relaxed) + 1);
+    put_record(record_type::footer);
     flush_locked(false);
     sync_locked();
 

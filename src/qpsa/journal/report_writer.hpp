@@ -21,7 +21,8 @@
 // (see journal_format.hpp for the recovery rules).
 //
 // Threading: every append takes the writer mutex.  Contention mirrors
-// fleet_stats -- per-window appends are short memcpys, the per-batch
+// fleet_stats -- per-window appends encode a few dozen bytes into one reused
+// buffer, the per-batch
 // stats_delta rides the merge that already serializes on the stats
 // mutex.  counters() is lock-free (atomics) so fleet snapshots can read
 // journal telemetry while workers append.
@@ -106,9 +107,12 @@ public:
     const writer_options& options() const noexcept { return opt_; }
 
 private:
-    /// Frame a payload (type byte + body) and stage it; flushes first
+    /// Clear body_ and return a writer that appends a record body to
+    /// it.  Caller holds mu_.
+    service::byte_writer begin_record();
+    /// Frame body_ as a record of `type` and stage it; flushes first
     /// when the staging buffer cannot hold it.  Caller holds mu_.
-    void put_record(record_type type, std::span<const std::uint8_t> body);
+    void put_record(record_type type);
     /// Stage a block of already-framed records (append_beats builds them
     /// outside the mutex).  Caller holds mu_.
     void put_framed_block(std::span<const std::uint8_t> block,
@@ -129,6 +133,9 @@ private:
     std::span<std::uint8_t> staging_;
     std::size_t staged_ = 0;            ///< bytes currently staged
     std::size_t unsynced_ = 0;          ///< bytes written since last fsync
+    /// Record body being encoded (guarded by mu_); cleared per record,
+    /// so its capacity is allocated once and reused.
+    std::vector<std::uint8_t> body_;
 
     std::atomic<std::uint64_t> appends_{0};
     std::atomic<std::uint64_t> bytes_{0};

@@ -77,20 +77,17 @@ void aggregator::serve(socket_conn& conn) {
                                       std::memory_order_relaxed);
             switch (f->type) {
                 case msg_type::hello: {
-                    body_reader r(f->body);
-                    const std::uint16_t proto = r.u16();
-                    if (proto > net_protocol_version) {
-                        body_writer e;
-                        e.str("protocol version too new");
-                        const std::vector<std::uint8_t> body = e.take();
-                        conn.send_frame(msg_type::error, body);
+                    service::byte_reader r(f->body, frame_context);
+                    if (r.u16() > net_protocol_version) {
+                        conn.send_frame(msg_type::error,
+                                        error_body("protocol version too new"));
                         conn.close();
                         return;
                     }
                     break;
                 }
                 case msg_type::snapshot: {
-                    body_reader r(f->body);
+                    service::byte_reader r(f->body, frame_context);
                     const std::uint32_t shard = r.u32();
                     service::fleet_snapshot snap =
                         service::fleet_snapshot::deserialize(r.rest());
@@ -111,13 +108,10 @@ void aggregator::serve(socket_conn& conn) {
                 case msg_type::bye:
                     conn.close();
                     return;
-                default: {
-                    body_writer e;
-                    e.str("unexpected message type");
-                    const std::vector<std::uint8_t> body = e.take();
-                    conn.send_frame(msg_type::error, body);
+                default:
+                    conn.send_frame(msg_type::error,
+                                    error_body("unexpected message type"));
                     break;
-                }
             }
         }
     } catch (const net_error&) {

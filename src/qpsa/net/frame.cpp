@@ -1,29 +1,14 @@
 #include "qpsa/net/frame.hpp"
 
-#include <bit>
-
 #include "qpsa/util/common.hpp"
 #include "qpsa/util/crc32.hpp"
 
 namespace qpsa::net {
 
+using service::byte_reader;
+using service::byte_writer;
+
 namespace {
-
-[[noreturn]] void fail(const char* what) {
-    throw service::wire_error(std::string("net frame: ") + what);
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (std::size_t i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t at) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
-    return v;
-}
 
 bool known_type(std::uint8_t t) {
     return t >= static_cast<std::uint8_t>(msg_type::hello) &&
@@ -39,31 +24,32 @@ std::vector<std::uint8_t> encode_frame(msg_type type,
 
     std::vector<std::uint8_t> out;
     out.reserve(frame_header_bytes + payload);
-    put_u32(out, frame_magic);
-    put_u32(out, static_cast<std::uint32_t>(payload));
+    byte_writer w(out);
+    w.u32(frame_magic);
+    w.u32(static_cast<std::uint32_t>(payload));
     const auto type_b = static_cast<std::uint8_t>(type);
-    std::uint32_t crc = util::crc32({&type_b, 1});
-    crc = util::crc32_append(crc, body);
-    put_u32(out, crc);
-    out.push_back(type_b);
-    out.insert(out.end(), body.begin(), body.end());
+    w.u32(util::crc32_append(util::crc32({&type_b, 1}), body));
+    w.u8(type_b);
+    w.bytes(body);
     return out;
 }
 
 std::uint32_t decode_frame_header(std::span<const std::uint8_t> header) {
-    if (header.size() < frame_header_bytes) fail("short header");
-    if (get_u32(header, 0) != frame_magic) fail("bad magic");
-    const std::uint32_t len = get_u32(header, 4);
-    if (len == 0) fail("zero-length payload");
-    if (len > frame_max_payload_bytes) fail("oversized payload");
+    byte_reader r(header, frame_context);
+    if (header.size() < frame_header_bytes) r.fail("short header");
+    if (r.u32() != frame_magic) r.fail("bad magic");
+    const std::uint32_t len = r.u32();
+    if (len == 0) r.fail("zero-length payload");
+    if (len > frame_max_payload_bytes) r.fail("oversized payload");
     return len;
 }
 
 frame decode_frame_payload(std::uint32_t crc,
                            std::span<const std::uint8_t> payload) {
-    if (payload.empty()) fail("empty payload");
-    if (util::crc32(payload) != crc) fail("payload crc mismatch");
-    if (!known_type(payload[0])) fail("unknown message type");
+    byte_reader r(payload, frame_context);
+    if (payload.empty()) r.fail("empty payload");
+    if (util::crc32(payload) != crc) r.fail("payload crc mismatch");
+    if (!known_type(payload[0])) r.fail("unknown message type");
     frame f;
     f.type = static_cast<msg_type>(payload[0]);
     f.body.assign(payload.begin() + 1, payload.end());
@@ -72,53 +58,29 @@ frame decode_frame_payload(std::uint32_t crc,
 
 frame decode_frame(std::span<const std::uint8_t> bytes) {
     const std::uint32_t len = decode_frame_header(bytes);
+    const byte_reader r(bytes, frame_context);
     if (bytes.size() != frame_header_bytes + len)
-        fail("frame length disagrees with buffer");
-    return decode_frame_payload(get_u32(bytes, 8),
+        r.fail("frame length disagrees with buffer");
+    return decode_frame_payload(service::load_le<std::uint32_t>(&bytes[8]),
                                 bytes.subspan(frame_header_bytes));
 }
 
-void body_writer::f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
-
-void body_writer::bytes(std::span<const std::uint8_t> b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
+std::vector<std::uint8_t> hello_body(peer_role role, std::uint32_t shard_index,
+                                     std::uint32_t shard_count) {
+    std::vector<std::uint8_t> body;
+    byte_writer w(body);
+    w.u16(net_protocol_version);
+    w.enumerator(role);
+    w.u32(shard_index);
+    w.u32(shard_count);
+    return body;
 }
 
-void body_writer::str(std::string_view s) {
-    QPSA_EXPECTS(s.size() <= 0xFFFF);
-    u16(static_cast<std::uint16_t>(s.size()));
-    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-}
-
-std::uint8_t body_reader::u8() {
-    need(1);
-    return bytes_[pos_++];
-}
-
-double body_reader::f64() { return std::bit_cast<double>(raw<std::uint64_t>()); }
-
-std::string body_reader::str() {
-    const std::uint16_t n = u16();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-}
-
-std::span<const std::uint8_t> body_reader::rest() {
-    std::span<const std::uint8_t> r = bytes_.subspan(pos_);
-    pos_ = bytes_.size();
-    return r;
-}
-
-void body_reader::expect_exhausted() const {
-    if (pos_ != bytes_.size())
-        throw service::wire_error("net frame: trailing body bytes");
-}
-
-void body_reader::need(std::size_t n) const {
-    if (bytes_.size() - pos_ < n)
-        throw service::wire_error("net frame: truncated body");
+std::vector<std::uint8_t> error_body(std::string_view message) {
+    std::vector<std::uint8_t> body;
+    byte_writer w(body);
+    w.str(message);
+    return body;
 }
 
 }  // namespace qpsa::net

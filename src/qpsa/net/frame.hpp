@@ -1,7 +1,7 @@
 // qpsa::net message framing -- the cross-process envelope every fleet
 // daemon speaks, over TCP or Unix-domain stream sockets.
 //
-// Frame layout (integers little-endian, like every qpsa wire format):
+// Frame layout (encoding rules: service/byte_codec.hpp):
 //
 //   u32 magic "QPNT"; u32 len; u32 crc32(payload);
 //   payload = u8 msg_type + body   (len counts the payload)
@@ -17,17 +17,16 @@
 // an error frame, the same accept-older/reject-newer rule the snapshot
 // and journal wire formats follow.
 //
-// Message bodies (all little-endian; snapshot/state blobs are the
-// existing fleet_snapshot / session_runtime_state encodings embedded
-// verbatim, so the socket layer adds framing without re-encoding):
+// Message bodies (snapshot/state blobs are the existing fleet_snapshot /
+// session_runtime_state encodings embedded verbatim, so the socket layer
+// adds framing without re-encoding):
 //
 //   hello          u16 protocol_version; u8 role (1 = snapshot
 //                  publisher, 2 = ingest client, 3 = query client);
 //                  u32 shard_index; u32 shard_count
 //   heartbeat      (empty) -- liveness between snapshots/batches
 //   snapshot       u32 shard_index; fleet_snapshot::serialize() bytes
-//   admit          u64 global_id; u64 seed; u16 token_len; token bytes;
-//                  u16 patient_len; patient_id bytes
+//   admit          u64 global_id; u64 seed; str token; str patient_id
 //   beat_batch     u32 count; count x (u64 global_id; f64 beat_time_s;
 //                  f64 rr_s)
 //   flush          (empty) -- drain barrier; peer drains and acks
@@ -35,17 +34,15 @@
 //   stats_query    (empty)
 //   stats_reply    fleet_snapshot::serialize() bytes (global-id rows)
 //   migrate_out    u64 global_id
-//   migrate_state  u16 token_len; token bytes;
-//                  session_runtime_state::serialize() bytes
-//   adopt          u16 token_len; token bytes;
-//                  session_runtime_state::serialize() bytes
+//   migrate_state  str token; session_runtime_state::serialize() bytes
+//   adopt          str token; session_runtime_state::serialize() bytes
 //   adopt_ack      u64 global_id
 //   session_query  u64 global_id
-//   session_state  u8 found; when found: u64 global_id;
+//   session_state  bool found; when found: u64 global_id;
 //                  u64 windows_completed; u32 switch_count; switch_count
 //                  x (u64 window_index, u64 mode_index);
 //                  serialize_reports() bytes
-//   error          u16 message_len; utf-8 message bytes
+//   error          str message (utf-8)
 //   bye            (empty) -- clean shutdown of one connection
 #pragma once
 
@@ -55,7 +52,7 @@
 #include <string_view>
 #include <vector>
 
-#include "qpsa/service/fleet_stats.hpp"  // service::wire_error
+#include "qpsa/service/byte_codec.hpp"
 
 namespace qpsa::net {
 
@@ -65,6 +62,10 @@ inline constexpr std::size_t frame_header_bytes = 12;  ///< magic+len+crc
 /// Payloads larger than this are corruption, not data (the largest real
 /// payload is a migrating session's full state, megabytes at most).
 inline constexpr std::uint32_t frame_max_payload_bytes = 1u << 26;
+/// Encoded size of one beat_batch entry (u64 + f64 + f64).
+inline constexpr std::size_t beat_batch_entry_bytes = 24;
+/// Context prefix of every wire_error a frame or body decode throws.
+inline constexpr const char* frame_context = "net frame";
 
 enum class msg_type : std::uint8_t {
     hello = 1,
@@ -117,66 +118,11 @@ frame decode_frame_payload(std::uint32_t crc,
 /// from a contiguous buffer (must contain exactly one frame).
 frame decode_frame(std::span<const std::uint8_t> bytes);
 
-/// Little-endian body encoder (heap-backed; message bodies are small and
-/// built off the hot path).
-class body_writer {
-public:
-    void u8(std::uint8_t v) { buf_.push_back(v); }
-    void u16(std::uint16_t v) { raw(v); }
-    void u32(std::uint32_t v) { raw(v); }
-    void u64(std::uint64_t v) { raw(v); }
-    void f64(double v);
-    /// Raw byte append (out of line: GCC 12's -Wstringop-overflow
-    /// false-positives on vector::insert when this inlines into callers).
-    void bytes(std::span<const std::uint8_t> b);
-    /// u16 length prefix + raw bytes (the token/patient/message idiom).
-    void str(std::string_view s);
+/// Body of a hello frame announcing `role` for one shard of a fleet.
+std::vector<std::uint8_t> hello_body(peer_role role, std::uint32_t shard_index,
+                                     std::uint32_t shard_count);
 
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
-
-private:
-    template <typename T>
-    void raw(T v) {
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    std::vector<std::uint8_t> buf_;
-};
-
-/// Little-endian body decoder; every underflow throws service::wire_error
-/// (a malformed body from a peer must not fault the daemon).
-class body_reader {
-public:
-    explicit body_reader(std::span<const std::uint8_t> bytes)
-        : bytes_(bytes) {}
-
-    std::uint8_t u8();
-    std::uint16_t u16() { return raw<std::uint16_t>(); }
-    std::uint32_t u32() { return raw<std::uint32_t>(); }
-    std::uint64_t u64() { return raw<std::uint64_t>(); }
-    double f64();
-    /// u16 length prefix + raw bytes.
-    std::string str();
-    /// The remaining bytes, consumed (embedded snapshot/state blobs).
-    std::span<const std::uint8_t> rest();
-    std::size_t remaining() const { return bytes_.size() - pos_; }
-    /// Throws unless the body was consumed exactly.
-    void expect_exhausted() const;
-
-private:
-    template <typename T>
-    T raw() {
-        need(sizeof(T));
-        T v = 0;
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            v |= static_cast<T>(bytes_[pos_ + i]) << (8 * i);
-        pos_ += sizeof(T);
-        return v;
-    }
-    void need(std::size_t n) const;
-
-    std::span<const std::uint8_t> bytes_;
-    std::size_t pos_ = 0;
-};
+/// Body of an error frame.
+std::vector<std::uint8_t> error_body(std::string_view message);
 
 }  // namespace qpsa::net

@@ -5,6 +5,28 @@
 
 namespace qpsa::net {
 
+using service::byte_reader;
+using service::byte_writer;
+
+session_report decode_session_state(std::span<const std::uint8_t> body) {
+    byte_reader r(body, frame_context);
+    session_report rep;
+    rep.found = r.boolean();
+    if (!rep.found) {
+        r.expect_exhausted();
+        return rep;
+    }
+    rep.global_id = r.u64();
+    rep.windows_completed = r.u64();
+    rep.switch_log.resize(r.count<std::uint32_t>(2 * 8));
+    for (service::mode_switch_event& e : rep.switch_log) {
+        e.window_index = r.u64();
+        e.mode_index = static_cast<std::size_t>(r.u64());
+    }
+    rep.reports = service::deserialize_reports(r.rest());
+    return rep;
+}
+
 ingest_client::ingest_client(ingest_client_options opt)
     : opt_(std::move(opt)),
       map_(opt_.shards.empty() ? 1 : opt_.shards.size(), opt_.placement),
@@ -18,13 +40,9 @@ void ingest_client::connect() {
     conns_.reserve(opt_.shards.size());
     for (std::size_t k = 0; k < opt_.shards.size(); ++k) {
         socket_conn c = dial(opt_.shards[k], opt_.dial);
-        body_writer hello;
-        hello.u16(net_protocol_version);
-        hello.u8(static_cast<std::uint8_t>(peer_role::ingest));
-        hello.u32(static_cast<std::uint32_t>(k));
-        hello.u32(static_cast<std::uint32_t>(opt_.shards.size()));
-        const std::vector<std::uint8_t> body = hello.take();
-        c.send_frame(msg_type::hello, body);
+        c.send_frame(msg_type::hello,
+                     hello_body(peer_role::ingest, static_cast<std::uint32_t>(k),
+                                static_cast<std::uint32_t>(opt_.shards.size())));
         conns_.push_back(std::move(c));
     }
 }
@@ -49,12 +67,12 @@ std::uint64_t ingest_client::add_session(const std::string& patient_id,
     const std::uint64_t seed =
         util::derive_stream_seed(opt_.base_seed, global_id);
 
-    body_writer w;
+    std::vector<std::uint8_t> body;
+    byte_writer w(body);
     w.u64(global_id);
     w.u64(seed);
     w.str(config_token);
     w.str(patient_id);
-    const std::vector<std::uint8_t> body = w.take();
     conns_[shard].send_frame(msg_type::admit, body);
     routes_.push_back(static_cast<std::uint32_t>(shard));
     return global_id;
@@ -65,26 +83,24 @@ void ingest_client::ingest(std::uint64_t global_id, real beat_time_s,
     QPSA_EXPECTS(global_id < routes_.size());
     const std::size_t shard = routes_[global_id];
     pending_batch& b = pending_[shard];
-    body_writer w;
+    byte_writer w(b.body);
+    if (b.count == 0) {
+        b.body.clear();
+        w.u32(0);  // the count, stored by ship_batch
+    }
     w.u64(global_id);
     w.f64(beat_time_s);
     w.f64(rr_s);
-    const std::vector<std::uint8_t> triple = w.take();
-    b.triples.insert(b.triples.end(), triple.begin(), triple.end());
     if (++b.count >= opt_.batch_beats) ship_batch(shard);
 }
 
 void ingest_client::ship_batch(std::size_t k) {
     pending_batch& b = pending_[k];
     if (b.count == 0) return;
-    body_writer w;
-    w.u32(b.count);
-    w.bytes(b.triples);
-    const std::vector<std::uint8_t> body = w.take();
-    conns_[k].send_frame(msg_type::beat_batch, body);
+    service::store_le(b.body.data(), b.count);
+    conns_[k].send_frame(msg_type::beat_batch, b.body);
     beats_sent_ += b.count;
     b.count = 0;
-    b.triples.clear();
 }
 
 frame ingest_client::request(std::size_t shard, msg_type type,
@@ -95,7 +111,7 @@ frame ingest_client::request(std::size_t shard, msg_type type,
     std::optional<frame> f = c.recv_frame();
     if (!f) throw net_error("net: shard closed during request");
     if (f->type == msg_type::error) {
-        body_reader r(f->body);
+        byte_reader r(f->body, frame_context);
         throw net_error("net: shard error: " + r.str());
     }
     if (f->type != want)
@@ -108,7 +124,7 @@ std::uint64_t ingest_client::flush() {
     std::uint64_t windows = 0;
     for (std::size_t k = 0; k < conns_.size(); ++k) {
         const frame ack = request(k, msg_type::flush, {}, msg_type::flush_ack);
-        body_reader r(ack.body);
+        byte_reader r(ack.body, frame_context);
         windows += r.u64();
         r.expect_exhausted();
     }
@@ -141,9 +157,8 @@ void ingest_client::migrate(std::uint64_t global_id,
     if (source == target_shard) return;
     QPSA_EXPECTS(pending_[source].count == 0);  // flush() first
 
-    body_writer out;
-    out.u64(global_id);
-    const std::vector<std::uint8_t> out_body = out.take();
+    std::vector<std::uint8_t> out_body;
+    byte_writer(out_body).u64(global_id);
     const frame state = request(source, msg_type::migrate_out, out_body,
                                 msg_type::migrate_state);
 
@@ -151,9 +166,8 @@ void ingest_client::migrate(std::uint64_t global_id,
     // adopt body: hand it over verbatim.
     const frame ack = request(target_shard, msg_type::adopt, state.body,
                               msg_type::adopt_ack);
-    body_reader r(ack.body);
-    if (r.u64() != global_id)
-        throw service::wire_error("net frame: adopt_ack id mismatch");
+    byte_reader r(ack.body, frame_context);
+    if (r.u64() != global_id) r.fail("adopt_ack id mismatch");
     r.expect_exhausted();
 
     routes_[global_id] = static_cast<std::uint32_t>(target_shard);
@@ -162,30 +176,11 @@ void ingest_client::migrate(std::uint64_t global_id,
 
 session_report ingest_client::query_session(std::uint64_t global_id) {
     QPSA_EXPECTS(global_id < routes_.size());
-    body_writer w;
-    w.u64(global_id);
-    const std::vector<std::uint8_t> body = w.take();
+    std::vector<std::uint8_t> body;
+    byte_writer(body).u64(global_id);
     const frame reply = request(routes_[global_id], msg_type::session_query,
                                 body, msg_type::session_state);
-    body_reader r(reply.body);
-    session_report rep;
-    rep.found = r.u8() != 0;
-    if (!rep.found) {
-        r.expect_exhausted();
-        return rep;
-    }
-    rep.global_id = r.u64();
-    rep.windows_completed = r.u64();
-    const std::uint32_t n = r.u32();
-    rep.switch_log.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        service::mode_switch_event e;
-        e.window_index = r.u64();
-        e.mode_index = static_cast<std::size_t>(r.u64());
-        rep.switch_log.push_back(e);
-    }
-    rep.reports = service::deserialize_reports(r.rest());
-    return rep;
+    return decode_session_state(reply.body);
 }
 
 std::size_t ingest_client::shard_of(std::uint64_t global_id) const {

@@ -59,6 +59,11 @@ struct session_report {
     std::vector<core::window_report> reports;
 };
 
+/// Decode a session_state reply body (frame.hpp's layout).  Throws
+/// service::wire_error on malformed bytes, a forged switch count
+/// included.
+session_report decode_session_state(std::span<const std::uint8_t> body);
+
 class ingest_client {
 public:
     explicit ingest_client(ingest_client_options opt);
@@ -113,10 +118,12 @@ private:
     std::vector<socket_conn> conns_;
 
     std::vector<std::uint32_t> routes_;  ///< global id -> shard
-    /// Per-shard pending beat batch: (count, encoded body-so-far).
+    /// Per-shard pending beat batch: (count, encoded body-so-far).  The
+    /// body's leading u32 count is stored when the batch ships; its
+    /// capacity is reused across batches.
     struct pending_batch {
         std::uint32_t count = 0;
-        std::vector<std::uint8_t> triples;
+        std::vector<std::uint8_t> body;
     };
     std::vector<pending_batch> pending_;
 

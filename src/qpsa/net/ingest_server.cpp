@@ -7,13 +7,13 @@
 
 namespace qpsa::net {
 
+using service::byte_reader;
+using service::byte_writer;
+
 namespace {
 
 void send_error(socket_conn& conn, std::string_view what) {
-    body_writer w;
-    w.str(what);
-    const std::vector<std::uint8_t> body = w.take();
-    conn.send_frame(msg_type::error, body);
+    conn.send_frame(msg_type::error, error_body(what));
 }
 
 }  // namespace
@@ -114,7 +114,7 @@ void ingest_server::serve(socket_conn& conn) {
             if (!f) break;
             switch (f->type) {
                 case msg_type::hello: {
-                    body_reader r(f->body);
+                    byte_reader r(f->body, frame_context);
                     if (r.u16() > net_protocol_version) {
                         send_error(conn, "protocol version too new");
                         conn.close();
@@ -165,7 +165,7 @@ void ingest_server::serve(socket_conn& conn) {
 }
 
 void ingest_server::handle_admit(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    byte_reader r(f.body, frame_context);
     const std::uint64_t global_id = r.u64();
     const std::uint64_t seed = r.u64();
     const std::string token = r.str();
@@ -192,32 +192,35 @@ void ingest_server::handle_admit(socket_conn& conn, const frame& f) {
 }
 
 void ingest_server::handle_beat_batch(const frame& f) {
-    body_reader r(f.body);
-    const std::uint32_t count = r.u32();
+    // The whole batch is checked before any beat is applied, so a
+    // malformed batch is rejected as a unit.
+    byte_reader r(f.body, frame_context);
+    const std::uint32_t count = r.count<std::uint32_t>(beat_batch_entry_bytes);
+    byte_reader beats(r.bytes(std::size_t{count} * beat_batch_entry_bytes),
+                      frame_context);
+    r.expect_exhausted();
     for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint64_t global_id = r.u64();
-        const real t = r.f64();
-        const real rr = r.f64();
+        const std::uint64_t global_id = beats.u64();
+        const real t = beats.f64();
+        const real rr = beats.f64();
         const std::uint64_t local = local_of(global_id);
         if (local != ~std::uint64_t{0} && mgr_.ingest(local, t, rr))
             beats_in_.fetch_add(1, std::memory_order_relaxed);
         else
             beats_rejected_.fetch_add(1, std::memory_order_relaxed);
     }
-    r.expect_exhausted();
 }
 
 void ingest_server::handle_flush(socket_conn& conn) {
     mgr_.drain_all();
     flushes_.fetch_add(1, std::memory_order_relaxed);
-    body_writer w;
-    w.u64(mgr_.fleet().windows);
-    const std::vector<std::uint8_t> body = w.take();
+    std::vector<std::uint8_t> body;
+    byte_writer(body).u64(mgr_.fleet().windows);
     conn.send_frame(msg_type::flush_ack, body);
 }
 
 void ingest_server::handle_migrate_out(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    byte_reader r(f.body, frame_context);
     const std::uint64_t global_id = r.u64();
     r.expect_exhausted();
 
@@ -239,15 +242,15 @@ void ingest_server::handle_migrate_out(socket_conn& conn, const frame& f) {
     }
     const service::extracted_session es = mgr_.extract_session(local);
 
-    body_writer w;
+    std::vector<std::uint8_t> body;
+    byte_writer w(body);
     w.str(token);
     w.bytes(es.state.serialize());
-    const std::vector<std::uint8_t> body = w.take();
     conn.send_frame(msg_type::migrate_state, body);
 }
 
 void ingest_server::handle_adopt(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    byte_reader r(f.body, frame_context);
     const std::string token = r.str();
     const service::session_runtime_state st =
         service::session_runtime_state::deserialize(r.rest());
@@ -267,24 +270,22 @@ void ingest_server::handle_adopt(socket_conn& conn, const frame& f) {
     global_to_local_[st.global_id] = local;
     token_of_global_[st.global_id] = token;
 
-    body_writer w;
-    w.u64(st.global_id);
-    const std::vector<std::uint8_t> body = w.take();
+    std::vector<std::uint8_t> body;
+    byte_writer(body).u64(st.global_id);
     conn.send_frame(msg_type::adopt_ack, body);
 }
 
 void ingest_server::handle_session_query(socket_conn& conn, const frame& f) {
-    body_reader r(f.body);
+    byte_reader r(f.body, frame_context);
     const std::uint64_t global_id = r.u64();
     r.expect_exhausted();
 
     const std::uint64_t local = local_of(global_id);
-    body_writer w;
-    if (local == ~std::uint64_t{0}) {
-        w.u8(0);
-    } else {
+    std::vector<std::uint8_t> body;
+    byte_writer w(body);
+    w.boolean(local != ~std::uint64_t{0});
+    if (local != ~std::uint64_t{0}) {
         const service::session& s = mgr_.at(local);
-        w.u8(1);
         w.u64(global_id);
         w.u64(s.windows_completed());
         const std::span<const service::mode_switch_event> log =
@@ -296,7 +297,6 @@ void ingest_server::handle_session_query(socket_conn& conn, const frame& f) {
         }
         w.bytes(service::serialize_reports(s.reports()));
     }
-    const std::vector<std::uint8_t> body = w.take();
     conn.send_frame(msg_type::session_state, body);
 }
 

@@ -35,20 +35,16 @@ void snapshot_publisher::connect_locked() {
         reconnects_.fetch_add(1, std::memory_order_relaxed);
     ever_connected_ = true;
 
-    body_writer hello;
-    hello.u16(net_protocol_version);
-    hello.u8(static_cast<std::uint8_t>(peer_role::publisher));
-    hello.u32(opt_.shard_index);
-    hello.u32(opt_.shard_count);
-    const std::vector<std::uint8_t> body = hello.take();
-    conn_.send_frame(msg_type::hello, body);
+    conn_.send_frame(msg_type::hello,
+                     hello_body(peer_role::publisher, opt_.shard_index,
+                                opt_.shard_count));
 }
 
 void snapshot_publisher::publish_locked() {
-    body_writer w;
+    std::vector<std::uint8_t> body;
+    service::byte_writer w(body);
     w.u32(opt_.shard_index);
-    w.bytes(source_().serialize());
-    const std::vector<std::uint8_t> body = w.take();
+    source_().write(w);
     try {
         conn_.send_frame(msg_type::snapshot, body);
     } catch (...) {

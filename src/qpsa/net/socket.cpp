@@ -21,13 +21,6 @@ namespace {
     throw net_error("net: " + what + ": " + std::strerror(errno));
 }
 
-std::uint32_t get_u32(const std::uint8_t* b) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-}
-
 /// Build the sockaddr for an endpoint; returns the usable length.
 /// Only numeric IPv4 hosts are supported ("127.0.0.1" loopback in
 /// practice) -- fleet nodes address each other by IP, and resolving
@@ -214,7 +207,8 @@ std::optional<frame> socket_conn::recv_frame() {
     std::vector<std::uint8_t> payload(len);
     recv_all(payload.data(), payload.size(), /*eof_ok=*/false);
     ++frames_received_;
-    return decode_frame_payload(get_u32(header + 8), payload);
+    return decode_frame_payload(
+        service::load_le<std::uint32_t>(header + 8), payload);
 }
 
 // --------------------------------------------------------------- listener

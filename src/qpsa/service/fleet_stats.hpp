@@ -14,25 +14,18 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "qpsa/core/streaming_monitor.hpp"
 #include "qpsa/energy/fleet.hpp"
 #include "qpsa/hrv/detector.hpp"
+#include "qpsa/service/byte_codec.hpp"
 
 namespace qpsa::journal {
 class report_writer;
 }
 
 namespace qpsa::service {
-
-/// Thrown by fleet_snapshot::deserialize on malformed or incompatible
-/// wire bytes (bad magic, unknown version, truncation, invalid enums).
-class wire_error : public std::runtime_error {
-public:
-    explicit wire_error(const std::string& what) : std::runtime_error(what) {}
-};
 
 /// Wire-format version written by fleet_snapshot::serialize.  Versioning
 /// rules: additive layout changes bump this and the deserializer keeps
@@ -185,11 +178,11 @@ struct fleet_snapshot {
 
     bool operator==(const fleet_snapshot&) const = default;
 
-    /// Versioned little-endian binary encoding -- the cross-process
-    /// transport primitive: a shard process serializes its snapshot, the
-    /// aggregator deserializes and operator+=s it, and the result is
-    /// bit-identical to an in-process merge (doubles travel as raw IEEE
-    /// bits, so the round trip is lossless).
+    /// Versioned binary encoding (byte rules: byte_codec.hpp) -- the
+    /// cross-process transport primitive: a shard process serializes its
+    /// snapshot, the aggregator deserializes and operator+=s it, and the
+    /// result is bit-identical to an in-process merge (the round trip is
+    /// lossless).
     std::vector<std::uint8_t> serialize() const {
         return serialize(fleet_wire_version);
     }
@@ -197,6 +190,10 @@ struct fleet_snapshot {
     /// version actually shipped, trailing columns omitted.  Lets tests
     /// and mixed-version deployments exercise genuine version skew.
     std::vector<std::uint8_t> serialize(std::uint16_t version) const;
+    /// Append the serialize() encoding to `w` (the journal encodes its
+    /// stats deltas into one reused buffer this way).
+    void write(byte_writer& w,
+               std::uint16_t version = fleet_wire_version) const;
     /// Parse bytes produced by serialize(); throws wire_error on
     /// malformed input.  Columns a payload's (older) version predates
     /// load as zero.  Implemented in wire.cpp.

@@ -65,9 +65,8 @@ struct session_runtime_state {
 
     bool operator==(const session_runtime_state&) const = default;
 
-    /// Versioned little-endian binary encoding (wire.cpp), same
-    /// conventions as fleet_snapshot: integers LE, doubles as raw
-    /// IEEE-754 bits, lossless round trip.
+    /// Versioned binary encoding (layout: wire.cpp; byte rules:
+    /// byte_codec.hpp), lossless round trip.
     std::vector<std::uint8_t> serialize() const;
     /// Parse bytes produced by serialize(); throws wire_error on
     /// malformed input.

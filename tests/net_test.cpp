@@ -210,16 +210,16 @@ TEST(FrameTest, CorruptionIsRejected) {
 }
 
 TEST(FrameTest, BodyCodecRoundTripsAndGuardsUnderflow) {
-    qn::body_writer w;
+    std::vector<std::uint8_t> bytes;
+    qs::byte_writer w(bytes);
     w.u8(7);
     w.u16(0xBEEF);
     w.u32(0xDEADBEEF);
     w.u64(0x0123456789ABCDEFULL);
     w.f64(1.0 / 3.0);
     w.str("patient-7");
-    const std::vector<std::uint8_t> bytes = w.take();
 
-    qn::body_reader r(bytes);
+    qs::byte_reader r(bytes, qn::frame_context);
     EXPECT_EQ(r.u8(), 7);
     EXPECT_EQ(r.u16(), 0xBEEF);
     EXPECT_EQ(r.u32(), 0xDEADBEEFu);
@@ -228,14 +228,14 @@ TEST(FrameTest, BodyCodecRoundTripsAndGuardsUnderflow) {
     EXPECT_EQ(r.str(), "patient-7");
     r.expect_exhausted();
 
-    qn::body_reader under(bytes);
+    qs::byte_reader under(bytes, qn::frame_context);
     EXPECT_THROW(
         {
             while (true) under.u64();
         },
         qs::wire_error);
 
-    qn::body_reader trailing(bytes);
+    qs::byte_reader trailing(bytes, qn::frame_context);
     trailing.u8();
     EXPECT_THROW(trailing.expect_exhausted(), qs::wire_error);
 }
@@ -270,6 +270,27 @@ TEST(SessionStateWireTest, MalformedBytesAreRejected) {
     corrupt.push_back(0);
     EXPECT_THROW(qs::session_runtime_state::deserialize(corrupt),
                  qs::wire_error);
+}
+
+TEST(SessionStateWireTest, BoolByteAboveOneIsRejected) {
+    // The monitor's `started` flag: after the header, id, seed, patient
+    // id, ring, buffered beats, pending and history reports and
+    // next_window_start.
+    const qs::session_runtime_state st = fat_state();
+    const std::size_t at =
+        4 + 2 + 8 + 8 + 2 + st.patient_id.size() + 8 + 16 * st.ring.size() +
+        8 + 16 * st.monitor.buffered.size() + 8 +
+        qs::report_wire_bytes * st.monitor.pending.size() + 8 +
+        qs::report_wire_bytes * st.monitor.history.size() + 8;
+    std::vector<std::uint8_t> bytes = st.serialize();
+    ASSERT_EQ(bytes[at], 1);
+    bytes[at] = 2;
+    EXPECT_THROW(qs::session_runtime_state::deserialize(bytes),
+                 qs::wire_error);
+
+    // The session_state reply's `found` flag follows the same rule.
+    const std::vector<std::uint8_t> found = {2};
+    EXPECT_THROW(qn::decode_session_state(found), qs::wire_error);
 }
 
 TEST(SessionStateWireTest, ReportBlobRoundTrips) {
@@ -568,6 +589,66 @@ TEST(IngestTierTest, SocketFleetComputesBitIdenticallyToInProcess) {
     client.close();
     srv0.stop();
     srv1.stop();
+}
+
+TEST(IngestTierTest, ForgedSwitchCountIsRejected) {
+    // found, global id, windows, then a switch count no body can hold.
+    std::vector<std::uint8_t> body;
+    qs::byte_writer w(body);
+    w.boolean(true);
+    w.u64(7);
+    w.u64(3);
+    w.u32(0xFFFFFFFFu);
+    EXPECT_THROW(qn::decode_session_state(body), qs::wire_error);
+}
+
+TEST(IngestTierTest, MiscountedBeatBatchIsRejectedWhole) {
+    qn::ingest_server_options opt;
+    opt.listen = unix_ep("miscount");
+    opt.service.threads = 1;
+    qs::plan_cache cache;
+    qn::ingest_server srv(opt, registry_config, &cache);
+    srv.start();
+
+    const auto batch = [](std::uint32_t count, std::size_t beats) {
+        std::vector<std::uint8_t> body;
+        qs::byte_writer w(body);
+        w.u32(count);
+        for (std::size_t i = 0; i < beats; ++i) {
+            w.u64(0);
+            w.f64(0.8 * static_cast<real>(i + 1));
+            w.f64(0.8);
+        }
+        return body;
+    };
+    std::vector<std::uint8_t> admit;
+    qs::byte_writer aw(admit);
+    aw.u64(0);
+    aw.u64(1);
+    aw.str("plain");
+    aw.str("patient-0");
+
+    qn::socket_conn good = qn::dial(srv.local());
+    good.send_frame(qn::msg_type::admit, admit);
+    good.send_frame(qn::msg_type::beat_batch, batch(2, 2));
+    good.send_frame(qn::msg_type::flush, {});
+    const auto ack = good.recv_frame();
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->type, qn::msg_type::flush_ack);
+    ASSERT_EQ(srv.beats_ingested(), 2u);
+
+    // Over-counted (3 claimed, 2 sent) and under-counted (1 claimed, 2
+    // sent) batches: the server drops the connection without applying
+    // any beat of either.
+    for (const std::uint32_t count : {3u, 1u}) {
+        qn::socket_conn bad = qn::dial(srv.local());
+        bad.send_frame(qn::msg_type::beat_batch, batch(count, 2));
+        EXPECT_FALSE(bad.recv_frame().has_value()) << "count " << count;
+        EXPECT_EQ(srv.beats_ingested(), 2u) << "count " << count;
+        EXPECT_EQ(srv.beats_rejected(), 0u) << "count " << count;
+    }
+    good.send_frame(qn::msg_type::bye, {});
+    srv.stop();
 }
 
 TEST(IngestTierTest, TcpSmoke) {
