@@ -48,7 +48,7 @@ inline std::shared_ptr<const qpsa::core::quality_controller> ladder() {
 }
 
 /// The config registry: token -> session_config.  Identity fields
-/// (patient_id, seed, journal_id) are overridden by the admitting
+/// (patient_id, seed, global_id) are overridden by the admitting
 /// server; everything else must be byte-for-byte reproducible on every
 /// node, or a migrated session would resume under a different config.
 ///

@@ -15,9 +15,9 @@
 //   aggregator '-' disables publishing (ingest/query only).
 //
 // Deterministic by construction: the manager drains only on flush
-// frames (pump_interval_ms = 0) and runs threads = 1 by default, so the
-// windows a front-end's flush produces are bit-identical to the same
-// sequence against an in-process manager.
+// frames and runs threads = 1 by default, so the windows a front-end's
+// flush produces are bit-identical to the same sequence against an
+// in-process manager.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
             popt.shard_count = opt.shard_count;
             popt.cadence_ms = cadence_ms;
             pub = std::make_unique<net::snapshot_publisher>(
-                popt, [&server] { return server.fleet_global(); });
+                popt, [&server] { return server.manager().fleet(); });
             pub->start();
         }
 

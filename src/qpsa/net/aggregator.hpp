@@ -2,32 +2,27 @@
 // shard snapshots into one fleet view -- the cross-process analogue of
 // shard_router::fleet().
 //
-// Each publisher connection is handled on its own thread: hello names
-// the shard, every snapshot frame replaces that shard's latest state
-// (snapshots are whole-state, so only the newest matters), heartbeats
-// refresh liveness, and a peer that goes silent past the heartbeat
-// timeout is dropped (it will redial; see snapshot_publisher).  Query
-// connections ask stats_query and get the merged snapshot back as a
-// stats_reply.
+// Runs on a frame_server (one thread per connection; see server.hpp):
+// every snapshot frame replaces that shard's latest state (snapshots
+// are whole-state, so only the newest matters), heartbeats refresh
+// liveness, and a peer that goes silent past the heartbeat timeout is
+// dropped (it will redial; see snapshot_publisher).  Query connections
+// ask stats_query and get the merged snapshot back as a stats_reply.
 //
 // Merge identity: merged() deserializes nothing and re-sorts nothing --
 // it operator+=s the per-shard snapshots in shard-index order, exactly
 // the order shard_router::fleet() merges in-process shards, so a fleet
 // split across processes rolls up bit-identically to the same fleet in
-// one process (CI asserts this).  The per-shard snapshots themselves
-// arrive with rows already remapped to global session ids (publishers
-// ship shard_fleet()-equivalent views; see ingest_server::fleet_global).
+// one process (CI asserts this).  Per-session rows need no remapping:
+// every session is named by its fleet-wide id on every shard.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <thread>
-#include <vector>
 
-#include "qpsa/net/socket.hpp"
+#include "qpsa/net/server.hpp"
 #include "qpsa/service/fleet_stats.hpp"
 
 namespace qpsa::net {
@@ -35,25 +30,25 @@ namespace qpsa::net {
 struct aggregator_options {
     endpoint listen;
     /// Drop a connection silent for longer than this (a live publisher
-    /// heartbeats or publishes well inside it).
+    /// heartbeats or publishes well inside it); the server's
+    /// per-connection I/O deadline.
     int heartbeat_timeout_ms = 5000;
 };
 
 class aggregator {
 public:
     explicit aggregator(aggregator_options opt);
-    ~aggregator();
 
     aggregator(const aggregator&) = delete;
     aggregator& operator=(const aggregator&) = delete;
 
     /// Begin accepting connections (idempotent).
-    void start();
+    void start() { server_.start(); }
     /// Stop accepting, close every connection, join all threads.
-    void stop();
+    void stop() { server_.stop(); }
 
     /// The bound address (ephemeral TCP ports resolved).
-    const endpoint& local() const noexcept { return listener_.local(); }
+    const endpoint& local() const noexcept { return server_.local(); }
 
     /// Latest-per-shard snapshots merged in shard-index order.
     service::fleet_snapshot merged() const;
@@ -64,43 +59,27 @@ public:
         return snapshots_.load(std::memory_order_relaxed);
     }
     std::uint64_t connections_accepted() const noexcept {
-        return accepted_.load(std::memory_order_relaxed);
+        return server_.connections_accepted();
     }
     std::uint64_t heartbeats_received() const noexcept {
         return heartbeats_.load(std::memory_order_relaxed);
     }
     std::uint64_t bytes_received() const noexcept {
-        return bytes_received_.load(std::memory_order_relaxed);
+        return server_.bytes_received();
     }
 
 private:
-    struct connection {
-        socket_conn conn;
-        std::thread thread;
-    };
-
-    void accept_loop();
-    void serve(socket_conn& conn);
-    /// Reap finished connection threads; caller holds conns_mu_.
-    void reap_locked();
-
-    aggregator_options opt_;
-    listener listener_;
-
-    std::thread accept_thread_;
-    std::atomic<bool> stop_{false};
+    /// snapshot, heartbeat and stats_query; frame_server runs the rest.
+    bool handle(socket_conn& conn, const frame& f);
 
     mutable std::mutex snap_mu_;
     /// Latest snapshot per shard index (ordered -- merge order).
     std::map<std::uint32_t, service::fleet_snapshot> latest_;
 
-    std::mutex conns_mu_;
-    std::vector<std::unique_ptr<connection>> conns_;
-
     std::atomic<std::uint64_t> snapshots_{0};
-    std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> heartbeats_{0};
-    std::atomic<std::uint64_t> bytes_received_{0};
+    /// Last member: its threads use the ones above, so it stops first.
+    frame_server server_;
 };
 
 }  // namespace qpsa::net

@@ -1,7 +1,5 @@
 #include "qpsa/net/ingest_server.hpp"
 
-#include <chrono>
-
 #include "qpsa/service/session_state.hpp"
 #include "qpsa/util/common.hpp"
 
@@ -24,81 +22,14 @@ ingest_server::ingest_server(
                                           std::string_view)>
         make_config,
     service::plan_cache* cache)
-    : opt_(std::move(opt)),
-      make_config_(std::move(make_config)),
-      mgr_(opt_.service, cache),
-      listener_(opt_.listen) {
+    : make_config_(std::move(make_config)),
+      mgr_(opt.service, cache),
+      server_(opt.listen, opt.io_timeout_ms,
+              [this](socket_conn& conn, const frame& f) {
+                  return handle(conn, f);
+              }) {
     QPSA_EXPECTS(make_config_ != nullptr);
-    QPSA_EXPECTS(opt_.shard_index < opt_.shard_count);
-}
-
-ingest_server::~ingest_server() {
-    try {
-        stop();
-    } catch (...) {
-        // Destructor must not throw.
-    }
-}
-
-void ingest_server::start() {
-    if (accept_thread_.joinable()) return;
-    stop_.store(false, std::memory_order_relaxed);
-    accept_thread_ = std::thread([this] { accept_loop(); });
-    if (opt_.pump_interval_ms > 0)
-        pump_thread_ = std::thread([this] { pump_loop(); });
-}
-
-void ingest_server::stop() {
-    stop_.store(true, std::memory_order_relaxed);
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (pump_thread_.joinable()) pump_thread_.join();
-    std::vector<std::unique_ptr<connection>> conns;
-    {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        conns.swap(conns_);
-    }
-    // shutdown() wakes each handler's blocked poll/recv; the handler
-    // EOFs/fails out and closes its own conn (single-owner close).
-    for (auto& c : conns) c->conn.shutdown();
-    for (auto& c : conns)
-        if (c->thread.joinable()) c->thread.join();
-    listener_.close();
-}
-
-void ingest_server::pump_loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-        mgr_.pump();
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(opt_.pump_interval_ms));
-    }
-}
-
-void ingest_server::accept_loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-        std::optional<socket_conn> accepted;
-        try {
-            accepted = listener_.accept(/*timeout_ms=*/50, opt_.io_timeout_ms);
-        } catch (const net_error&) {
-            continue;
-        }
-        if (!accepted) continue;
-
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        reap_locked();
-        auto c = std::make_unique<connection>();
-        c->conn = std::move(*accepted);
-        connection* raw = c.get();
-        c->thread = std::thread([this, raw] { serve(raw->conn); });
-        conns_.push_back(std::move(c));
-    }
-}
-
-void ingest_server::reap_locked() {
-    std::erase_if(conns_, [](const std::unique_ptr<connection>& c) {
-        if (c->conn.valid()) return false;
-        if (c->thread.joinable()) c->thread.join();
-        return true;
-    });
+    QPSA_EXPECTS(opt.shard_index < opt.shard_count);
 }
 
 std::uint64_t ingest_server::local_of(std::uint64_t global_id) const {
@@ -107,61 +38,34 @@ std::uint64_t ingest_server::local_of(std::uint64_t global_id) const {
     return it == global_to_local_.end() ? ~std::uint64_t{0} : it->second;
 }
 
-void ingest_server::serve(socket_conn& conn) {
-    try {
-        while (!stop_.load(std::memory_order_relaxed)) {
-            std::optional<frame> f = conn.recv_frame();
-            if (!f) break;
-            switch (f->type) {
-                case msg_type::hello: {
-                    byte_reader r(f->body, frame_context);
-                    if (r.u16() > net_protocol_version) {
-                        send_error(conn, "protocol version too new");
-                        conn.close();
-                        return;
-                    }
-                    break;
-                }
-                case msg_type::heartbeat:
-                    break;
-                case msg_type::admit:
-                    handle_admit(conn, *f);
-                    break;
-                case msg_type::beat_batch:
-                    handle_beat_batch(*f);
-                    break;
-                case msg_type::flush:
-                    handle_flush(conn);
-                    break;
-                case msg_type::stats_query: {
-                    const std::vector<std::uint8_t> body =
-                        fleet_global().serialize();
-                    conn.send_frame(msg_type::stats_reply, body);
-                    break;
-                }
-                case msg_type::migrate_out:
-                    handle_migrate_out(conn, *f);
-                    break;
-                case msg_type::adopt:
-                    handle_adopt(conn, *f);
-                    break;
-                case msg_type::session_query:
-                    handle_session_query(conn, *f);
-                    break;
-                case msg_type::bye:
-                    conn.close();
-                    return;
-                default:
-                    send_error(conn, "unexpected message type");
-                    break;
-            }
-        }
-    } catch (const net_error&) {
-        // Idle timeout or vanished peer: drop the connection.
-    } catch (const service::wire_error&) {
-        // Corrupt stream: unusable, drop it.
+bool ingest_server::handle(socket_conn& conn, const frame& f) {
+    switch (f.type) {
+        case msg_type::heartbeat:
+            return true;
+        case msg_type::admit:
+            handle_admit(conn, f);
+            return true;
+        case msg_type::beat_batch:
+            handle_beat_batch(f);
+            return true;
+        case msg_type::flush:
+            handle_flush(conn);
+            return true;
+        case msg_type::stats_query:
+            conn.send_frame(msg_type::stats_reply, mgr_.fleet().serialize());
+            return true;
+        case msg_type::migrate_out:
+            handle_migrate_out(conn, f);
+            return true;
+        case msg_type::adopt:
+            handle_adopt(conn, f);
+            return true;
+        case msg_type::session_query:
+            handle_session_query(conn, f);
+            return true;
+        default:
+            return false;
     }
-    conn.close();
 }
 
 void ingest_server::handle_admit(socket_conn& conn, const frame& f) {
@@ -175,18 +79,14 @@ void ingest_server::handle_admit(socket_conn& conn, const frame& f) {
     service::session_config cfg = make_config_(token, patient);
     cfg.patient_id = patient;
     cfg.seed = seed;
-    cfg.journal_id = global_id;
+    cfg.global_id = global_id;
 
     std::lock_guard<std::mutex> lock(map_mu_);
     if (global_to_local_.count(global_id)) {
         send_error(conn, "duplicate admit for global id");
         return;
     }
-    const std::uint64_t local = mgr_.add_session(std::move(cfg));
-    if (local_to_global_.size() <= local)
-        local_to_global_.resize(local + 1, ~std::uint64_t{0});
-    local_to_global_[local] = global_id;
-    global_to_local_[global_id] = local;
+    global_to_local_[global_id] = mgr_.add_session(std::move(cfg));
     token_of_global_[global_id] = token;
     admits_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -263,11 +163,7 @@ void ingest_server::handle_adopt(socket_conn& conn, const frame& f) {
         send_error(conn, "adopt: global id already resident");
         return;
     }
-    const std::uint64_t local = mgr_.adopt_session(std::move(cfg), st);
-    if (local_to_global_.size() <= local)
-        local_to_global_.resize(local + 1, ~std::uint64_t{0});
-    local_to_global_[local] = st.global_id;
-    global_to_local_[st.global_id] = local;
+    global_to_local_[st.global_id] = mgr_.adopt_session(std::move(cfg), st);
     token_of_global_[st.global_id] = token;
 
     std::vector<std::uint8_t> body;
@@ -298,22 +194,6 @@ void ingest_server::handle_session_query(socket_conn& conn, const frame& f) {
         w.bytes(service::serialize_reports(s.reports()));
     }
     conn.send_frame(msg_type::session_state, body);
-}
-
-service::fleet_snapshot ingest_server::fleet_global() const {
-    // Snapshot first, then remap rows under the map mutex -- the same
-    // local -> global rewrite shard_router::shard_fleet() performs.
-    service::fleet_snapshot snap = mgr_.fleet();
-    std::lock_guard<std::mutex> lock(map_mu_);
-    const auto to_global = [this](std::uint64_t local) {
-        return local < local_to_global_.size() ? local_to_global_[local]
-                                               : local;
-    };
-    for (service::session_drop_alarm& a : snap.drop_alarms)
-        a.session_id = to_global(a.session_id);
-    for (service::session_quality& q : snap.quality)
-        q.session_id = to_global(q.session_id);
-    return snap;
 }
 
 }  // namespace qpsa::net

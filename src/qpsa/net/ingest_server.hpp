@@ -5,11 +5,12 @@
 //
 // Identity across the socket: clients speak *global* session ids (the
 // dense fleet-wide ids an in-process shard_router would have assigned).
-// The server keeps the global<->local mapping, stamps the global id
-// into journal records (cfg.journal_id) and remaps snapshot rows back
-// to global ids in fleet_global() -- exactly what shard_router::
-// shard_fleet() does in-process, which is what makes the aggregated
-// multi-process snapshot bit-identical to the single-process merge.
+// Each admitted session is given its global id (cfg.global_id), so its
+// journal records and the manager's snapshot rows already carry it --
+// as on a shard of an in-process router, which is what makes the
+// aggregated multi-process snapshot bit-identical to the single-process
+// merge.  The server keeps only the global -> local map that routes
+// beat batches to manager slots.
 //
 // Configs never cross the socket (they hold live process resources; see
 // session_state.hpp).  An admit carries a config *token*, resolved
@@ -17,26 +18,23 @@
 // Migration ships the token with the state so the destination shard
 // resolves the same config locally.
 //
-// Determinism: with pump_interval_ms == 0 the manager drains only on a
-// flush frame, so a client's ingest -> flush -> query sequence is a
-// program-order pipeline and (with threads = 1) bit-identical to the
-// same sequence against an in-process manager.  A positive interval
-// adds a free-running pumper thread for throughput deployments, at the
-// cost of that determinism.
+// Determinism: the manager drains only on a flush frame, so a client's
+// ingest -> flush -> query sequence is a program-order pipeline and
+// (with threads = 1) bit-identical to the same sequence against an
+// in-process manager.
+//
+// Connections run on a frame_server (see server.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
-#include "qpsa/net/socket.hpp"
+#include "qpsa/net/server.hpp"
 #include "qpsa/service/session_manager.hpp"
 
 namespace qpsa::net {
@@ -47,11 +45,8 @@ struct ingest_server_options {
     std::uint32_t shard_count = 1;
     /// The owned manager's options (threads = 1 for deterministic runs).
     service::service_options service;
-    /// 0 = drain only on flush frames (deterministic); > 0 runs a
-    /// background pumper on this cadence.
-    int pump_interval_ms = 0;
-    /// Per-connection I/O deadline; also the liveness bound on idle
-    /// client connections.
+    /// Per-connection I/O deadline (the server's); also the liveness
+    /// bound on idle client connections.
     int io_timeout_ms = 5000;
 };
 
@@ -66,21 +61,17 @@ public:
                                               std::string_view patient_id)>
             make_config,
         service::plan_cache* cache = nullptr);
-    ~ingest_server();
 
     ingest_server(const ingest_server&) = delete;
     ingest_server& operator=(const ingest_server&) = delete;
 
-    void start();
-    void stop();
+    void start() { server_.start(); }
+    void stop() { server_.stop(); }
 
-    const endpoint& local() const noexcept { return listener_.local(); }
+    const endpoint& local() const noexcept { return server_.local(); }
+    /// The owned manager; its fleet() rows carry global ids (what
+    /// stats_reply ships and publishers should ship).
     service::session_manager& manager() noexcept { return mgr_; }
-
-    /// The shard snapshot with per-session rows remapped to global ids
-    /// (the shard_fleet() analogue; what stats_reply and publishers
-    /// should ship).
-    service::fleet_snapshot fleet_global() const;
 
     std::uint64_t beats_ingested() const noexcept {
         return beats_in_.load(std::memory_order_relaxed);
@@ -96,15 +87,9 @@ public:
     }
 
 private:
-    struct connection {
-        socket_conn conn;
-        std::thread thread;
-    };
-
-    void accept_loop();
-    void serve(socket_conn& conn);
-    void pump_loop();
-    void reap_locked();
+    /// admit, beat_batch, flush, migrate_out, adopt, session_query,
+    /// stats_query and heartbeat; frame_server runs the rest.
+    bool handle(socket_conn& conn, const frame& f);
 
     /// Local id for a global id; ~0 when unknown/not resident.
     std::uint64_t local_of(std::uint64_t global_id) const;
@@ -116,33 +101,23 @@ private:
     void handle_adopt(socket_conn& conn, const frame& f);
     void handle_session_query(socket_conn& conn, const frame& f);
 
-    ingest_server_options opt_;
     std::function<service::session_config(std::string_view,
                                           std::string_view)>
         make_config_;
     service::session_manager mgr_;
-    listener listener_;
 
-    std::thread accept_thread_;
-    std::thread pump_thread_;
-    std::atomic<bool> stop_{false};
-
-    /// Identity maps; guarded by map_mu_ (admit/adopt/migrate mutate,
-    /// beat batches read).  local -> global is dense (local admission
-    /// order); tombstoned locals keep their last global id, which the
-    /// global -> local map no longer points at.
+    /// Routing maps; guarded by map_mu_ (admit/adopt/migrate mutate,
+    /// beat batches read).  A migrated-out id leaves global_to_local_.
     mutable std::mutex map_mu_;
     std::unordered_map<std::uint64_t, std::uint64_t> global_to_local_;
-    std::vector<std::uint64_t> local_to_global_;
     std::unordered_map<std::uint64_t, std::string> token_of_global_;
-
-    std::mutex conns_mu_;
-    std::vector<std::unique_ptr<connection>> conns_;
 
     std::atomic<std::uint64_t> beats_in_{0};
     std::atomic<std::uint64_t> beats_rejected_{0};
     std::atomic<std::uint64_t> admits_{0};
     std::atomic<std::uint64_t> flushes_{0};
+    /// Last member: its threads use the ones above, so it stops first.
+    frame_server server_;
 };
 
 }  // namespace qpsa::net

@@ -141,11 +141,11 @@ struct fleet_snapshot {
     /// (lane_fill = lane_slots_filled / lane_slots_offered).  Unlike the
     /// drop columns these ride the per-slice fleet_partial accumulators,
     /// so they land in the journaled stats_delta stream and a recovery
-    /// rebuild reproduces them exactly.  Lossless under operator+=.  The
-    /// lane columns are deterministic for a given beat stream;
-    /// windows_stolen counts scheduling events and so depends on the
-    /// steal interleaving by design (the journal records what happened --
-    /// cross-run comparisons must normalize it; a serial pool reports 0).
+    /// rebuild reproduces them exactly.  Lossless under operator+=.  Both
+    /// depend on the schedule by design: lane fill on which shards share
+    /// a pass (batch_scheduler.hpp), windows_stolen on the steal
+    /// interleaving (a serial pool reports 0).  The journal records what
+    /// happened; cross-topology and cross-run comparisons normalize them.
     std::uint64_t windows_stolen = 0;
     std::uint64_t lane_slots_filled = 0;
     std::uint64_t lane_slots_offered = 0;
@@ -171,9 +171,9 @@ struct fleet_snapshot {
     /// Lossless merge of another (disjoint) fleet's tallies -- the
     /// sharding primitive: shard snapshots sum into one deployment view
     /// (counts add, battery_fraction_min takes the min, per-session lists
-    /// concatenate).  Session ids are per-shard, so callers merging
-    /// shards that share an id space must namespace them first
-    /// (shard_router::shard_fleet does).
+    /// concatenate).  Rows keep their session ids, so merged shards must
+    /// name sessions from one id space (shard_router and ingest_server
+    /// give every session its fleet-wide id).
     fleet_snapshot& operator+=(const fleet_snapshot& o);
 
     bool operator==(const fleet_snapshot&) const = default;

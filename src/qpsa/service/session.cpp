@@ -25,16 +25,14 @@ constexpr std::size_t journal_stage_cap = 256;
 
 }  // namespace
 
-session::session(std::uint64_t id, session_config cfg,
-                 core::system_factory factory)
-    : id_(id),
-      cfg_(std::move(cfg)),
+session::session(session_config cfg, core::system_factory factory)
+    : cfg_(std::move(cfg)),
       governor_(cfg_.quality),
       ring_(cfg_.ingest_capacity, cfg_.overflow),
       monitor_(initial_config(cfg_, governor_), cfg_.monitor,
                std::move(factory)),
       battery_(cfg_.battery) {
-    journal_id_ = cfg_.journal_id == journal_id_auto ? id_ : cfg_.journal_id;
+    QPSA_EXPECTS(cfg_.global_id != global_id_auto);
     current_mode_.store(monitor_.config().kind(), std::memory_order_relaxed);
     if (cfg_.on_high_water) {
         QPSA_EXPECTS(cfg_.high_water_fraction > 0.0 &&
@@ -56,10 +54,9 @@ session::session(std::uint64_t id, session_config cfg,
     monitor_.set_staging(true);
 }
 
-session::session(std::uint64_t id, session_config cfg,
-                 core::system_factory factory,
+session::session(session_config cfg, core::system_factory factory,
                  const session_runtime_state& st)
-    : session(id, std::move(cfg), std::move(factory)) {
+    : session(std::move(cfg), std::move(factory)) {
     // Identity first: the restored governor position decides the analysis
     // config, which must be applied before the monitor state lands (the
     // monitor's next window then runs the mode the old shard was in).
@@ -96,7 +93,7 @@ session_runtime_state session::extract() {
     extracted_.store(true, std::memory_order_release);
 
     session_runtime_state st;
-    st.global_id = journal_id_;
+    st.global_id = id();
     st.patient_id = cfg_.patient_id;
     st.seed = cfg_.seed;
     beat_sample s;
@@ -122,7 +119,7 @@ void session::notify_high_water() noexcept {
     // the only thread that can fire until a drain re-arms the flag.
     if (high_water_armed_.exchange(false, std::memory_order_acq_rel)) {
         high_water_alarms_.fetch_add(1, std::memory_order_relaxed);
-        cfg_.on_high_water(id_, buffered, ring_.capacity());
+        cfg_.on_high_water(id(), buffered, ring_.capacity());
     }
 }
 
@@ -150,7 +147,7 @@ void session::collect_windows(fleet_partial& acc) {
         if (cfg_.journal != nullptr) {
             flush_journal_stage();
             cfg_.journal->append_report(
-                {journal_id_, *rep, battery_.charge_fraction(),
+                {id(), *rep, battery_.charge_fraction(),
                  switches_.load(std::memory_order_relaxed),
                  current_mode_.load(std::memory_order_relaxed)});
         }
@@ -198,7 +195,7 @@ void session::push_beat(const beat_sample& s) {
     // appended in batches -- taking the shard writer's mutex per beat is
     // measurably slower than the analysis itself.
     if (cfg_.journal != nullptr) {
-        journal_stage_.push_back({journal_id_, s.t, s.rr});
+        journal_stage_.push_back({id(), s.t, s.rr});
         if (journal_stage_.size() >= journal_stage_cap) flush_journal_stage();
     }
     try {

@@ -34,10 +34,10 @@ namespace qpsa::service {
 
 class fleet_partial;
 
-/// Sentinel for session_config::journal_id: use the locally assigned
-/// session id (shard_router presets the global id instead, so journal
-/// records always carry fleet-wide ids).
-inline constexpr std::uint64_t journal_id_auto = ~std::uint64_t{0};
+/// Sentinel for session_config::global_id: the manager assigns the
+/// session's local slot (shard_router and ingest_server preset the
+/// fleet-wide id instead).
+inline constexpr std::uint64_t global_id_auto = ~std::uint64_t{0};
 
 struct session_config {
     std::string patient_id;
@@ -79,9 +79,10 @@ struct session_config {
     /// and shared by every session on the shard; session_manager wires
     /// it from service_options::journal.
     journal::report_writer* journal = nullptr;
-    /// Session id stamped into journal records; journal_id_auto uses the
-    /// local id (shard_router presets the global id before forwarding).
-    std::uint64_t journal_id = journal_id_auto;
+    /// The session's fleet-wide id: session::id(), stamped into journal
+    /// records, migrated state, high-water callbacks and fleet() rows.
+    /// global_id_auto uses the local slot.
+    std::uint64_t global_id = global_id_auto;
 
     /// Per-session random stream seed; 0 lets the manager derive one from
     /// its base seed and the session id (util::derive_stream_seed), so a
@@ -109,21 +110,20 @@ struct session_runtime_state;
 
 class session {
 public:
-    session(std::uint64_t id, session_config cfg, core::system_factory factory);
+    /// `cfg.global_id` must be resolved (not global_id_auto).
+    session(session_config cfg, core::system_factory factory);
 
     /// Adoption constructor: build the session and then restore the full
     /// run-time state an extract() on another shard produced (monitor
     /// window, governor hysteresis, battery charge, buffered beats and
-    /// every counter).  `cfg.seed` / `cfg.journal_id` should already
+    /// every counter).  `cfg.seed` / `cfg.global_id` should already
     /// carry the migrating session's identity (session_manager::
     /// adopt_session presets them from the state).
-    session(std::uint64_t id, session_config cfg, core::system_factory factory,
+    session(session_config cfg, core::system_factory factory,
             const session_runtime_state& st);
 
-    std::uint64_t id() const noexcept { return id_; }
-    /// Id this session stamps into journal records (== id() unless the
-    /// router preset a global one).
-    std::uint64_t journal_id() const noexcept { return journal_id_; }
+    /// The fleet-wide id (session_config::global_id).
+    std::uint64_t id() const noexcept { return cfg_.global_id; }
     const std::string& patient_id() const noexcept { return cfg_.patient_id; }
     std::uint64_t seed() const noexcept { return cfg_.seed; }
     util::rng make_rng(std::uint64_t stream) const {
@@ -320,9 +320,7 @@ private:
     /// Consumer side: re-arm the alarm once occupancy is below the mark.
     void rearm_high_water() noexcept;
 
-    std::uint64_t id_;
     session_config cfg_;
-    std::uint64_t journal_id_ = 0;
     core::quality_governor governor_;
     beat_ring ring_;
     core::streaming_monitor monitor_;

@@ -37,18 +37,18 @@ std::uint64_t session_manager::add_session(session_config cfg) {
     if (cfg.seed == 0)
         cfg.seed =
             util::derive_stream_seed(opt_.base_seed, opt_.stream_offset + id);
+    if (cfg.global_id == global_id_auto) cfg.global_id = id;
     if (opt_.journal != nullptr && cfg.journal == nullptr)
         cfg.journal = opt_.journal.get();
     const core::monitor_options monitor_opt = cfg.monitor;
-    sessions_.push_back(
-        std::make_unique<session>(id, std::move(cfg), factory()));
+    sessions_.push_back(std::make_unique<session>(std::move(cfg), factory()));
     // Admission-ordered session_meta records (still under admit_mu_, so
     // the journal's meta order is its id order -- the order a recovery
     // scan rebuilds the per-session quality columns in, matching
     // fleet()).  current_mode() before any window is the initial mode.
     if (opt_.journal != nullptr) {
         const session& s = *sessions_.back();
-        opt_.journal->append_session_meta({s.journal_id(), s.seed(),
+        opt_.journal->append_session_meta({s.id(), s.seed(),
                                            monitor_opt, s.governed(),
                                            s.current_mode(), s.patient_id()});
     }
@@ -89,7 +89,7 @@ extracted_session session_manager::extract_session(std::uint64_t id) {
     extracted_session out;
     out.config = s.session_cfg();
     // The source shard's journal stays behind; the adopting manager wires
-    // its own (adopt_session overrides both journal fields anyway).
+    // its own (adopt_session overrides it and the global id anyway).
     out.config.journal = nullptr;
     out.state = s.extract();
     migrations_out_.fetch_add(1, std::memory_order_relaxed);
@@ -106,13 +106,13 @@ std::uint64_t session_manager::adopt_session(session_config cfg,
     QPSA_EXPECTS(sessions_.size() < opt_.max_sessions);
     const std::uint64_t id = sessions_.size();
     // Identity travels with the state: seed (== random stream position)
-    // and the fleet-wide journal id are never re-derived on adoption.
+    // and the fleet-wide id are never re-derived on adoption.
     cfg.seed = st.seed;
-    cfg.journal_id = st.global_id;
+    cfg.global_id = st.global_id;
     cfg.journal = opt_.journal.get();
     const core::monitor_options monitor_opt = cfg.monitor;
     sessions_.push_back(
-        std::make_unique<session>(id, std::move(cfg), factory(), st));
+        std::make_unique<session>(std::move(cfg), factory(), st));
     const session& s = *sessions_.back();
     if (opt_.journal != nullptr) {
         // Meta first (the reader's session table), then the migration
@@ -120,11 +120,11 @@ std::uint64_t session_manager::adopt_session(session_config cfg,
         // rebuild reports for this session until its first post-adopt
         // window.  The meta's mode is the *restored* mode for the same
         // reason.
-        opt_.journal->append_session_meta({s.journal_id(), s.seed(),
+        opt_.journal->append_session_meta({s.id(), s.seed(),
                                            monitor_opt, s.governed(),
                                            s.current_mode(), s.patient_id()});
         opt_.journal->append_migration(
-            {s.journal_id(), journal::migration_direction::in,
+            {s.id(), journal::migration_direction::in,
              s.battery_fraction(), s.mode_switches(), s.current_mode()});
     }
     migrations_in_.fetch_add(1, std::memory_order_relaxed);

@@ -75,7 +75,9 @@ public:
     explicit session_manager(service_options opt = {},
                              plan_cache* cache = nullptr);
 
-    /// Register a patient; returns the session id (dense, starting at 0).
+    /// Register a patient; returns its local slot (dense, starting at 0),
+    /// the index at(), ingest() and extract_session() take.  The slot is
+    /// also the session's id() unless cfg.global_id presets one.
     /// When cfg.seed == 0 a per-session stream seed is derived from the
     /// manager base seed and the id.
     std::uint64_t add_session(session_config cfg);
@@ -114,9 +116,9 @@ public:
     extracted_session extract_session(std::uint64_t id);
 
     /// Live migration, destination side: admit a session that continues
-    /// from an extracted state.  Seed and journal id are taken from the
-    /// state (not re-derived), so the random stream and journal identity
-    /// survive the move.  Returns the new local id.
+    /// from an extracted state.  Seed and global id are taken from the
+    /// state (not re-derived), so the random stream and the session's
+    /// identity survive the move.  Returns the new local slot.
     std::uint64_t adopt_session(session_config cfg,
                                 const session_runtime_state& st);
 
@@ -138,8 +140,9 @@ public:
     core::system_factory factory();
 
     /// Fleet tallies plus the ingest-health columns (per-session drop and
-    /// reject counts folded in from the live sessions).  Safe to call
-    /// concurrently with ingest and pump.
+    /// reject counts folded in from the live sessions; per-session rows
+    /// name sessions by id()).  Safe to call concurrently with ingest
+    /// and pump.
     fleet_snapshot fleet() const;
     plan_cache_stats cache_stats() const { return cache_->stats(); }
     std::size_t worker_count() const noexcept {

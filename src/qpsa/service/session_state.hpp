@@ -34,8 +34,9 @@
 namespace qpsa::service {
 
 struct session_runtime_state {
-    /// Fleet-wide identity: the id journal records carry (the global id
-    /// under a shard_router, the local id under a bare manager).
+    /// Fleet-wide identity: session::id() (the global id under a
+    /// shard_router or ingest_server, the local slot under a bare
+    /// manager that did not preset one).
     std::uint64_t global_id = 0;
     std::string patient_id;
     /// Stream seed == full RNG stream position (see header comment).

@@ -57,9 +57,9 @@ std::uint64_t shard_router::add_session(session_config cfg) {
     // admission order (the shard manager keeps a nonzero seed as-is).
     if (cfg.seed == 0)
         cfg.seed = util::derive_stream_seed(opt_.shard.base_seed, global_id);
-    // Journal records carry global ids, so logs from different shards
-    // merge (and replay) into one fleet-wide id space.
-    if (cfg.journal_id == journal_id_auto) cfg.journal_id = global_id;
+    // The session is named by its global id everywhere (journal records,
+    // snapshot rows, callbacks), so shards share one fleet-wide id space.
+    if (cfg.global_id == global_id_auto) cfg.global_id = global_id;
     const std::size_t shard = map_.shard_for(cfg.patient_id);
     const std::uint64_t local = shards_[shard]->add_session(std::move(cfg));
     QPSA_ENSURES(local <= std::numeric_limits<std::uint32_t>::max());
@@ -200,26 +200,11 @@ core::system_factory shard_router::factory() {
 
 fleet_snapshot shard_router::shard_fleet(std::size_t k) const {
     QPSA_EXPECTS(k < shards_.size());
-    // Serialized against add_session(): the shard publishes its local
-    // slot before the router publishes the route, so an unsynchronized
-    // snapshot could see a session whose global id does not exist yet.
+    // Held against migration, which extracts on one shard and adopts on
+    // another under this mutex: a shard snapshot never lands between the
+    // two halves of a move.
     std::lock_guard<std::mutex> lock(admit_mu_);
-    fleet_snapshot snap = shards_[k]->fleet();
-    // Remap the per-session rows from shard-local ids to global ids.
-    // Local ids are dense per shard, so a local -> global table falls
-    // out of one scan over the routes.  (Tombstone slots left behind by
-    // migration keep the zero default; no live row references them.)
-    const std::size_t n = session_count_.load(std::memory_order_acquire);
-    std::vector<std::uint64_t> to_global(shards_[k]->session_count(), 0);
-    for (std::uint64_t g = 0; g < n; ++g) {
-        const route r = route_of(g);
-        if (r.shard == k) to_global[r.local] = g;
-    }
-    for (session_drop_alarm& a : snap.drop_alarms)
-        a.session_id = to_global[a.session_id];
-    for (session_quality& q : snap.quality)
-        q.session_id = to_global[q.session_id];
-    return snap;
+    return shards_[k]->fleet();
 }
 
 fleet_snapshot shard_router::fleet() const {

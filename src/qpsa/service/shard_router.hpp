@@ -22,8 +22,10 @@
 //   * per-session stream seeds derive from the *global* id
 //     (util::derive_stream_seed(base_seed, global_id)), so a session's
 //     random stream is identical under any shard count, K = 1 included;
-//   * merged fleet snapshots carry global ids (shard_fleet remaps the
-//     per-shard rows before handing bytes or merges out).
+//   * a session's id() is its global id (add_session presets
+//     session_config::global_id), so journal records, high-water
+//     callbacks and every shard's snapshot rows carry it with no
+//     remapping.
 //
 // Threading contract matches session_manager's: ingest() is lock-free
 // and safe concurrently with add_session() and pump().  shard(k).pump()
@@ -118,7 +120,7 @@ public:
     /// Live migration, destination side: resume an extracted session on
     /// the shard `target_shard` (or, without one, wherever the current
     /// map places its patient_id).  The session keeps its global id,
-    /// seed and journal identity; the route is swung atomically.
+    /// seed and id; the route is swung atomically.
     void adopt_session(const extracted_session& es, std::size_t target_shard);
     void adopt_session(const extracted_session& es);
 
@@ -144,9 +146,9 @@ public:
     /// Engine factory over the shared cache (same as any shard's).
     core::system_factory factory();
 
-    /// One shard's snapshot with session ids remapped to global ids --
-    /// the unit of cross-process transport (serialize this, ship it,
-    /// deserialize and operator+= on the aggregator).
+    /// One shard's snapshot (rows carry global ids) -- the unit of
+    /// cross-process transport (serialize this, ship it, deserialize and
+    /// operator+= on the aggregator).
     fleet_snapshot shard_fleet(std::size_t k) const;
     /// Merged deployment view: shard_fleet(0) += ... += shard_fleet(K-1).
     fleet_snapshot fleet() const;
@@ -207,9 +209,8 @@ private:
     /// reserved with shards_, so a pass allocates nothing).
     std::vector<pass_shard> views_;
     /// Serializes add_session(), migration (extract/adopt/reshape) and
-    /// the snapshot id remapping: a fleet read must not observe a
-    /// shard-published session whose global route is not out yet, and a
-    /// migration must not swing routes mid-remap.
+    /// shard snapshots: a snapshot must not land between the extract and
+    /// the adopt of one move.
     mutable std::mutex admit_mu_;
     /// Fixed-capacity atomic route table (allocated once; a vector of
     /// atomics cannot push_back).

@@ -1,7 +1,8 @@
 // qpsa::net tests: frame codec and corruption policy, endpoint parsing,
 // session-state wire round trip, mid-window monitor export/restore,
 // socket frame exchange over TCP and Unix domain, dial backoff against a
-// late listener, publisher -> aggregator merge identity, and the full
+// late listener, the connection rules both daemons share (frame_server),
+// publisher -> aggregator merge identity, and the full
 // ingest tier (client + 2 servers) computing bit-identically to an
 // in-process shard_router -- including a live mid-stream migration over
 // the socket.  The tsan CI job runs this binary.
@@ -399,6 +400,68 @@ TEST(SocketTest, DialBacksOffUntilLateListenerAppears) {
     fast.max_attempts = 3;
     fast.initial_backoff_ms = 1;
     EXPECT_THROW(qn::dial(dead, fast), qn::net_error);
+}
+
+// ------------------------------------------------- frame_server rules
+
+/// The connection rules frame_server applies for every daemon, checked
+/// against the started daemon `d`, which this stops.
+template <class Daemon>
+void expect_server_rules(Daemon& d) {
+    // A hello newer than this build speaks: an error frame, then EOF.
+    {
+        std::vector<std::uint8_t> hello =
+            qn::hello_body(qn::peer_role::query, 0, 1);
+        qs::store_le<std::uint16_t>(hello.data(),
+                                    qn::net_protocol_version + 1);
+        qn::socket_conn c = qn::dial(d.local());
+        c.send_frame(qn::msg_type::hello, hello);
+        const auto err = c.recv_frame();
+        ASSERT_TRUE(err.has_value());
+        EXPECT_EQ(err->type, qn::msg_type::error);
+        EXPECT_FALSE(c.recv_frame().has_value());
+    }
+
+    // A type the daemon does not serve gets an error frame, and the
+    // connection keeps serving.
+    qn::socket_conn idle = qn::dial(d.local());
+    idle.send_frame(qn::msg_type::hello,
+                    qn::hello_body(qn::peer_role::query, 0, 1));
+    idle.send_frame(qn::msg_type::flush_ack, {});
+    const auto err = idle.recv_frame();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, qn::msg_type::error);
+    idle.send_frame(qn::msg_type::stats_query, {});
+    const auto reply = idle.recv_frame();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, qn::msg_type::stats_reply);
+
+    // `idle` stays open and silent: stop() returns without waiting out
+    // the per-connection timeout.
+    const auto t0 = std::chrono::steady_clock::now();
+    d.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(2));
+}
+
+TEST(FrameServerTest, AggregatorAppliesTheSharedRules) {
+    qn::aggregator_options opt;
+    opt.listen = unix_ep("rules-agg");
+    opt.heartbeat_timeout_ms = 30000;
+    qn::aggregator agg(opt);
+    agg.start();
+    expect_server_rules(agg);
+}
+
+TEST(FrameServerTest, IngestServerAppliesTheSharedRules) {
+    qn::ingest_server_options opt;
+    opt.listen = unix_ep("rules-ingest");
+    opt.service.threads = 1;
+    opt.io_timeout_ms = 30000;
+    qs::plan_cache cache;
+    qn::ingest_server srv(opt, registry_config, &cache);
+    srv.start();
+    expect_server_rules(srv);
 }
 
 // ------------------------------------------------ publisher -> aggregator

@@ -417,6 +417,41 @@ TEST(ShardRouterTest, GlobalCeilingIsTheSumOfShardCeilings) {
               13u);
 }
 
+TEST(ShardRouterTest, HighWaterCallbackNamesTheGlobalId) {
+    // The backpressure alarm names the session by the id add_session
+    // returned, not by its slot on the owning shard: under K >= 2 two
+    // shards' slots collide, so a slot cannot tell the edge which
+    // session to shed.
+    qs::router_options opt;
+    opt.shards = 2;
+    qs::plan_cache cache;
+    qs::shard_router router(opt, &cache);
+    std::vector<std::uint64_t> alarmed;
+    std::uint64_t id = 0;
+    std::size_t local = 0;
+    for (unsigned i = 0;; ++i) {
+        ASSERT_LT(i, 64u) << "no session landed off its global slot";
+        qs::session_config cfg;
+        cfg.patient_id = patient_name(i);
+        cfg.analysis = qcore::psa_config::conventional();
+        cfg.monitor = paper_monitor();
+        cfg.ingest_capacity = 8;
+        cfg.high_water_fraction = 0.5;  // alarm at 4 buffered beats
+        cfg.on_high_water = [&alarmed](std::uint64_t session_id,
+                                       std::size_t, std::size_t) {
+            alarmed.push_back(session_id);
+        };
+        local = router.shard(1).session_count();
+        id = router.add_session(std::move(cfg));
+        if (router.shard_of(id) == 1 && local != id) break;
+    }
+    for (int b = 0; b < 6; ++b)
+        ASSERT_TRUE(router.ingest(id, 1.0 + 0.8 * b, 0.8));
+    ASSERT_EQ(alarmed.size(), 1u);
+    EXPECT_EQ(alarmed[0], id);
+    EXPECT_NE(alarmed[0], local);
+}
+
 TEST(ShardRouterTest, WireRoundTripOfShardSnapshotsEqualsInProcessMerge) {
     const sharded_fixture fx(8);
     qs::router_options opt;
