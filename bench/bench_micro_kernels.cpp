@@ -153,53 +153,8 @@ void bm_fast_lomb_window(benchmark::State& state) {
 BENCHMARK(bm_fast_lomb_window)->Arg(0)->Arg(1);
 
 // ---- scalar-vs-dispatched A/B rows (one per available ISA) -------------
-
-void bm_split_radix_isa(benchmark::State& state) {
-    isa_scope scope(state, static_cast<simd::isa>(state.range(0)));
-    if (!scope.ok()) return;
-    set_isa_label(state);
-    const std::size_t n = 512;
-    const auto x = random_signal(n);
-    dsp::fft_split_radix fft(n);
-    std::vector<cplx> out(n);
-    for (auto _ : state) {
-        fft.forward(x, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(bm_split_radix_isa)->Apply(per_isa);
-
-void bm_wavelet_fft_isa(benchmark::State& state) {
-    isa_scope scope(state, static_cast<simd::isa>(state.range(0)));
-    if (!scope.ok()) return;
-    set_isa_label(state);
-    const wfft::wavelet_fft fft(wfft::plan::exact(512, wavelet::basis::haar));
-    const auto x = random_signal(512);
-    std::vector<cplx> out(512);
-    for (auto _ : state) {
-        fft.forward(x, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-}
-BENCHMARK(bm_wavelet_fft_isa)->Apply(per_isa);
-
-void bm_lifting_db2_isa(benchmark::State& state) {
-    isa_scope scope(state, static_cast<simd::isa>(state.range(0)));
-    if (!scope.ok()) return;
-    set_isa_label(state);
-    util::rng r(4);
-    std::vector<real> x(512);
-    for (auto& v : x) v = r.uniform(-1, 1);
-    std::vector<real> a(256);
-    std::vector<real> d(256);
-    for (auto _ : state) {
-        wavelet::dwt_level(std::span<const real>(x), wavelet::basis::db2, a,
-                           d);
-        benchmark::DoNotOptimize(a.data());
-    }
-}
-BENCHMARK(bm_lifting_db2_isa)->Apply(per_isa);
+// Only for kernels with a per-ISA copy: spread4 (order-4 extirpolation)
+// and the lane-interleaved split-radix walk.
 
 void bm_extirpolate_isa(benchmark::State& state) {
     isa_scope scope(state, static_cast<simd::isa>(state.range(0)));

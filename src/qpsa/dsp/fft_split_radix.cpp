@@ -9,6 +9,52 @@
 
 namespace qpsa::dsp {
 
+namespace {
+
+/// One in-place combine pass (all k in [0, n/4)) of the recursion: on
+/// entry x holds E (the half-size even transform) in [0, n/2), O1 in
+/// [n/2, 3n/4) and O3 in [3n/4, n), on exit the n-point transform.  Bin k
+/// loads slots k, k+n/4, k+n/2, k+3n/4 before it stores any of them.
+/// Twiddles from wtab with stride tstep; k == 0 and 8k == n are the
+/// multiplication-free specials.  The lane walk (simd sr_batched) runs
+/// the same operations per lane.
+void sr_combine(cplx* x, std::size_t n, const cplx* wtab, std::size_t tstep) {
+    const std::size_t q = n / 4;
+    const std::size_t h = n / 2;
+    const cplx* const o1 = x + h;
+    const cplx* const o3 = x + h + q;
+    for (std::size_t k = 0; k < q; ++k) {
+        cplx t1;
+        cplx t3;
+        if (k == 0) {
+            t1 = o1[0];
+            t3 = o3[0];
+        } else if (8 * k == n) {
+            const cplx z1 = o1[k];
+            t1 = cplx{inv_sqrt2 * (z1.real() + z1.imag()),
+                      inv_sqrt2 * (z1.imag() - z1.real())};
+            const cplx z3 = o3[k];
+            t3 = cplx{inv_sqrt2 * (z3.imag() - z3.real()),
+                      inv_sqrt2 * (-z3.real() - z3.imag())};
+        } else {
+            t1 = wtab[k * tstep] * o1[k];
+            t3 = wtab[3 * k * tstep] * o3[k];
+        }
+        // In place: E[k] and E[k+q] are loaded before any slot is stored.
+        const cplx ek = x[k];
+        const cplx eq = x[k + q];
+        const cplx s = t1 + t3;
+        const cplx d = t1 - t3;
+        const cplx jd{d.imag(), -d.real()};
+        x[k] = ek + s;
+        x[k + h] = ek - s;
+        x[k + q] = eq + jd;
+        x[k + 3 * q] = eq - jd;
+    }
+}
+
+}  // namespace
+
 fft_split_radix::fft_split_radix(std::size_t n) : n_(n), wtab_(n) {
     QPSA_EXPECTS(is_pow2(n) && n >= 2);
     for (std::size_t k = 0; k < n; ++k) {
@@ -111,10 +157,9 @@ void fft_split_radix::recurse(const cplx* x, std::size_t stride, cplx* out,
     recurse(x + 3 * stride, 4 * stride, out + h + q, q);  // O3: x[4m+3]
 
     // The whole in-place combine pass (k == 0 copy, the W^(N/8) =
-    // (1-i)/sqrt(2) 2-mul special at 8k == n, generic twiddle bins) runs
-    // through the dispatched kernel; the tally below is the closed form of
-    // the per-iteration counts the scalar loop used to record.
-    simd::kernels().sr_combine(out, n, wtab_.data(), n_ / n);
+    // (1-i)/sqrt(2) 2-mul special at 8k == n, generic twiddle bins); the
+    // tally below is the closed form of its per-iteration counts.
+    sr_combine(out, n, wtab_.data(), n_ / n);
     count_cadd(6 * q);
     count_muls(4);
     count_adds(4);

@@ -1,7 +1,6 @@
 #include "qpsa/dsp/real_pair_fft.hpp"
 
 #include "qpsa/counting/op_counter.hpp"
-#include "qpsa/simd/kernels.hpp"
 
 namespace qpsa::dsp {
 
@@ -16,7 +15,7 @@ void pack_real_pair(std::span<const real> a, std::span<const real> b,
                     std::span<cplx> out) {
     QPSA_EXPECTS(a.size() == b.size());
     QPSA_EXPECTS(out.size() == a.size());
-    simd::kernels().pack_real_pair(a.data(), b.data(), out.data(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) out[i] = cplx{a[i], b[i]};
 }
 
 real_pair_bin unpack_bin(std::span<const cplx> z, std::size_t k) {

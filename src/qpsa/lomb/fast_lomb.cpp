@@ -7,7 +7,6 @@
 
 #include "qpsa/dsp/real_pair_fft.hpp"
 #include "qpsa/lomb/extirpolate.hpp"
-#include "qpsa/simd/kernels.hpp"
 #include "qpsa/util/stats.hpp"
 
 namespace qpsa::lomb {
@@ -342,6 +341,11 @@ struct window_state {
     }
 };
 
+/// out[i] = (a[i], 0): a real mesh as complex FFT input.
+void widen_real(std::span<const real> a, std::span<cplx> out) {
+    for (std::size_t i = 0; i < a.size(); ++i) out[i] = cplx{a[i], 0.0};
+}
+
 /// Phase A of one window: contract checks and moments, then either the
 /// whole-window estimate's arguments or the mesh fill and the engine
 /// inputs, queued in the returned state for phase B.
@@ -381,8 +385,8 @@ window_state prepare_window(const window_job& job, const fft_engine& engine,
         std::span<cplx> z2fft = mem.alloc<cplx>(mesh);
         std::span<cplx> za = mem.alloc<cplx>(mesh);
         std::span<cplx> zb = mem.alloc<cplx>(mesh);
-        simd::kernels().widen_real(wk1.data(), za.data(), mesh);
-        simd::kernels().widen_real(wk2.data(), zb.data(), mesh);
+        widen_real(wk1, za);
+        widen_real(wk2, zb);
         st.items[0] = {za, z1fft, &bd.fft_stats};
         st.items[1] = {zb, z2fft, &bd.fft_stats};
         st.n_items = 2;

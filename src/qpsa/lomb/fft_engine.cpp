@@ -120,9 +120,8 @@ void wavelet_engine::forward(std::span<const cplx> in, std::span<cplx> out,
 
 std::size_t wavelet_engine::batch_width() const noexcept {
     // Lane batching reaches the wavelet FFT through its half-size
-    // split-radix sub-transforms (single_level) or, for static-schedule
-    // multi-level trees, through the recursive lane walk; dynamic
-    // recursive trees stay width-1.
+    // split-radix sub-transforms (single_level); recursive trees stay
+    // width-1.
     return fft_.lane_batchable() ? simd::kernels().lanes : 1;
 }
 

@@ -5,7 +5,6 @@
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/fft_split_radix.hpp"
-#include "qpsa/simd/kernels.hpp"
 #include "qpsa/util/stats.hpp"
 
 namespace qpsa::lomb {
@@ -107,8 +106,8 @@ void resampled_psd_finish(std::span<const cplx> spec, std::size_t grid_n,
     // the effective record length.
     const real norm = 2.0 / (opt.resample_hz * static_cast<real>(grid_n) *
                              dsp::window_power_gain(opt.taper));
-    simd::kernels().power_norm(spec.data(), out_power.data(), norm,
-                               out_power.size());
+    for (std::size_t k = 0; k < out_power.size(); ++k)
+        out_power[k] = sqr_mag(spec[k]) * norm;
     counting::count_muls(3 * out_power.size());
     counting::count_adds(out_power.size());
 }

@@ -183,17 +183,11 @@ struct fleet_snapshot {
     /// snapshot, the aggregator deserializes and operator+=s it, and the
     /// result is bit-identical to an in-process merge (the round trip is
     /// lossless).
-    std::vector<std::uint8_t> serialize() const {
-        return serialize(fleet_wire_version);
-    }
-    /// Serialize as an explicit (older) wire version -- the layout that
-    /// version actually shipped, trailing columns omitted.  Lets tests
-    /// and mixed-version deployments exercise genuine version skew.
-    std::vector<std::uint8_t> serialize(std::uint16_t version) const;
+    /// Always the current fleet_wire_version layout.
+    std::vector<std::uint8_t> serialize() const;
     /// Append the serialize() encoding to `w` (the journal encodes its
     /// stats deltas into one reused buffer this way).
-    void write(byte_writer& w,
-               std::uint16_t version = fleet_wire_version) const;
+    void write(byte_writer& w) const;
     /// Parse bytes produced by serialize(); throws wire_error on
     /// malformed input.  Columns a payload's (older) version predates
     /// load as zero.  Implemented in wire.cpp.

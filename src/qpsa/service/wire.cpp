@@ -28,8 +28,8 @@
 // more kinds than the reader knows is rejected -- the reader cannot
 // represent those rows losslessly.  Version skew follows the additive
 // rule: an older payload (shorter tail) still loads, the new columns
-// default to zero; versions newer than the build are rejected.
-// serialize(version) emits any older layout for mixed-version fleets.
+// default to zero; versions newer than the build are rejected.  The
+// writer emits only the current version.
 //
 // This file also implements session_runtime_state's encoding (the live-
 // migration transport unit, session_state.hpp):
@@ -69,22 +69,20 @@ constexpr const char* state_context = "session_state wire";
 
 }  // namespace
 
-std::vector<std::uint8_t> fleet_snapshot::serialize(
-    std::uint16_t version) const {
+std::vector<std::uint8_t> fleet_snapshot::serialize() const {
     std::vector<std::uint8_t> out;
     // Header + scalars + typical alarm/quality payloads fit well under
     // this for fleets of a few hundred sessions; one reserve avoids the
     // doubling churn.
     out.reserve(256 + 37 * drop_alarms.size() + 25 * quality.size());
     byte_writer w(out);
-    write(w, version);
+    write(w);
     return out;
 }
 
-void fleet_snapshot::write(byte_writer& w, std::uint16_t version) const {
-    QPSA_EXPECTS(version >= 1 && version <= fleet_wire_version);
+void fleet_snapshot::write(byte_writer& w) const {
     w.u32(wire_magic);
-    w.u16(version);
+    w.u16(fleet_wire_version);
     w.u16(static_cast<std::uint16_t>(core::engine_class_count));
 
     w.u64(windows);
@@ -129,29 +127,20 @@ void fleet_snapshot::write(byte_writer& w, std::uint16_t version) const {
     w.f64(hf_sum);
     w.f64(ratio_sum);
 
-    // Version tails are strictly additive; emitting an older version
-    // means stopping before the columns it predates.
-    if (version >= 2) {
-        w.u64(high_water_alarms);
-        w.u64(journal_appends);
-        w.u64(journal_bytes);
-        w.u64(journal_fsyncs);
-        w.u64(journal_torn_tails);
-    }
-    if (version >= 3) {
-        w.u64(sessions_migrated_in);
-        w.u64(sessions_migrated_out);
-    }
-    if (version >= 4) {
-        w.u64(hop_hits);
-        w.u64(hop_misses);
-        w.u64(hop_bytes);
-    }
-    if (version >= 5) {
-        w.u64(windows_stolen);
-        w.u64(lane_slots_filled);
-        w.u64(lane_slots_offered);
-    }
+    // v2+ telemetry, v3+ migration, v4+ hop-cache and v5+ drain columns.
+    w.u64(high_water_alarms);
+    w.u64(journal_appends);
+    w.u64(journal_bytes);
+    w.u64(journal_fsyncs);
+    w.u64(journal_torn_tails);
+    w.u64(sessions_migrated_in);
+    w.u64(sessions_migrated_out);
+    w.u64(hop_hits);
+    w.u64(hop_misses);
+    w.u64(hop_bytes);
+    w.u64(windows_stolen);
+    w.u64(lane_slots_filled);
+    w.u64(lane_slots_offered);
 }
 
 fleet_snapshot fleet_snapshot::deserialize(

@@ -6,10 +6,11 @@
 // variable ("scalar", "sse2", "avx2", "neon").  An empty value means
 // unset, and so does a name this build or CPU cannot run: both select
 // the auto-detected ISA (avx2, then neon, then sse2, else scalar).
-// Every vector kernel
-// preserves the scalar operation order per element -- no FMA contraction,
-// no reassociated horizontal sums -- so all ISA paths are bit-identical
-// to the scalar reference (CI runs the full suite under both).
+// The table holds the lane-interleaved walks and spread4 (kernels.hpp
+// says why only those).  Each preserves the scalar operation order per
+// element -- no FMA contraction, no reassociated horizontal sums -- so
+// every ISA is bit-identical to the scalar reference (CI runs the full
+// suite under scalar, sse2 and native dispatch).
 #pragma once
 
 #include <cstddef>

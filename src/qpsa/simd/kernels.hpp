@@ -5,6 +5,14 @@
 // operation counting -- callers add the closed-form tally of the loop they
 // replaced, so instrumented totals stay bit-identical to the scalar path.
 //
+// What belongs in the table: entries that interleave independent problems
+// one per lane (sr_batched, burg_lattice, the q15/q31 walks), where the
+// lane width is the gain; and a single-stream kernel only when a perf-
+// ledger workload measures its per-ISA copy against the scalar loop
+// (spread4, on governed-hop's Lagrange extirpolation).  Every other
+// single-stream loop is a plain scalar function in its one caller: the
+// compiler vectorizes those as well as a hand-written copy did.
+//
 // Bit-identity contract (what every non-scalar implementation must keep):
 //   * each output element is produced by exactly the scalar operation
 //     sequence (same multiplies, adds, negations, in the same order);
@@ -19,7 +27,6 @@
 //     results, so they match on any ISA by construction.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -29,15 +36,6 @@
 namespace qpsa::simd {
 
 using util_real = qpsa::real;
-
-/// Db2 lifting constants, shared by the scalar reference
-/// (wavelet/lifting.cpp) and every vector kernel: computed identically so
-/// the lanes multiply by bitwise-equal factors.
-inline const real k_lift_sqrt3 = std::sqrt(3.0);
-inline const real k_lift_c1 = k_lift_sqrt3 / 4.0;
-inline const real k_lift_c2 = (k_lift_sqrt3 - 2.0) / 4.0;
-inline const real k_lift_sa = (k_lift_sqrt3 - 1.0) / sqrt2;
-inline const real k_lift_sd = (k_lift_sqrt3 + 1.0) / sqrt2;
 
 /// Quantized tables of one fixed-point wavelet-FFT plan, as the lane walk
 /// reads them (wfft::fixed_wavelet_fft owns the storage).
@@ -90,18 +88,7 @@ struct kernel_table {
     /// (1 scalar, 2 SSE2/NEON, 4 AVX2).
     std::size_t lanes = 1;
 
-    // -- split-radix FFT --------------------------------------------------
-    /// One combine pass (all k in [0, n/4)) of the recursive split-radix
-    /// decomposition, in place: on entry x holds E (the half-size even
-    /// transform) in [0, n/2), O1 in [n/2, 3n/4) and O3 in [3n/4, n) (the
-    /// quarter-size odd transforms), on exit the n-point transform.  Bin k
-    /// reads and writes only slots k, k+n/4, k+n/2, k+3n/4, loading all
-    /// four before it stores.  Twiddles from wtab with stride tstep;
-    /// includes the k == 0 and 8k == n multiplication-free specials.  No
-    /// scratch.
-    void (*sr_combine)(cplx* x, std::size_t n, const cplx* wtab,
-                       std::size_t tstep) = nullptr;
-
+    // -- split-radix FFT: lane-interleaved walk --------------------------
     /// Complete batched split-radix walk of `lanes` same-plan transforms,
     /// one per SIMD lane: srcs[l] / dsts[l] are lane l's n-point input and
     /// output.  The leaves read srcs directly; every level below the top
@@ -118,40 +105,11 @@ struct kernel_table {
     void (*sr_batched)(const cplx* const* srcs, cplx* const* dsts, real* wre,
                        real* wim, std::size_t n, const cplx* wtab) = nullptr;
 
-    // -- wavelet: folded Haar butterflies ---------------------------------
-    /// a[k] = x[2k] + x[2k+1], d[k] = x[2k] - x[2k+1]; the _real variants
-    /// use only the real parts and write exact 0.0 imaginaries.
-    void (*haar_stage_real)(const cplx* x, cplx* a, cplx* d,
-                            std::size_t half) = nullptr;
-    void (*haar_stage_cplx)(const cplx* x, cplx* a, cplx* d,
-                            std::size_t half) = nullptr;
-    void (*haar_lowpass_real)(const cplx* x, cplx* a,
-                              std::size_t half) = nullptr;
-    void (*haar_lowpass_cplx)(const cplx* x, cplx* a,
-                              std::size_t half) = nullptr;
-
-    // -- wavelet: Db2 lifting analysis ------------------------------------
-    /// The three lifting passes over one real lane of length 2*half
-    /// (s1/d1 are caller scratch of `half` each); circular wrap elements
-    /// are computed scalar inside the kernel, interiors vectorize.
-    void (*lifting_db2)(const real* x, real* s1, real* d1, real* out_a,
-                        real* out_d, std::size_t half) = nullptr;
-
     // -- extirpolation: order-4 Lagrange spread ---------------------------
     /// Deposit y at fractional mesh position i0 + u (u in [0,1)) with the
     /// division-free cubic weights; mesh wraps circularly at n.
     void (*spread4)(real y, real* mesh, std::size_t n, std::ptrdiff_t i0,
                     real u) = nullptr;
-
-    // -- packing / spectrum power -----------------------------------------
-    /// out[i] = cplx{a[i], b[i]} (the real-pair FFT packing).
-    void (*pack_real_pair)(const real* a, const real* b, cplx* out,
-                           std::size_t n) = nullptr;
-    /// out[i] = cplx{a[i], 0.0} (real mesh -> complex FFT input).
-    void (*widen_real)(const real* a, cplx* out, std::size_t n) = nullptr;
-    /// out[k] = (re^2 + im^2) * norm -- the one-sided PSD power loop.
-    void (*power_norm)(const cplx* spec, real* out, real norm,
-                       std::size_t n) = nullptr;
 
     // -- Burg AR: lane-interleaved lattice ---------------------------------
     /// Burg's reflection recursion (dsp::burg_fit) for `lanes` windows at

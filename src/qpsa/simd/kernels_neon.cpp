@@ -1,9 +1,9 @@
 // NEON kernel table (aarch64, 2 doubles per vector).
 //
-// The batched transform and the Db2 lifting lanes use the generic
-// templates; the remaining AoS kernels currently reuse the scalar
-// reference implementations (correct by construction, tuned later) --
-// batching is where the lane win is on this target anyway.
+// The batched transform and the Burg lattice use the generic lane
+// templates; spread4 and the fixed-point walks reuse the scalar
+// reference implementations -- batching is where the lane win is on
+// this target.
 #include "qpsa/simd/kernels.hpp"
 
 #if defined(__aarch64__)
@@ -21,8 +21,6 @@ struct vn {
     float64x2_t v;
     static constexpr std::size_t width = 2;
     static vn load(const real* p) { return {vld1q_f64(p)}; }
-    static vn load_even(const real* p) { return {vld2q_f64(p).val[0]}; }
-    static vn load_odd(const real* p) { return {vld2q_f64(p).val[1]}; }
     void store(real* p) const { vst1q_f64(p, v); }
     static vn broadcast(real x) { return {vdupq_n_f64(x)}; }
     vn operator+(vn o) const { return {vaddq_f64(v, o.v)}; }
@@ -61,7 +59,6 @@ const kernel_table* neon_table() noexcept {
         k.which = isa::neon;
         k.lanes = 2;
         k.sr_batched = generic::sr_batched<vn>;
-        k.lifting_db2 = generic::lifting_db2<vn>;
         k.burg_lattice = generic::burg_lattice<vn>;
         return k;
     }();

@@ -1,6 +1,7 @@
 // Scalar kernel table: the bit-identity reference.  Every entry is the
 // exact loop body it replaced at the call site (operation order included),
 // minus the operation counting, which callers add in closed form.
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -11,14 +12,12 @@
 namespace qpsa::simd {
 namespace {
 
-// Width-1 "vector" so the generic batched/lifting templates double as the
-// scalar reference implementations.
+// Width-1 "vector" so the generic lane templates double as the scalar
+// reference implementations.
 struct v1 {
     real v;
     static constexpr std::size_t width = 1;
     static v1 load(const real* p) { return {p[0]}; }
-    static v1 load_even(const real* p) { return {p[0]}; }
-    static v1 load_odd(const real* p) { return {p[1]}; }
     void store(real* p) const { p[0] = v; }
     static v1 broadcast(real x) { return {x}; }
     v1 operator+(v1 o) const { return {v + o.v}; }
@@ -46,70 +45,6 @@ struct v1 {
     }
 };
 
-void sr_combine_scalar(cplx* x, std::size_t n, const cplx* wtab,
-                       std::size_t tstep) {
-    const std::size_t q = n / 4;
-    const std::size_t h = n / 2;
-    const cplx* const o1 = x + h;
-    const cplx* const o3 = x + h + q;
-    for (std::size_t k = 0; k < q; ++k) {
-        cplx t1;
-        cplx t3;
-        if (k == 0) {
-            t1 = o1[0];
-            t3 = o3[0];
-        } else if (8 * k == n) {
-            const cplx z1 = o1[k];
-            t1 = cplx{inv_sqrt2 * (z1.real() + z1.imag()),
-                      inv_sqrt2 * (z1.imag() - z1.real())};
-            const cplx z3 = o3[k];
-            t3 = cplx{inv_sqrt2 * (z3.imag() - z3.real()),
-                      inv_sqrt2 * (-z3.real() - z3.imag())};
-        } else {
-            t1 = wtab[k * tstep] * o1[k];
-            t3 = wtab[3 * k * tstep] * o3[k];
-        }
-        // In place: E[k] and E[k+q] are loaded before any slot is stored.
-        const cplx ek = x[k];
-        const cplx eq = x[k + q];
-        const cplx s = t1 + t3;
-        const cplx d = t1 - t3;
-        const cplx jd{d.imag(), -d.real()};
-        x[k] = ek + s;
-        x[k + h] = ek - s;
-        x[k + q] = eq + jd;
-        x[k + 3 * q] = eq - jd;
-    }
-}
-
-void haar_stage_real_scalar(const cplx* x, cplx* a, cplx* d, std::size_t half) {
-    for (std::size_t k = 0; k < half; ++k) {
-        a[k] = cplx{x[2 * k].real() + x[2 * k + 1].real(), 0.0};
-        d[k] = cplx{x[2 * k].real() - x[2 * k + 1].real(), 0.0};
-    }
-}
-
-void haar_stage_cplx_scalar(const cplx* x, cplx* a, cplx* d, std::size_t half) {
-    for (std::size_t k = 0; k < half; ++k) {
-        a[k] = x[2 * k] + x[2 * k + 1];
-        d[k] = x[2 * k] - x[2 * k + 1];
-    }
-}
-
-void haar_lowpass_real_scalar(const cplx* x, cplx* a, std::size_t half) {
-    for (std::size_t k = 0; k < half; ++k)
-        a[k] = cplx{x[2 * k].real() + x[2 * k + 1].real(), 0.0};
-}
-
-void haar_lowpass_cplx_scalar(const cplx* x, cplx* a, std::size_t half) {
-    for (std::size_t k = 0; k < half; ++k) a[k] = x[2 * k] + x[2 * k + 1];
-}
-
-void lifting_db2_scalar(const real* x, real* s1, real* d1, real* out_a,
-                        real* out_d, std::size_t half) {
-    generic::lifting_db2<v1>(x, s1, d1, out_a, out_d, half);
-}
-
 void spread4_scalar(real y, real* mesh, std::size_t n, std::ptrdiff_t i0,
                     real u) {
     const real up1 = u + 1.0;
@@ -132,19 +67,6 @@ void spread4_scalar(real y, real* mesh, std::size_t n, std::ptrdiff_t i0,
     mesh[wrap(i0 + 2)] += ym * p01 * um1;
 }
 
-void pack_real_pair_scalar(const real* a, const real* b, cplx* out,
-                           std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = cplx{a[i], b[i]};
-}
-
-void widen_real_scalar(const real* a, cplx* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = cplx{a[i], 0.0};
-}
-
-void power_norm_scalar(const cplx* spec, real* out, real norm, std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) out[k] = sqr_mag(spec[k]) * norm;
-}
-
 }  // namespace
 
 namespace detail {
@@ -154,17 +76,8 @@ const kernel_table* scalar_table() noexcept {
         kernel_table k;
         k.which = isa::scalar;
         k.lanes = 1;
-        k.sr_combine = sr_combine_scalar;
         k.sr_batched = generic::sr_batched<v1>;
-        k.haar_stage_real = haar_stage_real_scalar;
-        k.haar_stage_cplx = haar_stage_cplx_scalar;
-        k.haar_lowpass_real = haar_lowpass_real_scalar;
-        k.haar_lowpass_cplx = haar_lowpass_cplx_scalar;
-        k.lifting_db2 = lifting_db2_scalar;
         k.spread4 = spread4_scalar;
-        k.pack_real_pair = pack_real_pair_scalar;
-        k.widen_real = widen_real_scalar;
-        k.power_norm = power_norm_scalar;
         k.burg_lattice = generic::burg_lattice<v1>;
         fixed::fill_fixed_kernels<v1>(k);
         return k;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "qpsa/counting/op_counter.hpp"
-#include "qpsa/simd/kernels.hpp"
 
 namespace qpsa::wavelet {
 
@@ -23,23 +22,36 @@ void lifting_db2_analysis(std::span<const real> x, std::span<real> out_a,
     QPSA_EXPECTS(out_a.size() == half);
     QPSA_EXPECTS(out_d.size() == half);
 
-    // All three lifting passes run through the dispatched kernel (interior
-    // elements lane-parallel, circular wraps scalar); the closed-form tally
-    // matches the per-element counts of the original loops.
-    std::vector<real> s1(half);
-    std::vector<real> d1(half);
-    simd::kernels().lifting_db2(x.data(), s1.data(), d1.data(), out_a.data(),
-                                out_d.data(), half);
+    // The three lifting passes run in the outputs: s1 in out_a, d1 in
+    // out_d.  The last pass rewrites both front to back, so only d1[0],
+    // which its final update reads across the circular wrap, is kept
+    // aside.  The closed-form tally matches the per-element counts.
+    const std::span<real> s1 = out_a;
+    const std::span<real> d1 = out_d;
+    for (std::size_t l = 0; l < half; ++l)
+        s1[l] = x[2 * l] + k_sqrt3 * x[2 * l + 1];
+    d1[0] = x[1] - k_c1 * s1[0] - k_c2 * s1[half - 1];
+    for (std::size_t l = 1; l < half; ++l)
+        d1[l] = x[2 * l + 1] - k_c1 * s1[l] - k_c2 * s1[l - 1];
+    const real d1_first = d1[0];
+    for (std::size_t l = 0; l + 1 < half; ++l) {
+        out_a[l] = k_sa * (s1[l] - d1[l + 1]);
+        out_d[l] = k_sd * d1[l];
+    }
+    out_a[half - 1] = k_sa * (s1[half - 1] - d1_first);
+    out_d[half - 1] = k_sd * d1[half - 1];
     counting::count_muls(5 * half);
     counting::count_adds(4 * half);
 }
 
 void lifting_db2_analysis_conv(std::span<const real> x, std::span<real> out_a,
                                std::span<real> out_d) {
-    const std::size_t half = x.size() / 2;
-    std::vector<real> d_lift(half);
-    lifting_db2_analysis(x, out_a, d_lift);
-    for (std::size_t j = 0; j < half; ++j) out_d[j] = -d_lift[(j + 1) % half];
+    lifting_db2_analysis(x, out_a, out_d);
+    // d_conv[j] = -d_lift[(j + 1) mod half]: rotate in place.
+    const std::size_t half = out_d.size();
+    const real d_first = out_d[0];
+    for (std::size_t j = 0; j + 1 < half; ++j) out_d[j] = -out_d[j + 1];
+    out_d[half - 1] = -d_first;
 }
 
 void lifting_db2_synthesis(std::span<const real> a, std::span<const real> d,

@@ -15,7 +15,9 @@
 
 namespace qpsa::wavelet {
 
-/// One Db2 analysis level via lifting.  x.size() must be even and >= 4.
+/// One Db2 analysis level via lifting.  x.size() must be even and >= 4;
+/// the outputs (n/2 each) must not overlap x.  Allocation-free: the
+/// lifting passes run in the outputs.
 void lifting_db2_analysis(std::span<const real> x, std::span<real> out_a,
                           std::span<real> out_d);
 

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "qpsa/counting/op_counter.hpp"
-#include "qpsa/simd/kernels.hpp"
 #include "qpsa/wavelet/dwt.hpp"
 #include "qpsa/wavelet/lifting.hpp"
 
@@ -40,7 +39,7 @@ constexpr std::uint8_t k_ac_terms = 0x33;
 unsigned term_of(std::uint8_t cls, unsigned shift) { return (cls >> shift) & 3u; }
 
 /// f * v as the textbook product (f.re*v.re - f.im*v.im,
-/// f.re*v.im + f.im*v.re), the order sr_combine's kernels use.  For finite
+/// f.re*v.im + f.im*v.re), the order the split-radix walks use.  For finite
 /// values this is std::complex's operator* bit for bit; it omits only
 /// that operator's inf/NaN recovery.
 cplx cmul(cplx f, cplx v) {
@@ -65,66 +64,29 @@ cplx sum_terms(bool u1, cplx t1, bool u2, cplx t2) {
     return u1 && u2 ? t1 + t2 : (u1 ? t1 : t2);
 }
 
-/// One half of the combine over the bins [b, e) of one class byte and nl
-/// lanes (layout [bin * nl + lane]): out = the used terms of f1 * v1 +
-/// f2 * v2, given the terms' classes c1, c2 (v2 is read only when c2 is
-/// used).  Generic/zero pairs -- every bin of an exact plan but the
-/// rotations, a dropped band's a/c halves, a pruned plan's bins -- run as
-/// branch-free loops over the whole run; a pair with a free rotation
-/// decodes per element.
+/// One half of the combine over the bins [b, e) of one class byte: out =
+/// the used terms of f1 * v1 + f2 * v2, given the terms' classes c1, c2
+/// (v2 is read only when c2 is used).  Generic/zero pairs -- every bin of
+/// an exact plan but the rotations, a dropped band's a/c halves, a pruned
+/// plan's bins -- run as branch-free loops over contiguous bins, which
+/// the compiler vectorizes; a pair with a free rotation decodes per bin.
 void combine_run(unsigned c1, const cplx* f1, const cplx* v1, unsigned c2,
                  const cplx* f2, const cplx* v2, cplx* out, std::size_t b,
-                 std::size_t e, std::size_t nl) {
+                 std::size_t e) {
     const bool u1 = c1 >= term_free;
     const bool u2 = c2 >= term_free;
-    // Lane-outer, bin-inner: with one lane (every single-level plan) the
-    // inner loop runs over contiguous bins, which the compiler vectorizes.
     if (c1 == term_generic && c2 == term_generic) {
-        for (std::size_t l = 0; l < nl; ++l)
-            for (std::size_t m = b, i = b * nl + l; m < e; ++m, i += nl)
-                out[i] = cmul(f1[m], v1[i]) + cmul(f2[m], v2[i]);
+        for (std::size_t m = b; m < e; ++m)
+            out[m] = cmul(f1[m], v1[m]) + cmul(f2[m], v2[m]);
     } else if (c1 == term_generic && !u2) {
-        for (std::size_t l = 0; l < nl; ++l)
-            for (std::size_t m = b, i = b * nl + l; m < e; ++m, i += nl)
-                out[i] = cmul(f1[m], v1[i]);
+        for (std::size_t m = b; m < e; ++m) out[m] = cmul(f1[m], v1[m]);
     } else if (!u1 && c2 == term_generic) {
-        for (std::size_t l = 0; l < nl; ++l)
-            for (std::size_t m = b, i = b * nl + l; m < e; ++m, i += nl)
-                out[i] = cmul(f2[m], v2[i]);
+        for (std::size_t m = b; m < e; ++m) out[m] = cmul(f2[m], v2[m]);
     } else {
         for (std::size_t m = b; m < e; ++m)
-            for (std::size_t i = m * nl; i < (m + 1) * nl; ++i)
-                out[i] = sum_terms(
-                    u1, u1 ? apply_factor(f1[m], v1[i], c1 == term_free) : cplx{},
-                    u2, u2 ? apply_factor(f2[m], v2[i], c2 == term_free) : cplx{});
-    }
-}
-
-/// leaf_dft, elementwise over nl lane-interleaved slots (layout
-/// [element * nl + lane]): the same expression tree per lane, so each
-/// lane's values match a scalar leaf_dft bit for bit.  static_schedule_
-/// guarantees n is 1, 2 or 4.
-void leaf_dft_planes(const cplx* in, cplx* out, std::size_t n, std::size_t nl) {
-    if (n == 1) {
-        for (std::size_t l = 0; l < nl; ++l) out[l] = in[l];
-        return;
-    }
-    if (n == 2) {
-        for (std::size_t l = 0; l < nl; ++l) {
-            out[l] = in[l] + in[nl + l];
-            out[nl + l] = in[l] - in[nl + l];
-        }
-        return;
-    }
-    for (std::size_t l = 0; l < nl; ++l) {
-        const cplx s02 = in[l] + in[2 * nl + l];
-        const cplx d02 = in[l] - in[2 * nl + l];
-        const cplx s13 = in[nl + l] + in[3 * nl + l];
-        const cplx d13 = in[nl + l] - in[3 * nl + l];
-        out[l] = s02 + s13;
-        out[2 * nl + l] = s02 - s13;
-        out[nl + l] = d02 + cplx{d13.imag(), -d13.real()};
-        out[3 * nl + l] = d02 - cplx{d13.imag(), -d13.real()};
+            out[m] = sum_terms(
+                u1, u1 ? apply_factor(f1[m], v1[m], c1 == term_free) : cplx{},
+                u2, u2 ? apply_factor(f2[m], v2[m], c2 == term_free) : cplx{});
     }
 }
 
@@ -227,24 +189,13 @@ wavelet_fft::wavelet_fft(plan p) : plan_(std::move(p)) {
         sub_d_ = std::make_unique<wavelet_fft>(child_d);
     }
 
-    // A recursive tree whose whole schedule is input-independent -- no
-    // dynamic decisions anywhere in the subtree, folded-Haar stages and
-    // power-of-two leaves no larger than 4 -- executes the identical
-    // operation sequence for every input, so the lane walk can batch it
-    // and attribute one memoized tally per item.  The dry run mirrors
-    // fft_split_radix: counts (and the pruning statistics) depend only on
-    // the plan, never on the data.
-    static_schedule_ = plan_.tree == tree_mode::recursive &&
-                       tables_->folded && plan_.leaf_size <= 4 &&
-                       plan_.prune.mode != prune_mode::dynamic &&
-                       (sub_a_ == nullptr || sub_a_->static_schedule_) &&
-                       (sub_d_ == nullptr || sub_d_->static_schedule_);
-    // A single-level tree without dynamic pruning is input-independent in
-    // the same way (static band drop, factor-table term selection, a
-    // split-radix sub-FFT of fixed tally), whatever its basis.
-    static_tally_ = static_schedule_ ||
-                    (plan_.tree == tree_mode::single_level &&
-                     plan_.prune.mode != prune_mode::dynamic);
+    // A single-level tree without dynamic pruning is input-independent
+    // (static band drop, factor-table term selection, a split-radix
+    // sub-FFT of fixed tally), whatever its basis: one counted dry run
+    // gives every forward's stats.  Counts (and the pruning statistics)
+    // depend only on the plan, never on the data.
+    static_tally_ = plan_.tree == tree_mode::single_level &&
+                    plan_.prune.mode != prune_mode::dynamic;
     if (static_tally_) {
         std::vector<cplx> buf(2 * plan_.n);
         counting::pause_scope pause;
@@ -270,13 +221,19 @@ void wavelet_fft::dwt_stage(std::span<const cplx> x, std::span<cplx> a,
     const bool real_in = plan_.assume_real_input;
 
     if (tables_->folded) {
-        // Unnormalized Haar butterflies (dispatched; the 1/sqrt(2) lives
-        // in the tables).
+        // Unnormalized Haar butterflies (the 1/sqrt(2) lives in the
+        // tables); real input keeps exact 0.0 imaginaries.
         if (real_in) {
-            simd::kernels().haar_stage_real(x.data(), a.data(), d.data(), half);
+            for (std::size_t k = 0; k < half; ++k) {
+                a[k] = cplx{x[2 * k].real() + x[2 * k + 1].real(), 0.0};
+                d[k] = cplx{x[2 * k].real() - x[2 * k + 1].real(), 0.0};
+            }
             counting::count_adds(2 * half);
         } else {
-            simd::kernels().haar_stage_cplx(x.data(), a.data(), d.data(), half);
+            for (std::size_t k = 0; k < half; ++k) {
+                a[k] = x[2 * k] + x[2 * k + 1];
+                d[k] = x[2 * k] - x[2 * k + 1];
+            }
             counting::count_cadd(2 * half);
         }
         return;
@@ -338,10 +295,11 @@ void wavelet_fft::dwt_stage_lowpass(std::span<const cplx> x,
 
     if (tables_->folded) {
         if (real_in) {
-            simd::kernels().haar_lowpass_real(x.data(), a.data(), half);
+            for (std::size_t k = 0; k < half; ++k)
+                a[k] = cplx{x[2 * k].real() + x[2 * k + 1].real(), 0.0};
             counting::count_adds(half);
         } else {
-            simd::kernels().haar_lowpass_cplx(x.data(), a.data(), half);
+            for (std::size_t k = 0; k < half; ++k) a[k] = x[2 * k] + x[2 * k + 1];
             counting::count_cadd(half);
         }
         return;
@@ -531,18 +489,13 @@ void wavelet_fft::forward(std::span<const cplx> in, std::span<cplx> out,
 
 void wavelet_fft::forward_batched(std::span<const batch_io> items,
                                   util::arena& scratch) const {
-    // Trees that are neither single_level nor static-schedule recursive
-    // (dynamic pruning, wide leaves, unfolded bases) run the sequential
-    // transform per item -- identical by definition -- and so does a lone
-    // item that has no memoized tally to attribute.
+    // Recursive trees run the sequential transform per item -- identical
+    // by definition -- and so does a lone item that has no memoized tally
+    // to attribute.
     if (!lane_batchable() || (items.size() < 2 && !static_tally_)) {
         for (const batch_io& it : items)
             forward(std::span<const cplx>(it.in, plan_.n),
                     std::span<cplx>(it.out, plan_.n), it.stats, scratch);
-        return;
-    }
-    if (sub_split_radix_ == nullptr) {
-        forward_batched_planes(items, scratch);
         return;
     }
 
@@ -612,8 +565,7 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
         std::span<cplx* const>(sub_outs.data(), sub_outs.size()), scratch);
 
     // Stage 3, per item: the diagonal combine.  A static plan runs the
-    // uncounted lane combine (one lane) and attributes the memoized
-    // probe stats; a dynamic plan attributes the memoized sub-FFT tallies
+    // uncounted static combine and attributes the memoized probe stats; a dynamic plan attributes the memoized sub-FFT tallies
     // and runs the counted combine (data-dependent pruning and its
     // statistics).  Either way the item records exactly what forward()
     // records.
@@ -621,7 +573,7 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
         item_state& s = states[i];
         const cplx* d_fft = s.drop ? nullptr : s.d_fft.data();
         if (static_tally_) {
-            combine_planes(s.a_fft.data(), d_fft, items[i].out, 1);
+            combine_static(s.a_fft.data(), d_fft, items[i].out);
             attribute_probe(*s.st);
             continue;
         }
@@ -632,106 +584,8 @@ void wavelet_fft::forward_batched(std::span<const batch_io> items,
     }
 }
 
-void wavelet_fft::forward_batched_planes(std::span<const batch_io> items,
-                                         util::arena& scratch) const {
-    const std::size_t n = plan_.n;
-    const std::size_t lanes = simd::kernels().lanes;
-
-    // Top-level real-input contract, exactly as forward() applies it.
-    if (plan_.assume_real_input)
-        for (const batch_io& it : items)
-            for (std::size_t e = 0; e < n; ++e)
-                QPSA_EXPECTS(std::abs(it.in[e].imag()) < 1e-12);
-
-    exec_stats sink;  // items without a stats target
-    for (std::size_t base = 0; base < items.size();) {
-        const std::size_t nl = std::min(lanes, items.size() - base);
-        if (nl < 2) {
-            // Lone remainder: the scalar walk is the lane walk of one.
-            forward(std::span<const cplx>(items[base].in, n),
-                    std::span<cplx>(items[base].out, n), items[base].stats,
-                    scratch);
-            ++base;
-            continue;
-        }
-
-        // AoS -> lane planes, the whole static-schedule recursion
-        // elementwise over the planes, planes -> AoS.  Every lane runs
-        // the scalar operation sequence, so outputs are bit-identical to
-        // forward() per item.
-        util::arena::frame frame(scratch);
-        std::span<cplx> in_planes = scratch.alloc<cplx>(n * nl);
-        std::span<cplx> out_planes = scratch.alloc<cplx>(n * nl);
-        for (std::size_t l = 0; l < nl; ++l)
-            for (std::size_t e = 0; e < n; ++e)
-                in_planes[e * nl + l] = items[base + l].in[e];
-        forward_planes(in_planes.data(), out_planes.data(), nl, scratch);
-        for (std::size_t l = 0; l < nl; ++l) {
-            const batch_io& it = items[base + l];
-            for (std::size_t e = 0; e < n; ++e)
-                it.out[e] = out_planes[e * nl + l];
-            // The walk is uncounted; attribute the memoized per-transform
-            // stats (exact for any input under a static schedule) per
-            // item, exactly what the sequential transform would have
-            // recorded.
-            attribute_probe(it.stats != nullptr ? *it.stats : sink);
-        }
-        base += nl;
-    }
-}
-
-void wavelet_fft::forward_planes(const cplx* x, cplx* out, std::size_t nl,
-                                 util::arena& scratch) const {
-    const std::size_t half = plan_.n / 2;
-    const bool real_in = plan_.assume_real_input;
-    // static_schedule_ excludes dynamic mode, so a configured band drop
-    // is decided here, at plan time -- never from the data.
-    const bool drop = plan_.prune.band_drop_levels >= 1;
-
-    util::arena::frame frame(scratch);
-    std::span<cplx> a = scratch.alloc<cplx>(half * nl);
-    std::span<cplx> a_fft = scratch.alloc<cplx>(half * nl);
-    std::span<cplx> d, d_fft;
-    if (!drop) {
-        d = scratch.alloc<cplx>(half * nl);
-        d_fft = scratch.alloc<cplx>(half * nl);
-    }
-
-    // Folded-Haar butterflies, elementwise per lane slot.  The real-input
-    // stage writes a literal zero imaginary part exactly like
-    // haar_stage_real, so values match the scalar walk bit for bit.
-    for (std::size_t e = 0; e < half; ++e) {
-        const cplx* x0 = x + (2 * e) * nl;
-        const cplx* x1 = x + (2 * e + 1) * nl;
-        if (real_in) {
-            for (std::size_t l = 0; l < nl; ++l) {
-                a[e * nl + l] = cplx{x0[l].real() + x1[l].real(), 0.0};
-                if (!drop)
-                    d[e * nl + l] = cplx{x0[l].real() - x1[l].real(), 0.0};
-            }
-        } else {
-            for (std::size_t l = 0; l < nl; ++l) {
-                a[e * nl + l] = x0[l] + x1[l];
-                if (!drop) d[e * nl + l] = x0[l] - x1[l];
-            }
-        }
-    }
-
-    if (sub_a_ != nullptr)
-        sub_a_->forward_planes(a.data(), a_fft.data(), nl, scratch);
-    else
-        leaf_dft_planes(a.data(), a_fft.data(), half, nl);
-    if (!drop) {
-        if (sub_d_ != nullptr)
-            sub_d_->forward_planes(d.data(), d_fft.data(), nl, scratch);
-        else
-            leaf_dft_planes(d.data(), d_fft.data(), half, nl);
-    }
-    combine_planes(a_fft.data(), drop ? nullptr : d_fft.data(), out, nl);
-}
-
-void wavelet_fft::combine_planes(const cplx* a_fft, const cplx* d_fft,
-                                 cplx* out, std::size_t nl) const {
+void wavelet_fft::combine_static(const cplx* a_fft, const cplx* d_fft,
+                                 cplx* out) const {
     const std::size_t half = plan_.n / 2;
     // Term selection is static (the compiled class bytes; no dynamic mode
     // here): each run of bins sharing one byte takes one loop per output
@@ -744,10 +598,10 @@ void wavelet_fft::combine_planes(const cplx* a_fft, const cplx* d_fft,
         while (e < half && term_class_[e] == term_class_[b]) ++e;
         const std::uint8_t cls = term_class_[b] & keep;
         combine_run(term_of(cls, shift_a), eff_a_.data(), a_fft,
-                    term_of(cls, shift_b), eff_b_.data(), d_fft, out, b, e, nl);
+                    term_of(cls, shift_b), eff_b_.data(), d_fft, out, b, e);
         combine_run(term_of(cls, shift_c), eff_c_.data(), a_fft,
-                    term_of(cls, shift_d), eff_d_.data(), d_fft, out + half * nl,
-                    b, e, nl);
+                    term_of(cls, shift_d), eff_d_.data(), d_fft, out + half,
+                    b, e);
         b = e;
     }
 }

@@ -31,13 +31,14 @@
 //
 // Classes 0 and 1 contribute no term (they differ only in the pruning
 // statistics).  The counted combine reads the class to pick each term
-// and its statistics.  The lane combine cuts the bins into runs of one
-// byte and runs each output half of a run as one loop: branch-free over
-// bins and lanes when both terms are generic or absent (the all-generic
-// byte, a dropped band's a+c byte, pruned bins), decoded per element when
-// a term is a free rotation.  Both multiply through one textbook product
-// helper, (f.re v.re - f.im v.im, f.re v.im + f.im v.re): std::complex's
-// operator* for finite values, without its inf/NaN recovery.
+// and its statistics.  The static combine (the batched path's) cuts the
+// bins into runs of one byte and runs each output half of a run as one
+// loop: branch-free over bins when both terms are generic or absent (the
+// all-generic byte, a dropped band's a+c byte, pruned bins), decoded per
+// bin when a term is a free rotation.  Both multiply through one
+// textbook product helper, (f.re v.re - f.im v.im, f.re v.im + f.im v.re):
+// std::complex's operator* for finite values, without its inf/NaN
+// recovery.
 #pragma once
 
 #include <cstdint>
@@ -96,34 +97,20 @@ public:
         exec_stats* stats = nullptr;  ///< optional per-transform sink
     };
 
-    /// True when forward_batched can interleave transforms one per SIMD
-    /// lane: either the half-size sub-transforms run through the
-    /// split-radix FFT (single_level tree), or the whole multi-level
-    /// recursion has a static schedule (see static_schedule()).
-    bool lane_batchable() const noexcept {
-        return sub_split_radix_ != nullptr || static_schedule_;
-    }
+    /// True when forward_batched interleaves transforms one per SIMD
+    /// lane: the single_level tree, whose half-size sub-transforms run
+    /// through the split-radix FFT.  Recursive trees (the Fig. 5
+    /// op-count ablation) transform one item at a time.
+    bool lane_batchable() const noexcept { return sub_split_radix_ != nullptr; }
 
-    /// True when every decision in the tree -- band drops, factor skips,
-    /// leaf shapes -- is fixed at plan time (no dynamic pruning anywhere
-    /// in the subtree, folded-Haar stages, leaves of size <= 4).  Such a
-    /// tree executes the identical operation sequence for every input,
-    /// which is what lets the multi-level lane walk batch each DWT level
-    /// and both sub-transforms across lane partners and attribute one
-    /// memoized op tally per item.
-    bool static_schedule() const noexcept { return static_schedule_; }
-
-    /// Forward-transform every item with transforms interleaved one per
-    /// SIMD lane.  single_level trees batch the two half-size sub-FFTs
-    /// through fft_split_radix::forward_batched while the DWT stage, the
+    /// Forward-transform every item.  single_level trees batch the two
+    /// half-size sub-FFTs of all items through
+    /// fft_split_radix::forward_batched while the DWT stage, the
     /// per-window band decision and the combine run per item (uncounted,
     /// with the memoized stats attributed per item, unless dynamic
-    /// pruning makes the tally data-dependent); static-schedule recursive
-    /// trees run the entire multi-level recursion -- every DWT stage,
-    /// leaf DFT and diagonal combine -- elementwise over lane-interleaved
-    /// planes.  Both walks execute the scalar operation sequence per lane,
-    /// so outputs, exec_stats and operation counts are bit-identical to
-    /// calling forward() per item in order.
+    /// pruning makes the tally data-dependent).  Recursive trees call
+    /// forward() per item.  Outputs, exec_stats and operation counts are
+    /// bit-identical to calling forward() per item in order.
     void forward_batched(std::span<const batch_io> items,
                          util::arena& scratch) const;
 
@@ -151,12 +138,9 @@ private:
     /// Attribute probe_stats_ to one item: its pruning statistics, and its
     /// ops into st.ops and every scope active at the call.
     void attribute_probe(exec_stats& st) const;
-    void forward_batched_planes(std::span<const batch_io> items,
-                                util::arena& scratch) const;
-    void forward_planes(const cplx* x, cplx* out, std::size_t nl,
-                        util::arena& scratch) const;
-    void combine_planes(const cplx* a_fft, const cplx* d_fft, cplx* out,
-                        std::size_t nl) const;
+    /// The uncounted combine of a static_tally_ plan (the batched path):
+    /// combine()'s values without its tally or statistics.
+    void combine_static(const cplx* a_fft, const cplx* d_fft, cplx* out) const;
     void dwt_stage(std::span<const cplx> x, std::span<cplx> a,
                    std::span<cplx> d, util::arena& scratch) const;
     void dwt_stage_lowpass(std::span<const cplx> x, std::span<cplx> a) const;
@@ -178,9 +162,8 @@ private:
     std::unique_ptr<wavelet_fft> sub_a_;  // recursive lowpass child
     std::unique_ptr<wavelet_fft> sub_d_;  // recursive highpass child (exact)
 
-    bool static_schedule_ = false;
-    /// True when the per-transform stats are input-independent: static
-    /// schedules and single_level trees without dynamic pruning.
+    /// True when the per-transform stats are input-independent:
+    /// single_level trees without dynamic pruning.
     bool static_tally_ = false;
     /// Exact per-transform stats of a static_tally_ tree (memoized by a
     /// counted dry run at construction).  forward_batched attributes this

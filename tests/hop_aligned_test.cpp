@@ -14,8 +14,10 @@
 #include "qpsa/core/streaming_monitor.hpp"
 #include "qpsa/physio/patients.hpp"
 #include "qpsa/service/service.hpp"
+#include "wire_samples.hpp"
 
 using qpsa::real;
+using qpsa::test::snapshot_as_version;
 namespace qcore = qpsa::core;
 namespace ql = qpsa::lomb;
 namespace qp = qpsa::physio;
@@ -275,16 +277,18 @@ TEST(HopAlignedTest, RetiredHopColumnsRoundTripAndReadZero) {
 
     // v4 and v5 payloads carry the columns losslessly (s leaves the v5
     // drain-scheduler columns at zero, so the v4 payload loses nothing).
-    EXPECT_EQ(qs::fleet_snapshot::deserialize(s.serialize(5)), s);
-    EXPECT_EQ(qs::fleet_snapshot::deserialize(s.serialize(4)), s);
+    EXPECT_EQ(qs::fleet_snapshot::deserialize(snapshot_as_version(s, 5)), s);
+    EXPECT_EQ(qs::fleet_snapshot::deserialize(snapshot_as_version(s, 4)), s);
 
     // A v3 peer's payload predates them: they load as zero.
     qs::fleet_snapshot want_v3 = s;
     want_v3.hop_hits = 0;
     want_v3.hop_misses = 0;
     want_v3.hop_bytes = 0;
-    EXPECT_EQ(qs::fleet_snapshot::deserialize(s.serialize(3)), want_v3);
-    EXPECT_LT(s.serialize(3).size(), s.serialize(4).size());
+    EXPECT_EQ(qs::fleet_snapshot::deserialize(snapshot_as_version(s, 3)),
+              want_v3);
+    EXPECT_LT(snapshot_as_version(s, 3).size(),
+              snapshot_as_version(s, 4).size());
 
     // operator+= still sums them like every other counter column.
     qs::fleet_snapshot sum = s;

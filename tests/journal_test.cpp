@@ -23,8 +23,10 @@
 #include "qpsa/service/service.hpp"
 #include "qpsa/util/crc32.hpp"
 #include "quality_ladder.hpp"
+#include "wire_samples.hpp"
 
 using qpsa::real;
+using qpsa::test::snapshot_as_version;
 namespace fs = std::filesystem;
 namespace qcore = qpsa::core;
 namespace qj = qpsa::journal;
@@ -653,16 +655,15 @@ TEST(FleetWireV2Test, TelemetryColumnsRoundTripAndOldPayloadsLoad) {
     EXPECT_EQ(twice.journal_appends, 2468u);
     EXPECT_EQ(twice.journal_torn_tails, 2u);
 
-    // A v1 payload (the PR 5 layout: no trailing telemetry block) still
-    // loads, with the new columns zero.  Emit one through the versioned
-    // serializer -- the same path an older peer would use.
+    // A v1 payload (the first layout: no trailing telemetry block) still
+    // loads, with the new columns zero.
     qs::fleet_snapshot v1_content = snap;
     v1_content.high_water_alarms = 0;
     v1_content.journal_appends = 0;
     v1_content.journal_bytes = 0;
     v1_content.journal_fsyncs = 0;
     v1_content.journal_torn_tails = 0;
-    const std::vector<std::uint8_t> v1_bytes = snap.serialize(1);
+    const std::vector<std::uint8_t> v1_bytes = snapshot_as_version(snap, 1);
     EXPECT_EQ(qs::fleet_snapshot::deserialize(v1_bytes), v1_content);
 }
 

@@ -1,8 +1,8 @@
 // Sharded fleet core tests: consistent-hash placement properties
 // (distribution balance, bounded key movement), the shard_router's
 // topology-blind determinism vs a serial baseline, the fleet_snapshot
-// wire format round trip (including genuine version skew via the
-// serialize(version) overload), live session migration
+// wire format round trip (including version skew against older peers'
+// payloads, wire_samples.hpp), live session migration
 // (extract/adopt bit-identity mid-window and mid-governor-dwell,
 // K=1 -> 2 -> 4 reshapes), and multi-shard concurrency -- drains and
 // snapshot-vs-migration races (the tsan job runs this binary).
@@ -20,8 +20,10 @@
 #include "qpsa/physio/patients.hpp"
 #include "qpsa/service/service.hpp"
 #include "quality_ladder.hpp"
+#include "wire_samples.hpp"
 
 using qpsa::real;
+using qpsa::test::snapshot_as_version;
 namespace qcore = qpsa::core;
 namespace qp = qpsa::physio;
 namespace qs = qpsa::service;
@@ -767,20 +769,23 @@ TEST(FleetWireVersionSkewTest, OlderEncodingsLoadWithNewColumnsZeroed) {
     want_v4.windows_stolen = 0;
     want_v4.lane_slots_filled = 0;
     want_v4.lane_slots_offered = 0;
-    EXPECT_EQ(qs::fleet_snapshot::deserialize(snap.serialize(4)), want_v4);
+    EXPECT_EQ(qs::fleet_snapshot::deserialize(snapshot_as_version(snap, 4)),
+              want_v4);
 
     // A v3 peer: no hop-cache telemetry either.
     qs::fleet_snapshot want_v3 = want_v4;
     want_v3.hop_hits = 0;
     want_v3.hop_misses = 0;
     want_v3.hop_bytes = 0;
-    EXPECT_EQ(qs::fleet_snapshot::deserialize(snap.serialize(3)), want_v3);
+    EXPECT_EQ(qs::fleet_snapshot::deserialize(snapshot_as_version(snap, 3)),
+              want_v3);
 
     // A v2 peer: migration columns gone too.
     qs::fleet_snapshot want_v2 = want_v3;
     want_v2.sessions_migrated_in = 0;
     want_v2.sessions_migrated_out = 0;
-    EXPECT_EQ(qs::fleet_snapshot::deserialize(snap.serialize(2)), want_v2);
+    EXPECT_EQ(qs::fleet_snapshot::deserialize(snapshot_as_version(snap, 2)),
+              want_v2);
 
     // A v1 peer: no high-water/journal telemetry either.
     qs::fleet_snapshot want_v1 = want_v2;
@@ -789,13 +794,17 @@ TEST(FleetWireVersionSkewTest, OlderEncodingsLoadWithNewColumnsZeroed) {
     want_v1.journal_bytes = 0;
     want_v1.journal_fsyncs = 0;
     want_v1.journal_torn_tails = 0;
-    EXPECT_EQ(qs::fleet_snapshot::deserialize(snap.serialize(1)), want_v1);
+    EXPECT_EQ(qs::fleet_snapshot::deserialize(snapshot_as_version(snap, 1)),
+              want_v1);
 
     // Older payloads are smaller, not just zero-padded.
-    EXPECT_LT(snap.serialize(1).size(), snap.serialize(2).size());
-    EXPECT_LT(snap.serialize(2).size(), snap.serialize(3).size());
-    EXPECT_LT(snap.serialize(3).size(), snap.serialize(4).size());
-    EXPECT_LT(snap.serialize(4).size(), snap.serialize().size());
+    EXPECT_LT(snapshot_as_version(snap, 1).size(),
+              snapshot_as_version(snap, 2).size());
+    EXPECT_LT(snapshot_as_version(snap, 2).size(),
+              snapshot_as_version(snap, 3).size());
+    EXPECT_LT(snapshot_as_version(snap, 3).size(),
+              snapshot_as_version(snap, 4).size());
+    EXPECT_LT(snapshot_as_version(snap, 4).size(), snap.serialize().size());
 }
 
 TEST(FleetWireVersionSkewTest, MixedVersionMergeEqualsInProcessMerge) {
@@ -807,11 +816,11 @@ TEST(FleetWireVersionSkewTest, MixedVersionMergeEqualsInProcessMerge) {
     old_peer.lf_sum = 5.0 / 11.0;
 
     qs::fleet_snapshot direct = current;
-    direct += qs::fleet_snapshot::deserialize(old_peer.serialize(4));
+    direct += qs::fleet_snapshot::deserialize(snapshot_as_version(old_peer, 4));
 
     qs::fleet_snapshot wired =
         qs::fleet_snapshot::deserialize(current.serialize());
-    wired += qs::fleet_snapshot::deserialize(old_peer.serialize(4));
+    wired += qs::fleet_snapshot::deserialize(snapshot_as_version(old_peer, 4));
     EXPECT_EQ(wired, direct);
 }
 

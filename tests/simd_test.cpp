@@ -178,63 +178,16 @@ TEST(SimdDispatch, SetActiveIsaRepointsTable) {
 
 // ------------------------------------------------- per-kernel identity
 
-TEST(SimdKernels, ElementwiseKernelsMatchScalarBitwise) {
+TEST(SimdKernels, Spread4MatchesScalarOnEveryIsa) {
+    // spread4 is the one single-stream kernel with a per-ISA copy: every
+    // fractional position against the scalar deposit, including the
+    // circular wrap cells at both mesh ends.
     const qs::kernel_table* ref = qs::kernels_for(qs::isa::scalar);
     ASSERT_NE(ref, nullptr);
     for (const qs::isa which : qs::available_isas()) {
         if (which == qs::isa::scalar) continue;
         const qs::kernel_table* kt = qs::kernels_for(which);
         ASSERT_NE(kt, nullptr);
-        // Odd lengths on purpose: tails must run the same scalar code.
-        for (const std::size_t n : {1u, 2u, 7u, 64u, 129u}) {
-            const auto xr = random_reals(2 * n, 11 * n + 1);
-            const auto xc = random_cplx(2 * n, 13 * n + 2);
-
-            {  // haar stages (folded butterflies)
-                std::vector<cplx> a0(n), d0(n), a1(n), d1(n);
-                ref->haar_stage_cplx(xc.data(), a0.data(), d0.data(), n);
-                kt->haar_stage_cplx(xc.data(), a1.data(), d1.data(), n);
-                EXPECT_TRUE(bits_equal(a0, a1)) << qs::isa_name(which);
-                EXPECT_TRUE(bits_equal(d0, d1)) << qs::isa_name(which);
-                ref->haar_stage_real(xc.data(), a0.data(), d0.data(), n);
-                kt->haar_stage_real(xc.data(), a1.data(), d1.data(), n);
-                EXPECT_TRUE(bits_equal(a0, a1));
-                EXPECT_TRUE(bits_equal(d0, d1));
-                ref->haar_lowpass_cplx(xc.data(), a0.data(), n);
-                kt->haar_lowpass_cplx(xc.data(), a1.data(), n);
-                EXPECT_TRUE(bits_equal(a0, a1));
-                ref->haar_lowpass_real(xc.data(), a0.data(), n);
-                kt->haar_lowpass_real(xc.data(), a1.data(), n);
-                EXPECT_TRUE(bits_equal(a0, a1));
-            }
-
-            if (n >= 2) {  // Db2 lifting (wraps need half >= 2)
-                std::vector<real> s1(n), d1(n), a0(n), d0(n), a1(n), dd1(n);
-                ref->lifting_db2(xr.data(), s1.data(), d1.data(), a0.data(),
-                                 d0.data(), n);
-                kt->lifting_db2(xr.data(), s1.data(), d1.data(), a1.data(),
-                                dd1.data(), n);
-                EXPECT_TRUE(bits_equal(a0, a1)) << qs::isa_name(which);
-                EXPECT_TRUE(bits_equal(d0, dd1)) << qs::isa_name(which);
-            }
-
-            {  // packing and power
-                std::vector<cplx> p0(n), p1(n);
-                ref->pack_real_pair(xr.data(), xr.data() + n, p0.data(), n);
-                kt->pack_real_pair(xr.data(), xr.data() + n, p1.data(), n);
-                EXPECT_TRUE(bits_equal(p0, p1));
-                ref->widen_real(xr.data(), p0.data(), n);
-                kt->widen_real(xr.data(), p1.data(), n);
-                EXPECT_TRUE(bits_equal(p0, p1));
-                std::vector<real> w0(n), w1(n);
-                ref->power_norm(xc.data(), w0.data(), 0.37, n);
-                kt->power_norm(xc.data(), w1.data(), 0.37, n);
-                EXPECT_TRUE(bits_equal(w0, w1)) << qs::isa_name(which);
-            }
-        }
-
-        // spread4: every fractional position against the scalar deposit,
-        // including the circular wrap cells at both mesh ends.
         for (const std::ptrdiff_t i0 : {-1l, 0l, 3l, 30l, 31l}) {
             std::vector<real> m0 = random_reals(32, 77);
             std::vector<real> m1 = m0;

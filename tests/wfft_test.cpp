@@ -11,6 +11,7 @@
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/dsp/dft.hpp"
 #include "qpsa/dsp/fft_split_radix.hpp"
+#include "qpsa/lomb/fft_engine.hpp"
 #include "qpsa/util/arena.hpp"
 #include "qpsa/util/random.hpp"
 #include "qpsa/wfft/twiddle_tables.hpp"
@@ -21,6 +22,7 @@ using qpsa::real;
 namespace qw = qpsa::wavelet;
 namespace qf = qpsa::wfft;
 namespace qc = qpsa::counting;
+namespace ql = qpsa::lomb;
 
 namespace {
 
@@ -222,7 +224,7 @@ TEST(WfftTest, WfftOpCountVsSplitRadixAt512) {
               static_cast<std::uint64_t>(1.6 * sr_ops.arithmetic()));
 }
 
-// --------------------------------------- recursive lane-batched walk
+// ------------------------------------------------- batched transforms
 
 namespace {
 
@@ -272,17 +274,13 @@ void expect_batch_matches_forward(const qf::wavelet_fft& fft, bool real_in,
     }
 }
 
-/// forward_batched against per-item forward() for static-schedule
-/// recursive trees (the lane walk executes the scalar operation sequence
-/// per lane and attributes the memoized static-schedule tally per item).
+/// forward_batched against per-item forward() for recursive trees, which
+/// the batched entry point runs one item at a time.
 void expect_batched_identical(const qf::plan& base, bool real_in) {
     qf::plan p = base;
     p.assume_real_input = real_in;
     const qf::wavelet_fft fft(p);
-    ASSERT_TRUE(fft.static_schedule());
-    ASSERT_TRUE(fft.lane_batchable());
     qpsa::util::rng r(97 + p.n + (real_in ? 1 : 0));
-    // Counts around the lane width: pairs, exact multiples, ragged tails.
     for (const std::size_t count : {2u, 3u, 4u, 5u, 9u})
         expect_batch_matches_forward(fft, real_in, count, r);
 }
@@ -364,32 +362,26 @@ TEST(WfftSingleLevelLaneTest, DynamicPlanMatchesWhileCountingLive) {
 }
 
 TEST(WfftRecursiveLaneTest, StaticScheduleGate) {
-    // Dynamic pruning decides per window from the data: no static
-    // schedule, the batched walk must not claim it.
-    const qf::wavelet_fft dynamic(qf::plan::dynamic_pruned(
-        256, qw::basis::haar, qf::twiddle_set::set2, 0.1, 0.1,
-        qf::tree_mode::recursive));
-    EXPECT_FALSE(dynamic.static_schedule());
-
-    // Db2 tables are never folded-Haar, so the recursive walk stays off.
-    const qf::wavelet_fft db2(
-        qf::plan::exact(128, qw::basis::db2, qf::tree_mode::recursive));
-    EXPECT_FALSE(db2.static_schedule());
-
-    // A folded-Haar recursive tree has a static schedule, which is what
-    // admits it to the multi-level lane walk.
-    const qf::wavelet_fft rec(
-        qf::plan::exact(128, qw::basis::haar, qf::tree_mode::recursive));
-    ASSERT_TRUE(rec.static_schedule());
-    EXPECT_TRUE(rec.lane_batchable());
+    // Recursive trees -- folded Haar, Db2, dynamic pruning -- never
+    // interleave lanes: the batched entry point runs them per item, and
+    // their engines offer the scheduler one window per round.
+    const qf::plan recursive[] = {
+        qf::plan::exact(128, qw::basis::haar, qf::tree_mode::recursive),
+        qf::plan::exact(128, qw::basis::db2, qf::tree_mode::recursive),
+        qf::plan::dynamic_pruned(256, qw::basis::haar, qf::twiddle_set::set2,
+                                 0.1, 0.1, qf::tree_mode::recursive),
+    };
+    for (const qf::plan& p : recursive) {
+        EXPECT_FALSE(qf::wavelet_fft(p).lane_batchable()) << p.n;
+        EXPECT_EQ(ql::wavelet_engine(p).batch_width(), 1u) << p.n;
+    }
 
     // single_level trees lane-batch through the split-radix sub-FFTs.
     const qf::wavelet_fft single(qf::plan::exact(128, qw::basis::haar));
-    EXPECT_FALSE(single.static_schedule());
     EXPECT_TRUE(single.lane_batchable());
 }
 
-// ------------------------------------- counted vs lane combine identity
+// ----------------------------------- counted vs static combine identity
 
 namespace qpsa::wfft {
 
@@ -400,9 +392,9 @@ struct wavelet_fft_access {
                         exec_stats& stats) {
         f.combine(a_fft, d_fft, out, stats);
     }
-    static void combine_planes(const wavelet_fft& f, const cplx* a_fft,
-                               const cplx* d_fft, cplx* out, std::size_t nl) {
-        f.combine_planes(a_fft, d_fft, out, nl);
+    static void combine_static(const wavelet_fft& f, const cplx* a_fft,
+                               const cplx* d_fft, cplx* out) {
+        f.combine_static(a_fft, d_fft, out);
     }
 };
 
@@ -480,19 +472,19 @@ void expect_combines_identical(const qf::plan& p) {
     const std::size_t n = f.size();
     const std::size_t half = n / 2;
     const bool with_d = p.prune.band_drop_levels == 0;
-    constexpr std::size_t nl = 4;
+    constexpr std::size_t samples = 4;
     std::vector<std::vector<cplx>> as, ds;
-    for (std::size_t l = 0; l < nl; ++l) {
+    for (std::size_t l = 0; l < samples; ++l) {
         as.push_back(special_spectrum(half, 11 * n + l));
         ds.push_back(special_spectrum(half, 13 * n + l));
     }
     qf::exec_stats want_st;
     expected_combine_tally(f, with_d, want_st);
 
-    // The counted combine, per lane: the reference values, and a tally
+    // The counted combine, per sample: the reference values, and a tally
     // that the special values leave unchanged.
-    std::vector<std::vector<cplx>> ref(nl, std::vector<cplx>(n));
-    for (std::size_t l = 0; l < nl; ++l) {
+    std::vector<std::vector<cplx>> ref(samples, std::vector<cplx>(n));
+    for (std::size_t l = 0; l < samples; ++l) {
         qf::exec_stats st;
         {
             qc::count_scope scope(st.ops);
@@ -500,37 +492,22 @@ void expect_combines_identical(const qf::plan& p) {
                                             with_d ? ds[l].data() : nullptr,
                                             ref[l], st);
         }
-        EXPECT_EQ(st.ops, want_st.ops) << "lane " << l;
+        EXPECT_EQ(st.ops, want_st.ops) << "sample " << l;
         EXPECT_EQ(st.terms_total, want_st.terms_total);
         EXPECT_EQ(st.terms_structural_zero, want_st.terms_structural_zero);
         EXPECT_EQ(st.terms_pruned_factor, want_st.terms_pruned_factor);
         EXPECT_EQ(st.terms_pruned_data, 0u);
     }
 
-    // One lane: the lane combine over the same buffers.
-    for (std::size_t l = 0; l < nl; ++l) {
+    // The static combine over the same buffers.
+    for (std::size_t l = 0; l < samples; ++l) {
         std::vector<cplx> out(n);
-        qf::wavelet_fft_access::combine_planes(
-            f, as[l].data(), with_d ? ds[l].data() : nullptr, out.data(), 1);
+        qf::wavelet_fft_access::combine_static(
+            f, as[l].data(), with_d ? ds[l].data() : nullptr, out.data());
         for (std::size_t i = 0; i < n; ++i)
             ASSERT_TRUE(same_value(ref[l][i], out[i]))
-                << "nl=1 lane " << l << " bin " << i;
+                << "sample " << l << " bin " << i;
     }
-
-    // Four lanes interleaved element-major, as the recursive walk lays
-    // them out.
-    std::vector<cplx> a4(half * nl), d4(half * nl), out4(n * nl);
-    for (std::size_t m = 0; m < half; ++m)
-        for (std::size_t l = 0; l < nl; ++l) {
-            a4[m * nl + l] = as[l][m];
-            d4[m * nl + l] = ds[l][m];
-        }
-    qf::wavelet_fft_access::combine_planes(
-        f, a4.data(), with_d ? d4.data() : nullptr, out4.data(), nl);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t l = 0; l < nl; ++l)
-            ASSERT_TRUE(same_value(ref[l][i], out4[i * nl + l]))
-                << "nl=4 lane " << l << " bin " << i;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -86,6 +87,28 @@ inline service::fleet_snapshot sample_snapshot() {
     s.hf_sum = 1.0 / 3.0;
     s.ratio_sum = 37.5;
     return s;
+}
+
+/// `s` as an older peer's fleet_snapshot payload: the current encoding
+/// cut at `version`'s column boundary, its version field rewritten.
+/// Every version after v1 appended whole u64 columns at the tail
+/// (wire.cpp), so an older layout is exactly such a prefix.
+inline bytes snapshot_as_version(const service::fleet_snapshot& s,
+                                 std::uint16_t version) {
+    // u64 columns appended by v2 (telemetry), v3 (migration), v4 (hop
+    // cache) and v5 (drain scheduler).
+    constexpr std::size_t appended[] = {0, 0, 5, 2, 3, 3};
+    static_assert(std::size(appended) == service::fleet_wire_version + 1u);
+    EXPECT_TRUE(version >= 1 && version <= service::fleet_wire_version);
+    bytes b = s.serialize();
+    std::size_t cut = 0;
+    for (std::size_t v = version + 1u; v <= service::fleet_wire_version; ++v)
+        cut += 8 * appended[v];
+    b.resize(b.size() - cut);
+    // The u16 version follows the u32 magic, little-endian.
+    b[4] = static_cast<std::uint8_t>(version & 0xFF);
+    b[5] = static_cast<std::uint8_t>(version >> 8);
+    return b;
 }
 
 inline service::session_runtime_state sample_state() {
