@@ -42,18 +42,4 @@ fleet_energy_totals fleet_energy_accumulator::price_window(
     return t;
 }
 
-void fleet_energy_accumulator::add_window(const counting::op_counts& ops) {
-    merge(price_window(ops));
-}
-
-void fleet_energy_accumulator::merge(const fleet_energy_totals& partial) {
-    std::lock_guard<std::mutex> lock(mu_);
-    totals_ += partial;
-}
-
-fleet_energy_totals fleet_energy_accumulator::totals() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return totals_;
-}
-
 }  // namespace qpsa::energy

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 
 #include "qpsa/counting/op_counter.hpp"
 #include "qpsa/energy/node_model.hpp"
@@ -40,8 +39,9 @@ struct fleet_energy_totals {
     bool operator==(const fleet_energy_totals&) const = default;
 };
 
-/// Thread-safe roll-up: many scheduler workers price windows concurrently
-/// into one accumulator.
+/// Prices completed windows on the node model.  Each scheduler worker
+/// prices into its own fleet_energy_totals and the fleet sums them with
+/// operator+=, so the pricer itself holds no running state.
 class fleet_energy_accumulator {
 public:
     /// `window_deadline_s`: real-time budget per window for the VFS
@@ -52,24 +52,12 @@ public:
 
     const node_model& model() const noexcept { return model_; }
 
-    /// Price one completed window and add it to the totals.
-    void add_window(const counting::op_counts& ops);
-
-    /// Merge totals accumulated elsewhere (e.g. a per-thread batch).
-    void merge(const fleet_energy_totals& partial);
-
-    /// Consistent snapshot of the running totals.
-    fleet_energy_totals totals() const;
-
-    /// Price a window without touching the shared totals (for building a
-    /// per-thread partial to merge() later).
+    /// Price one completed window: totals with `windows == 1`.
     fleet_energy_totals price_window(const counting::op_counts& ops) const;
 
 private:
     node_model model_;
     real deadline_s_;
-    mutable std::mutex mu_;
-    fleet_energy_totals totals_;
 };
 
 }  // namespace qpsa::energy

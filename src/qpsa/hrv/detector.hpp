@@ -2,8 +2,7 @@
 //
 // The paper uses sinus arrhythmia as the test case for quantifying
 // quality loss: the condition is flagged when LFP/HFP is "much less than
-// 1".  The detector threshold sits at 1.0 by default with an optional
-// hysteresis margin for streaming decisions.
+// 1".  The detector flags a window whose ratio is below 1.0.
 #pragma once
 
 #include "qpsa/hrv/bands.hpp"
@@ -11,16 +10,15 @@
 
 namespace qpsa::hrv {
 
-struct detector_options {
-    real ratio_threshold = 1.0;
-};
+/// LFP/HFP below this flags sinus arrhythmia.
+inline constexpr real sinus_arrhythmia_ratio = 1.0;
 
 enum class diagnosis {
     sinus_arrhythmia,
     normal,
 };
 
-diagnosis classify(const band_powers& bp, const detector_options& opt = {});
+diagnosis classify(const band_powers& bp);
 
 const char* diagnosis_name(diagnosis d);
 
@@ -29,7 +27,6 @@ const char* diagnosis_name(diagnosis d);
 /// is unchanged by the approximation (the paper's headline is that this
 /// stays at 100 %).
 real diagnosis_agreement(std::span<const real> reference_ratios,
-                         std::span<const real> approx_ratios,
-                         const detector_options& opt = {});
+                         std::span<const real> approx_ratios);
 
 }  // namespace qpsa::hrv

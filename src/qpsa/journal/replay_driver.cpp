@@ -5,6 +5,14 @@
 
 namespace qpsa::journal {
 
+namespace {
+
+/// Beats pushed per session per round before a pump interleaves the
+/// sessions (any chunking yields the same reports).
+constexpr std::size_t replay_round_beats = 256;
+
+}  // namespace
+
 replay_driver::replay_driver(const std::string& dir) {
     std::unordered_map<std::uint64_t, std::size_t> index;
     for (const std::string& path : journal_files(dir)) {
@@ -43,7 +51,6 @@ replay_driver::replay_driver(const std::string& dir) {
 
 replay_result replay_driver::run(const replay_config_fn& make_config,
                                  const replay_options& opt) const {
-    QPSA_EXPECTS(opt.ingest_chunk >= 1);
     service::session_manager mgr(opt.service);
 
     // Admit in recorded-id order; the record pins everything determinism
@@ -70,7 +77,7 @@ replay_result replay_driver::run(const replay_config_fn& make_config,
         for (std::size_t i = 0; i < sessions_.size(); ++i) {
             const auto& beats = sessions_[i].beats;
             std::size_t pushed = 0;
-            while (next[i] < beats.size() && pushed < opt.ingest_chunk) {
+            while (next[i] < beats.size() && pushed < replay_round_beats) {
                 const beat_event& b = beats[next[i]];
                 while (!mgr.ingest(i, b.beat_time_s, b.rr_s)) mgr.pump();
                 ++next[i];

@@ -28,9 +28,6 @@ struct replay_options {
     /// Fleet shape for the replay (threads, scheduler, node model...).
     /// Results do not depend on it; wall-clock does.
     service::service_options service;
-    /// Beats pushed per session per round before a pump interleaves the
-    /// sessions (any chunking yields the same reports).
-    std::size_t ingest_chunk = 256;
 };
 
 /// One recorded session: its admission-time meta, its beat stream and

@@ -11,12 +11,12 @@
 // last journaled post-window state -- bit-identical to what the running
 // fleet would have reported, which CI gates on.
 //
-// Ingest-plane columns (beats_dropped/rejected/overwritten, drop_alarms,
-// high_water_alarms) are live-only telemetry: they count what the
-// producer edge did, not what the analysis plane computed, and are not
-// reconstructible from a drain-side journal.  A rebuilt snapshot reports
-// them as zero; runs that compare rebuilt against live snapshots must be
-// drop-free (CI's are).
+// Ingest-plane columns (beats_dropped/rejected, drop_alarms) are
+// live-only telemetry: they count what the producer edge did, not what
+// the analysis plane computed, and are not reconstructible from a
+// drain-side journal.  A rebuilt snapshot reports them as zero; runs
+// that compare rebuilt against live snapshots must be drop-free (CI's
+// are).
 #pragma once
 
 #include <cstdint>

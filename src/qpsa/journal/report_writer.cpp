@@ -13,6 +13,10 @@ namespace qpsa::journal {
 
 namespace {
 
+/// Staging buffer size: records accumulate here and are written in one
+/// syscall when it fills (or on flush/close).
+constexpr std::size_t staging_capacity = std::size_t{1} << 18;
+
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
     throw journal_error("journal: " + what + " " + path + ": " +
                         std::strerror(errno));
@@ -21,14 +25,13 @@ namespace {
 }  // namespace
 
 report_writer::report_writer(std::string path, writer_options opt)
-    : path_(std::move(path)), opt_(opt), arena_(opt.staging_bytes) {
-    QPSA_EXPECTS(opt_.staging_bytes >= 4096);
+    : path_(std::move(path)), opt_(opt), arena_(staging_capacity) {
     QPSA_EXPECTS(opt_.shard_count >= 1 &&
                  opt_.shard_index < opt_.shard_count);
     fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                  0644);
     if (fd_ < 0) throw_errno("cannot open", path_);
-    staging_ = arena_.alloc<std::uint8_t>(opt_.staging_bytes);
+    staging_ = arena_.alloc<std::uint8_t>(staging_capacity);
 
     // The header goes to disk immediately: even a crash before the first
     // record leaves a scannable (empty) journal behind.

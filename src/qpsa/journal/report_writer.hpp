@@ -46,10 +46,6 @@ struct writer_options {
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 1;
 
-    /// Staging buffer size: records accumulate here and are written in
-    /// one syscall when it fills (or on flush/close).
-    std::size_t staging_bytes = std::size_t{1} << 18;
-
     /// fsync after this many bytes reach the file; 0 disables cadence
     /// syncs (only flush(true) and close() sync).  Small values bound
     /// data loss under power failure at a throughput cost.

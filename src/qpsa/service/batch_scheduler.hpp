@@ -6,7 +6,7 @@
 //   1. scan every shard for sessions with buffered ingest and keep the
 //      ready ones (session::ready(): the newest pushed beat reaches the
 //      monitor's next window end, or the beats cannot wait -- unstarted
-//      monitor, ring at least half full, high-water callback).  Every
+//      monitor or ring at least half full).  Every
 //      other session keeps its beats in the ring for a later pass; a
 //      drain_all pass keeps every pending session instead;
 //   2. order the kept sessions by engine identity (the key hash each

@@ -33,13 +33,13 @@ namespace qpsa::service {
 /// recorded in the header, so a snapshot from a build with fewer engine
 /// kinds (an older leaf-engine set) loads into the wider table while one
 /// with more kinds than the reader knows is rejected loudly.
-/// History: v1 = PR 5 layout; v2 appends the high-water and journal
-/// telemetry columns after ratio_sum; v3 appends the live-migration
-/// columns (sessions_migrated_in/out); v4 appends the hop-cache columns
-/// (hop_hits/hop_misses/hop_bytes, retired: 0 from live fleets); v5
-/// appends the drain-scheduler columns (windows_stolen/lane_slots_filled/
-/// lane_slots_offered).  Older payloads still load with the missing
-/// trailing columns zero.
+/// History: v1 = PR 5 layout; v2 appends the high-water (retired: 0 from
+/// live fleets) and journal telemetry columns after ratio_sum; v3 appends
+/// the live-migration columns (sessions_migrated_in/out); v4 appends the
+/// hop-cache columns (hop_hits/hop_misses/hop_bytes, retired: 0 from live
+/// fleets); v5 appends the drain-scheduler columns (windows_stolen/
+/// lane_slots_filled/lane_slots_offered).  Older payloads still load with
+/// the missing trailing columns zero.
 inline constexpr std::uint16_t fleet_wire_version = 5;
 
 /// Per-engine-kind tally (one slot per core::engine_class).
@@ -58,8 +58,9 @@ struct engine_tally {
 };
 
 /// Ingest-health alarm for one session: beats the ring rejected on
-/// overflow, beats evicted unread (overwrite-oldest rings), and beats the
-/// monitor rejected as malformed.
+/// overflow and beats the monitor rejected as malformed.  `overwritten`
+/// is retired (rings no longer evict): 0 from live fleets, still encoded
+/// so existing payloads load.
 struct session_drop_alarm {
     std::uint64_t session_id = 0;
     std::uint64_t dropped = 0;
@@ -93,6 +94,8 @@ struct fleet_snapshot {
 
     /// Ingest-drop roll-up (filled by session_manager::fleet(); plain
     /// fleet_stats snapshots have no ingest visibility and report 0).
+    /// beats_overwritten is retired (rings no longer evict): 0 from live
+    /// fleets, still encoded so existing payloads load.
     std::uint64_t beats_dropped = 0;
     std::uint64_t beats_rejected = 0;
     std::uint64_t beats_overwritten = 0;
@@ -107,10 +110,9 @@ struct fleet_snapshot {
     real battery_fraction_min = 1.0;
     std::vector<session_quality> quality;
 
-    /// Ingest backpressure roll-up: high-water alarm firings across the
-    /// fleet.  Like the drop columns this is live-only producer-edge
-    /// telemetry (session_manager::fleet() fills it; a journal rebuild
-    /// reports zero -- the drain-side log cannot see the ingest edge).
+    /// Retired ingest-backpressure column (high-water alarm firings; the
+    /// callback is gone): 0 from live fleets, still encoded so existing
+    /// payloads load.  Counts add under operator+=.
     std::uint64_t high_water_alarms = 0;
 
     /// Journal telemetry: records appended, framed bytes on disk, fsyncs

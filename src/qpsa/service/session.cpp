@@ -28,21 +28,12 @@ constexpr std::size_t journal_stage_cap = 256;
 session::session(session_config cfg, core::system_factory factory)
     : cfg_(std::move(cfg)),
       governor_(cfg_.quality),
-      ring_(cfg_.ingest_capacity, cfg_.overflow),
+      ring_(cfg_.ingest_capacity),
       monitor_(initial_config(cfg_, governor_), cfg_.monitor,
                std::move(factory)),
       battery_(cfg_.battery) {
     QPSA_EXPECTS(cfg_.global_id != global_id_auto);
     current_mode_.store(monitor_.config().kind(), std::memory_order_relaxed);
-    if (cfg_.on_high_water) {
-        QPSA_EXPECTS(cfg_.high_water_fraction > 0.0 &&
-                     cfg_.high_water_fraction <= 1.0);
-        // Occupancy mark on the *rounded* ring capacity; at least one
-        // beat so a crossing is always observable.
-        high_water_mark_ = std::max<std::size_t>(
-            1, static_cast<std::size_t>(cfg_.high_water_fraction *
-                                        static_cast<real>(ring_.capacity())));
-    }
     // Absorb the first few capacity doublings at admission time -- the
     // steady-state drain path is budgeted at ~zero allocations per window.
     if (cfg_.keep_reports) reports_.reserve(64);
@@ -79,8 +70,6 @@ session::session(session_config cfg, core::system_factory factory,
     beats_rejected_.store(st.beats_rejected, std::memory_order_relaxed);
     windows_ = st.windows_completed;
     dropped_carry_ = st.beats_dropped;
-    overwritten_carry_ = st.beats_overwritten;
-    high_water_alarms_.store(st.high_water_alarms, std::memory_order_relaxed);
     switch_log_ = st.switch_log;
     if (cfg_.keep_reports) reports_ = st.reports;
 }
@@ -104,23 +93,10 @@ session_runtime_state session::extract() {
     st.beats_ingested = beats_ingested_;
     st.beats_rejected = beats_rejected_.load(std::memory_order_relaxed);
     st.beats_dropped = beats_dropped();
-    st.beats_overwritten = beats_overwritten();
     st.windows_completed = windows_;
-    st.high_water_alarms = high_water_alarms_.load(std::memory_order_relaxed);
     st.switch_log = switch_log_;
     st.reports = reports_;
     return st;
-}
-
-void session::notify_high_water() noexcept {
-    const std::size_t buffered = ring_.size();
-    if (buffered < high_water_mark_) return;
-    // One alarm per congestion episode: the exchange makes the producer
-    // the only thread that can fire until a drain re-arms the flag.
-    if (high_water_armed_.exchange(false, std::memory_order_acq_rel)) {
-        high_water_alarms_.fetch_add(1, std::memory_order_relaxed);
-        cfg_.on_high_water(id(), buffered, ring_.capacity());
-    }
 }
 
 void session::collect_windows(fleet_partial& acc) {
@@ -179,13 +155,7 @@ session::pump_status session::pump_to_stage(fleet_partial& acc) {
         collect_windows(acc);
     }
     if (cfg_.journal != nullptr) flush_journal_stage();
-    rearm_high_water();
     return pump_status::idle;
-}
-
-void session::rearm_high_water() noexcept {
-    if (high_water_mark_ != 0 && ring_.size() < high_water_mark_)
-        high_water_armed_.store(true, std::memory_order_release);
 }
 
 void session::push_beat(const beat_sample& s) {

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -57,21 +56,9 @@ struct session_config {
     /// adaptive scenarios configure a smaller capacity.
     energy::battery_config battery;
 
-    /// Ingest ring capacity (rounded up to a power of two) and overflow
-    /// policy (reject keeps history, overwrite_oldest keeps freshness).
+    /// Ingest ring capacity (rounded up to a power of two).  A full ring
+    /// rejects the next beat and counts it (beats_dropped).
     std::size_t ingest_capacity = 1024;
-    overflow_policy overflow = overflow_policy::reject;
-
-    /// Ingest backpressure: when set, fires on the producer thread the
-    /// first time ring occupancy reaches high_water_fraction of capacity,
-    /// then re-arms once a drain brings occupancy back below the mark --
-    /// one alarm per congestion episode, so the ingest edge can shed or
-    /// reroute load *before* the ring starts rejecting/evicting.  The
-    /// callback runs inside ingest() and must be cheap and noexcept.
-    std::function<void(std::uint64_t session_id, std::size_t buffered,
-                       std::size_t capacity)>
-        on_high_water;
-    real high_water_fraction = 0.75;  ///< crossing mark, in (0, 1]
 
     /// Durability sink: when set, the drain loop appends every popped
     /// beat and every completed window report (with post-window battery
@@ -80,7 +67,7 @@ struct session_config {
     /// it from service_options::journal.
     journal::report_writer* journal = nullptr;
     /// The session's fleet-wide id: session::id(), stamped into journal
-    /// records, migrated state, high-water callbacks and fleet() rows.
+    /// records, migrated state and fleet() rows.
     /// global_id_auto uses the local slot.
     std::uint64_t global_id = global_id_auto;
 
@@ -131,23 +118,15 @@ public:
     }
 
     /// Producer side: enqueue one beat.  Never blocks; returns false when
-    /// a reject-policy ring is full (the beat is dropped and counted).
-    /// Fires the session's high-water callback on the crossing beat.
+    /// the ring is full (the beat is dropped and counted).
     bool ingest(real beat_time_s, real rr_s) noexcept {
         // An extracted session rejects like a full ring: its state has
         // left this shard, so accepting a beat here would lose it.  (The
         // producer is quiesced before extraction; this is the backstop.)
         if (extracted_.load(std::memory_order_relaxed)) return false;
-        const bool accepted = ring_.push({beat_time_s, rr_s});
-        if (accepted) note_newest(beat_time_s);
-        if (high_water_mark_ != 0) notify_high_water();
-        return accepted;
-    }
-
-    /// Times the high-water callback has fired (one per congestion
-    /// episode; safe to read from any thread).
-    std::uint64_t high_water_alarms() const noexcept {
-        return high_water_alarms_.load(std::memory_order_relaxed);
+        if (!ring_.push({beat_time_s, rr_s})) return false;
+        note_newest(beat_time_s);
+        return true;
     }
 
     /// Beats waiting in the ring (cheap; the scheduler polls this).
@@ -219,11 +198,10 @@ public:
 
     /// A pass drains this session now (see the section comment): it is
     /// due, or its beats cannot wait -- its monitor has not started (the
-    /// first beat sets the window phase), its ring is at least half full,
-    /// or it has a high-water callback (whose alarm episodes assume every
-    /// pass empties the ring).
+    /// first beat sets the window phase) or its ring is at least half
+    /// full.
     bool ready() const noexcept {
-        return due() || high_water_mark_ != 0 || !monitor_.started() ||
+        return due() || !monitor_.started() ||
                ring_.size() >= ring_.capacity() / 2;
     }
 
@@ -266,13 +244,10 @@ public:
     }
 
     std::uint64_t beats_ingested() const noexcept { return beats_ingested_; }
-    /// Drop/evict counts include the lifetime carried in by an adoption
-    /// (the ring itself starts fresh on the new shard).
+    /// Beats the full ring rejected, including the lifetime count carried
+    /// in by an adoption (the ring itself starts fresh on the new shard).
     std::uint64_t beats_dropped() const noexcept {
         return dropped_carry_ + ring_.dropped();
-    }
-    std::uint64_t beats_overwritten() const noexcept {
-        return overwritten_carry_ + ring_.overwritten();
     }
     /// Beats discarded because they violated the monitor's contract
     /// (non-positive RR, non-monotonic time).  Atomic so the fleet
@@ -314,12 +289,6 @@ private:
             newest_.store(t, std::memory_order_relaxed);
     }
 
-    /// Producer-side slow path of ingest(): fire the callback once per
-    /// crossing of the high-water mark (rearm_high_water re-arms below it).
-    void notify_high_water() noexcept;
-    /// Consumer side: re-arm the alarm once occupancy is below the mark.
-    void rearm_high_water() noexcept;
-
     session_config cfg_;
     core::quality_governor governor_;
     beat_ring ring_;
@@ -330,12 +299,6 @@ private:
     /// Beats popped since the last batched journal append; bounded by the
     /// stage cap in session.cpp, reserved up front when journaling.
     std::vector<journal::beat_event> journal_stage_;
-    /// Ring occupancy (in beats) at which the backpressure alarm fires;
-    /// 0 when no callback is configured.
-    std::size_t high_water_mark_ = 0;
-    /// Armed until the mark is crossed; rearm_high_water re-arms below it.
-    std::atomic<bool> high_water_armed_{true};
-    std::atomic<std::uint64_t> high_water_alarms_{0};
     /// Newest beat time ever pushed into the ring (producer-written).
     /// Relaxed is enough: due() only decides whether a pass drains now;
     /// a drain pops every buffered beat whatever it read.
@@ -345,10 +308,9 @@ private:
     std::uint64_t windows_ = 0;
     std::atomic<std::uint64_t> switches_{0};
     std::atomic<core::engine_class> current_mode_;
-    /// Lifetime drop/evict counts carried in by an adoption (the new
-    /// ring's own counters start at zero and add on top).
+    /// Lifetime drop count carried in by an adoption (the new ring's own
+    /// counter starts at zero and adds on top).
     std::uint64_t dropped_carry_ = 0;
-    std::uint64_t overwritten_carry_ = 0;
     /// Set once by extract(); the session is a tombstone afterwards.
     std::atomic<bool> extracted_{false};
 };

@@ -34,9 +34,7 @@ std::uint64_t session_manager::add_session(session_config cfg) {
     std::lock_guard<std::mutex> lock(admit_mu_);
     QPSA_EXPECTS(sessions_.size() < opt_.max_sessions);
     const std::uint64_t id = sessions_.size();
-    if (cfg.seed == 0)
-        cfg.seed =
-            util::derive_stream_seed(opt_.base_seed, opt_.stream_offset + id);
+    if (cfg.seed == 0) cfg.seed = util::derive_stream_seed(opt_.base_seed, id);
     if (cfg.global_id == global_id_auto) cfg.global_id = id;
     if (opt_.journal != nullptr && cfg.journal == nullptr)
         cfg.journal = opt_.journal.get();
@@ -147,12 +145,10 @@ fleet_snapshot session_manager::fleet() const {
         if (s.extracted()) continue;
         const std::uint64_t dropped = s.beats_dropped();
         const std::uint64_t rejected = s.beats_rejected();
-        const std::uint64_t overwritten = s.beats_overwritten();
         snap.beats_dropped += dropped;
         snap.beats_rejected += rejected;
-        snap.beats_overwritten += overwritten;
-        if (dropped > 0 || rejected > 0 || overwritten > 0)
-            snap.drop_alarms.push_back({s.id(), dropped, rejected, overwritten});
+        if (dropped > 0 || rejected > 0)
+            snap.drop_alarms.push_back({s.id(), dropped, rejected, 0});
 
         const std::uint64_t switches = s.mode_switches();
         const real charge = s.battery_fraction();
@@ -161,8 +157,6 @@ fleet_snapshot session_manager::fleet() const {
         if (s.governed())
             snap.quality.push_back(
                 {s.id(), switches, s.current_mode(), charge});
-
-        snap.high_water_alarms += s.high_water_alarms();
     }
     if (opt_.journal != nullptr) {
         const journal::writer_counters c = opt_.journal->counters();

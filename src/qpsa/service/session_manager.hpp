@@ -2,9 +2,9 @@
 // shared plan cache, a fixed worker pool and fleet-wide accounting.
 //
 // A manager holds no process-global state of its own -- stats, energy
-// pricer and journal are per-instance, and stream seeds can be
-// namespaced (stream_offset) -- so K managers compose into one sharded
-// fleet over a shared plan cache (see shard_router).  A standalone
+// pricer and journal are per-instance -- so K managers compose into one
+// sharded fleet over a shared plan cache (see shard_router, which
+// pre-assigns each session's seed from its global id).  A standalone
 // manager owns its scheduler and pool; a shard_router's shards create
 // none and run their passes on the router's.
 //
@@ -49,12 +49,6 @@ struct service_options {
 
     /// Base seed from which per-session random streams are derived.
     std::uint64_t base_seed = 0x9b4e5eedULL;
-    /// Offset added to the local session id when deriving stream seeds:
-    /// K standalone managers over one base seed partition a single
-    /// stream space with disjoint offset ranges instead of all starting
-    /// at stream 0 (shard_router instead pre-assigns seeds from global
-    /// ids, which subsumes this).
-    std::uint64_t stream_offset = 0;
 
     /// Admission ceiling.  Session storage is reserved once so the
     /// lock-free ingest path can index it while add_session() runs

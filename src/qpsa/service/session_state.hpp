@@ -8,12 +8,12 @@
 // mode switches the old shard would have produced.
 //
 // The session_config does NOT travel with the state.  Configs hold live
-// process resources (a shared quality_controller, journal pointers, the
-// high-water callback) that cannot cross a socket; instead both sides
-// resolve the config locally (in-process moves hand the config object
-// over directly; cross-process migration rebuilds it from the application
-// config registry keyed by config_token, see net::ingest_server) and the
-// state overrides the parts that carry identity: seed and global id.
+// process resources (a shared quality_controller, journal pointers) that
+// cannot cross a socket; instead both sides resolve the config locally
+// (in-process moves hand the config object over directly; cross-process
+// migration rebuilds it from the application config registry keyed by
+// config_token, see net::ingest_server) and the state overrides the parts
+// that carry identity: seed and global id.
 //
 // RNG position note: sessions hold no mutable RNG -- the per-session seed
 // (util::derive_stream_seed over the global id) IS the stream identity,
@@ -55,8 +55,12 @@ struct session_runtime_state {
     std::uint64_t beats_ingested = 0;
     std::uint64_t beats_rejected = 0;
     std::uint64_t beats_dropped = 0;
+    /// Retired (overwrite rings): 0 from live fleets, still encoded so
+    /// existing payloads load; adoption ignores it.
     std::uint64_t beats_overwritten = 0;
     std::uint64_t windows_completed = 0;
+    /// Retired (high-water callback): 0 from live fleets, still encoded
+    /// so existing payloads load; adoption ignores it.
     std::uint64_t high_water_alarms = 0;
 
     /// Applied governor switches (the serial-replay schedule) and the

@@ -1,7 +1,5 @@
 #include "qpsa/service/shard_map.hpp"
 
-#include <algorithm>
-
 #include "qpsa/util/random.hpp"
 
 namespace qpsa::service {
@@ -19,7 +17,6 @@ std::uint64_t weight(std::uint64_t key, std::uint64_t seed) noexcept {
 
 shard_map::shard_map(std::size_t shards, shard_map_options opt) : opt_(opt) {
     QPSA_EXPECTS(shards >= 1);
-    QPSA_EXPECTS(opt_.ring_vnodes >= 1);
     seeds_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i) add_shard();
 }
@@ -31,14 +28,6 @@ bool shard_map::is_active(std::size_t shard) const {
 
 std::size_t shard_map::shard_for_key(std::uint64_t key) const {
     QPSA_EXPECTS(active_ >= 1);
-    if (opt_.strategy == shard_strategy::ring) {
-        // First virtual point clockwise of the key (wrapping).
-        auto it = std::upper_bound(
-            ring_.begin(), ring_.end(), key,
-            [](std::uint64_t k, const ring_point& p) { return k < p.point; });
-        if (it == ring_.end()) it = ring_.begin();
-        return it->shard;
-    }
     std::size_t best = 0;
     std::uint64_t best_w = 0;
     bool found = false;
@@ -62,7 +51,6 @@ std::size_t shard_map::add_shard() {
     seeds_.push_back(util::derive_stream_seed(opt_.salt, index));
     alive_.push_back(true);
     ++active_;
-    if (opt_.strategy == shard_strategy::ring) rebuild_ring();
     return index;
 }
 
@@ -72,23 +60,6 @@ void shard_map::remove_shard(std::size_t shard) {
     QPSA_EXPECTS(active_ >= 2);  // a fleet always has somewhere to route
     alive_[shard] = false;
     --active_;
-    if (opt_.strategy == shard_strategy::ring) rebuild_ring();
-}
-
-void shard_map::rebuild_ring() {
-    ring_.clear();
-    ring_.reserve(active_ * opt_.ring_vnodes);
-    for (std::size_t i = 0; i < seeds_.size(); ++i) {
-        if (!alive_[i]) continue;
-        for (std::size_t v = 0; v < opt_.ring_vnodes; ++v)
-            ring_.push_back({weight(0x72696e67ULL + v, seeds_[i]),
-                             static_cast<std::uint32_t>(i)});
-    }
-    std::sort(ring_.begin(), ring_.end(),
-              [](const ring_point& a, const ring_point& b) {
-                  return a.point < b.point ||
-                         (a.point == b.point && a.shard < b.shard);
-              });
 }
 
 }  // namespace qpsa::service

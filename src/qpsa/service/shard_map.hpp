@@ -4,19 +4,13 @@
 // function patient_id -> shard that (a) spreads a cohort evenly and
 // (b) moves only a bounded fraction of keys when K changes -- naive
 // `hash % K` remaps nearly every patient when a shard is added, which
-// would reshuffle millions of live monitoring streams.  Two classic
-// constructions are provided:
-//
-//   * rendezvous (highest-random-weight): every active shard scores
-//     every key with an independent 64-bit weight and the highest score
-//     wins.  Exactly the keys won by a new shard move to it (expected
-//     1/(K+1)), and removing a shard moves exactly its own keys.  O(K)
-//     per lookup -- negligible next to admission cost, and placement is
-//     decided once per patient.
-//   * ring (consistent-hash circle): each shard projects `ring_vnodes`
-//     virtual points onto a 64-bit circle; a key belongs to the first
-//     point clockwise of its hash.  O(log(K * vnodes)) lookups, with
-//     balance improving as vnodes grows.
+// would reshuffle millions of live monitoring streams.  Placement is
+// rendezvous (highest-random-weight) hashing: every active shard scores
+// every key with an independent 64-bit weight and the highest score
+// wins.  Exactly the keys won by a new shard move to it (expected
+// 1/(K+1)), and removing a shard moves exactly its own keys.  O(K) per
+// lookup -- negligible next to admission cost, and placement is decided
+// once per patient.
 //
 // Keys are hashed with util::stable_hash64, so placement agrees across
 // processes and platforms -- an ingest front-end can route beats to
@@ -33,16 +27,7 @@
 
 namespace qpsa::service {
 
-enum class shard_strategy : std::uint8_t {
-    rendezvous,  ///< highest-random-weight (exact minimal movement)
-    ring,        ///< hash circle with virtual nodes
-};
-
 struct shard_map_options {
-    shard_strategy strategy = shard_strategy::rendezvous;
-    /// Virtual points per shard on the ring (ring strategy only); more
-    /// points -> tighter balance at O(vnodes) memory per shard.
-    std::size_t ring_vnodes = 128;
     /// Mixed into every shard's weight stream, so independent
     /// deployments (or A/B topologies) place the same cohort
     /// differently.
@@ -58,7 +43,6 @@ public:
     /// stable for the lifetime of the map (removed slots stay reserved).
     std::size_t slot_count() const noexcept { return seeds_.size(); }
     bool is_active(std::size_t shard) const;
-    shard_strategy strategy() const noexcept { return opt_.strategy; }
 
     /// Owning shard of a patient (>= 1 active shard required).
     std::size_t shard_for(std::string_view patient_id) const {
@@ -74,19 +58,10 @@ public:
     void remove_shard(std::size_t shard);
 
 private:
-    void rebuild_ring();
-
     shard_map_options opt_;
     std::vector<std::uint64_t> seeds_;  ///< per-slot weight-stream seeds
     std::vector<bool> alive_;
     std::size_t active_ = 0;
-
-    /// Sorted (point, shard) pairs; ring strategy only.
-    struct ring_point {
-        std::uint64_t point;
-        std::uint32_t shard;
-    };
-    std::vector<ring_point> ring_;
 };
 
 }  // namespace qpsa::service

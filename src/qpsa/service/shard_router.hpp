@@ -23,9 +23,8 @@
 //     (util::derive_stream_seed(base_seed, global_id)), so a session's
 //     random stream is identical under any shard count, K = 1 included;
 //   * a session's id() is its global id (add_session presets
-//     session_config::global_id), so journal records, high-water
-//     callbacks and every shard's snapshot rows carry it with no
-//     remapping.
+//     session_config::global_id), so journal records and every shard's
+//     snapshot rows carry it with no remapping.
 //
 // Threading contract matches session_manager's: ingest() is lock-free
 // and safe concurrently with add_session() and pump().  shard(k).pump()

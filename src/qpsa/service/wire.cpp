@@ -12,12 +12,17 @@
 //   u64  beats_dropped, beats_rejected, beats_overwritten
 //   drop alarms: u64 n; n x { u64 session_id, dropped, rejected,
 //        overwritten }
+//        (beats_overwritten and overwritten are retired overwrite-ring
+//        telemetry: 0 from live fleets, still encoded so existing
+//        payloads load)
 //   u64  mode_switches; f64 battery_fraction_min
 //   quality rows: u64 n; n x { u64 session_id, u64 mode_switches,
 //        engine_class current_mode, f64 battery_fraction }
 //   f64  lf_sum, hf_sum, ratio_sum
-//   v2+: u64 high_water_alarms; u64 journal_appends, journal_bytes,
-//        journal_fsyncs, journal_torn_tails
+//   v2+: u64 high_water_alarms (retired high-water telemetry: 0 from
+//        live fleets, still encoded so existing payloads load);
+//        u64 journal_appends, journal_bytes, journal_fsyncs,
+//        journal_torn_tails
 //   v3+: u64 sessions_migrated_in, sessions_migrated_out
 //   v4+: u64 hop_hits, hop_misses, hop_bytes (retired hop-cache
 //        telemetry: 0 from live fleets, kept so v4/v5 payloads load)
@@ -49,6 +54,8 @@
 //   f64  battery_charge_j
 //   u64  beats_ingested, beats_rejected, beats_dropped,
 //        beats_overwritten, windows_completed, high_water_alarms
+//        (beats_overwritten and high_water_alarms are retired: 0 from
+//        live fleets, still encoded so existing payloads load)
 //   switch log: u64 n; n x { u64 window_index, u64 mode_index }
 //   reports: u64 n; n x window_report
 //

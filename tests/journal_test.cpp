@@ -667,31 +667,6 @@ TEST(FleetWireV2Test, TelemetryColumnsRoundTripAndOldPayloadsLoad) {
     EXPECT_EQ(qs::fleet_snapshot::deserialize(v1_bytes), v1_content);
 }
 
-TEST(FleetWireV2Test, HighWaterAlarmsSurfaceInTheFleetSnapshot) {
-    qs::service_options opt;
-    opt.threads = 1;
-    qs::plan_cache cache;
-    qs::session_manager mgr(opt, &cache);
-
-    qs::session_config cfg;
-    cfg.patient_id = "patient-hw";
-    cfg.analysis = qcore::psa_config::conventional();
-    cfg.monitor = paper_monitor();
-    cfg.ingest_capacity = 16;
-    cfg.high_water_fraction = 0.5;
-    std::atomic<std::uint64_t> fired{0};
-    cfg.on_high_water = [&fired](std::uint64_t, std::size_t, std::size_t) {
-        fired.fetch_add(1, std::memory_order_relaxed);
-    };
-    mgr.add_session(std::move(cfg));
-
-    // Fill past the mark without draining: exactly one alarm per episode.
-    for (int i = 0; i < 12; ++i)
-        ASSERT_TRUE(mgr.ingest(0, 0.8 * (i + 1), 0.8));
-    EXPECT_EQ(fired.load(), 1u);
-    EXPECT_EQ(mgr.fleet().high_water_alarms, 1u);
-}
-
 // -------------------------------------------------------- arena lomb
 
 TEST(ArenaResampledTest, CoreMatchesVectorOverloadBitwise) {

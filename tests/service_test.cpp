@@ -156,50 +156,6 @@ TEST(BeatRingTest, SpscThreaded) {
     // may have generated some, but no accepted beat was lost or reordered.
 }
 
-TEST(BeatRingTest, OverwriteOldestKeepsFreshest) {
-    qs::beat_ring ring(4, qs::overflow_policy::overwrite_oldest);
-    EXPECT_EQ(ring.policy(), qs::overflow_policy::overwrite_oldest);
-    for (int i = 0; i < 6; ++i)
-        EXPECT_TRUE(ring.push({static_cast<real>(i), 0.8}));  // never rejects
-    EXPECT_EQ(ring.overwritten(), 2u);  // beats 0 and 1 evicted
-    EXPECT_EQ(ring.dropped(), 0u);
-    EXPECT_EQ(ring.size(), 4u);
-
-    qs::beat_sample s;
-    for (int i = 2; i < 6; ++i) {
-        ASSERT_TRUE(ring.pop(s));
-        EXPECT_EQ(s.t, static_cast<real>(i));  // freshest 4, still FIFO
-    }
-    EXPECT_FALSE(ring.pop(s));
-}
-
-TEST(BeatRingTest, OverwriteSpscThreaded) {
-    // A fast producer laps a small ring while the consumer drains: every
-    // consumed beat must still come out in strictly increasing order, and
-    // nothing is lost silently -- every pushed beat is either consumed or
-    // counted as overwritten.
-    qs::beat_ring ring(64, qs::overflow_policy::overwrite_oldest);
-    constexpr int n = 20000;
-    std::atomic<bool> done{false};
-    std::thread producer([&] {
-        for (int i = 0; i < n; ++i)
-            ASSERT_TRUE(ring.push({static_cast<real>(i), 1.0}));
-        done.store(true);
-    });
-    std::uint64_t consumed = 0;
-    real last = -1.0;
-    qs::beat_sample s;
-    while (!done.load() || !ring.empty()) {
-        if (ring.pop(s)) {
-            ASSERT_GT(s.t, last);
-            last = s.t;
-            ++consumed;
-        }
-    }
-    producer.join();
-    EXPECT_EQ(consumed + ring.overwritten(), static_cast<std::uint64_t>(n));
-}
-
 // ----------------------------------------------------------------- pool
 
 TEST(ThreadPoolTest, RunsAllTasksAndWaitsIdle) {
@@ -702,102 +658,6 @@ TEST(FleetStatsTest, IngestDropsSurfaceInSnapshot) {
     EXPECT_EQ(mgr.at(quiet).beats_dropped(), 0u);
 }
 
-TEST(FleetStatsTest, HighWaterCallbackFiresOncePerEpisode) {
-    qs::plan_cache cache;
-    qs::session_manager mgr({}, &cache);
-    auto cfg = patient_session(qp::cohort::healthy, 0,
-                               qcore::psa_config::conventional());
-    cfg.ingest_capacity = 8;
-    cfg.high_water_fraction = 0.5;  // alarm at 4 buffered beats
-    std::vector<std::pair<std::size_t, std::size_t>> alarms;
-    cfg.on_high_water = [&alarms](std::uint64_t, std::size_t buffered,
-                                  std::size_t capacity) {
-        alarms.emplace_back(buffered, capacity);
-    };
-    const auto id = mgr.add_session(std::move(cfg));
-
-    // Below the mark: no alarm.
-    for (int i = 0; i < 3; ++i) mgr.ingest(id, 1.0 + 0.8 * i, 0.8);
-    EXPECT_TRUE(alarms.empty());
-
-    // Crossing beat fires exactly once, further beats stay silent even
-    // as the ring fills to rejection.
-    for (int i = 3; i < 12; ++i) mgr.ingest(id, 1.0 + 0.8 * i, 0.8);
-    ASSERT_EQ(alarms.size(), 1u);
-    EXPECT_EQ(alarms[0].first, 4u);
-    EXPECT_EQ(alarms[0].second, 8u);
-    EXPECT_EQ(mgr.at(id).high_water_alarms(), 1u);
-
-    // Draining below the mark re-arms; the next crossing fires again.
-    mgr.drain_all();
-    for (int i = 12; i < 20; ++i) mgr.ingest(id, 1.0 + 0.8 * i, 0.8);
-    EXPECT_EQ(alarms.size(), 2u);
-    EXPECT_EQ(mgr.at(id).high_water_alarms(), 2u);
-    mgr.drain_all();
-}
-
-TEST(FleetStatsTest, HighWaterCallbackShedsLoadBeforeRejection) {
-    // The intended deployment shape: the ingest edge pumps on the alarm
-    // instead of waiting for the ring to reject beats.
-    qs::plan_cache cache;
-    qs::session_manager mgr({}, &cache);
-    auto cfg = patient_session(qp::cohort::healthy, 0,
-                               qcore::psa_config::conventional());
-    cfg.ingest_capacity = 64;
-    cfg.high_water_fraction = 0.75;
-    std::atomic<bool> shed{false};
-    cfg.on_high_water = [&shed](std::uint64_t, std::size_t, std::size_t) {
-        shed.store(true, std::memory_order_release);
-    };
-    const auto id = mgr.add_session(std::move(cfg));
-
-    const auto rec = qp::record_for(
-        qp::make_patient(qp::cohort::healthy, 0), 600.0);
-    for (std::size_t b = 0; b < rec.beats(); ++b) {
-        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
-        if (shed.exchange(false, std::memory_order_acq_rel)) mgr.pump();
-    }
-    mgr.drain_all();
-
-    // Backpressure was exercised, and because the edge reacted to it the
-    // ring never had to reject or evict a single beat.
-    EXPECT_GT(mgr.at(id).high_water_alarms(), 0u);
-    EXPECT_EQ(mgr.at(id).beats_dropped(), 0u);
-    EXPECT_EQ(mgr.fleet().beats_dropped, 0u);
-}
-
-// ------------------------------------------------- overwrite-oldest mode
-
-TEST(FleetStatsTest, OverwrittenBeatsSurfaceInSnapshot) {
-    qs::plan_cache cache;
-    qs::session_manager mgr({}, &cache);
-    auto cfg = patient_session(qp::cohort::healthy, 0,
-                               qcore::psa_config::conventional());
-    cfg.ingest_capacity = 4;  // tiny ring -> guaranteed eviction
-    cfg.overflow = qs::overflow_policy::overwrite_oldest;
-    const auto id = mgr.add_session(std::move(cfg));
-
-    // 10 beats into a 4-slot freshness ring without pumping: the first 6
-    // are evicted, nothing is rejected, and the survivors still form a
-    // monotone beat stream the monitor accepts.
-    for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(mgr.ingest(id, 1.0 + 0.8 * i, 0.8));
-    mgr.drain_all();
-
-    EXPECT_EQ(mgr.at(id).beats_overwritten(), 6u);
-    EXPECT_EQ(mgr.at(id).beats_dropped(), 0u);
-    EXPECT_EQ(mgr.at(id).beats_ingested(), 4u);
-    EXPECT_EQ(mgr.at(id).beats_rejected(), 0u);
-
-    const auto fleet = mgr.fleet();
-    EXPECT_EQ(fleet.beats_overwritten, 6u);
-    EXPECT_EQ(fleet.beats_dropped, 0u);
-    ASSERT_EQ(fleet.drop_alarms.size(), 1u);
-    EXPECT_EQ(fleet.drop_alarms[0].session_id, id);
-    EXPECT_EQ(fleet.drop_alarms[0].overwritten, 6u);
-    EXPECT_EQ(fleet.drop_alarms[0].dropped, 0u);
-}
-
 TEST(FleetStatsTest, SnapshotMergePreservesQualityColumns) {
     qs::fleet_snapshot a;
     a.mode_switches = 3;
@@ -1002,9 +862,9 @@ TEST(SchedulerDeterminismTest, StealingFleetsBitIdenticalAtAnyWorkerCount) {
     // pressure at every width), large enough that same-plan lane groups
     // still form inside a unit.  The engine mix is deliberately
     // heterogeneous --
-    // mesh-FFT single-level and recursive trees (lane-batched), fixed
-    // point, both whole-window kinds, plus governed sessions that switch
-    // engines mid-run.
+    // mesh-FFT single-level trees (lane-batched) and recursive trees (one
+    // window per round), fixed point, both whole-window kinds, plus
+    // governed sessions that switch engines mid-run.
     constexpr unsigned n_sessions = 24;
     constexpr unsigned n_records = 8;
     const real seconds = 480.0;
@@ -1439,40 +1299,6 @@ TEST(PumpContractTest, RingAtHalfCapacityDrainsOnTheNextPump) {
     EXPECT_EQ(s.beats_ingested(), 33u);
 }
 
-TEST(PumpContractTest, HighWaterSessionNeverWaits) {
-    // Alarm episodes assume every pass empties the ring, so a session
-    // with a callback drains on every pump, due or not: pumped every few
-    // beats, a ring marked at 16 of 64 never raises an alarm (waiting
-    // would let it fill to half capacity first).
-    const auto rec =
-        qp::record_for(qp::make_patient(qp::cohort::healthy, 7), 600.0);
-    qs::plan_cache cache;
-    qs::session_manager mgr({}, &cache);
-    auto cfg = patient_session(qp::cohort::healthy, 7,
-                               qcore::psa_config::conventional());
-    cfg.ingest_capacity = 64;
-    cfg.high_water_fraction = 0.25;
-    std::atomic<int> alarms{0};
-    cfg.on_high_water = [&alarms](std::uint64_t, std::size_t, std::size_t) {
-        alarms.fetch_add(1, std::memory_order_relaxed);
-    };
-    const auto id = mgr.add_session(std::move(cfg));
-    const qs::session& s = mgr.at(id);
-
-    for (std::size_t b = 0; b < rec.beats(); ++b) {
-        ASSERT_TRUE(mgr.ingest(id, rec.beat_time_s[b], rec.rr_s[b]));
-        if (b % 4 != 3) continue;
-        mgr.pump();
-        EXPECT_FALSE(s.has_pending()) << "beat " << b;
-    }
-    mgr.drain_all();
-    EXPECT_EQ(alarms.load(), 0);
-    EXPECT_EQ(s.high_water_alarms(), 0u);
-    EXPECT_EQ(s.beats_ingested(), rec.beats());
-    expect_reports_identical(
-        s.reports(), serial_reports(rec, qcore::psa_config::conventional()));
-}
-
 TEST(PumpContractTest, UnstartedMonitorDrainsOnItsFirstPass) {
     const auto rec =
         qp::record_for(qp::make_patient(qp::cohort::healthy, 8), 120.0);
@@ -1546,26 +1372,33 @@ TEST(PumpContractTest, DrainAllLeavesNothingPending) {
 // ------------------------------------------------- energy accumulation
 
 TEST(FleetEnergyTest, AccumulatorRollsUpWindowsAndPartials) {
-    qpsa::energy::fleet_energy_accumulator acc(qpsa::energy::node_model{},
-                                               60.0);
+    // price_window prices one window; per-worker partials roll up
+    // through fleet_energy_totals::operator+=.
+    const qpsa::energy::fleet_energy_accumulator pricer(
+        qpsa::energy::node_model{}, 60.0);
     qpsa::counting::op_counts ops;
     ops.adds = 10000;
     ops.muls = 8000;
 
-    acc.add_window(ops);
-    acc.add_window(ops);
-    // A per-thread partial merged in afterwards.
-    const auto partial = acc.price_window(ops);
-    acc.merge(partial);
+    const auto one = pricer.price_window(ops);
+    EXPECT_EQ(one.windows, 1u);
+    EXPECT_EQ(one.ops, ops);
+    EXPECT_GT(one.cycles, 0.0);
+    EXPECT_GT(one.time_nominal_s, 0.0);
+    EXPECT_GT(one.energy_nominal_j, 0.0);
+    EXPECT_LE(one.energy_vfs_j, one.energy_nominal_j);
 
-    const auto t = acc.totals();
+    qpsa::energy::fleet_energy_totals t;
+    t += one;
+    t += one;
+    t += one;
     EXPECT_EQ(t.windows, 3u);
     EXPECT_EQ(t.ops.adds, 30000u);
     EXPECT_EQ(t.ops.muls, 24000u);
-    EXPECT_GT(t.cycles, 0.0);
-    EXPECT_GT(t.energy_nominal_j, 0.0);
-    EXPECT_LE(t.energy_vfs_j, t.energy_nominal_j);
-    EXPECT_NEAR(t.energy_nominal_j, 3.0 * partial.energy_nominal_j, 1e-18);
+    EXPECT_DOUBLE_EQ(t.cycles, 3.0 * one.cycles);
+    EXPECT_DOUBLE_EQ(t.time_nominal_s, 3.0 * one.time_nominal_s);
+    EXPECT_DOUBLE_EQ(t.energy_nominal_j, 3.0 * one.energy_nominal_j);
+    EXPECT_DOUBLE_EQ(t.energy_vfs_j, 3.0 * one.energy_vfs_j);
     EXPECT_EQ(t.mean_energy_per_window_j(), t.energy_nominal_j / 3.0);
 }
 
@@ -1619,34 +1452,3 @@ TEST(RandomStreamTest, ZeroSigmaGaussianIsZeroAndAdvancesLikeUnitSigma) {
     EXPECT_EQ(zero.gaussian(2.5), unit.gaussian(2.5));
 }
 
-TEST(RandomStreamTest, StreamOffsetPartitionsOneSeedSpace) {
-    // Two standalone managers with disjoint stream_offset ranges assign
-    // exactly the seeds one big manager would: the composition contract
-    // that lets K managers share a base seed without a router.
-    qs::plan_cache cache;
-    const auto cfg = [](unsigned i) {
-        qs::session_config c;
-        // Built in two steps: GCC 12's -Wrestrict misfires on the
-        // one-line "p" + std::to_string(i) concatenation under -O2.
-        c.patient_id = "p";
-        c.patient_id += std::to_string(i);
-        c.analysis = qcore::psa_config::conventional();
-        c.monitor = paper_monitor();
-        return c;
-    };
-    qs::session_manager whole({}, &cache);
-    for (unsigned i = 0; i < 6; ++i) whole.add_session(cfg(i));
-
-    qs::service_options lo_opt;
-    qs::service_options hi_opt;
-    hi_opt.stream_offset = 3;
-    qs::session_manager lo(lo_opt, &cache);
-    qs::session_manager hi(hi_opt, &cache);
-    for (unsigned i = 0; i < 3; ++i) lo.add_session(cfg(i));
-    for (unsigned i = 3; i < 6; ++i) hi.add_session(cfg(i));
-
-    for (unsigned i = 0; i < 3; ++i) {
-        EXPECT_EQ(lo.at(i).seed(), whole.at(i).seed());
-        EXPECT_EQ(hi.at(i).seed(), whole.at(3 + i).seed());
-    }
-}
