@@ -31,7 +31,12 @@ struct psa_config {
     /// over the full window (Fig. 3 shows the same redistribution at 256),
     /// then two complex FFTs as in Fig. 1(a).  At 512 cells per 2-minute
     /// window each beat spans ~3.6 cells, which is what makes the wavelet
-    /// detail band near-zero and band-drop pruning benign.
+    /// detail band near-zero and band-drop pruning benign.  The second
+    /// FFT's input, the staircase weight mesh, is the same for every
+    /// window, so a psa_system holds its transform, built once
+    /// (lomb::weight_transform), and each window runs one engine forward;
+    /// reported op tallies still charge both FFTs, the paper's cost
+    /// model.
     lomb::fast_lomb_options lomb{
         .ofac = 1.0,
         .hifac = 1.0,

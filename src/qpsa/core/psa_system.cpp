@@ -205,10 +205,22 @@ psa_system::psa_system(psa_config cfg)
 
 psa_system::psa_system(psa_config cfg,
                        std::shared_ptr<const lomb::fft_engine> engine)
-    : cfg_(std::move(cfg)), engine_(std::move(engine)) {
+    : psa_system(cfg, engine,
+                 engine != nullptr
+                     ? lomb::make_weight_transform(*engine, cfg.lomb)
+                     : nullptr) {}
+
+psa_system::psa_system(psa_config cfg,
+                       std::shared_ptr<const lomb::fft_engine> engine,
+                       std::shared_ptr<const lomb::weight_transform> weights)
+    : cfg_(std::move(cfg)),
+      engine_(std::move(engine)),
+      weights_(std::move(weights)) {
     cfg_.validate();
     QPSA_EXPECTS(engine_ != nullptr);
     QPSA_EXPECTS(engine_->size() == cfg_.lomb.mesh_size);
+    QPSA_EXPECTS(weights_ == nullptr ||
+                 weights_->spectrum.size() == cfg_.lomb.mesh_size);
     cfg_.spec = cfg_.normalized_spec();
     key_ = cfg_.engine_key();
     key_hash_ = engine_key_hash{}(key_);
@@ -244,12 +256,13 @@ void psa_system::analyze_window(std::span<const real> t,
                                 lomb::lomb_result& out,
                                 lomb::lomb_breakdown* bd,
                                 const lomb::hop_ctx* ctx) const {
-    lomb::fast_lomb(t, x, *engine_, cfg_.lomb, ws, out, bd, ctx);
+    lomb::fast_lomb(t, x, *engine_, cfg_.lomb, ws, out, bd, ctx,
+                    weights_.get());
 }
 
 void psa_system::analyze_window_batched(std::span<lomb::window_job> jobs,
                                         lomb::workspace& ws) const {
-    lomb::fast_lomb_batched(jobs, *engine_, cfg_.lomb, ws);
+    lomb::fast_lomb_batched(jobs, *engine_, cfg_.lomb, ws, weights_.get());
 }
 
 }  // namespace qpsa::core

@@ -3,7 +3,9 @@
 // Owns the FFT engine (conventional or wavelet), runs the Welch-Lomb
 // analysis over an RR record, integrates band powers per segment and
 // averaged, and reports the operation/energy footprint -- one object per
-// "system" the paper compares.
+// "system" the paper compares.  On the paper's staircase, two-transform
+// pipeline it also holds the weight transform (lomb::weight_transform),
+// so each analyzed window runs one engine forward instead of two.
 #pragma once
 
 #include <memory>
@@ -44,6 +46,13 @@ public:
     /// so concurrent use from many threads is safe.
     psa_system(psa_config cfg, std::shared_ptr<const lomb::fft_engine> engine);
 
+    /// Construct around a prebuilt engine and its prebuilt weight
+    /// transform (lomb::make_weight_transform(*engine, cfg.lomb), shared by
+    /// every system of that engine and options).  Null runs every window's
+    /// weight mesh through the engine, with the same results.
+    psa_system(psa_config cfg, std::shared_ptr<const lomb::fft_engine> engine,
+               std::shared_ptr<const lomb::weight_transform> weights);
+
     /// Build the engine a config describes, without a psa_system around
     /// it (the swap point shared by both constructors and the plan cache).
     static std::shared_ptr<const lomb::fft_engine> build_engine(
@@ -61,6 +70,11 @@ public:
         return engine_;
     }
     std::string name() const { return cfg_.describe(); }
+    /// The weight transform analyze_window replays (null when the
+    /// pipeline has none).
+    const lomb::weight_transform* weights() const noexcept {
+        return weights_.get();
+    }
 
     /// Analyze a full RR record (beat times + intervals).
     record_analysis analyze_record(std::span<const real> beat_times,
@@ -88,6 +102,7 @@ public:
 private:
     psa_config cfg_;
     std::shared_ptr<const lomb::fft_engine> engine_;
+    std::shared_ptr<const lomb::weight_transform> weights_;
     core::engine_key key_;
     std::size_t key_hash_ = 0;
 };

@@ -14,7 +14,11 @@
 // uncounted and attributes the closed form of those counts once per call.
 // Either way the recorded tally equals, field for field, what the counted
 // walk records.  Only data-dependent decisions (dynamic pruning) count
-// live.
+// live.  A whole transform whose input is a pure function of the
+// configuration (the staircase weight mesh, lomb::weight_transform) is
+// run once with counting paused; each window then attributes the tally
+// and pruning statistics that run recorded, dynamic pruning included,
+// since the same input always takes the same decisions.
 //
 // Counting is scope-based: a kernel counts into the innermost active
 // count_scope of the calling thread (or into nothing, at the cost of one

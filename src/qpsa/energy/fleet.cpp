@@ -15,27 +15,23 @@ fleet_energy_totals& fleet_energy_totals::operator+=(
     return *this;
 }
 
-fleet_energy_accumulator::fleet_energy_accumulator(node_model model,
-                                                   real window_deadline_s)
-    : model_(model), deadline_s_(window_deadline_s) {
-    QPSA_EXPECTS(window_deadline_s >= 0.0);
-}
-
-fleet_energy_totals fleet_energy_accumulator::price_window(
-    const counting::op_counts& ops) const {
+fleet_energy_totals price_window(const node_model& node,
+                                 real window_deadline_s,
+                                 const counting::op_counts& ops) {
     fleet_energy_totals t;
     t.windows = 1;
     t.ops = ops;
-    const run_summary nominal = model_.run_nominal(ops);
+    const run_summary nominal = node.run_nominal(ops);
     t.cycles = nominal.cycles;
     t.time_nominal_s = nominal.time_s;
     t.energy_nominal_j = nominal.energy_j;
-    if (deadline_s_ > 0.0 && nominal.time_s < deadline_s_) {
+    if (window_deadline_s > 0.0 && nominal.time_s < window_deadline_s) {
         // A node applies VFS only when it wins: for very light windows the
         // leakage charged over the full relaxed deadline can exceed the
         // nominal run-and-sleep energy, in which case it stays nominal.
         t.energy_vfs_j =
-            std::min(nominal.energy_j, model_.run_vfs(ops, deadline_s_).energy_j);
+            std::min(nominal.energy_j,
+                     node.run_vfs(ops, window_deadline_s).energy_j);
     } else {
         t.energy_vfs_j = nominal.energy_j;
     }

@@ -39,25 +39,14 @@ struct fleet_energy_totals {
     bool operator==(const fleet_energy_totals&) const = default;
 };
 
-/// Prices completed windows on the node model.  Each scheduler worker
+/// Price one completed window on `node`: totals with `windows == 1`.
+/// `window_deadline_s` is the real-time budget per window for the VFS
+/// column (typically the monitor hop interval); 0 disables the VFS
+/// pricing (energy_vfs_j then mirrors nominal).  Each scheduler worker
 /// prices into its own fleet_energy_totals and the fleet sums them with
-/// operator+=, so the pricer itself holds no running state.
-class fleet_energy_accumulator {
-public:
-    /// `window_deadline_s`: real-time budget per window for the VFS
-    /// column (typically the monitor hop interval); 0 disables the VFS
-    /// pricing (energy_vfs_j then mirrors nominal).
-    explicit fleet_energy_accumulator(node_model model = node_model{},
-                                      real window_deadline_s = 0.0);
-
-    const node_model& model() const noexcept { return model_; }
-
-    /// Price one completed window: totals with `windows == 1`.
-    fleet_energy_totals price_window(const counting::op_counts& ops) const;
-
-private:
-    node_model model_;
-    real deadline_s_;
-};
+/// operator+=.
+fleet_energy_totals price_window(const node_model& node,
+                                 real window_deadline_s,
+                                 const counting::op_counts& ops);
 
 }  // namespace qpsa::energy

@@ -39,7 +39,12 @@ namespace {
 // (finish_window: fft op attribution, Lomb combine).  The batched entry
 // point only widens phase B to every window of the round, which is
 // lane-exact by the kernel and estimate_batched contracts, so both execute
-// the identical arithmetic.
+// the identical arithmetic.  Given a weight_transform, a staircase window
+// fills and queues its data mesh only; phase C replays the weight
+// forward's recorded exec_stats (into bd.fft_stats and the active scopes,
+// as the live forward would have counted) and phase D reads the
+// precomputed weight half of each bin.  The op tally thus still charges
+// two transforms per window, the paper's cost model.
 
 /// Window-level facts established by the contract checks + moment pass.
 struct window_prep {
@@ -265,9 +270,24 @@ std::size_t fill_meshes_aligned(std::span<const real> t,
     return n;
 }
 
+/// Data cells of a staircase mesh: mesh / ofac even cells; the remaining
+/// (ofac-1)/ofac of the mesh stays zero (spectral oversampling).
+std::size_t staircase_cells(std::size_t mesh, const fast_lomb_options& opt) {
+    return static_cast<std::size_t>(static_cast<real>(mesh) / opt.ofac);
+}
+
+/// The staircase weight mesh: a unit weight at the doubled position of
+/// each data cell (for the 2*w*t sums).  No window data enters it.
+void staircase_weights(std::size_t n_data, std::span<real> wk2) {
+    std::fill(wk2.begin(), wk2.end(), 0.0);
+    for (std::size_t p = 0; p < n_data; ++p) wk2[(2 * p) % wk2.size()] += 1.0;
+}
+
 /// Redistribution onto the oversampled periodic mesh.  The mesh covers
 /// span * ofac seconds so that df = 1 / (span * ofac).  Returns n_eff, the
-/// sample count entering the Lomb denominators.
+/// sample count entering the Lomb denominators.  An empty wk2 (staircase
+/// with a weight transform) skips the weight mesh; its tally is still
+/// charged.
 std::size_t fill_meshes(std::span<const real> t, std::span<const real> x,
                         const window_prep& prep, const fast_lomb_options& opt,
                         const hop_ctx* ctx, util::arena& mem,
@@ -284,21 +304,18 @@ std::size_t fill_meshes(std::span<const real> t, std::span<const real> x,
     std::size_t n_eff = n;
     counting::count_scope scope(bd.extirpolation);
     if (opt.mesh == mesh_mode::staircase_hold) {
-        // Sample-and-hold onto mesh/ofac even cells; the remaining
-        // (ofac-1)/ofac of the mesh stays zero (spectral oversampling).
-        const auto n_data =
-            static_cast<std::size_t>(static_cast<real>(mesh) / opt.ofac);
+        // Sample-and-hold onto the staircase's data cells.
+        const std::size_t n_data = staircase_cells(mesh, opt);
         QPSA_EXPECTS(n_data >= 8 && n_data <= mesh);
         const real delta = prep.span / static_cast<real>(n_data);
         std::fill(wk1.begin(), wk1.end(), 0.0);
-        std::fill(wk2.begin(), wk2.end(), 0.0);
         std::size_t j = 0;
         for (std::size_t p = 0; p < n_data; ++p) {
             const real tp = prep.t0 + static_cast<real>(p) * delta;
             while (j + 1 < n && t[j + 1] <= tp) ++j;
             wk1[p] = x[j] - prep.avg;
-            wk2[(2 * p) % mesh] += 1.0;
         }
+        if (!wk2.empty()) staircase_weights(n_data, wk2);
         // Per cell: hold-advance compare, centering add, weight add.
         counting::count_cmps(n_data);
         counting::count_adds(2 * n_data);
@@ -325,11 +342,13 @@ std::size_t fill_meshes(std::span<const real> t, std::span<const real> x,
 struct window_state {
     window_prep prep;
     std::size_t n_eff = 0;
-    /// The window's mesh transforms: the packed pair (packed_single) or
-    /// the two meshes (two_transforms).  None for whole-window engines,
-    /// whose phase B is `estimate` instead.
+    /// The window's mesh transforms: the packed pair (packed_single), the
+    /// two meshes (two_transforms), or the data mesh alone when `weights`
+    /// carries the weight mesh's.  None for whole-window engines, whose
+    /// phase B is `estimate` instead.
     std::array<fft_engine::batch_item, 2> items{};
     std::size_t n_items = 0;
+    const weight_transform* weights = nullptr;
     fft_engine::estimate_item estimate;
     /// bd.fft_stats.ops before phase B.  The engine is the sole counter
     /// into that sink, so the delta after phase B is the window's bd.fft
@@ -350,7 +369,9 @@ void widen_real(std::span<const real> a, std::span<cplx> out) {
 /// whole-window estimate's arguments or the mesh fill and the engine
 /// inputs, queued in the returned state for phase B.
 window_state prepare_window(const window_job& job, const fft_engine& engine,
-                            const fast_lomb_options& opt, util::arena& mem) {
+                            const fast_lomb_options& opt,
+                            const weight_transform* weights,
+                            util::arena& mem) {
     lomb_breakdown& bd = *job.bd;
     window_state st;
     st.prep = window_moments(job.t, job.x, engine, opt, bd);
@@ -368,8 +389,14 @@ window_state prepare_window(const window_job& job, const fft_engine& engine,
         return st;
     }
 
+    if (weights != nullptr) {
+        QPSA_EXPECTS(opt.mesh == mesh_mode::staircase_hold &&
+                     opt.packing == fft_packing::two_transforms);
+        QPSA_EXPECTS(weights->spectrum.size() == mesh);
+    }
     std::span<real> wk1 = mem.alloc<real>(mesh);
-    std::span<real> wk2 = mem.alloc<real>(mesh);
+    std::span<real> wk2 = weights != nullptr ? std::span<real>{}
+                                             : mem.alloc<real>(mesh);
     st.n_eff = fill_meshes(job.t, job.x, st.prep, opt, job.ctx, mem, bd,
                            wk1, wk2);
 
@@ -382,26 +409,51 @@ window_state prepare_window(const window_job& job, const fft_engine& engine,
         st.n_items = 1;
     } else {
         std::span<cplx> z1fft = mem.alloc<cplx>(mesh);
-        std::span<cplx> z2fft = mem.alloc<cplx>(mesh);
         std::span<cplx> za = mem.alloc<cplx>(mesh);
-        std::span<cplx> zb = mem.alloc<cplx>(mesh);
         widen_real(wk1, za);
-        widen_real(wk2, zb);
         st.items[0] = {za, z1fft, &bd.fft_stats};
-        st.items[1] = {zb, z2fft, &bd.fft_stats};
-        st.n_items = 2;
+        st.n_items = 1;
+        if (weights == nullptr) {
+            std::span<cplx> z2fft = mem.alloc<cplx>(mesh);
+            std::span<cplx> zb = mem.alloc<cplx>(mesh);
+            widen_real(wk2, zb);
+            st.items[1] = {zb, z2fft, &bd.fft_stats};
+            st.n_items = 2;
+        } else {
+            QPSA_EXPECTS(st.n_eff == weights->n_data);
+            st.weights = weights;
+        }
     }
     st.fft_pre = bd.fft_stats.ops;
     return st;
 }
 
+/// The weight half of combine bin k from the weight sum s2 (bin k of the
+/// weight mesh's transform) and n_eff.
+weight_bin weight_terms(cplx s2, real nf) {
+    // Our FFT kernel uses exp(-i...): sum cos = Re, sum sin = -Im.
+    const real re2 = s2.real();
+    const real im2 = -s2.imag();
+    real hypo = std::sqrt(re2 * re2 + im2 * im2);
+    if (hypo < 1e-12) hypo = 1e-12;
+    const real hc2wt = 0.5 * re2 / hypo;
+    const real hs2wt = 0.5 * im2 / hypo;
+    weight_bin w;
+    w.cwt = std::sqrt(0.5 + hc2wt);
+    w.swt = std::copysign(std::sqrt(0.5 - hc2wt), hs2wt);
+    w.den = std::max(0.5 * nf + hc2wt * re2 + hs2wt * im2, 1e-9);
+    w.den2 = std::max(nf - w.den, 1e-9);
+    return w;
+}
+
 /// The Lomb calculator: combine the transform bins into the normalized
 /// periodogram.  A packed_single window unpacks both sums from its one
-/// spectrum; a two_transforms window reads them from its pair.
+/// spectrum; a two_transforms window reads them from its pair, or its
+/// weight half from the weight transform.
 void lomb_combine(const window_state& st, const fast_lomb_options& opt,
                   lomb_result& res, lomb_breakdown& bd) {
     const window_prep& prep = st.prep;
-    const bool packed = st.n_items == 1;
+    const bool packed = opt.packing == fft_packing::packed_single;
     const std::span<const cplx> z1 = st.items[0].out;
     const std::span<const cplx> z2 = st.items[1].out;
     res.spectrum.freq_hz.resize(prep.nout);
@@ -411,33 +463,22 @@ void lomb_combine(const window_state& st, const fast_lomb_options& opt,
     counting::count_scope scope(bd.combine);
     for (std::size_t k = 1; k <= prep.nout; ++k) {
         cplx s1;
-        cplx s2;
+        weight_bin w;
         if (packed) {
             const dsp::real_pair_bin bin = dsp::unpack_bin(z1, k);
             s1 = bin.a;
-            s2 = bin.b;
+            w = weight_terms(bin.b, nf);
         } else {
             s1 = z1[k];
-            s2 = z2[k];
+            w = st.weights != nullptr ? st.weights->bins[k - 1]
+                                      : weight_terms(z2[k], nf);
         }
-        // Our FFT kernel uses exp(-i...): sum cos = Re, sum sin = -Im.
         const real re1 = s1.real();
         const real im1 = -s1.imag();
-        const real re2 = s2.real();
-        const real im2 = -s2.imag();
-
-        real hypo = std::sqrt(re2 * re2 + im2 * im2);
-        if (hypo < 1e-12) hypo = 1e-12;
-        const real hc2wt = 0.5 * re2 / hypo;
-        const real hs2wt = 0.5 * im2 / hypo;
-        const real cwt = std::sqrt(0.5 + hc2wt);
-        const real swt = std::copysign(std::sqrt(0.5 - hc2wt), hs2wt);
-        real den = 0.5 * nf + hc2wt * re2 + hs2wt * im2;
-        den = std::max(den, 1e-9);
-        const real cterm = (cwt * re1 + swt * im1) * (cwt * re1 + swt * im1) / den;
-        const real den2 = std::max(nf - den, 1e-9);
+        const real cterm =
+            (w.cwt * re1 + w.swt * im1) * (w.cwt * re1 + w.swt * im1) / w.den;
         const real sterm =
-            (cwt * im1 - swt * re1) * (cwt * im1 - swt * re1) / den2;
+            (w.cwt * im1 - w.swt * re1) * (w.cwt * im1 - w.swt * re1) / w.den2;
 
         res.spectrum.freq_hz[k - 1] = static_cast<real>(k) * df;
         res.spectrum.power[k - 1] = (cterm + sterm) / (2.0 * prep.var);
@@ -462,11 +503,48 @@ void finish_window(const window_job& job, const window_state& st,
         return;
     }
     lomb_breakdown& bd = *job.bd;
+    if (st.weights != nullptr) {
+        // The weight forward's tally, counted where its live forward in
+        // phase B would have counted it.
+        counting::add_to_active(st.weights->stats.ops);
+        bd.fft_stats += st.weights->stats;
+    }
     bd.fft += bd.fft_stats.ops - st.fft_pre;
     lomb_combine(st, opt, *job.out, bd);
 }
 
 }  // namespace
+
+std::shared_ptr<const weight_transform> make_weight_transform(
+    const fft_engine& engine, const fast_lomb_options& opt) {
+    const std::size_t mesh = opt.mesh_size;
+    if (opt.mesh != mesh_mode::staircase_hold ||
+        opt.packing != fft_packing::two_transforms || engine.whole_window() ||
+        mesh == 0 || !(opt.ofac >= 1.0))
+        return nullptr;
+    QPSA_EXPECTS(engine.size() == mesh);
+    const std::size_t n_data = staircase_cells(mesh, opt);
+    if (n_data < 8) return nullptr;
+
+    auto w = std::make_shared<weight_transform>();
+    w->n_data = n_data;
+    std::vector<real> wk2(mesh);
+    staircase_weights(n_data, wk2);
+    std::vector<cplx> z(mesh);
+    widen_real(wk2, z);
+    w->spectrum.resize(mesh);
+    {
+        counting::pause_scope pause;
+        util::arena scratch;
+        const fft_engine::batch_item item{z, w->spectrum, &w->stats};
+        engine.forward_batched({&item, 1}, scratch);
+    }
+    const auto nf = static_cast<real>(n_data);
+    w->bins.resize(mesh / 2 - 1);
+    for (std::size_t k = 1; k < mesh / 2; ++k)
+        w->bins[k - 1] = weight_terms(w->spectrum[k], nf);
+    return w;
+}
 
 lomb_result fast_lomb(std::span<const real> t, std::span<const real> x,
                       const fft_engine& engine, const fast_lomb_options& opt,
@@ -480,13 +558,13 @@ lomb_result fast_lomb(std::span<const real> t, std::span<const real> x,
 void fast_lomb(std::span<const real> t, std::span<const real> x,
                const fft_engine& engine, const fast_lomb_options& opt,
                workspace& ws, lomb_result& res, lomb_breakdown* breakdown,
-               const hop_ctx* ctx) {
+               const hop_ctx* ctx, const weight_transform* weights) {
     lomb_breakdown local;
     const window_job job{t, x, &res, breakdown != nullptr ? breakdown : &local,
                          ctx};
     util::arena& mem = ws.scratch();
     util::arena::frame frame(mem);
-    const window_state st = prepare_window(job, engine, opt, mem);
+    const window_state st = prepare_window(job, engine, opt, weights, mem);
     if (engine.whole_window()) {
         const fft_engine::estimate_item& e = st.estimate;
         counting::count_scope scope(*e.ops);
@@ -498,7 +576,8 @@ void fast_lomb(std::span<const real> t, std::span<const real> x,
 }
 
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
-                       const fast_lomb_options& opt, workspace& ws) {
+                       const fast_lomb_options& opt, workspace& ws,
+                       const weight_transform* weights) {
     // A round holds the windows of one lane group: batch_width() windows
     // (one for engines without lanes).  The engine walks a round's
     // transforms (or, for whole-window estimators, the round's windows) in
@@ -527,7 +606,7 @@ void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
             window_job& job = part[i];
             QPSA_EXPECTS(job.out != nullptr && job.bd != nullptr);
             try {
-                states[i] = prepare_window(job, engine, opt, mem);
+                states[i] = prepare_window(job, engine, opt, weights, mem);
                 const auto tr = states[i].transforms();
                 items.insert(items.end(), tr.begin(), tr.end());
                 if (whole) estimates.push_back(states[i].estimate);

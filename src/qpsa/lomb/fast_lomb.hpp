@@ -1,13 +1,19 @@
 // Fast-Lomb periodogram (Press & Rybicki 1989, the paper's ref. [10]).
 //
 // Pipeline per the paper's Fig. 1(a): the RR window is extirpolated onto a
-// fixed power-of-two mesh, the mesh pair (data, unit weights) is packed
-// into one complex sequence and transformed by the pluggable FFT engine,
-// and the "Lomb calculator" combines the four trigonometric sums into the
-// normalized periodogram.  The FFT engine is where the conventional
-// (split-radix) and proposed (pruned wavelet) systems differ.
+// fixed power-of-two mesh, the mesh pair (data, unit weights) is
+// transformed by the pluggable FFT engine (two transforms, or one of the
+// packed pair), and the "Lomb calculator" combines the four trigonometric
+// sums into the normalized periodogram.  The FFT engine is where the
+// conventional (split-radix) and proposed (pruned wavelet) systems differ.
+//
+// On a staircase mesh the weight mesh does not depend on the window's
+// data, so its transform can be computed once (weight_transform) and
+// replayed per window: outputs and op tallies stay those of the full
+// two-transform pipeline.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -97,6 +103,38 @@ struct lomb_result {
     real mesh_span = 0.0;
 };
 
+/// Weight half of one Lomb-calculator bin: every term of bin k that
+/// depends only on the weight sums and n_eff.
+struct weight_bin {
+    real cwt = 0.0;
+    real swt = 0.0;
+    real den = 0.0;   ///< cosine-term denominator
+    real den2 = 0.0;  ///< sine-term denominator
+};
+
+/// The weight transform of a staircase_hold, two_transforms pipeline.  Its
+/// weight mesh (a unit weight at the doubled position of each of the
+/// mesh / ofac data cells) is a pure function of the mesh size and ofac,
+/// so every window of one engine transforms the same input.  Built once,
+/// it holds that transform, the exec_stats it recorded and the weight half
+/// of every combine bin; a window given it submits only its data mesh to
+/// the engine and replays the recorded tally, so its spectrum, breakdown
+/// and exec_stats equal the two-transform run's bit for bit.
+struct weight_transform {
+    std::size_t n_data = 0;        ///< staircase data cells (the window's n_eff)
+    std::vector<cplx> spectrum;    ///< engine forward of the weight mesh
+    wfft::exec_stats stats;        ///< what that forward recorded
+    std::vector<weight_bin> bins;  ///< bins[k - 1] for k in [1, mesh / 2)
+};
+
+/// The weight transform of `opt` through `engine`, computed with counting
+/// paused (the tally lands in .stats only).  Null when the pipeline has no
+/// data-independent mesh: Lagrange meshes, packed_single, whole-window
+/// engines, a derived mesh size, or an ofac whose windows fail their
+/// contracts anyway.
+std::shared_ptr<const weight_transform> make_weight_transform(
+    const fft_engine& engine, const fast_lomb_options& opt);
+
 /// Compute the normalized Lomb periodogram of (t, x) through `engine`.
 /// engine.size() must equal the effective mesh size.  If `breakdown` is
 /// non-null the per-phase operation counts are stored there.
@@ -107,13 +145,16 @@ lomb_result fast_lomb(std::span<const real> t, std::span<const real> x,
 /// Workspace-reusing variant: all mesh/FFT scratch is drawn from `ws` and
 /// the result is written into `out` (whose vectors keep their capacity
 /// across calls).  Bit-identical to the allocating overload -- it is the
-/// same arithmetic; only buffer provenance differs.  Throws
-/// contract_error when the window fails its data contracts.
+/// same arithmetic; only buffer provenance differs.  `weights`, when
+/// non-null, must be make_weight_transform(engine, opt): the window then
+/// transforms its data mesh only, with the same result and breakdown.
+/// Throws contract_error when the window fails its data contracts.
 void fast_lomb(std::span<const real> t, std::span<const real> x,
                const fft_engine& engine, const fast_lomb_options& opt,
                workspace& ws, lomb_result& out,
                lomb_breakdown* breakdown = nullptr,
-               const hop_ctx* ctx = nullptr);
+               const hop_ctx* ctx = nullptr,
+               const weight_transform* weights = nullptr);
 
 /// One window of a batched Fast-Lomb run.  `out`/`bd` must be non-null;
 /// `ok` reports whether the window passed its data contracts (windows
@@ -137,10 +178,11 @@ struct window_job {
 /// op breakdown is bit-identical to a fast_lomb call; a window failing its
 /// data contracts sets ok = false instead of throwing.  Windows run in
 /// rounds of batch_width() (one at a time for engines without lanes), so
-/// scratch stays one lane group deep.  This is the path the streaming
-/// service runs.
+/// scratch stays one lane group deep.  `weights` is as for fast_lomb.
+/// This is the path the streaming service runs.
 void fast_lomb_batched(std::span<window_job> jobs, const fft_engine& engine,
-                       const fast_lomb_options& opt, workspace& ws);
+                       const fast_lomb_options& opt, workspace& ws,
+                       const weight_transform* weights = nullptr);
 
 /// Effective power-of-two FFT mesh size for a configuration and sample
 /// count (opt.mesh_size, or derived from ofac/hifac/macc when 0).

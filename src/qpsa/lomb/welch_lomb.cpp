@@ -14,13 +14,7 @@ void accumulate(lomb_breakdown& into, const lomb_breakdown& seg) {
     into.extirpolation += seg.extirpolation;
     into.fft += seg.fft;
     into.combine += seg.combine;
-    into.fft_stats.ops += seg.fft_stats.ops;
-    into.fft_stats.terms_total += seg.fft_stats.terms_total;
-    into.fft_stats.terms_pruned_factor += seg.fft_stats.terms_pruned_factor;
-    into.fft_stats.terms_pruned_data += seg.fft_stats.terms_pruned_data;
-    into.fft_stats.terms_structural_zero += seg.fft_stats.terms_structural_zero;
-    into.fft_stats.band_dropped =
-        into.fft_stats.band_dropped || seg.fft_stats.band_dropped;
+    into.fft_stats += seg.fft_stats;
 }
 
 }  // namespace

@@ -41,7 +41,8 @@ fleet_snapshot& fleet_snapshot::operator+=(const fleet_snapshot& o) {
 }
 
 real fleet_partial::add_report(const core::window_report& rep) {
-    const energy::fleet_energy_totals priced = pricer_->price_window(rep.ops);
+    const energy::fleet_energy_totals priced =
+        energy::price_window(*node_, vfs_deadline_s_, rep.ops);
 
     ++snap_.windows;
     snap_.beats += rep.beats;
@@ -60,7 +61,9 @@ real fleet_partial::add_report(const core::window_report& rep) {
 }
 
 fleet_stats::fleet_stats(energy::node_model node, real vfs_deadline_s)
-    : pricer_(node, vfs_deadline_s) {}
+    : node_(node), vfs_deadline_s_(vfs_deadline_s) {
+    QPSA_EXPECTS(vfs_deadline_s >= 0.0);
+}
 
 void fleet_stats::merge(const fleet_partial& partial) {
     if (partial.empty()) return;

@@ -229,11 +229,12 @@ public:
 
 private:
     friend class fleet_stats;
-    explicit fleet_partial(
-        const energy::fleet_energy_accumulator* pricer) noexcept
-        : pricer_(pricer) {}
+    fleet_partial(const energy::node_model* node,
+                  real vfs_deadline_s) noexcept
+        : node_(node), vfs_deadline_s_(vfs_deadline_s) {}
 
-    const energy::fleet_energy_accumulator* pricer_;
+    const energy::node_model* node_;
+    real vfs_deadline_s_;
     fleet_snapshot snap_;
 };
 
@@ -244,9 +245,9 @@ public:
     explicit fleet_stats(energy::node_model node = energy::node_model{},
                          real vfs_deadline_s = 0.0);
 
-    /// A fresh per-task accumulator bound to this fleet's pricer.
+    /// A fresh per-task accumulator bound to this fleet's pricing.
     fleet_partial make_partial() const noexcept {
-        return fleet_partial(&pricer_);
+        return fleet_partial(&node_, vfs_deadline_s_);
     }
 
     /// Fold a batch's partial into the shared tallies (one lock per
@@ -265,13 +266,13 @@ public:
     void set_journal(journal::report_writer* j) noexcept { journal_ = j; }
 
     fleet_snapshot snapshot() const;
-    const energy::node_model& node() const noexcept { return pricer_.model(); }
 
 private:
     /// Used for (lock-free, const) pricing only; all totals -- energy
     /// included -- live in agg_ under the one mutex so snapshots are
     /// consistent across columns.
-    energy::fleet_energy_accumulator pricer_;
+    energy::node_model node_;
+    real vfs_deadline_s_;
     mutable std::mutex mu_;
     fleet_snapshot agg_;
     journal::report_writer* journal_ = nullptr;

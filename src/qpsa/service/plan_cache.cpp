@@ -13,7 +13,13 @@ std::shared_ptr<const lomb::fft_engine> plan_cache::engine_for(
 
 std::shared_ptr<const core::psa_system> plan_cache::system_for(
     const core::psa_config& cfg) {
-    return std::make_shared<const core::psa_system>(cfg, engine_for(cfg));
+    std::shared_ptr<const lomb::fft_engine> engine = engine_for(cfg);
+    std::shared_ptr<const lomb::weight_transform> weights =
+        weights_.get_or_build({cfg.engine_key(), cfg.lomb}, [&] {
+            return lomb::make_weight_transform(*engine, cfg.lomb);
+        });
+    return std::make_shared<const core::psa_system>(cfg, std::move(engine),
+                                                    std::move(weights));
 }
 
 plan_cache& global_plan_cache() {

@@ -10,7 +10,9 @@
 //
 // Engines are stateless across forward() calls; the cache hands out
 // shared_ptr<const fft_engine> that any number of threads may use
-// concurrently.
+// concurrently.  Beside each engine it keeps the weight transforms
+// (lomb::weight_transform) of the Fast-Lomb options that use it, so a
+// fleet of staircase sessions shares one per configuration as well.
 #pragma once
 
 #include <memory>
@@ -29,18 +31,37 @@ public:
     std::shared_ptr<const lomb::fft_engine> engine_for(
         const core::psa_config& cfg);
 
-    /// Convenience: a psa_system wrapping the cached engine.  The system
-    /// object itself is cheap; all heavy state lives in the shared engine.
+    /// Convenience: a psa_system wrapping the cached engine and weight
+    /// transform.  The system object itself is cheap; all heavy state
+    /// lives in the shared engine and weight transform.
     std::shared_ptr<const core::psa_system> system_for(
         const core::psa_config& cfg);
 
     plan_cache_stats stats() const { return memo_.stats(); }
-    void clear() { memo_.clear(); }
+    void clear() {
+        memo_.clear();
+        weights_.clear();
+    }
 
 private:
+    /// A weight transform is a function of the engine and the Fast-Lomb
+    /// options.
+    struct weights_key {
+        core::engine_key engine;
+        lomb::fast_lomb_options lomb;
+        bool operator==(const weights_key&) const = default;
+    };
+    struct weights_key_hash {
+        std::size_t operator()(const weights_key& k) const {
+            return core::engine_key_hash{}(k.engine);
+        }
+    };
+
     util::shared_memo<core::engine_key, lomb::fft_engine,
                       core::engine_key_hash>
         memo_;
+    util::shared_memo<weights_key, lomb::weight_transform, weights_key_hash>
+        weights_;
 };
 
 /// The process-wide instance every session_manager uses by default.

@@ -101,6 +101,18 @@ struct exec_stats {
     std::uint64_t terms_structural_zero = 0; ///< exact-zero factors
     bool band_dropped = false;
 
+    /// Fold another execution's bookkeeping into this one: counts add,
+    /// band_dropped ORs.
+    exec_stats& operator+=(const exec_stats& o) noexcept {
+        ops += o.ops;
+        terms_total += o.terms_total;
+        terms_pruned_factor += o.terms_pruned_factor;
+        terms_pruned_data += o.terms_pruned_data;
+        terms_structural_zero += o.terms_structural_zero;
+        band_dropped = band_dropped || o.band_dropped;
+        return *this;
+    }
+
     double pruned_fraction() const {
         return terms_total == 0
                    ? 0.0

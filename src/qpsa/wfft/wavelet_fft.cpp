@@ -205,13 +205,8 @@ wavelet_fft::wavelet_fft(plan p) : plan_(std::move(p)) {
 }
 
 void wavelet_fft::attribute_probe(exec_stats& st) const {
-    counting::count_scope scope(st.ops);
     counting::add_to_active(probe_stats_.ops);
-    st.terms_total += probe_stats_.terms_total;
-    st.terms_pruned_factor += probe_stats_.terms_pruned_factor;
-    st.terms_pruned_data += probe_stats_.terms_pruned_data;
-    st.terms_structural_zero += probe_stats_.terms_structural_zero;
-    st.band_dropped = probe_stats_.band_dropped || st.band_dropped;
+    st += probe_stats_;
 }
 
 void wavelet_fft::dwt_stage(std::span<const cplx> x, std::span<cplx> a,

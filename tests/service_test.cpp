@@ -1374,13 +1374,12 @@ TEST(PumpContractTest, DrainAllLeavesNothingPending) {
 TEST(FleetEnergyTest, AccumulatorRollsUpWindowsAndPartials) {
     // price_window prices one window; per-worker partials roll up
     // through fleet_energy_totals::operator+=.
-    const qpsa::energy::fleet_energy_accumulator pricer(
-        qpsa::energy::node_model{}, 60.0);
     qpsa::counting::op_counts ops;
     ops.adds = 10000;
     ops.muls = 8000;
 
-    const auto one = pricer.price_window(ops);
+    const auto one =
+        qpsa::energy::price_window(qpsa::energy::node_model{}, 60.0, ops);
     EXPECT_EQ(one.windows, 1u);
     EXPECT_EQ(one.ops, ops);
     EXPECT_GT(one.cycles, 0.0);
