@@ -58,25 +58,40 @@ dsp::sampled_spectrum burg_psd(const burg_coeffs& model, real fs_hz,
 void burg_psd(const burg_coeffs& model, real fs_hz,
               std::span<const real> freqs_hz, std::span<real> power) {
     QPSA_EXPECTS(fs_hz > 0.0);
+    QPSA_EXPECTS(model.order() >= 1);
     QPSA_EXPECTS(power.size() == freqs_hz.size());
-    const std::uint64_t nf = freqs_hz.size();
-    const std::uint64_t order = model.order();
+    const std::span<const real> a = model.a;
+    const std::size_t p = a.size();
     for (std::size_t i = 0; i < freqs_hz.size(); ++i) {
+        // 1 + sum_k a_k z^k with z = e^{-iw}, by Horner from a_p down:
+        // u <- z (a_k + u), starting at u = z a_p.  z (br + i bi) =
+        // (c br + s bi) + i (c bi - s br) in explicit real arithmetic.
         const real w = two_pi * freqs_hz[i] / fs_hz;
-        cplx den{1.0, 0.0};
-        for (std::size_t k = 0; k < model.order(); ++k) {
-            const real ang = -w * static_cast<real>(k + 1);
-            den += model.a[k] * cplx{std::cos(ang), std::sin(ang)};
+        const real c = std::cos(w);
+        const real s = std::sin(w);
+        real ur = c * a[p - 1];
+        real ui = -(s * a[p - 1]);
+        for (std::size_t k = p - 1; k-- > 0;) {
+            const real br = a[k] + ur;
+            const real tr = c * br + s * ui;
+            ui = c * ui - s * br;
+            ur = tr;
         }
-        const real mag2 = std::max(sqr_mag(den), real{1e-15});
+        const real re = 1.0 + ur;
+        const real mag2 = std::max(re * re + ui * ui, real{1e-15});
         power[i] = model.noise_var / (fs_hz * mag2);
     }
-    // Per frequency: 2 trigs, 2 muls and 2 adds per model coefficient,
-    // plus one division.
-    counting::add_to_active({.adds = 2 * order * nf,
-                             .muls = 2 * order * nf,
-                             .divs = nf,
-                             .trigs = 2 * order * nf});
+    // Per frequency: w (1 mul, 1 div), one cos and one sin, z a_p (2 muls),
+    // p - 1 Horner steps (4 muls, 3 adds each), the final 1 + u (1 add),
+    // |D|^2 (2 muls, 1 add), its floor (1 cmp) and s2 / (fs |D|^2)
+    // (1 mul, 1 div).
+    const std::uint64_t nf = freqs_hz.size();
+    const std::uint64_t steps = p - 1;
+    counting::add_to_active({.adds = (3 * steps + 2) * nf,
+                             .muls = (4 * steps + 6) * nf,
+                             .divs = 2 * nf,
+                             .cmps = nf,
+                             .trigs = 2 * nf});
 }
 
 }  // namespace qpsa::dsp

@@ -46,7 +46,9 @@ burg_coeffs burg_fit(std::span<const real> x, std::size_t order,
 /// (closed form of the recursion's trip counts).
 counting::op_counts burg_fit_tally(std::size_t n, std::size_t order);
 
-/// Evaluate the AR PSD at the given frequencies for sample rate fs.
+/// Evaluate the AR PSD at the given frequencies for sample rate fs: one
+/// cos and one sin per frequency, the denominator by Horner's rule in
+/// real arithmetic.  The model's order must be at least 1.
 dsp::sampled_spectrum burg_psd(const burg_coeffs& model, real fs_hz,
                                std::span<const real> freqs_hz);
 

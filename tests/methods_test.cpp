@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "qpsa/core/streaming_monitor.hpp"
 #include "qpsa/dsp/burg.hpp"
@@ -139,6 +140,29 @@ TEST(BurgTest, HrvBandsFromArModel) {
     for (int k = 1; k <= 200; ++k) freqs.push_back(0.0025 * k);
     const auto psd = qd::burg_psd(model, 4.0, freqs);
     EXPECT_NEAR(qd::peak_frequency(psd, 0.15, 0.45), 0.3, 0.03);
+}
+
+TEST(BurgTest, PsdTallyMatchesClosedForm) {
+    // The energy pricing of burg-ar reads this tally: per frequency, one
+    // cos and one sin, p - 1 Horner steps of 4 muls and 3 adds, plus
+    // w = 2 pi f / fs, z a_p, 1 + u, |D|^2, its floor and s2 / (fs |D|^2).
+    for (const auto& [p, nf] : {std::pair<std::uint64_t, std::uint64_t>{1, 7},
+                               {16, 63}}) {
+        SCOPED_TRACE(testing::Message() << "p = " << p << ", nf = " << nf);
+        const qd::burg_model model{std::vector<real>(p, -0.5 / p), 1.0};
+        std::vector<real> freqs;
+        for (std::uint64_t k = 1; k <= nf; ++k) freqs.push_back(0.006 * k);
+        qpsa::counting::op_counts ops;
+        {
+            qpsa::counting::count_scope scope(ops);
+            (void)qd::burg_psd(model, 4.0, freqs);
+        }
+        EXPECT_EQ(ops, (qpsa::counting::op_counts{.adds = (3 * p - 1) * nf,
+                                                  .muls = (4 * p + 2) * nf,
+                                                  .divs = 2 * nf,
+                                                  .cmps = nf,
+                                                  .trigs = 2 * nf}));
+    }
 }
 
 TEST(TimeDomainTest, ConstantSeries) {
