@@ -236,7 +236,8 @@ record_analysis psa_system::analyze_record(std::span<const real> beat_times,
     wopt.min_beats = cfg_.min_beats;
     wopt.max_freq_hz = cfg_.max_freq_hz;
 
-    const lomb::welch_result w = lomb::welch_lomb(beat_times, rr, *engine_, wopt);
+    const lomb::welch_result w =
+        lomb::welch_lomb(beat_times, rr, *engine_, wopt, weights_.get());
 
     record_analysis out;
     out.averaged_spectrum = w.averaged;

@@ -5,7 +5,8 @@
 // averaged, and reports the operation/energy footprint -- one object per
 // "system" the paper compares.  On the paper's staircase, two-transform
 // pipeline it also holds the weight transform (lomb::weight_transform),
-// so each analyzed window runs one engine forward instead of two.
+// so each analyzed window, and each Welch segment of an analyzed record,
+// runs one engine forward instead of two.
 #pragma once
 
 #include <memory>
@@ -70,8 +71,8 @@ public:
         return engine_;
     }
     std::string name() const { return cfg_.describe(); }
-    /// The weight transform analyze_window replays (null when the
-    /// pipeline has none).
+    /// The weight transform analyze_window and analyze_record replay
+    /// (null when the pipeline has none).
     const lomb::weight_transform* weights() const noexcept {
         return weights_.get();
     }

@@ -135,7 +135,7 @@ quality_controller build_quality_controller(const controller_build_options& opt,
         ref.ratios.push_back(bands.lf_hf_ratio());
         ref.ops.push_back(w.ops.total());
     }
-    // welch_lomb runs without a weight transform, so the capture holds
+    // welch_lomb is given no weight transform here, so the capture holds
     // both meshes of every segment in transform order: half of the
     // calibration set is the constant staircase weight mesh.  Dropping it
     // would change the calibrated thresholds (a numerics change, not a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "qpsa/lomb/workspace.hpp"
 #include "qpsa/util/stats.hpp"
 
 namespace qpsa::lomb {
@@ -20,7 +21,8 @@ void accumulate(lomb_breakdown& into, const lomb_breakdown& seg) {
 }  // namespace
 
 welch_result welch_lomb(std::span<const real> beat_times, std::span<const real> rr,
-                        const fft_engine& engine, const welch_options& opt) {
+                        const fft_engine& engine, const welch_options& opt,
+                        const weight_transform* weights) {
     QPSA_EXPECTS(beat_times.size() == rr.size());
     QPSA_EXPECTS(beat_times.size() >= opt.min_beats);
     QPSA_EXPECTS(opt.overlap >= 0.0 && opt.overlap < 1.0);
@@ -39,6 +41,7 @@ welch_result welch_lomb(std::span<const real> beat_times, std::span<const real> 
 
     std::vector<real> seg_t;
     std::vector<real> seg_x;
+    workspace ws;
     std::size_t lo = 0;
 
     for (real t0 = t_begin; t0 + opt.window_seconds <= t_end + 1e-9; t0 += hop) {
@@ -78,7 +81,8 @@ welch_result welch_lomb(std::span<const real> beat_times, std::span<const real> 
         lomb_breakdown bd;
         lomb_result seg;
         try {
-            seg = fast_lomb(seg_t, seg_x, engine, lopt, &bd);
+            fast_lomb(seg_t, seg_x, engine, lopt, ws, seg, &bd, nullptr,
+                      weights);
         } catch (const contract_error&) {
             ++out.segments_skipped;
             continue;

@@ -48,9 +48,12 @@ struct welch_result {
 /// beat_times: monotonically increasing beat instants (s);
 /// rr: the RR interval series (s), same length (rr[j] paired with
 /// beat_times[j]).  `engine` must match the configured mesh size.
-/// Segments run without a weight_transform: every mesh of every segment
-/// reaches `engine` (the calibration captures rely on that).
+/// `weights`, when non-null, must be make_weight_transform(engine,
+/// opt.lomb): each segment then transforms its data mesh only, with the
+/// same spectra and ops.  Without it every mesh of every segment reaches
+/// `engine` (the calibration captures rely on that).
 welch_result welch_lomb(std::span<const real> beat_times, std::span<const real> rr,
-                        const fft_engine& engine, const welch_options& opt);
+                        const fft_engine& engine, const welch_options& opt,
+                        const weight_transform* weights = nullptr);
 
 }  // namespace qpsa::lomb

@@ -6,10 +6,10 @@
 // records, whichever way the hot paths attribute them.  The constants
 // below were captured on commit c3c7855, where every stage still counted
 // live, by analyzing three fixed windows of one generated record through
-// psa_system for each configuration; the burg-ar row was re-captured when
-// the model PSD moved to Horner evaluation (one cos/sin per frequency; see
-// the commit that changed dsp::burg_psd).  A mismatch prints the full
-// table in paste-ready form.
+// psa_system for each configuration; the burg-ar row was re-captured on
+// commit 10f59fb, where the model PSD moved to Horner evaluation (one
+// cos/sin per frequency).  A mismatch prints the full table in
+// paste-ready form.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -174,7 +174,7 @@ struct golden_row {
 };
 
 // Captured on commit c3c7855 (live-counted reference walk); burg-ar
-// re-captured with the Horner model PSD.
+// re-captured on commit 10f59fb (Horner model PSD).
 const std::vector<golden_row> k_golden = {
     {"conventional",
      {"m{396,132,2,0,0,0,0,0} e{1024,0,0,0,512,0,0,0} f{22760,7976,0,0,0,0,0,0} c{660,858,264,198,0,0,0,0} s{22760,7976,0,0,0,0,0,0} 0/0/0/0/0",

@@ -7,7 +7,9 @@
 // forward bit for bit (spectrum and exec_stats), a window analyzed with it
 // equals the two-transform run (spectrum, per-phase breakdown, exec_stats
 // and the counts every active scope receives), and the engine really sees
-// one transform per staircase window and two per Lagrange window.  Every
+// one transform per staircase window and two per Lagrange window.  A
+// record analysis (Welch segments) given the memo equals the memo-less
+// run in its averaged spectrum, segment bands and ops.  Every
 // engine datapath with a mesh FFT is covered at ofac 1 and 2 (so the data
 // cells fill only part of the mesh); CI also runs the suite with
 // QPSA_FORCE_ISA=scalar and sse2.
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "qpsa/core/psa_system.hpp"
+#include "qpsa/physio/patients.hpp"
 #include "qpsa/service/plan_cache.hpp"
 #include "qpsa/util/random.hpp"
 #include "qpsa/wfft/plan.hpp"
@@ -349,6 +352,55 @@ TEST(WeightTransformTest, OneTransformPerStaircaseWindowTwoPerLagrange) {
         qcore::psa_config lagrange = c.cfg;
         lagrange.lomb.mesh = ql::mesh_mode::lagrange_extirpolation;
         check(lagrange, 2, 0);
+    }
+}
+
+TEST(WeightTransformTest, RecordAnalysisEqualsMemoLessWelch) {
+    // analyze_record hands the system's weight transform to welch_lomb:
+    // every Welch segment transforms its data mesh only, and the record's
+    // averaged spectrum, per-segment bands and ops equal the memo-less run
+    // (a system built with no weight transform) bit for bit.
+    const qpsa::physio::rr_record rec = qpsa::physio::record_for(
+        qpsa::physio::make_patient(qpsa::physio::cohort::healthy, 3), 480.0);
+    const auto same_bands = [](const qpsa::hrv::band_powers& a,
+                               const qpsa::hrv::band_powers& b) {
+        return same_bits(a.ulf, b.ulf) && same_bits(a.lf, b.lf) &&
+               same_bits(a.hf, b.hf) && same_bits(a.total, b.total);
+    };
+    for (const named_config& c : staircase_configs()) {
+        SCOPED_TRACE(c.name);
+        auto counter = std::make_shared<counting_engine>(
+            qcore::psa_system::build_engine(c.cfg));
+        const qcore::psa_system sys(c.cfg, counter);
+        const qcore::psa_system memo_less(c.cfg, counter, nullptr);
+        ASSERT_NE(sys.weights(), nullptr);
+
+        counter->transforms = 0;
+        const qcore::record_analysis got =
+            sys.analyze_record(rec.beat_time_s, rec.rr_s);
+        const std::size_t got_transforms = counter->transforms.exchange(0);
+        const qcore::record_analysis ref =
+            memo_less.analyze_record(rec.beat_time_s, rec.rr_s);
+        const std::size_t ref_transforms = counter->transforms.load();
+
+        ASSERT_GE(got.segments, 5u);
+        EXPECT_EQ(got_transforms, got.segments);
+        EXPECT_EQ(ref_transforms, 2 * ref.segments);
+
+        ql::lomb_result got_avg;
+        ql::lomb_result ref_avg;
+        got_avg.spectrum = got.averaged_spectrum;
+        ref_avg.spectrum = ref.averaged_spectrum;
+        expect_same_result(got_avg, ref_avg);
+        EXPECT_TRUE(same_bands(got.bands, ref.bands));
+        ASSERT_EQ(got.segment_bands.size(), ref.segment_bands.size());
+        for (std::size_t i = 0; i < got.segment_bands.size(); ++i)
+            EXPECT_TRUE(same_bands(got.segment_bands[i], ref.segment_bands[i]))
+                << "segment " << i;
+        EXPECT_EQ(got.segment_start_s, ref.segment_start_s);
+        EXPECT_EQ(got.segments, ref.segments);
+        EXPECT_EQ(got.diagnosis, ref.diagnosis);
+        expect_same_breakdown(got.ops, ref.ops);
     }
 }
 
