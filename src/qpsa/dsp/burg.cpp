@@ -73,9 +73,8 @@ void burg_psd(const burg_coeffs& model, real fs_hz,
         real ui = -(s * a[p - 1]);
         for (std::size_t k = p - 1; k-- > 0;) {
             const real br = a[k] + ur;
-            const real tr = c * br + s * ui;
+            ur = c * br + s * ui;
             ui = c * ui - s * br;
-            ur = tr;
         }
         const real re = 1.0 + ur;
         const real mag2 = std::max(re * re + ui * ui, real{1e-15});
