@@ -283,11 +283,40 @@ void staircase_weights(std::size_t n_data, std::span<real> wk2) {
     for (std::size_t p = 0; p < n_data; ++p) wk2[(2 * p) % wk2.size()] += 1.0;
 }
 
+/// Sample-and-hold onto a staircase's data cells, into `out` (the data
+/// mesh, or straight into its transform input as Out = cplx{v, 0}): cell
+/// p holds the beat the per-cell scan reaches at p's time, centered once
+/// per beat; the cells past the data stay zero.  Returns the cell count.
+template <class Out>
+std::size_t staircase_fill(std::span<const real> t, std::span<const real> x,
+                           const window_prep& prep,
+                           const fast_lomb_options& opt, std::span<Out> out) {
+    const std::size_t n = t.size();
+    const std::size_t n_data = staircase_cells(prep.mesh, opt);
+    QPSA_EXPECTS(n_data >= 8 && n_data <= prep.mesh);
+    const real delta = prep.span / static_cast<real>(n_data);
+    std::size_t j = 0;
+    real v = x[0] - prep.avg;
+    for (std::size_t p = 0; p < n_data; ++p) {
+        const real tp = prep.t0 + static_cast<real>(p) * delta;
+        if (j + 1 < n && t[j + 1] <= tp) {
+            do ++j;
+            while (j + 1 < n && t[j + 1] <= tp);
+            v = x[j] - prep.avg;
+        }
+        out[p] = Out{v};
+    }
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(n_data), out.end(),
+              Out{});
+    // Per cell: hold-advance compare, centering add, weight add.
+    counting::count_cmps(n_data);
+    counting::count_adds(2 * n_data);
+    return n_data;
+}
+
 /// Redistribution onto the oversampled periodic mesh.  The mesh covers
 /// span * ofac seconds so that df = 1 / (span * ofac).  Returns n_eff, the
-/// sample count entering the Lomb denominators.  An empty wk2 (staircase
-/// with a weight transform) skips the weight mesh; its tally is still
-/// charged.
+/// sample count entering the Lomb denominators.
 std::size_t fill_meshes(std::span<const real> t, std::span<const real> x,
                         const window_prep& prep, const fast_lomb_options& opt,
                         const hop_ctx* ctx, util::arena& mem,
@@ -300,26 +329,11 @@ std::size_t fill_meshes(std::span<const real> t, std::span<const real> x,
                                        wk1, wk2);
     }
     const std::size_t n = t.size();
-    const std::size_t mesh = prep.mesh;
     std::size_t n_eff = n;
     counting::count_scope scope(bd.extirpolation);
     if (opt.mesh == mesh_mode::staircase_hold) {
-        // Sample-and-hold onto the staircase's data cells.
-        const std::size_t n_data = staircase_cells(mesh, opt);
-        QPSA_EXPECTS(n_data >= 8 && n_data <= mesh);
-        const real delta = prep.span / static_cast<real>(n_data);
-        std::fill(wk1.begin(), wk1.end(), 0.0);
-        std::size_t j = 0;
-        for (std::size_t p = 0; p < n_data; ++p) {
-            const real tp = prep.t0 + static_cast<real>(p) * delta;
-            while (j + 1 < n && t[j + 1] <= tp) ++j;
-            wk1[p] = x[j] - prep.avg;
-        }
-        if (!wk2.empty()) staircase_weights(n_data, wk2);
-        // Per cell: hold-advance compare, centering add, weight add.
-        counting::count_cmps(n_data);
-        counting::count_adds(2 * n_data);
-        n_eff = n_data;
+        n_eff = staircase_fill(t, x, prep, opt, wk1);
+        staircase_weights(n_eff, wk2);
     } else {
         std::span<real> centered = mem.alloc<real>(n);
         for (std::size_t j = 0; j < n; ++j) centered[j] = x[j] - prep.avg;
@@ -390,13 +404,26 @@ window_state prepare_window(const window_job& job, const fft_engine& engine,
     }
 
     if (weights != nullptr) {
+        // The staircase's data mesh goes straight into the one transform
+        // input; the weight mesh's transform is the memo's.
         QPSA_EXPECTS(opt.mesh == mesh_mode::staircase_hold &&
                      opt.packing == fft_packing::two_transforms);
         QPSA_EXPECTS(weights->spectrum.size() == mesh);
+        std::span<cplx> z1fft = mem.alloc<cplx>(mesh);
+        std::span<cplx> za = mem.alloc<cplx>(mesh);
+        {
+            counting::count_scope scope(bd.extirpolation);
+            st.n_eff = staircase_fill(job.t, job.x, st.prep, opt, za);
+        }
+        QPSA_EXPECTS(st.n_eff == weights->n_data);
+        st.items[0] = {za, z1fft, &bd.fft_stats};
+        st.n_items = 1;
+        st.weights = weights;
+        st.fft_pre = bd.fft_stats.ops;
+        return st;
     }
     std::span<real> wk1 = mem.alloc<real>(mesh);
-    std::span<real> wk2 = weights != nullptr ? std::span<real>{}
-                                             : mem.alloc<real>(mesh);
+    std::span<real> wk2 = mem.alloc<real>(mesh);
     st.n_eff = fill_meshes(job.t, job.x, st.prep, opt, job.ctx, mem, bd,
                            wk1, wk2);
 
@@ -411,18 +438,12 @@ window_state prepare_window(const window_job& job, const fft_engine& engine,
         std::span<cplx> z1fft = mem.alloc<cplx>(mesh);
         std::span<cplx> za = mem.alloc<cplx>(mesh);
         widen_real(wk1, za);
+        std::span<cplx> z2fft = mem.alloc<cplx>(mesh);
+        std::span<cplx> zb = mem.alloc<cplx>(mesh);
+        widen_real(wk2, zb);
         st.items[0] = {za, z1fft, &bd.fft_stats};
-        st.n_items = 1;
-        if (weights == nullptr) {
-            std::span<cplx> z2fft = mem.alloc<cplx>(mesh);
-            std::span<cplx> zb = mem.alloc<cplx>(mesh);
-            widen_real(wk2, zb);
-            st.items[1] = {zb, z2fft, &bd.fft_stats};
-            st.n_items = 2;
-        } else {
-            QPSA_EXPECTS(st.n_eff == weights->n_data);
-            st.weights = weights;
-        }
+        st.items[1] = {zb, z2fft, &bd.fft_stats};
+        st.n_items = 2;
     }
     st.fft_pre = bd.fft_stats.ops;
     return st;
