@@ -91,6 +91,38 @@ TEST(BandPowerTest, SyntheticSpectrumSplit) {
     EXPECT_GT(bp.total, bp.lf + bp.hf);
 }
 
+TEST(BandPowerTest, OnePassMatchesPerBandIntegrals) {
+    // compute_band_powers walks the grid once; each band must still equal
+    // dsp::band_power (and total_power) bit for bit, on regular grids and
+    // on grids with degenerate (repeated) and unsorted steps.
+    qpsa::util::rng r(11);
+    const qh::band_limits lim;
+    for (int trial = 0; trial < 200; ++trial) {
+        qpsa::dsp::sampled_spectrum s;
+        const std::size_t n = 2 + static_cast<std::size_t>(trial % 90);
+        real f = r.uniform(0.0, 0.02);
+        for (std::size_t i = 0; i < n; ++i) {
+            s.freq_hz.push_back(f);
+            s.power.push_back(r.uniform(0.0, 5.0));
+            const int kind = trial % 3 == 0 ? 0 : static_cast<int>(r.uniform_int(0, 9));
+            if (kind == 0 || kind > 2) f += r.uniform(0.001, 0.02);  // step
+            else if (kind == 2) f -= r.uniform(0.0, 0.03);  // unsorted
+            // kind == 1: degenerate (repeated) step
+        }
+        if (s.freq_hz.back() + 1e-12 <= s.freq_hz.front()) continue;
+        const qh::band_powers bp = qh::compute_band_powers(s, lim);
+        EXPECT_EQ(bp.ulf, qpsa::dsp::band_power(s, 0.0, lim.ulf_hi)) << trial;
+        EXPECT_EQ(bp.lf, qpsa::dsp::band_power(s, lim.lf_lo, lim.lf_hi)) << trial;
+        EXPECT_EQ(bp.hf, qpsa::dsp::band_power(s, lim.hf_lo, lim.hf_hi)) << trial;
+        EXPECT_EQ(bp.total, qpsa::dsp::total_power(s)) << trial;
+    }
+    // Fewer than two points integrate to zero, as total_power does.
+    qpsa::dsp::sampled_spectrum one;
+    one.freq_hz = {0.1};
+    one.power = {2.0};
+    EXPECT_EQ(qh::compute_band_powers(one, lim), qh::band_powers{});
+}
+
 TEST(BandPowerTest, ZeroHfGivesZeroRatio) {
     qh::band_powers bp;
     bp.lf = 5.0;
