@@ -12,18 +12,22 @@
 // DFT scale it expects.
 //
 // Batched forwards interleave batch_width() items per raw-integer lane
-// walk (see fixed_wavelet_fft.hpp); a single forward is the same walk with
-// one lane, so outputs, exec_stats and op tallies are identical either way.
-// A full-width group runs its input conversion, guarded walk and output
-// pass through the dispatched kernel table (simd::kernel_table::q15 /
-// q31, compiled per ISA); one-lane groups and groups outside the guard
-// run the transform's reference path.
+// walk through the dispatched kernel table (simd::kernel_table::q15 /
+// q31, compiled per ISA): the input conversion into narrow planes (Q15 in
+// int16, Q31 in int32; see fixed_wavelet_fft.hpp for why they suffice),
+// the guarded walk, and the output pass over its wide combine sums.  The
+// table sets the width: one native integer vector (16 Q15 or 8 Q31 items
+// on AVX2).  A single forward, a one-item group and a group outside the
+// guard run the transform's reference path one item at a time.  Integer
+// lanes are exact, so outputs, exec_stats and op tallies are identical
+// either way.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "qpsa/counting/op_counter.hpp"
@@ -82,48 +86,56 @@ public:
     void forward(std::span<const cplx> in, std::span<cplx> out,
                  wfft::exec_stats* stats, util::arena& scratch) const override {
         const batch_item item{in, out, stats};
-        run_group<1>({&item, 1}, scratch);
+        run_reference(item, scratch);
     }
 
-    /// Transforms one integer walk interleaves: eight int32 Q15 lanes or
-    /// four int64 Q31 lanes (one 256-bit vector each).  Integer lanes are
-    /// exact, so the width never changes an output.
-    std::size_t batch_width() const noexcept override { return max_lanes; }
+    /// Transforms one integer walk interleaves: the kernel table's lane
+    /// count.  Integer lanes are exact, so the width never changes an
+    /// output.
+    std::size_t batch_width() const noexcept override {
+        return kernels().lanes;
+    }
 
     void forward_batched(std::span<const batch_item> items,
                          util::arena& scratch) const override {
-        const std::size_t width = batch_width();
-        for (std::size_t b = 0; b < items.size(); b += width) {
+        const kernel_set& k = kernels();
+        for (std::size_t b = 0; b < items.size(); b += k.lanes) {
             const std::span<const batch_item> group =
-                items.subspan(b, std::min(width, items.size() - b));
-            if (group.size() == 1)
-                run_group<1>(group, scratch);
-            else
-                run_group<max_lanes>(group, scratch);
+                items.subspan(b, std::min(k.lanes, items.size() - b));
+            if (group.size() == 1 || !run_kernels(k, group, scratch))
+                for (const batch_item& it : group) run_reference(it, scratch);
         }
     }
 
 private:
     using raw_type = typename transform::raw_type;
-    static constexpr std::size_t max_lanes = FracBits <= 15 ? 8 : 4;
+    using narrow_type =
+        std::conditional_t<FracBits <= 15, std::int16_t, std::int32_t>;
+    using kernel_set = simd::fixed_kernels<narrow_type, raw_type>;
+    static constexpr std::size_t max_lanes = 16;
 
-    static const simd::fixed_kernels<raw_type>& kernels() noexcept {
+    static const kernel_set& kernels() noexcept {
         if constexpr (FracBits == 15)
             return simd::kernels().q15;
         else
             return simd::kernels().q31;
     }
 
-    /// One lane walk over up to L items (unused lanes run zeros).
-    template <std::size_t L>
-    void run_group(std::span<const batch_item> group,
-                   util::arena& scratch) const {
+    /// One kernel walk over the group (unused lanes run zeros); false,
+    /// with no output written, when the group fails the guard.
+    bool run_kernels(const kernel_set& k, std::span<const batch_item> group,
+                     util::arena& scratch) const {
+        if (!fft_.guard_ok()) return false;
         const std::size_t n = size();
+        const std::size_t lanes = k.lanes;
+        QPSA_EXPECTS(lanes <= max_lanes);
         util::arena::frame frame(scratch);
-        raw_type* re = scratch.template alloc_aligned<raw_type>(n * L).data();
-        raw_type* im = scratch.template alloc_aligned<raw_type>(n * L).data();
-        const cplx* srcs[L];
-        cplx* dsts[L];
+        narrow_type* re =
+            scratch.template alloc_aligned<narrow_type>(n * lanes).data();
+        narrow_type* im =
+            scratch.template alloc_aligned<narrow_type>(n * lanes).data();
+        const cplx* srcs[max_lanes];
+        cplx* dsts[max_lanes];
         for (std::size_t l = 0; l < group.size(); ++l) {
             const batch_item& it = group[l];
             QPSA_EXPECTS(it.in.size() == n && it.out.size() == n);
@@ -134,69 +146,58 @@ private:
         // Peak-normalize each lane into the Q range.  0.2 leaves headroom
         // over the |x| < ~0.25 bound the transform's interstage shifting
         // assumes, and keeps every finite lane inside the guarded mode.
-        std::array<real, L> scale{};
-        const simd::fixed_kernels<raw_type>& k = kernels();
-        if (L == max_lanes && fft_.guard_ok() &&
-            k.load(srcs, group.size(), n, re, im, scale.data())) {
-            raw_type* planes = scratch.template alloc_aligned<raw_type>(
-                                          fft_.walk_scratch(L))
-                                   .data();
-            k.walk(fft_.plan(), re, im, planes);
-        } else {
-            load_reference<L>(srcs, group.size(), re, im, scale.data());
-            fft_.template forward_lanes<L>(re, im, re, im, scratch);
-        }
+        std::array<real, max_lanes> scale{};
+        if (!k.load(srcs, group.size(), n, re, im, scale.data())) return false;
+        raw_type* yre = scratch.template alloc_aligned<raw_type>(n * lanes).data();
+        raw_type* yim = scratch.template alloc_aligned<raw_type>(n * lanes).data();
+        narrow_type* planes =
+            scratch.template alloc_aligned<narrow_type>(fft_.walk_scratch(lanes))
+                .data();
+        k.walk(fft_.plan(), re, im, yre, yim, planes);
 
         // Undo the input scale and the transform's 1/N block-floating
         // scale so downstream sees the mathematical DFT.
-        std::array<real, L> restore{};
+        std::array<real, max_lanes> restore{};
         for (std::size_t l = 0; l < group.size(); ++l)
             restore[l] = static_cast<real>(n) / scale[l];
-        if constexpr (L == max_lanes)
-            k.store(re, im, dsts, group.size(), n, restore.data());
-        else
-            simd::fixed::restore_store<wfft::detail::reference_walk, raw_type,
-                                       FracBits, L>(re, im, dsts, group.size(),
-                                                    n, restore.data());
-
-        for (const batch_item& it : group) {
-            // The fixed kernel is not instrumented internally (a node
-            // would not be); charge the structural op count computed at
-            // build time.
-            counting::add_to_active(ops_per_forward_);
-            if (it.stats != nullptr) {
-                wfft::exec_stats& st = *it.stats;
-                st.ops += ops_per_forward_;
-                st.terms_total += fft_.combine_terms();
-                st.terms_pruned_factor += fft_.pruned_terms();
-                st.band_dropped =
-                    st.band_dropped || fft_.get_config().band_drop;
-            }
-        }
+        k.store(yre, yim, dsts, group.size(), n, restore.data());
+        for (const batch_item& it : group) charge(it);
+        return true;
     }
 
-    /// The input pass with the transform's scalar to_raw: exact for every
-    /// input, guarded or not.
-    template <std::size_t L>
-    void load_reference(const cplx* const* srcs, std::size_t count,
-                        raw_type* re, raw_type* im, real* scale) const {
+    /// The reference path of one item: the scalar to_raw (exact for every
+    /// input, guarded or not) and the transform's own walk.
+    void run_reference(const batch_item& it, util::arena& scratch) const {
         const std::size_t n = size();
-        for (std::size_t l = 0; l < L; ++l) {
-            if (l >= count) {
-                for (std::size_t i = 0; i < n; ++i)
-                    re[i * L + l] = im[i * L + l] = 0;
-                continue;
-            }
-            real peak = 0.0;
-            for (std::size_t i = 0; i < n; ++i)
-                peak = std::max(std::max(peak, std::abs(srcs[l][i].real())),
-                                std::abs(srcs[l][i].imag()));
-            const real s = peak > 0.0 ? 0.2 / peak : 1.0;
-            scale[l] = s;
-            for (std::size_t i = 0; i < n; ++i) {
-                re[i * L + l] = transform::to_raw(srcs[l][i].real() * s);
-                im[i * L + l] = transform::to_raw(srcs[l][i].imag() * s);
-            }
+        QPSA_EXPECTS(it.in.size() == n && it.out.size() == n);
+        util::arena::frame frame(scratch);
+        raw_type* re = scratch.template alloc_aligned<raw_type>(n).data();
+        raw_type* im = scratch.template alloc_aligned<raw_type>(n).data();
+        real peak = 0.0;
+        for (const cplx& v : it.in)
+            peak = std::max(std::max(peak, std::abs(v.real())),
+                            std::abs(v.imag()));
+        const real s = peak > 0.0 ? 0.2 / peak : 1.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            re[i] = transform::to_raw(it.in[i].real() * s);
+            im[i] = transform::to_raw(it.in[i].imag() * s);
+        }
+        fft_.template forward_lanes<1>(re, im, re, im, scratch);
+        simd::fixed::restore_lane<raw_type, FracBits, 1>(
+            re, im, it.out.data(), 0, n, static_cast<real>(n) / s);
+        charge(it);
+    }
+
+    /// The fixed kernel is not instrumented internally (a node would not
+    /// be); charge the structural op count computed at build time.
+    void charge(const batch_item& it) const {
+        counting::add_to_active(ops_per_forward_);
+        if (it.stats != nullptr) {
+            wfft::exec_stats& st = *it.stats;
+            st.ops += ops_per_forward_;
+            st.terms_total += fft_.combine_terms();
+            st.terms_pruned_factor += fft_.pruned_terms();
+            st.band_dropped = st.band_dropped || fft_.get_config().band_drop;
         }
     }
 

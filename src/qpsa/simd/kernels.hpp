@@ -22,9 +22,10 @@
 //     that interleave independent problems one per lane (sr_batched,
 //     burg_lattice) keep each lane's sums in scalar order, which is
 //     lane-parallel again;
-//   * integer entries (the fixed-point walks) are exact, and their
-//     double <-> raw conversions are the scalar conversions' exact
-//     results, so they match on any ISA by construction.
+//   * integer entries (the fixed-point walks, on native-width lanes: see
+//     fixed_kernels) are exact, and their double <-> raw conversions are
+//     the scalar conversions' exact results, so they match on any ISA and
+//     at any lane count by construction.
 #pragma once
 
 #include <cstddef>
@@ -57,27 +58,37 @@ struct fixed_plan {
     const Raw* fd_im = nullptr;
 };
 
-/// The fixed-point wavelet FFT's kernels for one Q format: L = 8 int32
-/// lanes (Q15) or 4 int64 lanes (Q31), element e of lane l at [e * L + l].
-/// Integer lanes are exact, so every entry is bit-identical to the
-/// fixed_point<F> reference on every ISA.
-template <class Raw>
+/// The fixed-point wavelet FFT's kernels for one Q format, on narrow
+/// planes: Q15 in int16 and Q31 in int32 (Narrow), `lanes` lanes per walk,
+/// element e of lane l at [e * lanes + l].  The guard proof of
+/// fixed_wavelet_fft.hpp bounds every walk value below U = 2^F, which the
+/// narrow type holds; only the diagonal-combine sums reach 2U, so the walk
+/// writes them to wide planes (Wide, the transform's raw type) and the
+/// output pass reads those.  Integer lanes are exact, so every entry is
+/// bit-identical to the fixed_point<F> reference on every ISA.
+template <class Narrow, class Wide>
 struct fixed_kernels {
-    /// The guarded-mode walk of L lanes, in place; `scratch` holds
-    /// (band_drop ? 2 : 4) * n/2 * L values.  Callers run it only on
-    /// groups load() accepted (the guard of fixed_wavelet_fft.hpp).
-    void (*walk)(const fixed_plan<Raw>& p, Raw* re, Raw* im,
-                 Raw* scratch) = nullptr;
-    /// The engine adapter's input pass over `count` <= L inputs of n
+    /// Items per walk: one native integer vector of Narrow (16 / 8 on
+    /// AVX2, 8 / 4 on SSE2, NEON and the scalar reference).
+    std::size_t lanes = 0;
+    /// The guarded-mode walk of `lanes` lanes: x planes in, combine sums
+    /// out to the y planes; `scratch` holds (band_drop ? 2 : 4) * n/2 *
+    /// lanes values.  Callers run it only on groups load() accepted (the
+    /// guard of fixed_wavelet_fft.hpp).
+    void (*walk)(const fixed_plan<Wide>& p, const Narrow* xre,
+                 const Narrow* xim, Wide* yre, Wide* yim,
+                 Narrow* scratch) = nullptr;
+    /// The engine adapter's input pass over `count` <= lanes inputs of n
     /// values: scale[l] = 0.2 / peak |re|,|im| of input l (1 for an
     /// all-zero input), lane l = to_raw(v * scale[l]), lanes >= count
     /// zero.  Returns true iff every raw value lies inside the guard
     /// (|raw| < U/2); the conversion is then exact.  On false the planes
     /// are unspecified and callers convert with the scalar to_raw.
     bool (*load)(const cplx* const* srcs, std::size_t count, std::size_t n,
-                 Raw* re, Raw* im, real* scale) = nullptr;
-    /// The output pass: dsts[l][i] = raw / 2^F * restore[l], l < count.
-    void (*store)(const Raw* re, const Raw* im, cplx* const* dsts,
+                 Narrow* re, Narrow* im, real* scale) = nullptr;
+    /// The output pass over the walk's y planes: dsts[l][i] = raw / 2^F *
+    /// restore[l], l < count.
+    void (*store)(const Wide* re, const Wide* im, cplx* const* dsts,
                   std::size_t count, std::size_t n,
                   const real* restore) = nullptr;
 };
@@ -87,6 +98,8 @@ struct kernel_table {
     /// Doubles per vector register == lane width of the batched transform
     /// (1 scalar, 2 SSE2/NEON, 4 AVX2).
     std::size_t lanes = 1;
+    /// Windows per burg_lattice pass: two lane groups (2 * lanes).
+    std::size_t burg_windows = 2;
 
     // -- split-radix FFT: lane-interleaved walk --------------------------
     /// Complete batched split-radix walk of `lanes` same-plan transforms,
@@ -112,14 +125,16 @@ struct kernel_table {
                     real u) = nullptr;
 
     // -- Burg AR: lane-interleaved lattice ---------------------------------
-    /// Burg's reflection recursion (dsp::burg_fit) for `lanes` windows at
-    /// once, one per lane, at a common order.  xs[l] / ns[l] is lane l's
-    /// zero-mean series (ns[l] > 2 * order); callers with fewer windows
-    /// repeat a lane.  Lane l's sums are masked to its own length, so it
-    /// performs burg_fit's exact scalar operation sequence: coefficient
-    /// a_j lands at coef[l * order + j - 1] and the driving-noise variance
-    /// at noise_var[l], bit-identical to a one-lane fit.  `work` holds
-    /// (2 * max(ns) + 2 * order + 1) * lanes reals.
+    /// Burg's reflection recursion (dsp::burg_fit) for burg_windows =
+    /// 2 * lanes windows at once, one per lane of two interleaved lane
+    /// groups (two independent sum chains per pass), at a common order.
+    /// xs[l] / ns[l] is window l's zero-mean series (ns[l] > 2 * order);
+    /// callers with fewer windows repeat one.  Window l's sums are masked
+    /// to its own length, so it performs burg_fit's exact scalar operation
+    /// sequence: coefficient a_j lands at coef[l * order + j - 1] and the
+    /// driving-noise variance at noise_var[l], bit-identical to a
+    /// one-window fit.  `work` holds (2 * max(ns) + 2 * order + 1) *
+    /// burg_windows reals.
     void (*burg_lattice)(const real* const* xs, const std::size_t* ns,
                          std::size_t order, real* work, real* coef,
                          real* noise_var) = nullptr;
@@ -128,9 +143,15 @@ struct kernel_table {
     /// Q15 and Q31 lane walks and adapter conversions (kernels_fixed.inl),
     /// compiled per ISA: each TU instantiates them with its own TU-local
     /// type, so the -mavx2 copies can never be merged into baseline code.
-    fixed_kernels<std::int32_t> q15;
-    fixed_kernels<std::int64_t> q31;
+    fixed_kernels<std::int16_t, std::int32_t> q15;
+    fixed_kernels<std::int32_t, std::int64_t> q31;
 };
+
+/// Burg's lattice for one window (work holds 2 * n + 2 * order + 1
+/// reals): the scalar table's kernel with one lane group, the reference
+/// every burg_lattice lane matches (dsp::burg_fit, lone windows).
+void burg_lattice_one(const real* x, std::size_t n, std::size_t order,
+                      real* work, real* coef, real* noise_var);
 
 /// The table for the active ISA (resolved once; see isa.hpp).
 const kernel_table& kernels() noexcept;

@@ -1,5 +1,6 @@
 // AVX2 kernel table (4 doubles per vector): the lane templates
-// instantiated on v4, the spread4 weights and the guarded Q31 product.
+// instantiated on v4, the spread4 weights, and the guarded fixed-point
+// products and conversions on 256-bit integer lanes.
 // Compiled with -mavx2 for this TU only (see CMakeLists); isa.cpp gates dispatch on cpuid so the code
 // here never executes on CPUs without AVX2.  Same bit-identity rules as
 // the SSE2 TU: sign-bit XOR negation, no FMA, lane-parallel only.
@@ -97,30 +98,106 @@ struct v4 {
 
 }  // namespace
 
-// Guarded Q31 products.  AVX2 has no 64-bit multiply, but in guarded mode
-// every plane operand fits int32 and so does every table component except
-// an exact +U = 2^31, whose rounded product (U v + U/2) >> 31 is exactly v.
-// The rest run as 32 x 32 -> 64 multiplies (_mm256_mul_epi32 reads each
-// 64-bit lane's low half, sign-extended) and an emulated arithmetic shift:
-// the same integers as the generic (int64 product + U/2) >> 31.
+// Guarded narrow products (see fixed_wavelet_fft.hpp): every plane value
+// and every table component but an exact +U = 2^F fits the narrow lane,
+// and +U's rounded product is the identity.
+//
+// Q15, 16 x int16: _mm256_mulhrs_epi16 computes ((a b >> 14) + 1) >> 1,
+// which is (a b + 2^14) >> 15 for every pair but (-2^15)^2, which the
+// guard excludes.
 template <>
-inline void fixed::mul_lanes<v4, std::int64_t, 31, 4, false>(
-    std::int64_t w, const std::int64_t* __restrict v,
-    std::int64_t* __restrict out) {
+inline void fixed::mul_lanes<v4, std::int16_t, std::int32_t, 15, 16, false>(
+    std::int32_t w, const std::int16_t* __restrict v,
+    std::int16_t* __restrict out) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
+    const __m256i r =
+        w == std::int32_t{1} << 15
+            ? x
+            : _mm256_mulhrs_epi16(_mm256_set1_epi16(static_cast<short>(w)), x);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), r);
+}
+
+// Q31, 8 x int32: exact 64-bit products of the even lanes and of the odd
+// lanes shifted down (_mm256_mul_epi32 reads each 64-bit lane's low half,
+// sign-extended), plus 2^30.  Bits 31..62 of each sum are the rounded
+// product: a logical right shift by 31 brings them to an even lane's low
+// half, a left shift by 1 to an odd lane's high half, and a blend merges
+// the two.
+template <>
+inline void fixed::mul_lanes<v4, std::int32_t, std::int64_t, 31, 8, false>(
+    std::int64_t w, const std::int32_t* __restrict v,
+    std::int32_t* __restrict out) {
     const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
     __m256i r = x;
     if (w != std::int64_t{1} << 31) {
-        const __m256i p = _mm256_add_epi64(
-            _mm256_mul_epi32(_mm256_set1_epi64x(w), x),
-            _mm256_set1_epi64x(std::int64_t{1} << 30));
-        // p >> 31 arithmetic: the logical shift, with the 31 vacated top
-        // bits set where p is negative.
-        const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), p);
-        r = _mm256_or_si256(
-            _mm256_srli_epi64(p, 31),
-            _mm256_and_si256(neg, _mm256_set1_epi64x(~std::int64_t{0} << 33)));
+        const __m256i wv = _mm256_set1_epi32(static_cast<int>(w));
+        const __m256i half = _mm256_set1_epi64x(std::int64_t{1} << 30);
+        const __m256i even = _mm256_add_epi64(_mm256_mul_epi32(wv, x), half);
+        const __m256i odd = _mm256_add_epi64(
+            _mm256_mul_epi32(wv, _mm256_srli_epi64(x, 32)), half);
+        r = _mm256_blend_epi32(_mm256_srli_epi64(even, 31),
+                               _mm256_slli_epi64(odd, 1), 0xAA);
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), r);
+}
+
+// Conversions of the adapter passes, in registers.  A rounded input value
+// truncates exactly through int32 (out-of-range lanes fail the guard and
+// may store anything); int16 lanes take the saturating pack, exact inside
+// the guard.
+template <>
+inline void fixed::store_raw<v4, std::int16_t>(v4 r, std::int16_t* p) {
+    const __m128i t = _mm256_cvttpd_epi32(r.v);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_packs_epi32(t, t));
+}
+
+template <>
+inline void fixed::store_raw<v4, std::int32_t>(v4 r, std::int32_t* p) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm256_cvttpd_epi32(r.v));
+}
+
+template <>
+inline v4 fixed::load_raw<v4, std::int32_t>(const std::int32_t* p) {
+    return {_mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
+}
+
+// Lane l's elements i and i + 1 are one 256-bit store: unpack re/im per
+// 128-bit half, then pair the halves of the two elements.
+template <>
+inline void fixed::store_pair<v4>(v4 re0, v4 im0, v4 re1, v4 im1,
+                                  cplx* const* p, std::size_t i) {
+    const __m256d lo0 = _mm256_unpacklo_pd(re0.v, im0.v);  // [c0 | c2] of i
+    const __m256d hi0 = _mm256_unpackhi_pd(re0.v, im0.v);  // [c1 | c3] of i
+    const __m256d lo1 = _mm256_unpacklo_pd(re1.v, im1.v);
+    const __m256d hi1 = _mm256_unpackhi_pd(re1.v, im1.v);
+    const auto at = [&](std::size_t l) {
+        return reinterpret_cast<double*>(p[l] + i);
+    };
+    _mm256_storeu_pd(at(0), _mm256_permute2f128_pd(lo0, lo1, 0x20));
+    _mm256_storeu_pd(at(1), _mm256_permute2f128_pd(hi0, hi1, 0x20));
+    _mm256_storeu_pd(at(2), _mm256_permute2f128_pd(lo0, lo1, 0x31));
+    _mm256_storeu_pd(at(3), _mm256_permute2f128_pd(hi0, hi1, 0x31));
+}
+
+// int64 to double, rounded once as the scalar conversion rounds: the high
+// halves convert exactly through int32 and scale by 2^32 exactly, the low
+// halves convert exactly as 2^52 + lo - 2^52, and the one rounding is the
+// final add of the two exact parts.
+template <>
+inline v4 fixed::load_raw<v4, std::int64_t>(const std::int64_t* p) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    const __m128i hi = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+        x, _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0)));
+    const __m256d two52 = _mm256_set1_pd(4503599627370496.0);
+    const __m256d lo = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(
+            _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFFFFFF)),
+            _mm256_castpd_si256(two52))),
+        two52);
+    return {_mm256_add_pd(
+        _mm256_mul_pd(_mm256_cvtepi32_pd(hi), _mm256_set1_pd(4294967296.0)),
+        lo)};
 }
 
 namespace detail {
@@ -130,10 +207,11 @@ const kernel_table* avx2_table() noexcept {
         kernel_table k;
         k.which = isa::avx2;
         k.lanes = 4;
+        k.burg_windows = 8;
         k.sr_batched = generic::sr_batched<v4>;
         k.spread4 = spread4_avx2;
         k.burg_lattice = generic::burg_lattice<v4>;
-        fixed::fill_fixed_kernels<v4>(k);
+        fixed::fill_fixed_kernels<v4, 16, 8>(k);
         return k;
     }();
     return &t;

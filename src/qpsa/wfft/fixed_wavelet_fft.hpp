@@ -50,6 +50,27 @@
 //      2 ((1 + 1/U) M + 1.5) < 2U <= 2^31 (F <= 30) or 2^32 (F = 31):
 //      inside the raw type, so the saturating adds never clamp.
 //
+// Narrow planes.  Steps 1-3 put every Haar output, sub-FFT value, t and
+// rounded product below U in magnitude, so the kernel table's guarded
+// walks hold them in half the raw width: Q15 in int16, Q31 in int32
+// (simd::fixed_kernels).  Three things need care there:
+//   * the butterfly sums of step 4 reach 2U before halving, so the halving
+//     runs as the overflow-free rounding average (a >> 1) + (b >> 1) +
+//     ((a | b) & 1) = (a + b + 1) >> 1 (and a - b as the average with -b,
+//     which fits since |b| < U).  Differences whose result fits (t's
+//     rr - ii) may wrap on the way and still come out exact;
+//   * the diagonal-combine sums of step 4 accumulate in the raw type, into
+//     the wide planes the output pass reads;
+//   * a table component of exactly +U (tw_re[0], one entry each of fa_re
+//     and fd_re) does not fit: its rounded product (U v + U/2) >> F is v,
+//     so the walk copies instead of multiplying.  -U fits, and no plane
+//     value is -U, so the int16 rounding multiply's one overflowing pair
+//     ((-2^15)^2) never occurs.  For the same reason the sub-FFT's
+//     trivial twiddles w = 1 = (U, 0) and w = -i = (0, -U) form t = v and
+//     t = (v_im, -v_re) exactly without multiplying.
+// The saturating mode and this class's reference walk stay on the raw
+// type.
+//
 // The adapter in lomb::fixed_wavelet_engine normalizes every block to peak
 // 0.2, so service inputs always take the guarded mode; inputs beyond the
 // guard and interstage_shift = false take the saturating mode.
@@ -185,10 +206,10 @@ private:
             scratch.template alloc_aligned<raw_type>(walk_scratch(L)).data();
         const simd::fixed_plan<raw_type> p = plan();
         if (guarded<L>(xre, xim))
-            simd::fixed::walk<ref, raw_type, FracBits, L, false>(
+            simd::fixed::walk<ref, raw_type, raw_type, FracBits, L, false>(
                 p, xre, xim, yre, yim, planes);
         else
-            simd::fixed::walk<ref, raw_type, FracBits, L, true>(
+            simd::fixed::walk<ref, raw_type, raw_type, FracBits, L, true>(
                 p, xre, xim, yre, yim, planes);
     }
 

@@ -110,6 +110,10 @@ public:
         }
     }
 
+    /// Largest |raw| of a butterfly sum before halving over every forward
+    /// so far (what a narrow lane must not add in place).
+    double peak_sum() const { return peak_sum_; }
+
     std::size_t pruned_terms() const {
         const auto count = [](const std::vector<bool>& v) {
             std::size_t c = 0;
@@ -142,6 +146,9 @@ private:
                     const fcplx u = out[base + k];
                     fcplx x0{u.re + t.re, u.im + t.im};
                     fcplx x1{u.re - t.re, u.im - t.im};
+                    for (const scalar v : {x0.re, x0.im, x1.re, x1.im})
+                        peak_sum_ = std::max(
+                            peak_sum_, std::abs(static_cast<double>(v.raw())));
                     if (cfg_.interstage_shift) {
                         x0 = scale(x0, h);
                         x1 = scale(x1, h);
@@ -190,6 +197,7 @@ private:
     }
 
     config cfg_;
+    mutable double peak_sum_ = 0.0;
     std::vector<fcplx> fa_, fb_, fc_, fd_;
     std::vector<bool> pruned_a_, pruned_b_, pruned_c_, pruned_d_;
     std::vector<fcplx> subtw_;
@@ -631,9 +639,10 @@ void run_engine_matrix() {
                         << "F=" << F << " n=" << n << " input " << k;
                 }
 
-                // forward_batched == per-item forward for 1..9 items:
+                // forward_batched == per-item forward for 1..17 items
+                // (past two groups of the widest table):
                 // outputs, exec_stats and the active scope's tally.
-                for (std::size_t count = 1; count <= 9; ++count) {
+                for (std::size_t count = 1; count <= 17; ++count) {
                     std::vector<std::vector<cplx>> a(count,
                                                      std::vector<cplx>(n));
                     std::vector<std::vector<cplx>> b(count,
@@ -670,12 +679,14 @@ void run_engine_matrix() {
 }  // namespace
 
 TEST(FixedWfftOracleTest, Q15EngineBatchedMatchesOracle) {
-    EXPECT_EQ(ql::fixed_wavelet_engine<15>({}).batch_width(), 8u);
+    EXPECT_EQ(ql::fixed_wavelet_engine<15>({}).batch_width(),
+              qpsa::simd::kernels().q15.lanes);
     run_engine_matrix<15>();
 }
 
 TEST(FixedWfftOracleTest, Q31EngineBatchedMatchesOracle) {
-    EXPECT_EQ(ql::fixed_wavelet_engine<31>({}).batch_width(), 4u);
+    EXPECT_EQ(ql::fixed_wavelet_engine<31>({}).batch_width(),
+              qpsa::simd::kernels().q31.lanes);
     run_engine_matrix<31>();
 }
 
@@ -701,70 +712,85 @@ void reference_lane(std::span<const cplx> in, std::size_t lane, std::size_t L,
     }
 }
 
-/// Every compiled ISA's load / walk / store entries for Q-format F against
-/// the reference conversion and the fixed_point<F> oracle, for partial
-/// groups of 1..L items.
-template <unsigned F, class Raw>
-void run_kernel_matrix(qsimd::fixed_kernels<Raw> qsimd::kernel_table::*member) {
-    constexpr std::size_t L = F <= 15 ? 8 : 4;
+/// Every compiled ISA's load / walk / store entries for Q-format F on their
+/// narrow planes, for partial groups of 1..lanes items: load against the
+/// reference conversion, walk against the fixed_point<F> oracle (engine
+/// inputs through load, and raw inputs at the guard edge straight into the
+/// planes), store against the scalar restore.
+template <unsigned F, class Narrow>
+void run_kernel_matrix(
+    qsimd::fixed_kernels<Narrow, peer::raw<F>> qsimd::kernel_table::*member) {
     using raw = peer::raw<F>;
     using scalar_t = typename qf::fixed_wavelet_fft<F>::scalar;
-    static_assert(std::is_same_v<raw, Raw>);
+    constexpr std::size_t max_lanes = 16;
+    const raw u_raw = raw{1} << F;
     for (const qsimd::isa which : qsimd::available_isas()) {
-        const qsimd::fixed_kernels<Raw>& k = qsimd::kernels_for(which)->*member;
+        const qsimd::fixed_kernels<Narrow, raw>& k =
+            qsimd::kernels_for(which)->*member;
+        const std::size_t L = k.lanes;
+        ASSERT_GE(L, 2u);
+        ASSERT_LE(L, max_lanes);
         for (const std::size_t n : {8u, 64u, 512u}) {
             for (const bool band_drop : {false, true}) {
                 const typename qf::fixed_wavelet_fft<F>::config cfg{
                     n, band_drop, band_drop ? 0.25 : 0.0, true};
                 const qf::fixed_wavelet_fft<F> fft(cfg);
                 const oracle_fixed_wfft<F> oracle(cfg);
+                const qsimd::fixed_plan<raw> plan = peer::plan<F>(fft);
+                // The +U components the narrow walk copies instead of
+                // multiplying: tw_re[0], and one entry of fa_re (and of
+                // fd_re when the detail band is live).
+                ASSERT_EQ(plan.tw_re[0], u_raw);
+                ASSERT_GE(std::count(plan.fa_re, plan.fa_re + n / 2, u_raw), 1);
+                if (!band_drop) {
+                    ASSERT_GE(std::count(plan.fd_re, plan.fd_re + n / 2, u_raw),
+                              1);
+                }
+
                 auto ins = engine_inputs(n, n + F);
                 // Ties: with peak 0.2 the scale is exactly 1, so v * U
                 // lands on +-(k + 0.5); plus -0.0 entries.
                 auto& ties = ins.emplace_back(n);
                 const real u = std::ldexp(1.0, static_cast<int>(F));
                 for (std::size_t i = 0; i < n; ++i) {
-                    const real k = static_cast<real>(i % 9) + 0.5;
-                    ties[i] = cplx{(i % 2 == 0 ? k : -k) / u,
-                                   i % 3 == 0 ? -0.0 : k / u};
+                    const real t = static_cast<real>(i % 9) + 0.5;
+                    ties[i] = cplx{(i % 2 == 0 ? t : -t) / u,
+                                   i % 3 == 0 ? -0.0 : t / u};
                 }
                 ties[5] = cplx{0.2, -0.0};
-                for (std::size_t count = 1; count <= L; ++count) {
-                    const std::string what =
-                        std::string(qsimd::isa_name(which)) + " F=" +
-                        std::to_string(F) + " n=" + std::to_string(n) +
-                        " drop=" + std::to_string(band_drop) +
-                        " items=" + std::to_string(count);
-                    const cplx* srcs[L];
-                    std::vector<std::vector<cplx>> outs(count,
-                                                        std::vector<cplx>(n));
-                    cplx* dsts[L];
-                    std::vector<raw> want_re(n * L, 0), want_im(n * L, 0);
-                    real want_scale[L] = {};
-                    for (std::size_t l = 0; l < count; ++l) {
-                        const auto& in = ins[(count + l) % ins.size()];
-                        srcs[l] = in.data();
-                        dsts[l] = outs[l].data();
-                        reference_lane<F>(in, l, L, want_re, want_im,
-                                          want_scale[l]);
+                // Raw inputs straight into the planes: the oracle matrix's
+                // guarded ones, down to +-(U/2 - 1) square waves and
+                // random signs, and sample pairs (so the Haar averages
+                // pass them through) of a +-(U/2 - 1) square-wave phasor,
+                // whose fundamental of ~0.64 U lands in u and t of one
+                // butterfly in phase: sums of ~1.27 U.
+                auto edge = matrix_inputs<F>(n, n * 3 + F);
+                edge.resize(k_guarded);
+                const raw lim = (u_raw >> 1) - 1;
+                for (const std::size_t bin : {1u, 3u}) {
+                    auto& v = edge.emplace_back(n);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const real ph = qpsa::two_pi * static_cast<real>(bin) *
+                                        static_cast<real>(i / 2) /
+                                        static_cast<real>(n / 2);
+                        v[i] = {scalar_t::from_raw(std::cos(ph) >= 0 ? lim : -lim),
+                                scalar_t::from_raw(std::sin(ph) >= 0 ? lim : -lim)};
                     }
-                    std::vector<raw> re(n * L, 7), im(n * L, 7);
-                    real scale[L] = {};
-                    ASSERT_TRUE(k.load(srcs, count, n, re.data(), im.data(),
-                                       scale))
-                        << what;
-                    ASSERT_EQ(re, want_re) << what;
-                    ASSERT_EQ(im, want_im) << what;
-                    for (std::size_t l = 0; l < count; ++l)
-                        ASSERT_EQ(scale[l], want_scale[l]) << what;
+                }
 
-                    qu::arena scratch;
-                    std::span<raw> planes =
-                        scratch.alloc<raw>(peer::walk_scratch<F>(fft, L));
-                    k.walk(peer::plan<F>(fft), re.data(), im.data(),
+                std::vector<raw> want_re(n * L), want_im(n * L);
+                std::vector<Narrow> re(n * L), im(n * L);
+                std::vector<raw> yre(n * L), yim(n * L);
+                std::vector<Narrow> planes(peer::walk_scratch<F>(fft, L));
+                std::vector<fcplx_t<F>> lane_in(n), want(n);
+                // Walk the planes and compare lane l < count with the
+                // oracle on want_re / want_im's lane.
+                const auto check_walk = [&](std::size_t count,
+                                            const std::string& what) {
+                    std::fill(yre.begin(), yre.end(), raw{7});
+                    std::fill(yim.begin(), yim.end(), raw{7});
+                    k.walk(plan, re.data(), im.data(), yre.data(), yim.data(),
                            planes.data());
-                    std::vector<fcplx_t<F>> lane_in(n), want(n);
-                    real restore[L] = {};
                     for (std::size_t l = 0; l < count; ++l) {
                         for (std::size_t i = 0; i < n; ++i)
                             lane_in[i] = {
@@ -772,22 +798,77 @@ void run_kernel_matrix(qsimd::fixed_kernels<Raw> qsimd::kernel_table::*member) {
                                 scalar_t::from_raw(want_im[i * L + l])};
                         oracle.forward(lane_in, want);
                         for (std::size_t i = 0; i < n; ++i) {
-                            ASSERT_EQ(re[i * L + l], want[i].re.raw()) << what;
-                            ASSERT_EQ(im[i * L + l], want[i].im.raw()) << what;
+                            ASSERT_EQ(yre[i * L + l], want[i].re.raw())
+                                << what << " lane " << l << " bin " << i;
+                            ASSERT_EQ(yim[i * L + l], want[i].im.raw())
+                                << what << " lane " << l << " bin " << i;
                         }
-                        restore[l] = static_cast<real>(n) / scale[l];
                     }
+                };
+                for (std::size_t count = 1; count <= L; ++count) {
+                    const std::string what =
+                        std::string(qsimd::isa_name(which)) + " F=" +
+                        std::to_string(F) + " n=" + std::to_string(n) +
+                        " drop=" + std::to_string(band_drop) +
+                        " items=" + std::to_string(count);
+                    const cplx* srcs[max_lanes];
+                    std::vector<std::vector<cplx>> outs(count,
+                                                        std::vector<cplx>(n));
+                    cplx* dsts[max_lanes];
+                    std::fill(want_re.begin(), want_re.end(), raw{0});
+                    std::fill(want_im.begin(), want_im.end(), raw{0});
+                    real want_scale[max_lanes] = {};
+                    for (std::size_t l = 0; l < count; ++l) {
+                        const auto& in = ins[(count + l) % ins.size()];
+                        srcs[l] = in.data();
+                        dsts[l] = outs[l].data();
+                        reference_lane<F>(in, l, L, want_re, want_im,
+                                          want_scale[l]);
+                    }
+                    std::fill(re.begin(), re.end(), Narrow{7});
+                    std::fill(im.begin(), im.end(), Narrow{7});
+                    real scale[max_lanes] = {};
+                    ASSERT_TRUE(k.load(srcs, count, n, re.data(), im.data(),
+                                       scale))
+                        << what;
+                    for (std::size_t i = 0; i < n * L; ++i) {
+                        ASSERT_EQ(re[i], want_re[i]) << what << " at " << i;
+                        ASSERT_EQ(im[i], want_im[i]) << what << " at " << i;
+                    }
+                    for (std::size_t l = 0; l < count; ++l)
+                        ASSERT_EQ(scale[l], want_scale[l]) << what;
 
-                    k.store(re.data(), im.data(), dsts, count, n, restore);
+                    check_walk(count, what);
+
+                    real restore[max_lanes] = {};
+                    for (std::size_t l = 0; l < count; ++l)
+                        restore[l] = static_cast<real>(n) / scale[l];
+                    k.store(yre.data(), yim.data(), dsts, count, n, restore);
                     const real one = std::ldexp(1.0, static_cast<int>(F));
                     for (std::size_t l = 0; l < count; ++l)
                         for (std::size_t i = 0; i < n; ++i) {
                             const cplx ref{
-                                static_cast<real>(re[i * L + l]) / one * restore[l],
-                                static_cast<real>(im[i * L + l]) / one * restore[l]};
+                                static_cast<real>(yre[i * L + l]) / one * restore[l],
+                                static_cast<real>(yim[i * L + l]) / one * restore[l]};
                             ASSERT_EQ(std::memcmp(&outs[l][i], &ref, sizeof(cplx)), 0)
                                 << what << " lane " << l << " bin " << i;
                         }
+
+                    // The guard-edge raw inputs, count lanes of them.
+                    for (std::size_t l = 0; l < L; ++l)
+                        for (std::size_t i = 0; i < n; ++i) {
+                            const auto& in = edge[(count + l) % edge.size()];
+                            want_re[i * L + l] = l < count ? in[i].re.raw() : 0;
+                            want_im[i * L + l] = l < count ? in[i].im.raw() : 0;
+                            re[i * L + l] = static_cast<Narrow>(want_re[i * L + l]);
+                            im[i * L + l] = static_cast<Narrow>(want_im[i * L + l]);
+                        }
+                    check_walk(count, what + " edge");
+                }
+                // The edge inputs drive butterfly sums past U, where an
+                // add in the narrow type would wrap before the halving.
+                if (n >= 64) {
+                    EXPECT_GT(oracle.peak_sum(), static_cast<double>(u_raw)) << n;
                 }
 
                 // Inputs outside the guard -- a NaN, or an infinity (its
@@ -796,11 +877,13 @@ void run_kernel_matrix(qsimd::fixed_kernels<Raw> qsimd::kernel_table::*member) {
                 for (const real bad : {std::nan(""), std::numeric_limits<real>::infinity()}) {
                     std::vector<cplx> in = ins[0];
                     in[n / 2] = cplx{bad, 0.0};
-                    const cplx* srcs[L] = {ins[1].data(), in.data()};
-                    std::vector<raw> re(n * L), im(n * L);
-                    real scale[L] = {};
-                    EXPECT_FALSE(k.load(srcs, 2, n, re.data(), im.data(), scale))
-                        << qsimd::isa_name(which) << " " << bad;
+                    for (std::size_t at = 0; at < 2; ++at) {
+                        const cplx* srcs[max_lanes] = {ins[1].data(), ins[1].data()};
+                        srcs[at] = in.data();
+                        real scale[max_lanes] = {};
+                        EXPECT_FALSE(k.load(srcs, 2, n, re.data(), im.data(), scale))
+                            << qsimd::isa_name(which) << " " << bad << " lane " << at;
+                    }
                 }
             }
         }
@@ -810,11 +893,20 @@ void run_kernel_matrix(qsimd::fixed_kernels<Raw> qsimd::kernel_table::*member) {
 }  // namespace
 
 TEST(FixedWfftKernels, Q15EntriesMatchOracleOnEveryIsa) {
-    run_kernel_matrix<15, std::int32_t>(&qsimd::kernel_table::q15);
+    run_kernel_matrix<15, std::int16_t>(&qsimd::kernel_table::q15);
 }
 
 TEST(FixedWfftKernels, Q31EntriesMatchOracleOnEveryIsa) {
-    run_kernel_matrix<31, std::int64_t>(&qsimd::kernel_table::q31);
+    run_kernel_matrix<31, std::int32_t>(&qsimd::kernel_table::q31);
+}
+
+TEST(FixedWfftKernels, LaneCountIsOneNativeIntegerVector) {
+    for (const qsimd::isa which : qsimd::available_isas()) {
+        const qsimd::kernel_table& t = *qsimd::kernels_for(which);
+        const std::size_t bytes = which == qsimd::isa::avx2 ? 32 : 16;
+        EXPECT_EQ(t.q15.lanes * sizeof(std::int16_t), bytes) << qsimd::isa_name(which);
+        EXPECT_EQ(t.q31.lanes * sizeof(std::int32_t), bytes) << qsimd::isa_name(which);
+    }
 }
 
 TEST(FixedWfftKernels, ToRawEdgeCases) {
