@@ -19,14 +19,16 @@ burg_coeffs burg_fit(std::span<const real> x, std::size_t order,
     QPSA_EXPECTS(order >= 1);
     QPSA_EXPECTS(n > 2 * order);
 
-    // The recursion is the one-window lattice kernel (the reference).
+    // The recursion is the one-lane instance of the lane-interleaved
+    // lattice kernel (the scalar table's entry is the reference).
     const std::span<real> a = scratch.alloc<real>(order);
     real noise_var = 0.0;
     {
         util::arena::frame frame(scratch);
         std::span<real> work = scratch.alloc<real>(2 * n + 2 * order + 1);
-        simd::burg_lattice_one(x.data(), n, order, work.data(), a.data(),
-                               &noise_var);
+        const real* xs[1] = {x.data()};
+        simd::kernels_for(simd::isa::scalar)
+            ->burg_lattice(xs, &n, order, work.data(), a.data(), &noise_var);
     }
     counting::add_to_active(burg_fit_tally(n, order));
     return {a, noise_var};

@@ -60,10 +60,6 @@ std::size_t lane_batched_estimator::batch_width() const noexcept {
     return simd::kernels().lanes;
 }
 
-std::size_t burg_engine::batch_width() const noexcept {
-    return simd::kernels().burg_windows;
-}
-
 void lane_batched_estimator::estimate(std::span<const real> t,
                                       std::span<const real> x,
                                       const estimate_grid& grid,
@@ -128,43 +124,36 @@ void burg_engine::run(std::span<estimate_item> items, util::arena& scratch,
         fits[i] = {series, order, scratch.alloc<real>(order)};
     });
 
-    // Fit: windows sharing an order run the lattice one per lane of its two
-    // lane groups (a lone window runs the one-window reference); each lane
-    // is bit-identical to a single burg_fit.
-    const simd::kernel_table& k = simd::kernels();
-    QPSA_EXPECTS(k.burg_windows <= 8);
+    // Fit: windows sharing an order run the lattice one per lane (a lone
+    // window runs the one-lane reference); each lane is bit-identical to
+    // a single burg_fit.
+    const simd::kernel_table& kt = simd::kernels();
     thread_local std::vector<std::size_t> group;
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (!items[i].ok || fits[i].fitted) continue;
         group.assign(1, i);
-        for (std::size_t j = i + 1;
-             j < items.size() && group.size() < k.burg_windows; ++j)
+        for (std::size_t j = i + 1; j < items.size() && group.size() < kt.lanes;
+             ++j)
             if (items[j].ok && !fits[j].fitted &&
                 fits[j].order == fits[i].order)
                 group.push_back(j);
-        const std::size_t order = fits[i].order;
-        util::arena::frame lattice(scratch);
-        if (group.size() == 1) {
-            fit& f = fits[i];
-            const std::size_t n = f.series.size();
-            std::span<real> work = scratch.alloc<real>(2 * n + 2 * order + 1);
-            simd::burg_lattice_one(f.series.data(), n, order, work.data(),
-                                   f.coef.data(), &f.noise_var);
-            f.fitted = true;
-            continue;
-        }
+        const simd::kernel_table& k =
+            group.size() == 1 ? *simd::kernels_for(simd::isa::scalar) : kt;
+        QPSA_EXPECTS(k.lanes <= 8);
         const real* xs[8];
         std::size_t ns[8];
         std::size_t n_max = 0;
-        for (std::size_t l = 0; l < k.burg_windows; ++l) {
+        for (std::size_t l = 0; l < k.lanes; ++l) {
             const fit& f = fits[group[l < group.size() ? l : 0]];
             xs[l] = f.series.data();
             ns[l] = f.series.size();
             n_max = std::max(n_max, ns[l]);
         }
+        const std::size_t order = fits[i].order;
+        util::arena::frame lattice(scratch);
         std::span<real> work =
-            scratch.alloc<real>((2 * n_max + 2 * order + 1) * k.burg_windows);
-        std::span<real> coef = scratch.alloc<real>(order * k.burg_windows);
+            scratch.alloc<real>((2 * n_max + 2 * order + 1) * k.lanes);
+        std::span<real> coef = scratch.alloc<real>(order * k.lanes);
         real noise[8];
         k.burg_lattice(xs, ns, order, work.data(), coef.data(), noise);
         for (std::size_t l = 0; l < group.size(); ++l) {

@@ -85,12 +85,12 @@ private:
 /// A whole-window estimator whose single and batched estimates are one
 /// phased implementation, run(): a single estimate() is a round of one
 /// window that rethrows its contract failure.  Rounds hold one window per
-/// vector lane unless the estimator says otherwise.
+/// vector lane.
 class lane_batched_estimator : public whole_window_engine {
 public:
     using whole_window_engine::whole_window_engine;
     using whole_window_engine::estimate;
-    std::size_t batch_width() const noexcept override;
+    std::size_t batch_width() const noexcept final;
     void estimate(std::span<const real> t, std::span<const real> x,
                   const estimate_grid& grid, wfft::exec_stats* stats,
                   util::arena& scratch,
@@ -111,8 +111,7 @@ protected:
 
 /// Burg maximum-entropy estimator: uniform resampling, AR(p) fit,
 /// evaluation of the model PSD on the pipeline grid.  A round fits its
-/// windows through the lane-interleaved lattice kernel, so it holds the
-/// kernel's two lane groups of windows.
+/// windows through the lane-interleaved lattice kernel.
 class burg_engine final : public lane_batched_estimator {
 public:
     burg_engine(std::size_t mesh, std::size_t order, real resample_hz)
@@ -120,7 +119,6 @@ public:
           order_(order),
           resample_hz_(resample_hz) {}
     std::string name() const override;
-    std::size_t batch_width() const noexcept override;
 
 protected:
     void run(std::span<estimate_item> items, util::arena& scratch,

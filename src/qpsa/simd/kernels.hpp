@@ -98,8 +98,6 @@ struct kernel_table {
     /// Doubles per vector register == lane width of the batched transform
     /// (1 scalar, 2 SSE2/NEON, 4 AVX2).
     std::size_t lanes = 1;
-    /// Windows per burg_lattice pass: two lane groups (2 * lanes).
-    std::size_t burg_windows = 2;
 
     // -- split-radix FFT: lane-interleaved walk --------------------------
     /// Complete batched split-radix walk of `lanes` same-plan transforms,
@@ -125,16 +123,14 @@ struct kernel_table {
                     real u) = nullptr;
 
     // -- Burg AR: lane-interleaved lattice ---------------------------------
-    /// Burg's reflection recursion (dsp::burg_fit) for burg_windows =
-    /// 2 * lanes windows at once, one per lane of two interleaved lane
-    /// groups (two independent sum chains per pass), at a common order.
-    /// xs[l] / ns[l] is window l's zero-mean series (ns[l] > 2 * order);
-    /// callers with fewer windows repeat one.  Window l's sums are masked
-    /// to its own length, so it performs burg_fit's exact scalar operation
-    /// sequence: coefficient a_j lands at coef[l * order + j - 1] and the
-    /// driving-noise variance at noise_var[l], bit-identical to a
-    /// one-window fit.  `work` holds (2 * max(ns) + 2 * order + 1) *
-    /// burg_windows reals.
+    /// Burg's reflection recursion (dsp::burg_fit) for `lanes` windows at
+    /// once, one per lane, at a common order.  xs[l] / ns[l] is lane l's
+    /// zero-mean series (ns[l] > 2 * order); callers with fewer windows
+    /// repeat a lane.  Lane l's sums are masked to its own length, so it
+    /// performs burg_fit's exact scalar operation sequence: coefficient
+    /// a_j lands at coef[l * order + j - 1] and the driving-noise variance
+    /// at noise_var[l], bit-identical to a one-lane fit.  `work` holds
+    /// (2 * max(ns) + 2 * order + 1) * lanes reals.
     void (*burg_lattice)(const real* const* xs, const std::size_t* ns,
                          std::size_t order, real* work, real* coef,
                          real* noise_var) = nullptr;
@@ -146,12 +142,6 @@ struct kernel_table {
     fixed_kernels<std::int16_t, std::int32_t> q15;
     fixed_kernels<std::int32_t, std::int64_t> q31;
 };
-
-/// Burg's lattice for one window (work holds 2 * n + 2 * order + 1
-/// reals): the scalar table's kernel with one lane group, the reference
-/// every burg_lattice lane matches (dsp::burg_fit, lone windows).
-void burg_lattice_one(const real* x, std::size_t n, std::size_t order,
-                      real* work, real* coef, real* noise_var);
 
 /// The table for the active ISA (resolved once; see isa.hpp).
 const kernel_table& kernels() noexcept;

@@ -207,7 +207,6 @@ const kernel_table* avx2_table() noexcept {
         kernel_table k;
         k.which = isa::avx2;
         k.lanes = 4;
-        k.burg_windows = 8;
         k.sr_batched = generic::sr_batched<v4>;
         k.spread4 = spread4_avx2;
         k.burg_lattice = generic::burg_lattice<v4>;

@@ -58,7 +58,6 @@ const kernel_table* neon_table() noexcept {
         kernel_table k = *scalar_table();
         k.which = isa::neon;
         k.lanes = 2;
-        k.burg_windows = 4;
         k.sr_batched = generic::sr_batched<vn>;
         k.burg_lattice = generic::burg_lattice<vn>;
         return k;

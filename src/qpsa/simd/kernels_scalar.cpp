@@ -69,11 +69,6 @@ void spread4_scalar(real y, real* mesh, std::size_t n, std::ptrdiff_t i0,
 
 }  // namespace
 
-void burg_lattice_one(const real* x, std::size_t n, std::size_t order,
-                      real* work, real* coef, real* noise_var) {
-    generic::burg_lattice<v1, 1>(&x, &n, order, work, coef, noise_var);
-}
-
 namespace detail {
 
 const kernel_table* scalar_table() noexcept {
@@ -81,7 +76,6 @@ const kernel_table* scalar_table() noexcept {
         kernel_table k;
         k.which = isa::scalar;
         k.lanes = 1;
-        k.burg_windows = 2;
         k.sr_batched = generic::sr_batched<v1>;
         k.spread4 = spread4_scalar;
         k.burg_lattice = generic::burg_lattice<v1>;

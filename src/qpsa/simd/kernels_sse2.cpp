@@ -100,7 +100,6 @@ const kernel_table* sse2_table() noexcept {
         kernel_table k;
         k.which = isa::sse2;
         k.lanes = 2;
-        k.burg_windows = 4;
         k.sr_batched = generic::sr_batched<v2>;
         k.spread4 = spread4_sse2;
         k.burg_lattice = generic::burg_lattice<v2>;
