@@ -183,7 +183,8 @@ private:
             im[i] = transform::to_raw(it.in[i].imag() * s);
         }
         fft_.template forward_lanes<1>(re, im, re, im, scratch);
-        simd::fixed::restore_lane<raw_type, FracBits, 1>(
+        simd::fixed::restore_lane<wfft::detail::reference_walk, raw_type,
+                                  FracBits, 1>(
             re, im, it.out.data(), 0, n, static_cast<real>(n) / s);
         charge(it);
     }
