@@ -2,7 +2,10 @@
 // time-domain HRV metrics, the streaming monitor and the battery model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "qpsa/core/streaming_monitor.hpp"
@@ -101,6 +104,59 @@ TEST(ResampledPsdTest, InterpolationAttenuatesHighFrequencies) {
     }
     EXPECT_LT(hf_lf_resamp, 0.9 * hf_lf_lomb)
         << "interpolation must bias the near-Nyquist tone downward";
+}
+
+TEST(BurgTest, FitMatchesTwoPassRecursionBitForBit) {
+    // burg_fit against the textbook recursion in its operation order: per
+    // order, one pass of reflection sums, then the coefficient update, then
+    // a descending pass updating the prediction errors.  The lattice kernel
+    // may restructure its passes but must reproduce every bit.
+    const auto two_pass = [](const std::vector<real>& x, std::size_t order) {
+        const std::size_t n = x.size();
+        std::vector<real> f = x, b = x, a(order + 1, 0.0), prev(order + 1);
+        a[0] = 1.0;
+        real e = 0.0;
+        for (const real v : x) e = e + v * v;
+        e = e / static_cast<real>(n);
+        for (std::size_t m = 1; m <= order; ++m) {
+            real num = 0.0, den = 0.0;
+            for (std::size_t i = m; i < n; ++i) {
+                num = num + f[i] * b[i - 1];
+                den = den + (f[i] * f[i] + b[i - 1] * b[i - 1]);
+            }
+            const real k = 0.0 < den ? (-2.0 * num) / den : 0.0;
+            for (std::size_t j = 0; j < m; ++j) prev[j] = a[j];
+            for (std::size_t j = 1; j <= m; ++j)
+                a[j] = (j < m ? prev[j] : 0.0) + k * (j == m ? 1.0 : prev[m - j]);
+            for (std::size_t i = n - 1; i >= m; --i) {
+                const real fi = f[i], bi = b[i - 1];
+                f[i] = fi + k * bi;
+                b[i] = bi + k * fi;
+            }
+            e = e * (1.0 - k * k);
+        }
+        return std::make_pair(std::vector<real>(a.begin() + 1, a.end()), e);
+    };
+    qpsa::util::rng r(29);
+    for (int trial = 0; trial < 60; ++trial) {
+        const std::size_t order = 1 + static_cast<std::size_t>(trial % 16);
+        const std::size_t n = 2 * order + 1 + static_cast<std::size_t>(r.uniform_int(0, 500));
+        std::vector<real> x(n, 0.0);
+        const real phi = r.uniform(-0.95, 0.95);
+        for (std::size_t i = 0; i < n; ++i)
+            x[i] = (i > 0 ? phi * x[i - 1] : 0.0) + r.gaussian(1.0);
+        if (trial % 7 == 3) std::fill(x.begin() + static_cast<std::ptrdiff_t>(n / 2), x.end(), 0.0);
+        const auto want = two_pass(x, order);
+        const auto got = qd::burg_fit(x, order);
+        ASSERT_EQ(got.a.size(), order);
+        for (std::size_t j = 0; j < order; ++j)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.a[j]),
+                      std::bit_cast<std::uint64_t>(want.first[j]))
+                << "trial " << trial << " a_" << j + 1;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.noise_var),
+                  std::bit_cast<std::uint64_t>(want.second))
+            << "trial " << trial;
+    }
 }
 
 TEST(BurgTest, FitsKnownAr1Process) {
